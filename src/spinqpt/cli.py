@@ -10,18 +10,19 @@ Subcommands:
 Reports are deterministic: a given configuration always produces byte
 identical output files (JSON floats carry 17 significant digits, CSV 12).
 Wall-clock timing goes to the console only, never into the report, so that
-reruns compare clean.  Verification subcommands exit nonzero iff a tolerance
-is violated.
+reruns compare clean.  Exit status: 0 on success, 1 when ``ideal-check`` finds
+a tolerance violated, 2 on a usage error (bad option value, sweep grid or path:
+one ``error:`` line, no report).  ``fidelity-sweep --jobs`` is echoed, not used.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .blockade import parse_sequences
 from .dynamics import (
     CNOT_TARGET,
     NoiseParams,
+    cnot_unitary,
     evolve_unitary,
-    hadamard,
     local_rotation,
     term_isolation_unitary,
     times_in_picoseconds,
@@ -55,20 +56,6 @@ def _fmt_float(x: float) -> str:
     return out
 
 
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys."""
     pad = "  " * indent
@@ -82,13 +69,13 @@ def canonical_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return _json_escape(value)
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = []
         for key in sorted(value):
-            items.append(f"{inner}{_json_escape(str(key))}: {canonical_json(value[key], indent + 1)}")
+            items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
@@ -141,14 +128,10 @@ def _base_params(args, extra: dict | None = None) -> dict:
 def cmd_ideal_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     g = 1.0
-    angle = math.pi / 2 + (1e-3 if args.inject_angle_error else 0.0)
-    built = (
-        hadamard("A")
-        @ local_rotation("X", "z", angle)
-        @ local_rotation("A", "z", math.pi / 2)
-        @ evolve_unitary(zz_hamiltonian(g), 3.0 * math.pi / (4.0 * g))
-        @ hadamard("A")
-    )
+    built = cnot_unitary(g)
+    if args.inject_angle_error:
+        # Rz_X commutes with H_A, so this perturbs the frame's Rz_X(pi/2) angle.
+        built = local_rotation("X", "z", 1e-3) @ built
     cnot_dev = abs(1.0 - abs(np.trace(built.conj().T @ CNOT_TARGET)) / 4.0)
     iso_devs = []
     for _ in range(args.samples):
@@ -184,30 +167,24 @@ def cmd_ideal_check(args) -> int:
 # qpt
 # ----------------------------------------------------------------------------
 
-def _load_design(args) -> "tomography.TomographyDesign":
-    if getattr(args, "design_file", None) is None:
-        return tomography.design_sequences(g=1.0)
+def _load_design(args) -> "tomography.TomographyDesign | None":
+    """The design read from --design-file, or None for the shipped one."""
+    if args.design_file is None:
+        return None
     with open(args.design_file, encoding="utf-8") as fh:
         sequences = parse_sequences(fh.read())
     return tomography.design_from_sequences(sequences, g=1.0)
 
 
-def _compute_chi(method: str, noise: NoiseParams, samples: int, seed: int, design):
-    if method == "closed-form":
-        return closed_form.chi_closed_form(noise.r, noise.gdtau)
-    if method == "pipeline":
-        return tomography.run_qpt(noise, method="pipeline", design=design)
-    if method == "montecarlo":
-        return tomography.run_qpt(noise, method="monte_carlo", mc_samples=samples,
-                                  seed=seed, design=design)
-    raise ValueError(f"unknown method {method!r}")
+_QPT_METHODS = {"pipeline": "pipeline", "closed-form": "closed_form", "montecarlo": "monte_carlo"}
 
 
 def cmd_qpt(args) -> int:
     noise = NoiseParams.from_dimensionless(r=args.r, gdtau=args.gdtau)
     design = _load_design(args)
-    methods = ["pipeline", "closed-form", "montecarlo"] if args.method == "all" else [args.method]
-    results = {m: _compute_chi(m, noise, args.samples, args.seed, design) for m in methods}
+    methods = list(_QPT_METHODS) if args.method == "all" else [args.method]
+    results = {m: tomography.run_qpt(noise, method=_QPT_METHODS[m], mc_samples=args.samples,
+                                     seed=args.seed, design=design) for m in methods}
     primary = results["closed-form"] if args.method == "all" else results[args.method]
     deviations = {}
     if args.method == "all":
@@ -243,26 +220,12 @@ def cmd_qpt(args) -> int:
 # fidelity-sweep
 # ----------------------------------------------------------------------------
 
-def _sweep_point(task):
-    r, gdtau = task
-    return closed_form.fidelity_closed_form(r, gdtau)
-
-
 def cmd_fidelity_sweep(args) -> int:
     if args.r_steps < 2 or not (0.0 <= args.r_min < args.r_max <= 1.0):
-        raise SystemExit("invalid sweep grid")
-    gdtaus = [float(x) for x in args.gdtau_values.split(",")]
-    grid = [
-        (float(r), gdtau)
-        for gdtau in gdtaus
-        for r in np.linspace(args.r_min, args.r_max, args.r_steps)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            fids = list(pool.map(_sweep_point, grid))
-    else:
-        fids = [_sweep_point(task) for task in grid]
-    rows = [(r, gdtau, f) for (r, gdtau), f in zip(grid, fids)]
+        _usage_error("invalid sweep grid: need --r-steps >= 2 and 0 <= --r-min < --r-max <= 1")
+    gdtaus = args.gdtau_values
+    rs = np.linspace(args.r_min, args.r_max, args.r_steps).tolist()
+    rows = [(r, gdtau, closed_form.fidelity_closed_form(r, gdtau)) for gdtau in gdtaus for r in rs]
     report = {
         "params": _base_params(args, {
             "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,
@@ -283,7 +246,7 @@ def cmd_fidelity_sweep(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_entanglement_threshold(args) -> int:
-    design = _load_design(args)
+    design = _load_design(args) or tomography.design_sequences(g=1.0)
     result = tomography.entanglement_threshold(design, gdtau=args.gdtau, tol=args.tol)
     report = {
         "params": _base_params(args, {"gdtau": args.gdtau, "tolerance": args.tol}),
@@ -308,6 +271,33 @@ def cmd_entanglement_threshold(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------------
 
+def _usage_error(message: str):
+    """Report a usage error on one line and exit 2, as argparse does."""
+    print(f"spinqpt: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _number(kind, check, requirement: str):
+    """argparse type: a kind() value passing check; NaN fails every check."""
+    def convert(text: str):
+        value = kind(text)
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+    convert.__name__ = kind.__name__     # argparse names it in "invalid float value"
+    return convert
+
+
+_polarization = _number(float, lambda x: 0.0 <= x <= 1.0, "a polarization in [0, 1]")
+_gdtau = _number(float, lambda x: 0.0 <= x < math.inf, "a finite gdtau >= 0")
+_tolerance = _number(float, lambda x: 0.0 < x < math.inf, "a finite tolerance > 0")
+_sample_count = _number(int, lambda n: n >= 1, "a sample count >= 1")
+
+
+def _gdtau_list(text: str) -> list:
+    return [_gdtau(item) for item in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinqpt",
@@ -323,18 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideal-check", parents=[common],
                        help="verify the noiseless gate-synthesis identities")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--samples", type=_sample_count, default=20)
     p.add_argument("--inject-angle-error", action="store_true",
                    help="test hook: perturb one rotation angle to force a failure")
     p.set_defaults(func=cmd_ideal_check)
 
     p = sub.add_parser("qpt", parents=[common], help="emit a process matrix")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--gdtau", type=float, default=0.0)
+    p.add_argument("--r", type=_polarization, default=1.0)
+    p.add_argument("--gdtau", type=_gdtau, default=0.0)
     p.add_argument("--method", default="closed-form",
                    choices=["pipeline", "closed-form", "montecarlo", "all"])
-    p.add_argument("--samples", type=int, default=100_000,
+    p.add_argument("--samples", type=_sample_count, default=100_000,
                    help="trajectories per probability in montecarlo mode")
     p.add_argument("--design-file", default=None,
                    help="custom 15-sequence design, blank-line separated line format")
@@ -345,18 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=1.0)
     p.add_argument("--r-steps", type=int, default=21)
-    p.add_argument("--gdtau-values", default="0,0.1",
+    p.add_argument("--gdtau-values", type=_gdtau_list, default="0,0.1",
                    help="comma-separated gdtau values, one sweep per value")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers (default: available cores); output is "
-                        "ordered by grid index regardless")
+                   help="accepted for compatibility and echoed in the report; "
+                        "the sweep always runs in-process, so it changes nothing")
     p.set_defaults(func=cmd_fidelity_sweep)
 
     p = sub.add_parser("entanglement-threshold", parents=[common],
                        help="smallest polarization with entangled reconstructed output")
-    p.add_argument("--gdtau", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--gdtau", type=_gdtau, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.add_argument("--design-file", default=None,
                    help="custom 15-sequence design, blank-line separated line format")
     p.set_defaults(func=cmd_entanglement_threshold)
@@ -369,8 +359,7 @@ def main(argv=None) -> int:
     try:
         status = args.func(args)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _usage_error(str(exc))
     print(f"({time.perf_counter() - start:.2f}s)", file=sys.stderr)
     return status
 

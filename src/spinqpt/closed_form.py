@@ -20,19 +20,19 @@ F(r, 0) = (1 + 3r)^2 / 16.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import dephasing_factor
 from .process_matrix import ProcessMatrix
 
 
-def _validate(r: float, gdtau: float) -> None:
+def _validated_dephasing(r: float, gdtau: float) -> float:
+    """Check the noise point and return d = exp(-2 gdtau^2)."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"polarization must lie in [0, 1], got {r}")
-    if gdtau < 0:
-        raise ValueError(f"gdtau must be nonnegative, got {gdtau}")
+    return dephasing_factor(gdtau)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def coefficients(r: float, gdtau: float) -> CoefficientSet:
     r-linear term and the second selects the +/- member of the beta or a
     family it multiplies.
     """
-    _validate(r, gdtau)
-    d = math.exp(-2.0 * gdtau ** 2)
+    d = _validated_dephasing(r, gdtau)
     a_p, a_m = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
     b_p, b_m = 0.5 * (1.0 + d ** 2), 0.5 * (1.0 - d ** 2)
     c_p, c_m = 0.5 * (1.0 + d ** 4), 0.5 * (1.0 - d ** 4)
@@ -215,8 +214,7 @@ def chi_element_1111(r: float, gdtau: float) -> float:
 
     Algebraically identical to one quarter of the leading alpha coefficient.
     """
-    _validate(r, gdtau)
-    d = math.exp(-2.0 * gdtau ** 2)
+    d = _validated_dephasing(r, gdtau)
     linear = 2.0 * (1.0 + d) ** 2 + (1.0 - d ** 4) * (1.0 - d) ** 2
     quadratic = 2.0 * (1.0 + d - d ** 4 * (1.0 - d))
     return (4.0 + linear * r + quadratic * r * r) / 16.0
@@ -236,9 +234,7 @@ def averaged_cnot_output_11(gdtau: float) -> np.ndarray:
     independent pulse-duration fluctuations reintroduce.  Unit trace for all
     gdtau.
     """
-    if gdtau < 0:
-        raise ValueError(f"gdtau must be nonnegative, got {gdtau}")
-    d = math.exp(-2.0 * gdtau ** 2)
+    d = dephasing_factor(gdtau)
     leak = 1.0 - d ** 2
     out = np.zeros((4, 4), dtype=complex)
     out[0, 0] = (1.0 + d) * (3.0 + d)

@@ -71,8 +71,8 @@ class NoiseParams:
     def __post_init__(self):
         if not self.g > 0:
             raise ValueError(f"exchange coupling g must be positive, got {self.g}")
-        if self.delta_tau < 0:
-            raise ValueError(f"time dispersion must be nonnegative, got {self.delta_tau}")
+        if not 0.0 <= self.delta_tau < math.inf:
+            raise ValueError(f"time dispersion must be finite and nonnegative, got {self.delta_tau}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"polarization must lie in [0, 1], got {self.r}")
 
@@ -87,8 +87,16 @@ class NoiseParams:
 
     @property
     def dephasing(self) -> float:
-        """d = exp(-2 (g delta_tau)^2), in (0, 1]."""
-        return math.exp(-2.0 * self.gdtau ** 2)
+        """d = exp(-2 (g delta_tau)^2), in [0, 1]."""
+        return dephasing_factor(self.gdtau)
+
+
+def dephasing_factor(gdtau: float) -> float:
+    """d = exp(-2 gdtau^2) for a finite nonnegative gdtau."""
+    if not 0.0 <= gdtau < math.inf:
+        raise ValueError(f"gdtau must be finite and nonnegative, got {gdtau}")
+    # exp underflows to 0.0 from gdtau ~ 19.3 on, long before gdtau ** 2 overflows.
+    return math.exp(-2.0 * gdtau ** 2) if gdtau < 100.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -175,15 +183,19 @@ def term_isolation_unitary(g: float, t: float) -> np.ndarray:
     return rz @ half @ rz @ half
 
 
+#: Noise-free gates applied after the controlled-phase exponent, H_A Rz_X(pi/2) Rz_A(pi/2).
+CNOT_FRAME = hadamard("A") @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2)
+CNOT_FRAME.setflags(write=False)
+
+
 def cnot_unitary(g: float) -> np.ndarray:
     """CNOT compiled from the isolated sz sz exponent and local gates.
 
-    H_A Rz_X(pi/2) Rz_A(pi/2) exp(-i (3pi/4) sz sz) H_A, equal to CNOT_TARGET
-    up to a global phase.
+    CNOT_FRAME exp(-i (3pi/4) sz sz) H_A, equal to CNOT_TARGET up to a global
+    phase.
     """
-    had = hadamard("A")
     zz_exp = evolve_unitary(zz_hamiltonian(g), 3.0 * math.pi / (4.0 * g))
-    return had @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2) @ zz_exp @ had
+    return CNOT_FRAME @ zz_exp @ hadamard("A")
 
 
 def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: float) -> QuantumChannel:
@@ -227,12 +239,7 @@ def noisy_cnot_channel(noise: NoiseParams, fluctuation: str = "per-pulse") -> Qu
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
     entry = QuantumChannel.from_unitary(hadamard("A"))
-    exit_unitary = (
-        hadamard("A")
-        @ local_rotation("X", "z", math.pi / 2)
-        @ local_rotation("A", "z", math.pi / 2)
-    )
-    exit_channel = QuantumChannel.from_unitary(exit_unitary)
+    exit_channel = QuantumChannel.from_unitary(CNOT_FRAME)
     if fluctuation == "per-pulse":
         sigma = noise.delta_tau / math.sqrt(2.0)
         phase_part = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, sigma)
@@ -257,11 +264,6 @@ def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator,
     """One noisy-CNOT realization with freshly drawn pulse durations."""
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
-    outer = (
-        hadamard("A")
-        @ local_rotation("X", "z", math.pi / 2)
-        @ local_rotation("A", "z", math.pi / 2)
-    )
     if fluctuation == "per-pulse":
         rz = local_rotation("X", "z", math.pi)
         hexch = exchange_hamiltonian(g)
@@ -273,7 +275,7 @@ def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator,
         core = evolve_unitary(zz_hamiltonian(g), tau)
     else:
         raise ValueError(f"fluctuation must be 'per-pulse' or 'common', got {fluctuation!r}")
-    return outer @ core @ hadamard("A")
+    return CNOT_FRAME @ core @ hadamard("A")
 
 
 def times_in_picoseconds(g_mev: float) -> dict:

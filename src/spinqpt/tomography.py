@@ -40,11 +40,13 @@ from .blockade import (
     Project,
     Rotate,
     UP,
+    _survival_estimates,
     ideal_effect_operator,
-    propagate_sequence_samples,
+    sample_initial_states,
     sequence_probability,
 )
 from .dynamics import (
+    CNOT_FRAME,
     GateSchedule,
     NoiseParams,
     SIGMA_I,
@@ -52,12 +54,11 @@ from .dynamics import (
     SIGMA_Y,
     SIGMA_Z,
     hadamard,
-    local_rotation,
     noisy_cnot_channel,
     zz_hamiltonian,
 )
-from .process_matrix import CHI_LABELS, CHI_ORDER, ProcessMatrix, process_fidelity  # noqa: F401  (fidelity re-exported)
-from .qcore import DIM, apply_channel, hermitize, negativity, pure_state
+from .process_matrix import CHI_LABELS, CHI_ORDER, CHI_PERM, ProcessMatrix
+from .qcore import DIM, apply_channel, hermitize, negativity, pure_state, vec
 
 #: Full spin-transfer pulse duration in units of 1/g.
 TRANSFER_TIME = math.pi / 4.0
@@ -213,23 +214,13 @@ class QptInputSet:
 
 def qpt_input_states() -> QptInputSet:
     """|m> for each basis state and (|m> + |n>)/sqrt2, (|m> + i|n>)/sqrt2 for m < n."""
-    diagonal = []
-    for m in range(DIM):
-        e = np.zeros(DIM, dtype=complex)
-        e[m] = 1.0
-        diagonal.append(pure_state(e))
-    plus, minus = {}, {}
-    for m in range(DIM):
-        for n in range(m + 1, DIM):
-            v = np.zeros(DIM, dtype=complex)
-            v[m] = 1.0
-            v[n] = 1.0
-            plus[(m, n)] = pure_state(v)
-            w = np.zeros(DIM, dtype=complex)
-            w[m] = 1.0
-            w[n] = 1j
-            minus[(m, n)] = pure_state(w)
-    return QptInputSet(diagonal=tuple(diagonal), plus=plus, minus=minus)
+    e = np.eye(DIM, dtype=complex)
+    pairs = [(m, n) for m in range(DIM) for n in range(m + 1, DIM)]
+    return QptInputSet(
+        diagonal=tuple(pure_state(e[m]) for m in range(DIM)),
+        plus={(m, n): pure_state(e[m] + e[n]) for m, n in pairs},
+        minus={(m, n): pure_state(e[m] + 1j * e[n]) for m, n in pairs},
+    )
 
 
 def assemble_channel_action(outputs: dict) -> dict:
@@ -263,12 +254,8 @@ def assemble_channel_action(outputs: dict) -> dict:
 
 
 def _chi_from_action(action: dict) -> np.ndarray:
-    chi = np.zeros((16, 16), dtype=complex)
-    for col, (k, l) in enumerate(CHI_ORDER):
-        block = action[(k, l)]
-        for row, (m, n) in enumerate(CHI_ORDER):
-            chi[row, col] = block[m, n]
-    return chi
+    """chi[(m,n),(k,l)] = action[(k,l)][m, n]: columns vec(action[kl]), rows by CHI_PERM."""
+    return np.stack([vec(action[kl]) for kl in CHI_ORDER], axis=1)[CHI_PERM]
 
 
 def _mc_gate_batch(psi: np.ndarray, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
@@ -287,12 +274,7 @@ def _mc_gate_batch(psi: np.ndarray, noise: NoiseParams, rng: np.random.Generator
     mid1, mid2 = psi[:, 1].copy(), psi[:, 2].copy()
     psi[:, 1] = cos_a * mid1 - 1j * sin_a * mid2
     psi[:, 2] = -1j * sin_a * mid1 + cos_a * mid2
-    outer = (
-        hadamard("A")
-        @ local_rotation("X", "z", math.pi / 2)
-        @ local_rotation("A", "z", math.pi / 2)
-    )
-    return psi @ outer.T
+    return psi @ CNOT_FRAME.T
 
 
 def _qpt_probabilities_mc(
@@ -303,37 +285,19 @@ def _qpt_probabilities_mc(
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled sequence probabilities for one input state, with standard errors."""
-    from .blockade import sample_initial_states, _MC_CHUNK
-
-    children = seed_seq.spawn(design.n_sequences)
-    estimates = np.zeros(design.n_sequences)
-    errors = np.zeros(design.n_sequences)
-    for j, seq in enumerate(design.sequences):
-        rng = np.random.default_rng(children[j])
-        successes = 0
-        remaining = int(n_samples)
-        while remaining > 0:
-            m = min(remaining, _MC_CHUNK)
-            psi = sample_initial_states(rho_in, m, rng)
-            psi = _mc_gate_batch(psi, noise, rng)
-            alive = np.ones(m, dtype=bool)
-            _, alive = propagate_sequence_samples(psi, alive, seq, noise, rng)
-            successes += int(alive.sum())
-            remaining -= m
-        p_hat = successes / n_samples
-        estimates[j] = p_hat
-        errors[j] = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return estimates, errors
+    rngs = [np.random.default_rng(child) for child in seed_seq.spawn(design.n_sequences)]
+    ests = _survival_estimates(
+        zip(design.sequences, rngs), noise, n_samples,
+        lambda m, rng: _mc_gate_batch(sample_initial_states(rho_in, m, rng), noise, rng),
+    )
+    return np.array([e.estimate for e in ests]), np.array([e.stderr for e in ests])
 
 
 def _stderr_through_reconstruction(design: TomographyDesign, prob_err: np.ndarray) -> np.ndarray:
     """Entrywise standard error of the reconstructed 4x4 state."""
     inv = np.linalg.inv(design.design_matrix)
     var_coeffs = (inv[:, : design.n_sequences] ** 2) @ (prob_err ** 2)
-    var_rho = np.zeros((DIM, DIM))
-    for var_c, basis_op in zip(var_coeffs, PAULI_BASIS):
-        var_rho += var_c * np.abs(basis_op) ** 2
-    return np.sqrt(var_rho)
+    return np.sqrt(sum(var_c * np.abs(b) ** 2 for var_c, b in zip(var_coeffs, PAULI_BASIS)))
 
 
 def run_qpt(
@@ -364,18 +328,15 @@ def run_qpt(
     outputs = {}
     output_errs = {}
     if method == "monte_carlo":
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
         input_seeds = np.random.SeedSequence(seed).spawn(16)
     for idx, (label, rho_in) in enumerate(inputs.items()):
         if method == "pipeline":
             rho_out = apply_channel(channel, rho_in)
             probs = [sequence_probability(seq, rho_out, noise) for seq in design.sequences]
-            outputs[label] = reconstruct_state(probs, design)
         else:
             probs, errs = _qpt_probabilities_mc(rho_in, design, noise, mc_samples, input_seeds[idx])
-            outputs[label] = reconstruct_state(probs, design)
             output_errs[label] = _stderr_through_reconstruction(design, errs)
+        outputs[label] = reconstruct_state(probs, design)
     action = assemble_channel_action(outputs)
     chi = _chi_from_action(action)
     stderr = None
@@ -392,10 +353,7 @@ def run_qpt(
                 )
                 var_action[(m, n)] = var
                 var_action[(n, m)] = var.T
-        stderr = np.zeros((16, 16))
-        for col, (k, l) in enumerate(CHI_ORDER):
-            for row, (m, n) in enumerate(CHI_ORDER):
-                stderr[row, col] = math.sqrt(var_action[(k, l)][m, n])
+        stderr = np.sqrt(_chi_from_action(var_action))
     return ProcessMatrix(chi=chi, ordering=CHI_LABELS, stderr=stderr)
 
 

@@ -154,6 +154,14 @@ class TestFidelitySweep:
             run_cli("fidelity-sweep", "--r-min", "0.9", "--r-max", "0.1",
                     "--out", str(tmp_path / "x.csv"))
 
+    def test_overflowing_gdtau_gives_finite_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("fidelity-sweep", "--gdtau-values", "1e300", "--r-steps", "3",
+                       "--out", str(out)) == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(f) for _, _, f in rows)
+
 
 class TestEntanglementThreshold:
     def test_threshold_report(self, tmp_path):
@@ -182,3 +190,30 @@ class TestEntanglementThreshold:
         run_cli("entanglement-threshold", "--out", str(a))
         run_cli("entanglement-threshold", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("fidelity-sweep", "--gdtau-values", "nan"),
+        ("fidelity-sweep", "--gdtau-values", "0,-0.1"),
+        ("fidelity-sweep", "--r-min", "0.9", "--r-max", "0.1"),
+        ("fidelity-sweep", "--r-steps", "1"),
+        ("entanglement-threshold", "--gdtau", "nan"),
+        ("entanglement-threshold", "--tol", "0"),
+        ("entanglement-threshold", "--design-file", "{missing}"),
+        ("ideal-check", "--samples", "0"),
+        ("ideal-check", "--tol", "nan"),
+        ("qpt", "--method", "montecarlo", "--samples", "0"),
+        ("qpt", "--r", "1.5"),
+        ("qpt", "--r", "nan"),
+        ("qpt", "--gdtau", "inf"),
+        ("qpt", "--method", "pipeline", "--design-file", "{missing}"),
+    ])
+    def test_exit_2_with_error_line_and_no_report(self, tmp_path, capsys, argv):
+        out = tmp_path / "report"
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -57,6 +57,21 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coefficients(0.5, -0.1)
 
+    @pytest.mark.parametrize("fn", [
+        lambda g: coefficients(0.5, g),
+        lambda g: chi_element_1111(0.5, g),
+        lambda g: averaged_cnot_output_11(g),
+    ])
+    def test_rejects_non_finite_gdtau(self, fn):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+    def test_huge_gdtau_is_fully_dephased(self):
+        c = coefficients(0.5, 1e300)
+        assert c.d == 0.0
+        assert fidelity_closed_form(0.5, 1e300) == fidelity_closed_form(0.5, 1e3)
+
 
 class TestChiClosedForm:
     def test_ideal_limit_is_ideal_cnot(self):

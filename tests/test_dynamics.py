@@ -10,6 +10,7 @@ from spinqpt.dynamics import (
     GateSchedule,
     NoiseParams,
     cnot_unitary,
+    dephasing_factor,
     evolve_unitary,
     exchange_hamiltonian,
     flipflop_hamiltonian,
@@ -420,6 +421,20 @@ class TestParamsAndSchedule:
             NoiseParams(delta_tau=-0.1)
         with pytest.raises(ValueError):
             NoiseParams(r=1.2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                NoiseParams(delta_tau=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_dephasing_factor_rejects_non_finite_and_negative(self, bad):
+        with pytest.raises(ValueError):
+            dephasing_factor(bad)
+
+    def test_dephasing_factor_values(self):
+        assert dephasing_factor(0.0) == 1.0
+        assert dephasing_factor(0.1) == math.exp(-2.0 * 0.1 ** 2)
+        # gdtau ** 2 overflows a float here; the factor underflows to zero.
+        assert dephasing_factor(1e300) == 0.0
 
     def test_dimensionless_construction(self):
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.1)

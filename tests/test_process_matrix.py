@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinqpt.dynamics import CNOT_TARGET, NoiseParams, noisy_cnot_channel
 from spinqpt.process_matrix import (
@@ -14,7 +16,8 @@ from spinqpt.process_matrix import (
     ideal_cnot_chi,
     process_fidelity,
 )
-from spinqpt.qcore import QuantumChannel
+from spinqpt.qcore import QuantumChannel, apply_channel
+from spinqpt.tomography import run_qpt
 
 
 def test_ordering_labels():
@@ -58,3 +61,61 @@ def test_shape_validation():
         ProcessMatrix(chi=np.eye(4))
     with pytest.raises(ValueError):
         process_fidelity(np.eye(8), np.eye(8))
+
+
+# ----------------------------------------------------------------------------
+# The CHI_PERM / CHI_SWAP index map against per-entry reference loops
+# ----------------------------------------------------------------------------
+
+def _random_kraus_channel(seed: int, n_ops: int) -> QuantumChannel:
+    """Channel from a Haar-like isometry C^4 -> C^(4 n_ops), split into Kraus operators."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4 * n_ops, 4)) + 1j * rng.normal(size=(4 * n_ops, 4))
+    isometry, _ = np.linalg.qr(z)
+    return QuantumChannel.from_kraus(np.split(isometry, n_ops))
+
+
+def _chi_reference(channel: QuantumChannel) -> np.ndarray:
+    chi = np.zeros((16, 16), dtype=complex)
+    for col, (k, l) in enumerate(CHI_ORDER):
+        e_kl = np.zeros((4, 4), dtype=complex)
+        e_kl[k, l] = 1.0
+        out = apply_channel(channel, e_kl)
+        for row, (m, n) in enumerate(CHI_ORDER):
+            chi[row, col] = out[m, n]
+    return chi
+
+
+def _hermiticity_defect_reference(arr: np.ndarray) -> float:
+    worst = 0.0
+    for row, (m, n) in enumerate(CHI_ORDER):
+        for col, (k, l) in enumerate(CHI_ORDER):
+            partner = arr[chi_index(n, m), chi_index(l, k)]
+            worst = max(worst, abs(arr[row, col] - partner.conjugate()))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+def test_chi_of_channel_matches_entrywise_action(seed, n_ops):
+    channel = _random_kraus_channel(seed, n_ops)
+    np.testing.assert_allclose(chi_of_channel(channel).chi, _chi_reference(channel),
+                               rtol=0, atol=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.complex128, (16, 16),
+              elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                          allow_infinity=False)))
+def test_hermiticity_defect_matches_entrywise_loop(arr):
+    assert hermiticity_defect(arr) == _hermiticity_defect_reference(arr)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.3))
+def test_pipeline_chi_trace_preserving_and_hermitian(r, gdtau):
+    chi = run_qpt(NoiseParams.from_dimensionless(r=r, gdtau=gdtau), method="pipeline").chi
+    # Tr E(E_kl) = delta_kl: the E_mm rows come first in the ordering.
+    kronecker = np.array([1.0 if k == l else 0.0 for k, l in CHI_ORDER])
+    np.testing.assert_allclose(chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-10)
+    assert hermiticity_defect(chi) < 1e-10
