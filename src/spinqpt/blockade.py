@@ -20,10 +20,17 @@ coupling independent.  The analytic evaluator replaces each Evolve step by
 the exact Gaussian-averaged exchange channel; the Monte Carlo evaluator draws
 a fresh duration per Evolve step and a Bernoulli readout branch per
 projection, giving an independent unbiased estimate.
+
+The Monte Carlo trajectories are pure states held as four state columns.
+Each run of noise-free rotations is fused into one 4x4 matrix, and since
+the exchange coupling has only two levels (triplet g, singlet -3g) an
+Evolve step is a single relative phase on the singlet component; no BLAS
+product and no complex exponential is needed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -110,10 +117,15 @@ class MeasureSequence:
         return sum(isinstance(s, Project) for s in self.steps)
 
 
+@functools.lru_cache(maxsize=256)
 def rotation_unitary(step: Rotate) -> np.ndarray:
+    """The ideal unitary of a rotation step, read-only and built once per distinct step."""
     if step.scope == "global":
-        return global_rotation(step.axis, step.theta)
-    return local_rotation(step.scope, step.axis, step.theta)
+        u = global_rotation(step.axis, step.theta)
+    else:
+        u = local_rotation(step.scope, step.axis, step.theta)
+    u.setflags(write=False)
+    return u
 
 
 def branch_weights(r: float) -> tuple[float, float]:
@@ -198,7 +210,7 @@ class McEstimate:
 
 
 def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n pure states from the eigen-mixture of rho, as an (n, 4) array."""
+    """Draw n pure states from the eigen-mixture of rho, as an F-ordered (n, 4) array."""
     arr = as_density_array(rho)
     evals, evecs = np.linalg.eigh(hermitize(arr))
     probs = np.clip(evals.real, 0.0, None)
@@ -207,7 +219,20 @@ def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("cannot sample from a zero state")
     probs = probs / total
     idx = rng.choice(DIM, size=n, p=probs)
-    return evecs.T[idx].astype(complex)
+    return evecs[:, idx].T.astype(complex)
+
+
+def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows psi[i] -> u psi[i] as scalar-column multiply-adds, skipping zero entries of u."""
+    out = np.empty_like(psi)
+    term = np.empty(psi.shape[0], dtype=complex)
+    for k in range(DIM):
+        col = out[:, k]
+        first, *rest = np.flatnonzero(u[k])
+        np.multiply(psi[:, first], u[k, first], out=col)
+        for j in rest:
+            col += np.multiply(psi[:, j], u[k, j], out=term)
+    return out
 
 
 def propagate_sequence_samples(
@@ -216,35 +241,70 @@ def propagate_sequence_samples(
     seq: MeasureSequence,
     noise: NoiseParams,
     rng: np.random.Generator,
+    lead: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one batch of pure-state trajectories through a sequence, in place.
+    """Run one batch of pure-state trajectories through a sequence.
 
-    psi is (n, 4); alive marks trajectories whose declared outcomes have all
-    occurred so far.  Random draws are made for every trajectory at every step
-    regardless of the alive mask, which keeps the stream layout deterministic.
+    psi is (n, 4), one state per row, worked on as the four contiguous
+    columns of an F-ordered complex array (updated in place if psi is one,
+    else copied first); alive marks trajectories whose declared outcomes have
+    all occurred so far and is updated in place.  lead, if given, is a
+    noise-free unitary applied before the first step.
+
+    * Each run of noise-free unitaries (lead first, then rotations) is fused
+      into one 4x4 matrix and applied column by column.
+    * Exchange has the triplet level g and the singlet level -3g, so an
+      Evolve of duration tau is, up to the global phase exp(-i g tau), the
+      singlet phase alone: d = (c1 - c2)(exp(4i g tau) - 1)/2, c1 += d,
+      c2 -= d.  States are therefore equal to the exact evolution only up
+      to a global phase per trajectory.
+    * A projection reads p_up = |c0|^2 + |c1|^2.  Between projections the
+      trajectory collapses onto its branch and is renormalized; after the
+      last one it is left as the projection read it.
+
+    Draws, for every trajectory regardless of alive: one normal per Evolve,
+    then two uniforms per projection (readout branch, Born acceptance), in
+    step order, so the stream layout is deterministic.
     """
     n = psi.shape[0]
-    hexch = exchange_hamiltonian(noise.g)
-    energies, v = np.linalg.eigh(hermitize(hexch))
+    psi = np.asfortranarray(psi, dtype=complex)
     correct_weight, _ = branch_weights(noise.r)
-    for step in seq.steps:
+    pending = lead
+    for i, step in enumerate(seq.steps):
         if isinstance(step, Rotate):
-            psi = psi @ rotation_unitary(step).T
-        elif isinstance(step, Evolve):
-            taus = rng.normal(step.mean_time / noise.g, noise.delta_tau, size=n)
-            amp = psi @ v.conj()
-            amp *= np.exp(-1j * np.outer(taus, energies))
-            psi = amp @ v.T
-        else:
-            correct = rng.random(n) < correct_weight
-            want_up = correct if step.declared == UP else ~correct
-            p_up = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-            p_phys = np.where(want_up, p_up, 1.0 - p_up)
-            alive &= rng.random(n) < p_phys
-            block = np.where(want_up[:, None], [[1.0, 1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 1.0]])
-            psi = psi * block
-            norms = np.sqrt(np.maximum(p_phys, 1e-300))
-            psi = psi / norms[:, None]
+            u = rotation_unitary(step)
+            pending = u if pending is None else u @ pending
+            continue
+        if pending is not None:
+            psi = _apply_unitary(psi, pending)
+            pending = None
+        c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
+        if isinstance(step, Evolve):
+            phase = rng.normal(step.mean_time / noise.g, noise.delta_tau, size=n)
+            phase *= 4.0 * noise.g
+            rotor = np.empty(n, dtype=complex)
+            np.cos(phase, out=rotor.real)
+            np.sin(phase, out=rotor.imag)
+            rotor -= 1.0
+            d = c1 - c2
+            d *= 0.5
+            d *= rotor
+            c1 += d
+            c2 -= d
+            continue
+        correct = rng.random(n) < correct_weight
+        want_up = correct if step.declared == UP else ~correct
+        p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
+        p_phys = np.where(want_up, p_up, 1.0 - p_up)
+        alive &= rng.random(n) < p_phys
+        if i < len(seq.steps) - 1:
+            scale = 1.0 / np.sqrt(np.maximum(p_phys, 1e-300))
+            up_scale = np.where(want_up, scale, 0.0)
+            down_scale = scale - up_scale
+            c0 *= up_scale
+            c1 *= up_scale
+            c2 *= down_scale
+            c3 *= down_scale
     return psi, alive
 
 
@@ -266,11 +326,12 @@ def sequence_probability_mc(
     )[0]
 
 
-def _survival_estimates(runs, noise, n_samples, sample_states) -> list:
+def _survival_estimates(runs, noise, n_samples, sample_states, lead=None) -> list:
     """Surviving fraction of n_samples trajectories for each (sequence, rng) run.
 
     Trajectories go in chunks of _MC_CHUNK; sample_states(m, rng) draws a
-    chunk's (m, 4) starting states from rng before the sequence draws its own.
+    chunk's (m, 4) starting states from rng before the sequence draws its own,
+    and lead is the noise-free unitary that precedes every sequence.
     Looping over the runs here, not per call, keeps the chunk buffers' heap in
     use between sequences; a call per sequence made Monte Carlo QPT ~15% slower.
     """
@@ -284,7 +345,7 @@ def _survival_estimates(runs, noise, n_samples, sample_states) -> list:
             m = min(remaining, _MC_CHUNK)
             psi = sample_states(m, rng)
             alive = np.ones(m, dtype=bool)
-            _, alive = propagate_sequence_samples(psi, alive, seq, noise, rng)
+            _, alive = propagate_sequence_samples(psi, alive, seq, noise, rng, lead=lead)
             successes += int(alive.sum())
             remaining -= m
         p_hat = successes / n_samples

@@ -11,8 +11,9 @@ Reports are deterministic: a given configuration always produces byte
 identical output files (JSON floats carry 17 significant digits, CSV 12).
 Wall-clock timing goes to the console only, never into the report, so that
 reruns compare clean.  Exit status: 0 on success, 1 when ``ideal-check`` finds
-a tolerance violated, 2 on a usage error (bad option value, sweep grid or path:
-one ``error:`` line, no report).  ``fidelity-sweep --jobs`` is echoed, not used.
+a tolerance violated, 2 on a usage error (bad option value, sweep grid, path
+or ``--design-file`` contents: one ``error:`` line, no report).
+``fidelity-sweep --jobs`` is echoed, not used.
 """
 
 from __future__ import annotations
@@ -168,12 +169,18 @@ def cmd_ideal_check(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _load_design(args) -> "tomography.TomographyDesign | None":
-    """The design read from --design-file, or None for the shipped one."""
+    """The design read from --design-file, or None for the shipped one.
+
+    A file that does not parse, or does not hold 15 sequences of rank 16, is
+    a usage error.
+    """
     if args.design_file is None:
         return None
-    with open(args.design_file, encoding="utf-8") as fh:
-        sequences = parse_sequences(fh.read())
-    return tomography.design_from_sequences(sequences, g=1.0)
+    try:
+        with open(args.design_file, encoding="utf-8") as fh:
+            return tomography.design_from_sequences(parse_sequences(fh.read()), g=1.0)
+    except ValueError as exc:       # also a file that is not UTF-8 text
+        _usage_error(f"{args.design_file}: {exc}")
 
 
 _QPT_METHODS = {"pipeline": "pipeline", "closed-form": "closed_form", "montecarlo": "monte_carlo"}
@@ -182,6 +189,8 @@ _QPT_METHODS = {"pipeline": "pipeline", "closed-form": "closed_form", "montecarl
 def cmd_qpt(args) -> int:
     noise = NoiseParams.from_dimensionless(r=args.r, gdtau=args.gdtau)
     design = _load_design(args)
+    if design is None and args.method == "all":
+        design = tomography.design_sequences(g=noise.g)
     methods = list(_QPT_METHODS) if args.method == "all" else [args.method]
     results = {m: tomography.run_qpt(noise, method=_QPT_METHODS[m], mc_samples=args.samples,
                                      seed=args.seed, design=design) for m in methods}

@@ -23,7 +23,8 @@ Process tomography prepares the 16 spanning pure inputs, pushes each through
 the noisy gate and the tomography above, and assembles chi[(m,n),(k,l)] by
 linearity.  A Monte Carlo mode replaces every analytic sequence probability
 with a sampled estimate and propagates binomial errors through the linear
-pipeline.
+pipeline; each trajectory starts from the pure input itself and passes
+through its own sampled gate.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .blockade import (
     UP,
     _survival_estimates,
     ideal_effect_operator,
-    sample_initial_states,
     sequence_probability,
 )
 from .dynamics import (
@@ -55,7 +55,6 @@ from .dynamics import (
     SIGMA_Z,
     hadamard,
     noisy_cnot_channel,
-    zz_hamiltonian,
 )
 from .process_matrix import CHI_LABELS, CHI_ORDER, CHI_PERM, ProcessMatrix
 from .qcore import DIM, apply_channel, hermitize, negativity, pure_state, vec
@@ -258,23 +257,35 @@ def _chi_from_action(action: dict) -> np.ndarray:
     return np.stack([vec(action[kl]) for kl in CHI_ORDER], axis=1)[CHI_PERM]
 
 
-def _mc_gate_batch(psi: np.ndarray, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-    """Apply one independently sampled noisy CNOT per trajectory, (n, 4) batch."""
-    n = psi.shape[0]
+def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+    """n independently sampled noisy-CNOT outputs of one pure state, CNOT_FRAME not yet applied.
+
+    Draws s1 then s2, the two isolation-pulse durations, each Normal(tau0/2,
+    delta_tau/2) and n at a time.  The pulses act as exp(-i g (s1+s2) sz sz)
+    times a flip-flop rotation by 2g (s1-s2) within {|ud>, |du>}; taking out
+    the global phase exp(i g (s1+s2)), |uu> and |dd> carry exp(-2i g (s1+s2))
+    and the middle pair only the rotation.  Returns the F-ordered (n, 4)
+    columns of Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global
+    phase per trajectory; the trajectory kernel applies CNOT_FRAME as its
+    leading unitary.
+    """
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
-    psi = psi @ hadamard("A").T
+    a = hadamard("A") @ state
     s1 = rng.normal(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, size=n)
     s2 = rng.normal(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, size=n)
-    # Pulse sum drives the controlled phase, pulse difference the flip-flop leak.
-    zz_diag = np.diag(zz_hamiltonian(g)).real
-    psi = psi * np.exp(-1j * np.outer(s1 + s2, zz_diag))
+    outer = -2.0 * g * (s1 + s2)
     angle = 2.0 * g * (s1 - s2)
+    phase = np.empty(n, dtype=complex)
+    np.cos(outer, out=phase.real)
+    np.sin(outer, out=phase.imag)
     cos_a, sin_a = np.cos(angle), np.sin(angle)
-    mid1, mid2 = psi[:, 1].copy(), psi[:, 2].copy()
-    psi[:, 1] = cos_a * mid1 - 1j * sin_a * mid2
-    psi[:, 2] = -1j * sin_a * mid1 + cos_a * mid2
-    return psi @ CNOT_FRAME.T
+    psi = np.empty((n, DIM), dtype=complex, order="F")
+    np.multiply(phase, a[0], out=psi[:, 0])
+    np.multiply(phase, a[3], out=psi[:, 3])
+    psi[:, 1] = a[1] * cos_a - 1j * a[2] * sin_a
+    psi[:, 2] = a[2] * cos_a - 1j * a[1] * sin_a
+    return psi
 
 
 def _qpt_probabilities_mc(
@@ -284,11 +295,19 @@ def _qpt_probabilities_mc(
     n_samples: int,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled sequence probabilities for one input state, with standard errors."""
+    """Sampled sequence probabilities for one pure input state, with standard errors.
+
+    Each sequence gets its own child stream of seed_seq; per chunk it draws
+    the gate's s1 and s2, then the sequence's own draws.
+    """
+    evals, evecs = np.linalg.eigh(hermitize(rho_in))
+    if not evals[-1] > 1.0 - 1e-9:
+        raise ValueError("Monte Carlo process tomography needs pure input states")
+    state = evecs[:, -1]
     rngs = [np.random.default_rng(child) for child in seed_seq.spawn(design.n_sequences)]
     ests = _survival_estimates(
         zip(design.sequences, rngs), noise, n_samples,
-        lambda m, rng: _mc_gate_batch(sample_initial_states(rho_in, m, rng), noise, rng),
+        lambda m, rng: _mc_gate_batch(state, m, noise, rng), lead=CNOT_FRAME,
     )
     return np.array([e.estimate for e in ests]), np.array([e.stderr for e in ests])
 

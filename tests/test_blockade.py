@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinqpt.blockade import (
     DOWN,
@@ -19,10 +20,12 @@ from spinqpt.blockade import (
     ideal_effect_operator,
     parse_sequence,
     parse_sequences,
+    propagate_sequence_samples,
+    rotation_unitary,
     sequence_probability,
     sequence_probability_mc,
 )
-from spinqpt.dynamics import NoiseParams
+from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
 from spinqpt.qcore import DensityMatrix4, basis_state, hermitize, pure_state
 
 TRANSFER = math.pi / 4.0
@@ -285,6 +288,105 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             sequence_probability_mc(POPULATION_SEQ, basis_state(0), noise, 0,
                                     np.random.default_rng(0))
+
+
+def reference_propagate(psi, alive, seq, noise, rng):
+    """The eigenbasis trajectory kernel: a BLAS product per rotation and per
+    Evolve, a complex exp(outer(...)) per Evolve, a collapse after every
+    projection.  Kept verbatim as the reference for the column kernel."""
+    n = psi.shape[0]
+    hexch = exchange_hamiltonian(noise.g)
+    energies, v = np.linalg.eigh(hermitize(hexch))
+    correct_weight, _ = branch_weights(noise.r)
+    for step in seq.steps:
+        if isinstance(step, Rotate):
+            psi = psi @ rotation_unitary(step).T
+        elif isinstance(step, Evolve):
+            taus = rng.normal(step.mean_time / noise.g, noise.delta_tau, size=n)
+            amp = psi @ v.conj()
+            amp *= np.exp(-1j * np.outer(taus, energies))
+            psi = amp @ v.T
+        else:
+            correct = rng.random(n) < correct_weight
+            want_up = correct if step.declared == UP else ~correct
+            p_up = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
+            p_phys = np.where(want_up, p_up, 1.0 - p_up)
+            alive &= rng.random(n) < p_phys
+            block = np.where(want_up[:, None], [[1.0, 1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 1.0]])
+            psi = psi * block
+            norms = np.sqrt(np.maximum(p_phys, 1e-300))
+            psi = psi / norms[:, None]
+    return psi, alive
+
+
+def random_pure_states(rng, n):
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def kernel_sequence(rng, n_evolve):
+    """Evolve steps, rotations of every scope and projections of both
+    declarations in random order, ending with a projection."""
+    kinds = ["E"] * n_evolve + ["R"] * int(rng.integers(1, 4)) + ["P"] * int(rng.integers(0, 3))
+    rng.shuffle(kinds)
+    steps = []
+    for kind in kinds + ["P"]:
+        if kind == "E":
+            steps.append(Evolve(float(rng.uniform(0.1, 2.0))))
+        elif kind == "R":
+            scope = ("X", "A", "global")[rng.integers(0, 3)]
+            steps.append(Rotate(scope, "xyz"[rng.integers(0, 3)], float(rng.uniform(-3, 3))))
+        else:
+            steps.append(Project(UP if rng.random() < 0.5 else DOWN))
+    return MeasureSequence(steps=tuple(steps))
+
+
+def assert_rows_equal_up_to_phase(actual, expected, atol):
+    overlap = np.sum(actual.conj() * expected, axis=1)
+    phase = overlap / np.abs(overlap)
+    assert np.max(np.abs(expected - phase[:, None] * actual), initial=0.0) < atol
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("lead", [None, CNOT_FRAME], ids=["no-lead", "cnot-frame"])
+    @pytest.mark.parametrize("n_evolve", [0, 1, 2])
+    def test_matches_eigenbasis_reference(self, n_evolve, lead):
+        rng = np.random.default_rng(100 + n_evolve)
+        compared = 0
+        for trial in range(12):
+            seq = kernel_sequence(rng, n_evolve)
+            noise = NoiseParams(g=float(rng.uniform(0.5, 2.0)), delta_tau=float(rng.uniform(0.0, 0.2)),
+                                r=float(rng.uniform(0.2, 1.0)))
+            psi = random_pure_states(rng, 300)
+            start = psi if lead is None else psi @ lead.T
+            ref_psi, ref_alive = reference_propagate(start, np.ones(300, bool), seq, noise,
+                                                     np.random.default_rng(trial))
+            new_psi, new_alive = propagate_sequence_samples(psi, np.ones(300, bool), seq, noise,
+                                                            np.random.default_rng(trial), lead=lead)
+            np.testing.assert_array_equal(new_alive, ref_alive)
+            # The column kernel leaves the last projection's collapse out; apply
+            # it onto the branch the reference kept.  Dead trajectories carry no
+            # information (their states may be renormalized roundoff), so only
+            # the surviving ones are compared.
+            ref, new = ref_psi[ref_alive], new_psi[ref_alive]
+            kept_up = np.sum(np.abs(ref[:, :2]) ** 2, axis=1) > 0.5
+            new = new * np.where(kept_up[:, None], [1, 1, 0, 0], [0, 0, 1, 1])
+            new /= np.linalg.norm(new, axis=1, keepdims=True)
+            assert_rows_equal_up_to_phase(new, ref, atol=1e-12)
+            compared += len(ref)
+        assert compared > 500
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.floats(0.05, 20.0), tau=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_singlet_phase_evolve_is_exchange_unitary(self, g, tau, seed):
+        # Without timing noise the duration is exact (Evolve takes it in units
+        # of 1/g), and the last projection leaves the states as Evolve made them.
+        psi = random_pure_states(np.random.default_rng(seed), 6)
+        seq = MeasureSequence(steps=(Evolve(tau * g), Project(UP)))
+        out, _ = propagate_sequence_samples(psi, np.ones(6, bool), seq, NoiseParams(g=g),
+                                            np.random.default_rng(seed))
+        expected = psi @ evolve_unitary(exchange_hamiltonian(g), tau * g / g).T
+        assert_rows_equal_up_to_phase(out, expected, atol=1e-11)
 
 
 class TestSerialization:

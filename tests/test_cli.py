@@ -99,15 +99,15 @@ class TestQptCommand:
         report = json.loads(out.read_text())
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_rank_deficient_design_file_rejected(self, tmp_path):
+    def test_rank_deficient_design_file_rejected(self, tmp_path, capsys):
         # fifteen copies of the same sequence cannot span the operator space
         design_path = tmp_path / "bad.txt"
         design_path.write_text("\n".join(["P+\n"] * 15))
-        from spinqpt.tomography import DesignRankError
-
-        with pytest.raises(DesignRankError):
+        with pytest.raises(SystemExit) as exc:
             run_cli("qpt", "--method", "pipeline", "--design-file", str(design_path),
                     "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == 2
+        assert "reached rank 2, need 16" in capsys.readouterr().err
 
     def test_gmev_reporting_flag_is_cosmetic(self, tmp_path):
         plain, withg = tmp_path / "p.json", tmp_path / "g.json"
@@ -216,4 +216,21 @@ class TestUsageErrors:
             run_cli(*argv, "--out", str(out))
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qpt", "entanglement-threshold"])
+    @pytest.mark.parametrize("contents", [
+        "Z 1\n",                       # unrecognized line
+        "P+\n",                        # a single sequence
+        "\n".join(["P+\n"] * 15),      # 15 sequences, rank 2
+    ], ids=["bad-line", "one-sequence", "rank-deficient"])
+    def test_bad_design_file_is_a_usage_error(self, tmp_path, capsys, command, contents):
+        design = tmp_path / "design.txt"
+        design.write_text(contents)
+        out = tmp_path / "report"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--design-file", str(design), "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
         assert not out.exists()

@@ -4,10 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinqpt.blockade import Evolve, Project, UP, sequence_probability
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
-from spinqpt.dynamics import CNOT_TARGET, NoiseParams, noisy_cnot_channel
+from spinqpt.dynamics import (
+    CNOT_FRAME,
+    CNOT_TARGET,
+    GateSchedule,
+    NoiseParams,
+    evolve_unitary,
+    exchange_hamiltonian,
+    hadamard,
+    local_rotation,
+    noisy_cnot_channel,
+    sample_cnot_unitary,
+)
 from spinqpt.process_matrix import (
     CHI_ORDER,
     chi_index,
@@ -19,6 +31,7 @@ from spinqpt.tomography import (
     DesignRankError,
     ENTANGLEMENT_INPUT,
     TRANSFER_TIME,
+    _mc_gate_batch,
     assemble_channel_action,
     design_from_sequences,
     design_matrix_rows,
@@ -268,6 +281,36 @@ class TestRunQpt:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_qpt(NoiseParams(), method="variational")
+
+
+def assert_equal_up_to_phase(actual, expected, atol):
+    overlap = np.vdot(actual, expected)
+    np.testing.assert_allclose(expected, overlap / abs(overlap) * actual, rtol=0, atol=atol)
+
+
+class TestMonteCarloGateBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_sampled_cnot_unitary(self, g, gdtau, seed):
+        noise = NoiseParams(g=g, delta_tau=gdtau / g, r=1.0)
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state /= np.linalg.norm(state)
+        # One trajectory draws s1 then s2 exactly as sample_cnot_unitary does.
+        out = _mc_gate_batch(state, 1, noise, np.random.default_rng(seed))
+        expected = sample_cnot_unitary(noise, np.random.default_rng(seed)) @ state
+        assert_equal_up_to_phase(CNOT_FRAME @ out[0], expected, atol=1e-11)
+        # Several trajectories: all s1 first, then all s2.
+        n = 5
+        out = _mc_gate_batch(state, n, noise, np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)
+        mean, spread = GateSchedule.for_coupling(g).tau0_cnot / 2.0, noise.delta_tau / 2.0
+        s1, s2 = replay.normal(mean, spread, size=n), replay.normal(mean, spread, size=n)
+        rz, hexch = local_rotation("X", "z", math.pi), exchange_hamiltonian(g)
+        for k in range(n):
+            core = rz @ evolve_unitary(hexch, s2[k]) @ rz @ evolve_unitary(hexch, s1[k])
+            assert_equal_up_to_phase(CNOT_FRAME @ out[k], CNOT_FRAME @ core @ hadamard("A") @ state,
+                                     atol=1e-11)
 
 
 class TestProcessFidelityValues:
