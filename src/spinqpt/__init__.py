@@ -48,6 +48,7 @@ from .blockade import (
     Rotate,
     blockade_map,
     branch_weights,
+    effect_polynomial,
     format_sequence,
     format_sequences,
     ideal_effect_operator,

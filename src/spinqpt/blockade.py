@@ -16,10 +16,15 @@ projections extend the two-projection branch bookkeeping by the same product
 rule.
 
 Evolve durations are stored in units of 1/g so that serialized sequences are
-coupling independent.  The analytic evaluator replaces each Evolve step by
-the exact Gaussian-averaged exchange channel; the Monte Carlo evaluator draws
-a fresh duration per Evolve step and a Bernoulli readout branch per
-projection, giving an independent unbiased estimate.
+coupling independent.  The analytic evaluator back-propagates the identity
+through the sequence once (Heisenberg picture): each Evolve step applies the
+adjoint of the exact Gaussian-averaged exchange channel, and each projection
+the self-adjoint blockade map, which is affine in r.  The result is the
+sequence's noisy effect operator held as a polynomial in r of degree at most
+the number of projections, so one back-propagation serves every input state
+and every polarization.  The Monte Carlo evaluator draws a fresh duration
+per Evolve step and a Bernoulli readout branch per projection, giving an
+independent unbiased estimate.
 
 The Monte Carlo trajectories are pure states held as four state columns.
 Each run of noise-free rotations is fused into one 4x4 matrix, and since
@@ -36,15 +41,8 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import (
-    NoiseParams,
-    evolve_unitary,
-    exchange_hamiltonian,
-    gaussian_averaged_channel,
-    global_rotation,
-    local_rotation,
-)
-from .qcore import DIM, PROJ_DOWN, PROJ_UP, apply_channel, as_density_array, hermitize
+from .dynamics import NoiseParams, exchange_channel, global_rotation, local_rotation
+from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize
 
 UP = "up"
 DOWN = "down"
@@ -148,49 +146,73 @@ def blockade_map(rho: np.ndarray, declared: str, r: float) -> np.ndarray:
     return correct * keep @ arr @ keep + error * flip @ arr @ flip
 
 
+# Blockade map split by powers of r: M_r(X) = M0(X) +/- r M1(X) with
+# M0(X) = (PXP + QXQ)/2 and M1(X) = (PXP - QXQ)/2 for P, Q the edge up and
+# down projectors; + when "up" is declared.  Both are entrywise masks.
+_SAME_EDGE = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
+_EDGE_SIGN = 0.5 * np.kron(np.diag([1.0, -1.0]), np.ones((2, 2)))
+
+
+def effect_polynomial(seq: MeasureSequence, g: float, delta_tau: float) -> np.ndarray:
+    """Noisy effect of a sequence as coefficients E_0 ... E_k in the polarization r.
+
+    Returns an array of shape (k + 1, 4, 4), k = seq.n_projections, with
+    Tr[(sum_j r^j E_j) rho] the sequence's success probability at coupling g,
+    time dispersion delta_tau and readout polarization r.  Built by one
+    Heisenberg back-propagation of the identity: walking the steps in
+    reverse, a projection maps E_j -> M0(E_j) +/- M1(E_{j-1}) (the blockade
+    map is self-adjoint and affine in r), an Evolve step applies the adjoint
+    of the Gaussian-averaged exchange channel, and a rotation u maps
+    E -> u† E u.  Each coefficient is Hermitian.
+    """
+    coeffs = np.zeros((seq.n_projections + 1, DIM, DIM), dtype=complex)
+    coeffs[0] = np.eye(DIM)
+    for step in reversed(seq.steps):
+        if isinstance(step, Project):
+            odd = coeffs[:-1] * (_EDGE_SIGN if step.declared == UP else -_EDGE_SIGN)
+            coeffs *= _SAME_EDGE
+            coeffs[1:] += odd
+        elif isinstance(step, Evolve):
+            superop = exchange_channel(step.mean_time / g, delta_tau, g).superop
+            # vec(E) of each coefficient is row n*4+m of E.T; apply S† to it.
+            flat = coeffs.transpose(0, 2, 1).reshape(-1, DIM * DIM) @ superop.conj()
+            coeffs = flat.reshape(-1, DIM, DIM).transpose(0, 2, 1)
+        else:
+            u = rotation_unitary(step)
+            coeffs = u.conj().T @ coeffs @ u
+    return coeffs
+
+
+def polynomial_value(coeffs: np.ndarray, r):
+    """sum_j r^j coeffs[j] by Horner's rule; the axes of an array r go last."""
+    r = np.asarray(r, dtype=float)
+    coeffs = np.asarray(coeffs).reshape(np.shape(coeffs) + (1,) * r.ndim)
+    value = coeffs[-1]
+    for coeff in coeffs[-2::-1]:
+        value = value * r + coeff
+    return value
+
+
 def sequence_probability(seq: MeasureSequence, rho, noise: NoiseParams) -> float:
     """Probability that every projection in the sequence reports its declared outcome.
 
     Evolve steps act through the Gaussian-averaged exchange channel at the
     step's mean duration and the global dispersion noise.delta_tau; rotations
-    are ideal; projections apply the polarization-degraded blockade map.  The
-    running operator is never renormalized, so the final trace is the joint
-    success probability.
+    are ideal; projections apply the polarization-degraded blockade map.
+    Evaluated as Re Tr[E(r) rho] on the effect of :func:`effect_polynomial`.
     """
-    state = as_density_array(rho).copy()
-    hexch = exchange_hamiltonian(noise.g)
-    for step in seq.steps:
-        if isinstance(step, Project):
-            state = blockade_map(state, step.declared, noise.r)
-        elif isinstance(step, Evolve):
-            channel = gaussian_averaged_channel(hexch, step.mean_time / noise.g, noise.delta_tau)
-            state = apply_channel(channel, state)
-        else:
-            u = rotation_unitary(step)
-            state = u @ state @ u.conj().T
-    return float(np.trace(state).real)
+    effect = polynomial_value(effect_polynomial(seq, noise.g, noise.delta_tau), noise.r)
+    return float(np.sum(effect * as_density_array(rho).T).real)
 
 
 def ideal_effect_operator(seq: MeasureSequence, g: float) -> np.ndarray:
     """Hermitian effect E with Tr[E rho] = success probability at r = 1, delta_tau = 0.
 
-    Built by back-propagating the projections and the ideal unitaries through
-    the sequence.  Satisfies 0 <= E <= 1 and is independent of g because the
-    Evolve durations are stored in units of 1/g.
+    The r = 1 value of :func:`effect_polynomial` without timing noise.
+    Satisfies 0 <= E <= 1 and is independent of g because the Evolve
+    durations are stored in units of 1/g.
     """
-    hexch = exchange_hamiltonian(g)
-    effect = np.eye(DIM, dtype=complex)
-    for step in reversed(seq.steps):
-        if isinstance(step, Project):
-            proj = PROJ_UP if step.declared == UP else PROJ_DOWN
-            effect = proj @ effect @ proj
-        elif isinstance(step, Evolve):
-            u = evolve_unitary(hexch, step.mean_time / g)
-            effect = u.conj().T @ effect @ u
-        else:
-            u = rotation_unitary(step)
-            effect = u.conj().T @ effect @ u
-    return hermitize(effect)
+    return hermitize(effect_polynomial(seq, g, 0.0).sum(axis=0))
 
 
 # ----------------------------------------------------------------------------

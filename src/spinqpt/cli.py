@@ -301,6 +301,8 @@ _polarization = _number(float, lambda x: 0.0 <= x <= 1.0, "a polarization in [0,
 _gdtau = _number(float, lambda x: 0.0 <= x < math.inf, "a finite gdtau >= 0")
 _tolerance = _number(float, lambda x: 0.0 < x < math.inf, "a finite tolerance > 0")
 _sample_count = _number(int, lambda n: n >= 1, "a sample count >= 1")
+_coupling_mev = _number(float, lambda x: 0.0 < x < math.inf, "a finite coupling > 0 in meV")
+_seed = _number(int, lambda n: n >= 0, "a seed >= 0")
 
 
 def _gdtau_list(text: str) -> list:
@@ -316,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="master seed, 64-bit")
-    common.add_argument("--g-mev", type=float, default=None, dest="g_mev",
+    common.add_argument("--seed", type=_seed, default=0, help="master seed, 64-bit")
+    common.add_argument("--g-mev", type=_coupling_mev, default=None, dest="g_mev",
                         help="report pulse times in picoseconds for this coupling (meV); cosmetic")
 
     p = sub.add_parser("ideal-check", parents=[common],

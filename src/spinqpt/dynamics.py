@@ -29,6 +29,7 @@ Local rotations and Hadamards are treated as noise free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,12 +123,16 @@ def _on_qubit(op2: np.ndarray, qubit: str) -> np.ndarray:
     raise ValueError(f"qubit must be 'X' or 'A', got {qubit!r}")
 
 
+#: Unit exchange coupling sx sx + sy sy + sz sz, built once.
+_EXCHANGE_UNIT = sum(np.kron(p, p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+_EXCHANGE_UNIT.setflags(write=False)
+
+
 def exchange_hamiltonian(g: float) -> np.ndarray:
     """Isotropic exchange H = g (sx sx + sy sy + sz sz), eigenvalues {g, g, g, -3g}."""
     if not g > 0:
         raise ValueError("coupling must be positive")
-    h = sum(np.kron(p, p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-    return g * h
+    return g * _EXCHANGE_UNIT
 
 
 def zz_hamiltonian(g: float) -> np.ndarray:
@@ -218,6 +223,15 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
     weight = np.diag(damp.reshape(-1, order="F"))
     from_eigen = np.kron(v.conj(), v)            # rho -> V rho V†
     return QuantumChannel(superop=from_eigen @ weight @ to_eigen)
+
+
+@functools.lru_cache(maxsize=256)
+def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
+    """gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau), built once per arguments.
+
+    The channel is immutable, so every Evolve step of that duration shares it.
+    """
+    return gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau)
 
 
 def noisy_cnot_channel(noise: NoiseParams, fluctuation: str = "per-pulse") -> QuantumChannel:

@@ -15,6 +15,7 @@ arrangement, F = (1/16) Re sum conj(chi_ref) * chi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,9 @@ def chi_of_channel(channel: QuantumChannel) -> ProcessMatrix:
     return ProcessMatrix(chi=channel.superop[CHI_PERM][:, CHI_PERM])
 
 
+@functools.cache
 def ideal_cnot_chi() -> ProcessMatrix:
-    """Process matrix of the noiseless CNOT (a 0/1 permutation array)."""
+    """Process matrix of the noiseless CNOT (a 0/1 permutation array), built once."""
     return chi_of_channel(QuantumChannel.from_unitary(CNOT_TARGET))
 
 

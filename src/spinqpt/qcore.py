@@ -51,8 +51,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, absorbing floating-point asymmetry before eigensolves."""
-    return 0.5 * (mat + mat.conj().T)
+    """(M + M†)/2, absorbing floating-point asymmetry before eigensolves; broadcasts."""
+    return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
 
 
 def basis_state(index: int) -> np.ndarray:
@@ -212,27 +212,34 @@ def is_cptp(channel: QuantumChannel, tol: float) -> bool:
 
 
 def partial_transpose(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Transpose on one tensor factor, "X" (edge qubit) or "A" (inner qubit)."""
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (DIM, DIM):
-        raise ValueError(f"expected a 4x4 operator, got shape {arr.shape}")
-    r = arr.reshape(2, 2, 2, 2)
-    if subsystem == "X":
-        r = r.transpose(2, 1, 0, 3)
-    elif subsystem == "A":
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'X' or 'A', got {subsystem!r}")
-    return r.reshape(DIM, DIM)
+    """Transpose on one tensor factor, "X" (edge qubit) or "A" (inner qubit).
 
-
-def negativity(rho: np.ndarray) -> float:
-    """Entanglement negativity: |sum of negative eigenvalues| of the partial transpose.
-
-    Zero exactly on separable two-qubit states, 1/2 on Bell states.
+    Broadcasts over leading axes: a (..., 4, 4) stack is transposed per operator.
     """
     arr = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(arr - arr.conj().T)) > 1e-8:
+    if arr.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected a 4x4 operator, got shape {arr.shape}")
+    lead = arr.shape[:-2]
+    r = arr.reshape(lead + (2, 2, 2, 2))
+    k = len(lead)
+    if subsystem == "X":
+        order = (k + 2, k + 1, k, k + 3)
+    elif subsystem == "A":
+        order = (k, k + 3, k + 2, k + 1)
+    else:
+        raise ValueError(f"subsystem must be 'X' or 'A', got {subsystem!r}")
+    return r.transpose(tuple(range(k)) + order).reshape(arr.shape)
+
+
+def negativity(rho: np.ndarray):
+    """Entanglement negativity: |sum of negative eigenvalues| of the partial transpose.
+
+    Zero exactly on separable two-qubit states, 1/2 on Bell states.  A float
+    for one 4x4 operator; for a (..., 4, 4) stack, the array of negativities.
+    """
+    arr = np.asarray(rho, dtype=complex)
+    if np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2))) > 1e-8:
         raise ValueError("negativity requires a Hermitian input")
     evals = np.linalg.eigvalsh(hermitize(partial_transpose(arr, "A")))
-    return float(-evals[evals < 0].sum())
+    values = -np.sum(np.where(evals < 0, evals, 0.0), axis=-1)
+    return float(values) if values.ndim == 0 else values

@@ -19,12 +19,21 @@ states and the process matrix inherit the (r, gdtau) degradation; at r = 1,
 gdtau = 0 reconstruction is exact.  No positivity repair is applied, raw
 linear-inversion outputs travel as plain arrays.
 
-Process tomography prepares the 16 spanning pure inputs, pushes each through
+Process tomography prepares the 16 spanning pure inputs, pushes them through
 the noisy gate and the tomography above, and assembles chi[(m,n),(k,l)] by
-linearity.  A Monte Carlo mode replaces every analytic sequence probability
-with a sampled estimate and propagates binomial errors through the linear
-pipeline; each trajectory starts from the pure input itself and passes
-through its own sampled gate.
+linearity.  The analytic route is a few array products: the 16 input vecs
+go through the gate superoperator at once, the 15 x 16 probabilities are one
+product with the sequences' noisy effects (back-propagated once each, see
+:func:`spinqpt.blockade.effect_polynomial`), and one solve with 16
+right-hand sides reconstructs every output.  A Monte Carlo mode replaces
+every analytic sequence probability with a sampled estimate and propagates
+binomial errors through the linear pipeline; each trajectory starts from
+the pure input itself and passes through its own sampled gate.
+
+The entanglement threshold uses that the gate output does not depend on the
+readout polarization r: the 15 probabilities of the reconstructed output
+are then exact polynomials in r, built once per gdtau, and each point of
+the search costs one small solve and one 4x4 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ from .blockade import (
     Rotate,
     UP,
     _survival_estimates,
+    effect_polynomial,
     ideal_effect_operator,
-    sequence_probability,
+    polynomial_value,
 )
 from .dynamics import (
     CNOT_FRAME,
@@ -68,6 +78,7 @@ PAULI_BASIS = tuple(
     for p in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
     for q in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
 )
+_PAULI_STACK = np.array(PAULI_BASIS)
 
 _AXES = ("z", "x", "y")
 
@@ -128,11 +139,8 @@ def _inner_sequence(axis: str) -> MeasureSequence:
 
 def design_matrix_rows(effects) -> np.ndarray:
     """Effect operators expanded over the Pauli basis, plus the trace row."""
-    rows = []
-    for effect in effects:
-        rows.append([np.trace(effect @ b).real for b in PAULI_BASIS])
-    rows.append([np.trace(b).real for b in PAULI_BASIS])
-    return np.array(rows, dtype=float)
+    ops = np.concatenate([np.reshape(effects, (-1, DIM, DIM)), [np.eye(DIM)]])
+    return np.einsum("sij,bji->sb", ops, _PAULI_STACK).real.copy()
 
 
 def design_from_sequences(sequences, g: float) -> TomographyDesign:
@@ -176,22 +184,23 @@ def design_sequences(g: float) -> TomographyDesign:
 def reconstruct_state(probabilities, design: TomographyDesign) -> np.ndarray:
     """Linear inversion with ideal effects; returns the raw Hermitian solution.
 
-    The supplied probabilities may come from noisy readout, in which case the
-    output is the noise-degraded reconstruction (possibly non-physical); no
-    positivity repair is attempted.
+    probabilities holds one probability per sequence, shape (15,), or a
+    column of them per state, shape (15, m); the result is one 4x4 operator
+    or an (m, 4, 4) stack.  The supplied probabilities may come from noisy
+    readout, in which case the output is the noise-degraded reconstruction
+    (possibly non-physical); no positivity repair is attempted.
     """
     probs = np.asarray(probabilities, dtype=float)
-    if probs.shape != (design.n_sequences,):
+    if probs.ndim not in (1, 2) or probs.shape[0] != design.n_sequences:
         raise ValueError(
-            f"expected {design.n_sequences} probabilities, got shape {probs.shape}"
+            f"expected {design.n_sequences} probabilities per state, got shape {probs.shape}"
         )
-    rhs = np.concatenate([probs, [1.0]])
+    rhs = np.concatenate([probs, np.ones((1,) + probs.shape[1:])])
     try:
         coeffs = np.linalg.solve(design.design_matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise DesignRankError(int(np.linalg.matrix_rank(design.design_matrix))) from exc
-    rho = sum(c * b for c, b in zip(coeffs, PAULI_BASIS))
-    return np.asarray(rho, dtype=complex)
+    return np.tensordot(coeffs, _PAULI_STACK, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -312,11 +321,30 @@ def _qpt_probabilities_mc(
     return np.array([e.estimate for e in ests]), np.array([e.stderr for e in ests])
 
 
-def _stderr_through_reconstruction(design: TomographyDesign, prob_err: np.ndarray) -> np.ndarray:
-    """Entrywise standard error of the reconstructed 4x4 state."""
+def _variance_through_reconstruction(design: TomographyDesign, prob_err: np.ndarray) -> np.ndarray:
+    """Entrywise variances of the reconstructed states, one (4, 4) per column of prob_err."""
     inv = np.linalg.inv(design.design_matrix)
     var_coeffs = (inv[:, : design.n_sequences] ** 2) @ (prob_err ** 2)
-    return np.sqrt(sum(var_c * np.abs(b) ** 2 for var_c, b in zip(var_coeffs, PAULI_BASIS)))
+    return np.tensordot(var_coeffs, np.abs(_PAULI_STACK) ** 2, axes=(0, 0))
+
+
+def _noisy_effects(design: TomographyDesign, g: float, delta_tau: float) -> np.ndarray:
+    """The design's noisy effects as one polynomial in r, shape (k + 1, 15, 4, 4).
+
+    k is the largest number of projections in a sequence; coefficient j of
+    sequence s is E_j of :func:`spinqpt.blockade.effect_polynomial`, zero
+    beyond that sequence's own degree.
+    """
+    polys = [effect_polynomial(seq, g, delta_tau) for seq in design.sequences]
+    stacked = np.zeros((max(map(len, polys)), len(polys), DIM, DIM), dtype=complex)
+    for s, poly in enumerate(polys):
+        stacked[: len(poly), s] = poly
+    return stacked
+
+
+def _probabilities(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Re Tr[E rho] for every effect in a (..., 4, 4) stack and every state in an (m, 4, 4) one."""
+    return np.einsum("...ij,nji->...n", effects, states).real
 
 
 def run_qpt(
@@ -328,9 +356,11 @@ def run_qpt(
 ) -> ProcessMatrix:
     """Process matrix of the noisy CNOT by one of three routes.
 
-    pipeline      prepare the 16 inputs, apply the averaged noisy gate, run the
-                  analytic sequence evaluator, reconstruct with ideal effects,
-                  and assemble chi by linearity;
+    pipeline      one linear map: the 16 inputs go through the averaged noisy
+                  gate in one superoperator product, their 15 x 16 sequence
+                  probabilities are one product with the noisy effects at
+                  noise.r, one solve with 16 right-hand sides reconstructs
+                  them with ideal effects, and chi follows by linearity;
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate
                   (mc_samples trajectories each, deterministic in the seed),
@@ -342,36 +372,27 @@ def run_qpt(
         raise ValueError(f"unknown method {method!r}")
     if design is None:
         design = design_sequences(noise.g)
-    inputs = qpt_input_states()
-    channel = noisy_cnot_channel(noise) if method == "pipeline" else None
-    outputs = {}
-    output_errs = {}
-    if method == "monte_carlo":
-        input_seeds = np.random.SeedSequence(seed).spawn(16)
-    for idx, (label, rho_in) in enumerate(inputs.items()):
-        if method == "pipeline":
-            rho_out = apply_channel(channel, rho_in)
-            probs = [sequence_probability(seq, rho_out, noise) for seq in design.sequences]
-        else:
-            probs, errs = _qpt_probabilities_mc(rho_in, design, noise, mc_samples, input_seeds[idx])
-            output_errs[label] = _stderr_through_reconstruction(design, errs)
-        outputs[label] = reconstruct_state(probs, design)
-    action = assemble_channel_action(outputs)
-    chi = _chi_from_action(action)
+    labels, states = zip(*qpt_input_states().items())
+    if method == "pipeline":
+        superop = noisy_cnot_channel(noise).superop
+        vecs = np.array(states).transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
+        outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
+        effects = polynomial_value(_noisy_effects(design, noise.g, noise.delta_tau), noise.r)
+        probs = _probabilities(effects, outputs)
+    else:
+        seeds = np.random.SeedSequence(seed).spawn(16)
+        runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s) for rho, s in zip(states, seeds)]
+        probs = np.array([p for p, _ in runs]).T
+    chi = _chi_from_action(assemble_channel_action(dict(zip(labels, reconstruct_state(probs, design)))))
     stderr = None
     if method == "monte_carlo":
-        var_action = {}
-        for m in range(DIM):
-            var_action[(m, m)] = output_errs[("d", m)] ** 2
+        var = dict(zip(labels, _variance_through_reconstruction(design, np.array([e for _, e in runs]).T)))
+        var_action = {(m, m): var[("d", m)] for m in range(DIM)}
         for m in range(DIM):
             for n in range(m + 1, DIM):
-                var = (
-                    output_errs[("+", m, n)] ** 2
-                    + output_errs[("-", m, n)] ** 2
-                    + 0.5 * (output_errs[("d", m)] ** 2 + output_errs[("d", n)] ** 2)
-                )
-                var_action[(m, n)] = var
-                var_action[(n, m)] = var.T
+                v = var[("+", m, n)] + var[("-", m, n)] + 0.5 * (var[("d", m)] + var[("d", n)])
+                var_action[(m, n)] = v
+                var_action[(n, m)] = v.T
         stderr = np.sqrt(_chi_from_action(var_action))
     return ProcessMatrix(chi=chi, ordering=CHI_LABELS, stderr=stderr)
 
@@ -398,6 +419,22 @@ class ThresholdResult:
     message: str
 
 
+def _output_probability_polynomial(gdtau: float, design: TomographyDesign) -> np.ndarray:
+    """The 15 sequence probabilities of the gate output as polynomials in r, shape (k + 1, 15).
+
+    The averaged gate does not depend on r, so its output is computed once and
+    read by the design's noisy effects coefficient by coefficient.
+    """
+    noise = NoiseParams(g=design.g, delta_tau=gdtau / design.g)
+    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
+    return _probabilities(_noisy_effects(design, noise.g, noise.delta_tau), rho_out[None])[..., 0]
+
+
+def _reconstructed_negativity(r, poly: np.ndarray, design: TomographyDesign):
+    """Negativity of the reconstruction at polarization r, a float or an array like r."""
+    return negativity(hermitize(reconstruct_state(polynomial_value(poly, r), design)))
+
+
 def reconstructed_output_negativity(
     r: float, gdtau: float, design: TomographyDesign
 ) -> float:
@@ -405,13 +442,12 @@ def reconstructed_output_negativity(
 
     The superposition input is pushed through the averaged noisy CNOT, the 15
     sequence probabilities are evaluated at readout polarization r, and the
-    raw linear-inversion state is tested with the partial transpose.
+    raw linear-inversion state is tested with the partial transpose.  This is
+    one point of the polynomial :func:`entanglement_threshold` searches.
     """
-    noise = NoiseParams(g=design.g, delta_tau=gdtau / design.g, r=r)
-    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
-    probs = [sequence_probability(seq, rho_out, noise) for seq in design.sequences]
-    rho_rec = reconstruct_state(probs, design)
-    return negativity(hermitize(rho_rec))
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"polarization must lie in [0, 1], got {r}")
+    return _reconstructed_negativity(r, _output_probability_polynomial(gdtau, design), design)
 
 
 def entanglement_threshold(
@@ -422,14 +458,19 @@ def entanglement_threshold(
 ) -> ThresholdResult:
     """Smallest polarization at which the reconstructed output is entangled.
 
-    A bracketing sweep over sweep_steps intervals guards against
-    non-monotonic pathologies before bisecting the first sign change of the
-    negativity down to width tol.
+    The gate output does not depend on r, so the 15 sequence probabilities
+    are built once as exact polynomials in r (degree at most the largest
+    number of projections in a sequence).  A bracketing sweep over
+    sweep_steps intervals, reconstructed in one solve and tested with one
+    batched eigenvalue call, guards against non-monotonic pathologies before
+    bisecting the first sign change of the negativity down to width tol; each
+    bisection step is one 4x4 evaluation of the same polynomial.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    poly = _output_probability_polynomial(gdtau, design)
     grid = np.linspace(0.0, 1.0, sweep_steps + 1)
-    values = [reconstructed_output_negativity(r, gdtau, design) for r in grid]
+    values = _reconstructed_negativity(grid, poly, design).tolist()
     curve = tuple((float(r), float(v)) for r, v in zip(grid, values))
     entangled = [v > _NEGATIVITY_EPS for v in values]
     if entangled[0]:
@@ -449,7 +490,7 @@ def entanglement_threshold(
     history = [(lo, hi)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if reconstructed_output_negativity(mid, gdtau, design) > _NEGATIVITY_EPS:
+        if _reconstructed_negativity(mid, poly, design) > _NEGATIVITY_EPS:
             hi = mid
         else:
             lo = mid

@@ -1,0 +1,81 @@
+"""Forward (Schroedinger-picture) reference evaluators for the analytic routes.
+
+Every sequence probability pushes the state forward through each blockade
+map, Gaussian-averaged exchange channel and rotation; the pipeline does that
+for each of the 16 inputs and each sequence; the threshold search rebuilds
+the gate output at every point.  They are slow and share no code with
+``effect_polynomial``, which makes them the reference the back-propagated
+routes must reproduce.
+"""
+
+import numpy as np
+
+from spinqpt.blockade import Evolve, Project, blockade_map, rotation_unitary
+from spinqpt.dynamics import NoiseParams, exchange_hamiltonian, gaussian_averaged_channel, noisy_cnot_channel
+from spinqpt.qcore import apply_channel, as_density_array, hermitize, negativity
+from spinqpt.tomography import (
+    ENTANGLEMENT_INPUT,
+    PAULI_BASIS,
+    _chi_from_action,
+    assemble_channel_action,
+    qpt_input_states,
+)
+
+
+def forward_sequence_probability(seq, rho, noise):
+    """Trace of the running operator after every step, never renormalized."""
+    state = as_density_array(rho).copy()
+    hexch = exchange_hamiltonian(noise.g)
+    for step in seq.steps:
+        if isinstance(step, Project):
+            state = blockade_map(state, step.declared, noise.r)
+        elif isinstance(step, Evolve):
+            channel = gaussian_averaged_channel(hexch, step.mean_time / noise.g, noise.delta_tau)
+            state = apply_channel(channel, state)
+        else:
+            u = rotation_unitary(step)
+            state = u @ state @ u.conj().T
+    return float(np.trace(state).real)
+
+
+def forward_reconstruct(probs, design):
+    """Linear inversion of one state's 15 probabilities."""
+    coeffs = np.linalg.solve(design.design_matrix, np.concatenate([probs, [1.0]]))
+    return np.asarray(sum(c * b for c, b in zip(coeffs, PAULI_BASIS)), dtype=complex)
+
+
+def forward_pipeline_chi(noise, design):
+    """Pipeline chi with one forward evaluation per (input, sequence) pair."""
+    channel = noisy_cnot_channel(noise)
+    outputs = {}
+    for label, rho_in in qpt_input_states().items():
+        rho_out = apply_channel(channel, rho_in)
+        probs = [forward_sequence_probability(seq, rho_out, noise) for seq in design.sequences]
+        outputs[label] = forward_reconstruct(probs, design)
+    return _chi_from_action(assemble_channel_action(outputs))
+
+
+def forward_output_negativity(r, gdtau, design):
+    """Negativity of the reconstructed gate output, rebuilt from scratch at r."""
+    noise = NoiseParams(g=design.g, delta_tau=gdtau / design.g, r=r)
+    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
+    probs = [forward_sequence_probability(seq, rho_out, noise) for seq in design.sequences]
+    return negativity(hermitize(forward_reconstruct(probs, design)))
+
+
+def forward_threshold(design, gdtau, tol=1e-4, sweep_steps=64, eps=1e-10):
+    """(r_star, bracket_history, curve) of the sweep-then-bisect threshold search."""
+    grid = np.linspace(0.0, 1.0, sweep_steps + 1)
+    values = [forward_output_negativity(r, gdtau, design) for r in grid]
+    curve = tuple((float(r), float(v)) for r, v in zip(grid, values))
+    first = next(i for i, v in enumerate(values) if v > eps)
+    lo, hi = float(grid[first - 1]), float(grid[first])
+    history = [(lo, hi)]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if forward_output_negativity(mid, gdtau, design) > eps:
+            hi = mid
+        else:
+            lo = mid
+        history.append((lo, hi))
+    return hi, tuple(history), curve

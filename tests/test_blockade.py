@@ -15,6 +15,7 @@ from spinqpt.blockade import (
     UP,
     blockade_map,
     branch_weights,
+    effect_polynomial,
     format_sequence,
     format_sequences,
     ideal_effect_operator,
@@ -27,6 +28,8 @@ from spinqpt.blockade import (
 )
 from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
 from spinqpt.qcore import DensityMatrix4, basis_state, hermitize, pure_state
+
+from forward_reference import forward_sequence_probability
 
 TRANSFER = math.pi / 4.0
 
@@ -213,8 +216,53 @@ class TestIdealEffectOperator:
             rho = random_density(rng)
             effect = ideal_effect_operator(seq, noise.g)
             p_effect = np.trace(effect @ rho).real
-            p_forward = sequence_probability(seq, rho, noise)
+            p_forward = forward_sequence_probability(seq, rho, noise)
             assert p_effect == pytest.approx(p_forward, abs=1e-12)
+
+
+rotations = st.builds(Rotate, scope=st.sampled_from(("X", "A", "global")),
+                      axis=st.sampled_from(("x", "y", "z")), theta=st.floats(-4.0, 4.0))
+projections = st.builds(Project, st.sampled_from((UP, DOWN)))
+evolves = st.builds(Evolve, st.floats(0.05, 3.0))
+
+
+@st.composite
+def sequences(draw):
+    """Up to three rotations, 0-3 projections and 0-2 Evolve steps in any order,
+    then the closing projection."""
+    body = (draw(st.lists(rotations, max_size=3)) + draw(st.lists(projections, max_size=3))
+            + draw(st.lists(evolves, max_size=2)))
+    return MeasureSequence(steps=(*draw(st.permutations(body)), draw(projections)))
+
+
+class TestEffectPolynomial:
+    @settings(max_examples=300)
+    @given(seq=sequences(), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5),
+           g=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_forward_probability(self, seq, r, gdtau, g, seed):
+        noise = NoiseParams(g=g, delta_tau=gdtau / g, r=r)
+        rho = random_density(np.random.default_rng(seed))
+        coeffs = effect_polynomial(seq, g, noise.delta_tau)
+        assert coeffs.shape == (seq.n_projections + 1, 4, 4)
+        effect = sum(r ** j * c for j, c in enumerate(coeffs))
+        expected = forward_sequence_probability(seq, rho, noise)
+        assert abs(np.trace(effect @ rho).real - expected) < 1e-12
+        assert abs(sequence_probability(seq, rho, noise) - expected) < 1e-12
+
+    def test_coefficients_are_hermitian(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            coeffs = effect_polynomial(random_sequence(rng), 1.0, float(rng.uniform(0, 0.3)))
+            np.testing.assert_allclose(coeffs, coeffs.conj().transpose(0, 2, 1), atol=1e-14)
+
+    def test_cubic_in_r_for_three_projections(self):
+        # P+ P+ reads the same block twice: the ideal effect is unchanged but
+        # the noisy one picks up one more readout factor (1 + r)/2 per repeat.
+        seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(UP), Project(UP)))
+        coeffs = effect_polynomial(seq, 1.0, 0.1)
+        assert len(coeffs) == 4 and np.abs(coeffs[3]).max() > 0.1
+        np.testing.assert_allclose(ideal_effect_operator(seq, 1.0),
+                                   ideal_effect_operator(POPULATION_SEQ, 1.0), atol=1e-14)
 
 
 class TestMonteCarlo:
@@ -376,7 +424,7 @@ class TestColumnKernel:
             compared += len(ref)
         assert compared > 500
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(g=st.floats(0.05, 20.0), tau=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
     def test_singlet_phase_evolve_is_exchange_unitary(self, g, tau, seed):
         # Without timing noise the duration is exact (Evolve takes it in units

@@ -208,6 +208,12 @@ class TestUsageErrors:
         ("qpt", "--r", "nan"),
         ("qpt", "--gdtau", "inf"),
         ("qpt", "--method", "pipeline", "--design-file", "{missing}"),
+        ("ideal-check", "--g-mev", "0"),
+        ("qpt", "--g-mev", "-1"),
+        ("fidelity-sweep", "--g-mev", "nan"),
+        ("qpt", "--g-mev", "inf"),
+        ("ideal-check", "--seed", "-1"),
+        ("qpt", "--method", "montecarlo", "--seed", "-1"),
     ])
     def test_exit_2_with_error_line_and_no_report(self, tmp_path, capsys, argv):
         out = tmp_path / "report"

@@ -95,7 +95,7 @@ def _hermiticity_defect_reference(arr: np.ndarray) -> float:
     return worst
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
 def test_chi_of_channel_matches_entrywise_action(seed, n_ops):
     channel = _random_kraus_channel(seed, n_ops)
@@ -103,7 +103,7 @@ def test_chi_of_channel_matches_entrywise_action(seed, n_ops):
                                rtol=0, atol=1e-14)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(arrays(np.complex128, (16, 16),
               elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                           allow_infinity=False)))
@@ -111,7 +111,7 @@ def test_hermiticity_defect_matches_entrywise_loop(arr):
     assert hermiticity_defect(arr) == _hermiticity_defect_reference(arr)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.3))
 def test_pipeline_chi_trace_preserving_and_hermitian(r, gdtau):
     chi = run_qpt(NoiseParams.from_dimensionless(r=r, gdtau=gdtau), method="pipeline").chi

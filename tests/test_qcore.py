@@ -169,6 +169,16 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(4), "B")
 
+    @pytest.mark.parametrize("subsystem", ["X", "A"])
+    def test_broadcasts_over_leading_axes(self, subsystem):
+        rng = np.random.default_rng(7)
+        stack = np.array([[random_density(rng) for _ in range(3)] for _ in range(2)])
+        out = partial_transpose(stack, subsystem)
+        assert out.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[i, j], partial_transpose(stack[i, j], subsystem))
+
 
 class TestNegativity:
     def test_basis_state_zero(self):
@@ -195,6 +205,19 @@ class TestNegativity:
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
             negativity(m)
+
+    def test_stack_matches_one_by_one(self):
+        bell = pure_state([1, 0, 0, 1])
+        stack = np.array([v * bell + (1 - v) * np.eye(4) / 4 for v in np.linspace(0, 1, 9)])
+        values = negativity(stack)
+        assert values.shape == (9,)
+        assert values.tolist() == [negativity(rho) for rho in stack]
+
+    def test_stack_with_one_non_hermitian_member_raises(self):
+        stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        stack[1, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            negativity(stack)
 
 
 class TestDensityMatrix4:

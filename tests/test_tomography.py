@@ -1,5 +1,6 @@
 """Tests for the tomography design, reconstruction, QPT, and threshold search."""
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from spinqpt.process_matrix import (
     process_fidelity,
 )
 from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, negativity, pure_state
+from spinqpt.blockade import format_sequences
+from spinqpt.cli import main
 from spinqpt.tomography import (
     DesignRankError,
     ENTANGLEMENT_INPUT,
@@ -42,6 +45,8 @@ from spinqpt.tomography import (
     reconstructed_output_negativity,
     run_qpt,
 )
+
+from forward_reference import forward_output_negativity, forward_pipeline_chi, forward_threshold
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +141,17 @@ class TestReconstruction:
     def test_wrong_probability_count_rejected(self, design):
         with pytest.raises(ValueError):
             reconstruct_state([0.5] * 14, design)
+        with pytest.raises(ValueError):
+            reconstruct_state(np.full((14, 3), 0.5), design)
+
+    def test_columns_reconstruct_like_single_states(self, design):
+        rng = np.random.default_rng(11)
+        probs = rng.uniform(0.0, 1.0, size=(15, 5))
+        stack = reconstruct_state(probs, design)
+        assert stack.shape == (5, 4, 4)
+        for k in range(5):
+            np.testing.assert_allclose(stack[k], reconstruct_state(probs[:, k], design),
+                                       rtol=0, atol=1e-14)
 
 
 class TestAssembleChannelAction:
@@ -289,7 +305,7 @@ def assert_equal_up_to_phase(actual, expected, atol):
 
 
 class TestMonteCarloGateBatch:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_equals_sampled_cnot_unitary(self, g, gdtau, seed):
         noise = NoiseParams(g=g, delta_tau=gdtau / g, r=1.0)
@@ -387,3 +403,70 @@ class TestEntanglementThreshold:
     def test_rejects_bad_tolerance(self, design):
         with pytest.raises(ValueError):
             entanglement_threshold(design, gdtau=0.0, tol=0.0)
+
+
+class TestForwardReferenceEquivalence:
+    @settings(max_examples=15)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5))
+    def test_pipeline_chi_equals_forward_pipeline(self, design, r, gdtau):
+        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+        chi = run_qpt(noise, method="pipeline", design=design).chi
+        assert np.max(np.abs(chi - forward_pipeline_chi(noise, design))) < 1e-12
+
+    @settings(max_examples=30)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5))
+    def test_negativity_equals_forward_negativity(self, design, r, gdtau):
+        assert abs(reconstructed_output_negativity(r, gdtau, design)
+                   - forward_output_negativity(r, gdtau, design)) < 1e-12
+
+    @pytest.mark.parametrize("gdtau", [0.0, 0.1, 0.25])
+    def test_threshold_equals_forward_search(self, design, gdtau):
+        result = entanglement_threshold(design, gdtau=gdtau, tol=1e-3)
+        r_star, history, curve = forward_threshold(design, gdtau, tol=1e-3)
+        assert result.r_star == r_star
+        assert result.bracket_history == history
+        np.testing.assert_allclose(result.curve, curve, rtol=0, atol=1e-12)
+
+
+class TestCubicDesign:
+    """The shipped design with sequence #1 read as P+, E, P+, P+: the repeated
+    projection leaves the ideal effect (and rank 16) unchanged but makes the
+    noisy effect cubic in r."""
+
+    @pytest.fixture(scope="class")
+    def cubic(self, design, tmp_path_factory):
+        first = design.sequences[0]
+        sequences = (type(first)(steps=first.steps + (first.steps[-1],)),) + design.sequences[1:]
+        path = tmp_path_factory.mktemp("cubic") / "design.txt"
+        path.write_text(format_sequences(sequences))
+        return path, design_from_sequences(sequences, g=1.0)
+
+    @staticmethod
+    def _report(tmp_path, *argv):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_design_is_cubic_and_complete(self, cubic):
+        _, design = cubic
+        assert design.sequences[0].n_projections == 3
+        assert np.linalg.matrix_rank(design.design_matrix) == 16
+
+    @pytest.mark.parametrize("r,gdtau", [(0.7, 0.13), (0.45, 0.3)])
+    def test_pipeline_qpt_matches_forward(self, cubic, tmp_path, r, gdtau):
+        path, design = cubic
+        report = self._report(tmp_path, "qpt", "--method", "pipeline", "--r", str(r),
+                              "--gdtau", str(gdtau), "--design-file", str(path))
+        chi = np.array(report["chi_real"]) + 1j * np.array(report["chi_imag"])
+        expected = forward_pipeline_chi(NoiseParams.from_dimensionless(r=r, gdtau=gdtau), design)
+        assert np.max(np.abs(chi - expected)) < 1e-12
+
+    @pytest.mark.parametrize("gdtau", [0.0, 0.13])
+    def test_threshold_matches_forward(self, cubic, tmp_path, gdtau):
+        path, design = cubic
+        report = self._report(tmp_path, "entanglement-threshold", "--gdtau", str(gdtau),
+                              "--design-file", str(path))
+        r_star, history, curve = forward_threshold(design, gdtau)
+        assert report["r_star"] == r_star
+        assert [tuple(b) for b in report["bracket_history"]] == list(history)
+        np.testing.assert_allclose(report["curve"], curve, rtol=0, atol=1e-12)
