@@ -76,7 +76,6 @@ from .closed_form import (
 )
 from .tomography import (
     DesignRankError,
-    QptInputSet,
     ThresholdResult,
     TomographyDesign,
     assemble_channel_action,

@@ -64,13 +64,13 @@ class Project:
 
 @dataclass(frozen=True)
 class Evolve:
-    """Free exchange evolution; mean_time is in units of 1/g and must be positive."""
+    """Free exchange evolution; mean_time is in units of 1/g, positive and finite."""
 
     mean_time: float
 
     def __post_init__(self):
-        if not self.mean_time > 0:
-            raise ValueError(f"Evolve mean time must be positive, got {self.mean_time}")
+        if not (self.mean_time > 0 and np.isfinite(self.mean_time)):
+            raise ValueError(f"Evolve mean time must be positive and finite, got {self.mean_time}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gdtau-values", type=_gdtau_list, default="0,0.1",
                    help="comma-separated gdtau values, one sweep per value")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and echoed in the report; "
                         "the sweep always runs in-process, so it changes nothing")
     p.set_defaults(func=cmd_fidelity_sweep)

@@ -234,35 +234,27 @@ def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
     return gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau)
 
 
-def noisy_cnot_channel(noise: NoiseParams, fluctuation: str = "per-pulse") -> QuantumChannel:
+def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses.
 
-    fluctuation = "per-pulse" (default): the two isolation pulses inside the
-    controlled-phase exponent fluctuate independently, dispersion delta_tau/2
-    each.  The pulse-sum and pulse-difference are then independent Gaussians
-    of dispersion delta_tau/sqrt(2); the sum dephases the sz sz exponent while
-    the difference reintroduces a flip-flop admixture, which is what populates
+    The two isolation pulses inside the controlled-phase exponent fluctuate
+    independently, dispersion delta_tau/2 each.  The pulse-sum and
+    pulse-difference are then independent Gaussians of dispersion
+    delta_tau/sqrt(2); the sum dephases the sz sz exponent while the
+    difference reintroduces a flip-flop admixture, which is what populates
     the spin-transfer sector of the averaged output.
 
-    fluctuation = "common": a single duration draw for the whole exponent,
-    dispersion delta_tau.  Leakage free; kept for sensitivity studies only.
-
-    Rotations and Hadamards are ideal in both modes.  delta_tau = 0 gives the
-    ideal CNOT conjugation exactly.
+    Rotations and Hadamards are ideal.  delta_tau = 0 gives the ideal CNOT
+    conjugation exactly.
     """
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
     entry = QuantumChannel.from_unitary(hadamard("A"))
     exit_channel = QuantumChannel.from_unitary(CNOT_FRAME)
-    if fluctuation == "per-pulse":
-        sigma = noise.delta_tau / math.sqrt(2.0)
-        phase_part = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, sigma)
-        leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
-        core = phase_part.compose(leak_part)
-    elif fluctuation == "common":
-        core = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, noise.delta_tau)
-    else:
-        raise ValueError(f"fluctuation must be 'per-pulse' or 'common', got {fluctuation!r}")
+    sigma = noise.delta_tau / math.sqrt(2.0)
+    phase_part = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, sigma)
+    leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
+    core = phase_part.compose(leak_part)
     return exit_channel.compose(core.compose(entry))
 
 
@@ -273,22 +265,15 @@ def sample_duration(tau0: float, delta_tau: float, rng: np.random.Generator) -> 
     return float(rng.normal(tau0, delta_tau))
 
 
-def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator,
-                        fluctuation: str = "per-pulse") -> np.ndarray:
+def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
     """One noisy-CNOT realization with freshly drawn pulse durations."""
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
-    if fluctuation == "per-pulse":
-        rz = local_rotation("X", "z", math.pi)
-        hexch = exchange_hamiltonian(g)
-        s1 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
-        s2 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
-        core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
-    elif fluctuation == "common":
-        tau = sample_duration(schedule.tau0_cnot, noise.delta_tau, rng)
-        core = evolve_unitary(zz_hamiltonian(g), tau)
-    else:
-        raise ValueError(f"fluctuation must be 'per-pulse' or 'common', got {fluctuation!r}")
+    rz = local_rotation("X", "z", math.pi)
+    hexch = exchange_hamiltonian(g)
+    s1 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
+    s2 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
+    core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
     return CNOT_FRAME @ core @ hadamard("A")
 
 

@@ -20,15 +20,16 @@ gdtau = 0 reconstruction is exact.  No positivity repair is applied, raw
 linear-inversion outputs travel as plain arrays.
 
 Process tomography prepares the 16 spanning pure inputs, pushes them through
-the noisy gate and the tomography above, and assembles chi[(m,n),(k,l)] by
-linearity.  The analytic route is a few array products: the 16 input vecs
-go through the gate superoperator at once, the 15 x 16 probabilities are one
+the noisy gate and the tomography above, and assembles chi by linearity: one
+constant 16 x 16 matrix of exact weights maps the 16 reconstructed outputs
+onto chi.  The analytic route is a few array products: the 16 input vecs go
+through the gate superoperator at once, the 15 x 16 probabilities are one
 product with the sequences' noisy effects (back-propagated once each, see
 :func:`spinqpt.blockade.effect_polynomial`), and one solve with 16
 right-hand sides reconstructs every output.  A Monte Carlo mode replaces
-every analytic sequence probability with a sampled estimate and propagates
-binomial errors through the linear pipeline; each trajectory starts from
-the pure input itself and passes through its own sampled gate.
+every analytic sequence probability with a sampled estimate, each
+trajectory passing through its own sampled gate, and propagates the
+binomial variances exactly through the same two linear maps.
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -67,7 +68,7 @@ from .dynamics import (
     noisy_cnot_channel,
 )
 from .process_matrix import CHI_LABELS, CHI_ORDER, CHI_PERM, ProcessMatrix
-from .qcore import DIM, apply_channel, hermitize, negativity, pure_state, vec
+from .qcore import DIM, apply_channel, hermitize, negativity, pure_state
 
 #: Full spin-transfer pulse duration in units of 1/g.
 TRANSFER_TIME = math.pi / 4.0
@@ -203,67 +204,48 @@ def reconstruct_state(probabilities, design: TomographyDesign) -> np.ndarray:
     return np.tensordot(coeffs, _PAULI_STACK, axes=(0, 0))
 
 
-@dataclass(frozen=True)
-class QptInputSet:
-    """The 16 spanning pure inputs: 4 basis states and 12 equal superpositions."""
-
-    diagonal: tuple                 # diagonal[m] = |m><m|
-    plus: dict                      # plus[(m, n)] = |+; mn><+; mn|, m < n
-    minus: dict                     # minus[(m, n)] with the i-weighted superposition
-
-    def items(self):
-        for m in range(DIM):
-            yield ("d", m), self.diagonal[m]
-        for (m, n), rho in self.plus.items():
-            yield ("+", m, n), rho
-        for (m, n), rho in self.minus.items():
-            yield ("-", m, n), rho
-
-
-def qpt_input_states() -> QptInputSet:
-    """|m> for each basis state and (|m> + |n>)/sqrt2, (|m> + i|n>)/sqrt2 for m < n."""
+def qpt_input_states() -> dict:
+    """The 16 spanning pure inputs in run_qpt's order: ("d", m) is |m>, then for m < n
+    ("+", m, n) is (|m> + |n>)/sqrt2, then ("-", m, n) is (|m> + i|n>)/sqrt2."""
     e = np.eye(DIM, dtype=complex)
     pairs = [(m, n) for m in range(DIM) for n in range(m + 1, DIM)]
-    return QptInputSet(
-        diagonal=tuple(pure_state(e[m]) for m in range(DIM)),
-        plus={(m, n): pure_state(e[m] + e[n]) for m, n in pairs},
-        minus={(m, n): pure_state(e[m] + 1j * e[n]) for m, n in pairs},
-    )
+    states = {("d", m): pure_state(e[m]) for m in range(DIM)}
+    states.update({("+", m, n): pure_state(e[m] + e[n]) for m, n in pairs})
+    states.update({("-", m, n): pure_state(e[m] + 1j * e[n]) for m, n in pairs})
+    return states
 
 
-def assemble_channel_action(outputs: dict) -> dict:
-    """Channel action on every unit matrix E_kl from the 16 state outputs.
+def _assembly_weights() -> np.ndarray:
+    """A[c, i] with E_kl = sum_i A[c, i] rho_i, (k, l) = CHI_ORDER[c], rho_i the inputs in order:
+    E_mn = rho(+;mn) + i rho(-;mn) - (1+i)/2 (|m><m| + |n><n|) for m < n, and E_nm = E_mn^dagger
+    takes the conjugate weights as every rho_i is Hermitian."""
+    index = {label: i for i, label in enumerate(qpt_input_states())}
+    weights = np.zeros((16, 16), dtype=complex)
+    for c, (k, l) in enumerate(CHI_ORDER):
+        m, n = sorted((k, l))
+        terms = {("d", m): 1.0} if m == n else {
+            ("+", m, n): 1.0, ("-", m, n): 1j, ("d", m): -0.5 - 0.5j, ("d", n): -0.5 - 0.5j}
+        for label, w in terms.items():
+            weights[c, index[label]] = w if k <= l else np.conj(w)
+    return weights
 
-    For m < n, linearity gives
 
-        E(E_mn) = E(|+;mn>) + i E(|-;mn>) - (1+i)/2 (E(|m><m|) + E(|n><n|)),
+_WEIGHTS = _assembly_weights()
+_WEIGHTS_ABS2 = (_WEIGHTS * _WEIGHTS.conj()).real      # exact, unlike abs(.)**2 of -(1+i)/2
 
-    and E(E_nm) is its adjoint (the pipeline maps Hermitian to Hermitian).
+
+def _assemble(weights: np.ndarray, outputs) -> np.ndarray:
+    """chi[:, c] = vec(sum_i weights[c, i] outputs[i]), rows laid out by CHI_PERM."""
+    vecs = np.transpose(np.reshape(outputs, (16, DIM, DIM)), (0, 2, 1)).reshape(16, DIM * DIM)
+    return (weights @ vecs)[:, CHI_PERM].T
+
+
+def assemble_channel_action(outputs) -> np.ndarray:
+    """The 16x16 chi from a (16, 4, 4) stack of outputs of the qpt_input_states() inputs.
+
+    Column (k, l) is the channel action on E_kl by linearity, row (m, n) its [m, n] entry.
     """
-    for m in range(DIM):
-        if ("d", m) not in outputs:
-            raise ValueError(f"missing output for diagonal input {m}")
-    action = {}
-    for m in range(DIM):
-        action[(m, m)] = np.asarray(outputs[("d", m)], dtype=complex)
-    for m in range(DIM):
-        for n in range(m + 1, DIM):
-            for key in (("+", m, n), ("-", m, n)):
-                if key not in outputs:
-                    raise ValueError(f"missing output for superposition input {key}")
-            g_mn = (
-                outputs[("+", m, n)]
-                + 1j * outputs[("-", m, n)]
-                - 0.5 * (1.0 + 1j) * (outputs[("d", m)] + outputs[("d", n)])
-            )
-            action[(m, n)] = g_mn
-            action[(n, m)] = g_mn.conj().T
-    return action
-
-
-def _chi_from_action(action: dict) -> np.ndarray:
-    """chi[(m,n),(k,l)] = action[(k,l)][m, n]: columns vec(action[kl]), rows by CHI_PERM."""
-    return np.stack([vec(action[kl]) for kl in CHI_ORDER], axis=1)[CHI_PERM]
+    return _assemble(_WEIGHTS, outputs)
 
 
 def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
@@ -321,13 +303,6 @@ def _qpt_probabilities_mc(
     return np.array([e.estimate for e in ests]), np.array([e.stderr for e in ests])
 
 
-def _variance_through_reconstruction(design: TomographyDesign, prob_err: np.ndarray) -> np.ndarray:
-    """Entrywise variances of the reconstructed states, one (4, 4) per column of prob_err."""
-    inv = np.linalg.inv(design.design_matrix)
-    var_coeffs = (inv[:, : design.n_sequences] ** 2) @ (prob_err ** 2)
-    return np.tensordot(var_coeffs, np.abs(_PAULI_STACK) ** 2, axes=(0, 0))
-
-
 def _noisy_effects(design: TomographyDesign, g: float, delta_tau: float) -> np.ndarray:
     """The design's noisy effects as one polynomial in r, shape (k + 1, 15, 4, 4).
 
@@ -364,7 +339,8 @@ def run_qpt(
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate
                   (mc_samples trajectories each, deterministic in the seed),
-                  with binomial errors propagated onto the chi entries.
+                  with stderr the exact propagation of their binomial errors
+                  through reconstruction and assembly, sqrt(E|delta chi|^2).
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -372,28 +348,26 @@ def run_qpt(
         raise ValueError(f"unknown method {method!r}")
     if design is None:
         design = design_sequences(noise.g)
-    labels, states = zip(*qpt_input_states().items())
+    states = np.array(list(qpt_input_states().values()))
     if method == "pipeline":
         superop = noisy_cnot_channel(noise).superop
-        vecs = np.array(states).transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
+        vecs = states.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
         outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
         effects = polynomial_value(_noisy_effects(design, noise.g, noise.delta_tau), noise.r)
         probs = _probabilities(effects, outputs)
     else:
         seeds = np.random.SeedSequence(seed).spawn(16)
         runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s) for rho, s in zip(states, seeds)]
-        probs = np.array([p for p, _ in runs]).T
-    chi = _chi_from_action(assemble_channel_action(dict(zip(labels, reconstruct_state(probs, design)))))
+        probs, errs = np.array(runs).transpose(1, 2, 0)      # each (15, 16)
+    chi = assemble_channel_action(reconstruct_state(probs, design))
     stderr = None
     if method == "monte_carlo":
-        var = dict(zip(labels, _variance_through_reconstruction(design, np.array([e for _, e in runs]).T)))
-        var_action = {(m, m): var[("d", m)] for m in range(DIM)}
-        for m in range(DIM):
-            for n in range(m + 1, DIM):
-                v = var[("+", m, n)] + var[("-", m, n)] + 0.5 * (var[("d", m)] + var[("d", n)])
-                var_action[(m, n)] = v
-                var_action[(n, m)] = v.T
-        stderr = np.sqrt(_chi_from_action(var_action))
+        # Output entry [m, n] is sum_s dual_s[m, n] p_s plus a constant, and the
+        # p_s are independent: their variances add with weights |dual_s[m, n]|^2.
+        dual = np.tensordot(np.linalg.inv(design.design_matrix)[:, : design.n_sequences],
+                            _PAULI_STACK, axes=(0, 0))
+        var = np.tensordot((errs ** 2).T, np.abs(dual) ** 2, axes=1)
+        stderr = np.sqrt(_assemble(_WEIGHTS_ABS2, var))
     return ProcessMatrix(chi=chi, ordering=CHI_LABELS, stderr=stderr)
 
 

@@ -5,21 +5,18 @@ map, Gaussian-averaged exchange channel and rotation; the pipeline does that
 for each of the 16 inputs and each sequence; the threshold search rebuilds
 the gate output at every point.  They are slow and share no code with
 ``effect_polynomial``, which makes them the reference the back-propagated
-routes must reproduce.
+routes must reproduce.  chi is assembled here label by label, the channel
+action on each unit matrix written out from the inputs, independently of
+the weight matrix ``assemble_channel_action`` applies.
 """
 
 import numpy as np
 
 from spinqpt.blockade import Evolve, Project, blockade_map, rotation_unitary
 from spinqpt.dynamics import NoiseParams, exchange_hamiltonian, gaussian_averaged_channel, noisy_cnot_channel
-from spinqpt.qcore import apply_channel, as_density_array, hermitize, negativity
-from spinqpt.tomography import (
-    ENTANGLEMENT_INPUT,
-    PAULI_BASIS,
-    _chi_from_action,
-    assemble_channel_action,
-    qpt_input_states,
-)
+from spinqpt.process_matrix import CHI_ORDER, CHI_PERM
+from spinqpt.qcore import apply_channel, as_density_array, hermitize, negativity, vec
+from spinqpt.tomography import ENTANGLEMENT_INPUT, PAULI_BASIS, qpt_input_states
 
 
 def forward_sequence_probability(seq, rho, noise):
@@ -44,15 +41,47 @@ def forward_reconstruct(probs, design):
     return np.asarray(sum(c * b for c, b in zip(coeffs, PAULI_BASIS)), dtype=complex)
 
 
+def action_from_outputs(outputs):
+    """Channel action on every unit matrix E_kl from the 16 outputs, keyed by input label.
+
+    For m < n, linearity gives
+
+        E(E_mn) = E(|+;mn>) + i E(|-;mn>) - (1+i)/2 (E(|m><m|) + E(|n><n|)),
+
+    and E(E_nm) is its adjoint (the outputs are Hermitian).
+    """
+    action = {(m, m): np.asarray(outputs[("d", m)], dtype=complex) for m in range(4)}
+    for m in range(4):
+        for n in range(m + 1, 4):
+            g_mn = (
+                outputs[("+", m, n)]
+                + 1j * outputs[("-", m, n)]
+                - 0.5 * (1.0 + 1j) * (outputs[("d", m)] + outputs[("d", n)])
+            )
+            action[(m, n)] = g_mn
+            action[(n, m)] = g_mn.conj().T
+    return action
+
+
+def chi_from_action(action):
+    """chi[(m,n),(k,l)] = action[(k,l)][m, n]: columns vec(action[kl]), rows by CHI_PERM."""
+    return np.stack([vec(action[kl]) for kl in CHI_ORDER], axis=1)[CHI_PERM]
+
+
+def forward_chi(probs, design):
+    """chi from a 15 x 16 table of probabilities, column i for input i in qpt_input_states() order."""
+    probs = np.asarray(probs, dtype=float)
+    outputs = {label: forward_reconstruct(probs[:, i], design)
+               for i, label in enumerate(qpt_input_states())}
+    return chi_from_action(action_from_outputs(outputs))
+
+
 def forward_pipeline_chi(noise, design):
     """Pipeline chi with one forward evaluation per (input, sequence) pair."""
     channel = noisy_cnot_channel(noise)
-    outputs = {}
-    for label, rho_in in qpt_input_states().items():
-        rho_out = apply_channel(channel, rho_in)
-        probs = [forward_sequence_probability(seq, rho_out, noise) for seq in design.sequences]
-        outputs[label] = forward_reconstruct(probs, design)
-    return _chi_from_action(assemble_channel_action(outputs))
+    outputs = [apply_channel(channel, rho_in) for rho_in in qpt_input_states().values()]
+    probs = [[forward_sequence_probability(seq, rho, noise) for rho in outputs] for seq in design.sequences]
+    return forward_chi(probs, design)
 
 
 def forward_output_negativity(r, gdtau, design):

@@ -1,0 +1,54 @@
+"""The package names the benchmark under perfbench/ depends on.
+
+perfbench/tracer.py wraps functions by qualified name, and perfbench/workloads.py
+reads attributes of spinqpt.tomography.  Renaming one of them breaks the
+benchmark; these tests make that a test failure here as well.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import numpy as np
+
+from spinqpt.dynamics import NoiseParams
+from spinqpt.tomography import design_sequences
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module        # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves():
+    wrapped = load_perfbench("tracer").WRAPPED
+    missing = []
+    for qualified in wrapped:
+        module, _, attr = qualified.rpartition(".")
+        if not callable(getattr(importlib.import_module(module), attr, None)):
+            missing.append(qualified)
+    assert len(wrapped) == 21 and missing == []
+
+
+def test_tomography_attributes_read_by_workloads_exist():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "tomography"}
+    tomography = importlib.import_module("spinqpt.tomography")
+    assert read and [name for name in sorted(read) if not hasattr(tomography, name)] == []
+
+
+def test_workloads_reference_stderr_still_runs():
+    # expected_mc_stderr keys its variances by the labels of qpt_input_states().
+    workloads = load_perfbench("workloads")
+    noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+    stderr = workloads.expected_mc_stderr(noise, design_sequences(1.0))
+    assert stderr.shape == (16, 16) and np.all(np.isfinite(stderr))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from spinqpt.blockade import format_sequences
 from spinqpt.cli import canonical_json, main
 from spinqpt.closed_form import chi_closed_form, fidelity_closed_form
+from spinqpt.tomography import design_sequences
 
 
 def run_cli(*argv):
@@ -142,6 +144,7 @@ class TestFidelitySweep:
         report = json.loads(out.read_text())
         assert report["columns"] == ["r", "gdtau", "F"]
         assert len(report["rows"]) == 10
+        assert report["params"]["jobs"] == 1    # a constant, not the host's core count
 
     def test_parallel_jobs_keep_grid_order(self, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -225,12 +228,15 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["qpt", "entanglement-threshold"])
-    @pytest.mark.parametrize("contents", [
-        "Z 1\n",                       # unrecognized line
-        "P+\n",                        # a single sequence
-        "\n".join(["P+\n"] * 15),      # 15 sequences, rank 2
-    ], ids=["bad-line", "one-sequence", "rank-deficient"])
-    def test_bad_design_file_is_a_usage_error(self, tmp_path, capsys, command, contents):
+    @pytest.mark.parametrize("contents,named", [
+        ("Z 1\n", "'Z 1'"),                          # unrecognized line
+        ("P+\n", "got 1"),                           # a single sequence
+        ("\n".join(["P+\n"] * 15), "rank 2"),        # 15 sequences, rank 2
+        # the shipped design with one transfer pulse of infinite duration
+        (format_sequences(design_sequences(1.0).sequences).replace(
+            f"E {math.pi / 4!r}", "E inf", 1), "Evolve mean time"),
+    ], ids=["bad-line", "one-sequence", "rank-deficient", "non-finite-evolve"])
+    def test_bad_design_file_is_a_usage_error(self, tmp_path, capsys, command, contents, named):
         design = tmp_path / "design.txt"
         design.write_text(contents)
         out = tmp_path / "report"
@@ -239,4 +245,5 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and named in err
         assert not out.exists()

@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinqpt.closed_form import (
     averaged_cnot_output_11,
@@ -131,6 +132,15 @@ class TestChiClosedForm:
             want = 1.0 if k == l else 0.0
             assert total.real == pytest.approx(want, abs=1e-12)
             assert total.imag == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 2.0))
+    def test_trace_preserving_and_hermitian_at_random_points(self, r, gdtau):
+        chi = chi_closed_form(r, gdtau)
+        # Tr E(E_kl) = delta_kl: the E_mm rows come first in the ordering.
+        kronecker = np.array([1.0 if k == l else 0.0 for k, l in CHI_ORDER])
+        np.testing.assert_allclose(chi.chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-12)
+        assert hermiticity_defect(chi) <= 1e-12
 
     def test_golden_baselines(self):
         # Regression against the checked-in matrices for r in {1, 0.8, 0.6}.

@@ -385,20 +385,6 @@ class TestNoisyCnotChannel:
         mc = outer.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
         assert np.max(np.abs(mc - analytic)) < 0.05
 
-    def test_common_mode_has_no_transfer_leakage(self):
-        ch = noisy_cnot_channel(
-            NoiseParams.from_dimensionless(r=1.0, gdtau=0.2), fluctuation="common"
-        )
-        out = apply_channel(ch, basis_state(0))
-        d = math.exp(-2 * 0.2**2)
-        np.testing.assert_allclose(
-            np.diag(out).real, [(1 + d) / 2, (1 - d) / 2, 0.0, 0.0], atol=1e-12
-        )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_cnot_channel(NoiseParams(), fluctuation="per-segment")
-
 
 class TestSampling:
     def test_zero_dispersion_is_exact(self):

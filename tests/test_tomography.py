@@ -24,6 +24,8 @@ from spinqpt.dynamics import (
 from spinqpt.process_matrix import (
     CHI_ORDER,
     chi_index,
+    chi_of_channel,
+    hermiticity_defect,
     ideal_cnot_chi,
     process_fidelity,
 )
@@ -35,6 +37,7 @@ from spinqpt.tomography import (
     ENTANGLEMENT_INPUT,
     TRANSFER_TIME,
     _mc_gate_batch,
+    _qpt_probabilities_mc,
     assemble_channel_action,
     design_from_sequences,
     design_matrix_rows,
@@ -46,7 +49,13 @@ from spinqpt.tomography import (
     run_qpt,
 )
 
-from forward_reference import forward_output_negativity, forward_pipeline_chi, forward_threshold
+from forward_reference import (
+    forward_chi,
+    forward_output_negativity,
+    forward_pipeline_chi,
+    forward_threshold,
+)
+from test_process_matrix import _random_kraus_channel
 
 
 @pytest.fixture(scope="module")
@@ -62,22 +71,22 @@ def random_density(rng):
 
 class TestQptInputStates:
     def test_plus_superposition_entries(self):
-        states = qpt_input_states()
-        rho = states.plus[(0, 1)]
+        rho = qpt_input_states()[("+", 0, 1)]
         for i in range(2):
             for j in range(2):
                 assert rho[i, j] == pytest.approx(0.5, abs=1e-14)
 
     def test_i_weighted_superposition_entry(self):
-        states = qpt_input_states()
-        assert states.minus[(0, 1)][0, 1] == pytest.approx(-0.5j, abs=1e-14)
-        assert states.minus[(0, 1)][1, 0] == pytest.approx(0.5j, abs=1e-14)
+        rho = qpt_input_states()[("-", 0, 1)]
+        assert rho[0, 1] == pytest.approx(-0.5j, abs=1e-14)
+        assert rho[1, 0] == pytest.approx(0.5j, abs=1e-14)
 
     def test_all_sixteen_pure_and_normalized(self):
         states = qpt_input_states()
-        items = list(states.items())
-        assert len(items) == 16
-        for _, rho in items:
+        pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
+        assert list(states) == ([("d", m) for m in range(4)] + [("+", *p) for p in pairs]
+                                + [("-", *p) for p in pairs])
+        for rho in states.values():
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-14)
 
@@ -154,50 +163,57 @@ class TestReconstruction:
                                        rtol=0, atol=1e-14)
 
 
+def channel_outputs(channel):
+    return np.array([apply_channel(channel, rho) for rho in qpt_input_states().values()])
+
+
+def action_of(chi, k, l):
+    """The channel action on E_kl, read from column (k, l) of chi."""
+    col = chi_index(k, l)
+    return np.array([[chi[chi_index(m, n), col] for n in range(4)] for m in range(4)])
+
+
 class TestAssembleChannelAction:
     @staticmethod
     def _outputs_for_unitary(u):
-        ch = QuantumChannel.from_unitary(u)
-        return {label: apply_channel(ch, rho) for label, rho in qpt_input_states().items()}
+        return channel_outputs(QuantumChannel.from_unitary(u))
 
     def test_identity_channel_recovers_unit_matrices(self):
-        action = assemble_channel_action(self._outputs_for_unitary(np.eye(4, dtype=complex)))
-        for k in range(4):
-            for l in range(4):
-                e_kl = np.zeros((4, 4), dtype=complex)
-                e_kl[k, l] = 1.0
-                np.testing.assert_allclose(action[(k, l)], e_kl, atol=1e-14)
+        chi = assemble_channel_action(self._outputs_for_unitary(np.eye(4, dtype=complex)))
+        for k, l in CHI_ORDER:
+            e_kl = np.zeros((4, 4), dtype=complex)
+            e_kl[k, l] = 1.0
+            np.testing.assert_allclose(action_of(chi, k, l), e_kl, atol=1e-14)
 
     def test_cnot_action_on_coherences(self):
         # Independent oracle: U E_kl U† computed by direct matrix products.
-        action = assemble_channel_action(self._outputs_for_unitary(CNOT_TARGET))
+        chi = assemble_channel_action(self._outputs_for_unitary(CNOT_TARGET))
         e02 = np.zeros((4, 4), dtype=complex)
         e02[0, 2] = 1.0
-        np.testing.assert_allclose(
-            action[(0, 2)], CNOT_TARGET @ e02 @ CNOT_TARGET.conj().T, atol=1e-14
-        )
+        np.testing.assert_allclose(action_of(chi, 0, 2), CNOT_TARGET @ e02 @ CNOT_TARGET.conj().T, atol=1e-14)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = 1.0  # |uu><dd| after transfer of the target flip
-        np.testing.assert_allclose(action[(0, 2)], expected, atol=1e-14)
-        e23 = np.zeros((4, 4), dtype=complex)
-        e23[2, 3] = 1.0
+        np.testing.assert_allclose(action_of(chi, 0, 2), expected, atol=1e-14)
         want_23 = np.zeros((4, 4), dtype=complex)
         want_23[3, 2] = 1.0
-        np.testing.assert_allclose(action[(2, 3)], want_23, atol=1e-14)
+        np.testing.assert_allclose(action_of(chi, 2, 3), want_23, atol=1e-14)
 
     def test_adjoint_pairing(self):
-        action = assemble_channel_action(self._outputs_for_unitary(CNOT_TARGET))
-        for m in range(4):
-            for n in range(4):
-                np.testing.assert_allclose(
-                    action[(m, n)].conj().T, action[(n, m)], atol=1e-13
-                )
+        # chi[(m,n),(k,l)] = conj(chi[(n,m),(l,k)]): E(E_lk) is the adjoint of E(E_kl).
+        chi = assemble_channel_action(self._outputs_for_unitary(CNOT_TARGET))
+        assert hermiticity_defect(chi) < 1e-13
 
     def test_missing_input_rejected(self):
         outputs = self._outputs_for_unitary(np.eye(4, dtype=complex))
-        del outputs[("+", 0, 1)]
-        with pytest.raises(ValueError, match="missing"):
-            assemble_channel_action(outputs)
+        with pytest.raises(ValueError):
+            assemble_channel_action(outputs[:15])
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+    def test_random_channel_assembles_to_its_chi(self, seed, n_ops):
+        channel = _random_kraus_channel(seed, n_ops)
+        np.testing.assert_allclose(assemble_channel_action(channel_outputs(channel)),
+                                   chi_of_channel(channel).chi, rtol=0, atol=1e-14)
 
 
 class TestRunQpt:
@@ -270,16 +286,15 @@ class TestRunQpt:
 
     @pytest.mark.parametrize("r,gdtau", [(0.7, 0.1), (0.5, 0.0), (1.0, 0.2)])
     def test_pipeline_chi_index_symmetry(self, design, r, gdtau):
-        from spinqpt.process_matrix import hermiticity_defect
-
         noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
         chi = run_qpt(noise, method="pipeline", design=design)
         assert hermiticity_defect(chi) < 1e-10
 
     def test_monte_carlo_error_bars_not_anticonservative(self, design):
-        # Propagated entry sigmas must dominate the observed spread: the
-        # z-scores against the exact pipeline should look sub-standard-normal
-        # (quadrature propagation ignores correlations, erring on the wide side).
+        # The propagated entry sigmas must not understate the observed spread:
+        # the z-scores against the exact pipeline stay sub-standard-normal on
+        # average.  The z-scores use the real parts only, while stderr holds
+        # sqrt(E|delta chi|^2) of the complex entry, so they run below 1.
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
         chi_pipe = run_qpt(noise, method="pipeline", design=design)
         zs = []
@@ -293,6 +308,23 @@ class TestRunQpt:
         assert zs.mean() < 1.0
         assert np.quantile(zs, 0.95) < 2.5
         assert zs.max() < 6.0
+
+    def test_monte_carlo_stderr_is_exact_propagation(self, design):
+        # chi is affine in the 15 x 16 probability table; its linear part L is
+        # read off the forward reference by pushing each unit table through it.
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        seed, samples = 4, 500
+        chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=seed, design=design)
+        seeds = np.random.SeedSequence(seed).spawn(16)
+        runs = [_qpt_probabilities_mc(rho, design, noise, samples, s)
+                for rho, s in zip(qpt_input_states().values(), seeds)]
+        probs, errs = np.array(runs).transpose(1, 2, 0)
+        base = forward_chi(np.zeros((15, 16)), design)
+        lin = np.stack([(forward_chi(unit.reshape(15, 16), design) - base).ravel()
+                        for unit in np.eye(240)], axis=1)
+        np.testing.assert_allclose(chi_mc.chi, forward_chi(probs, design), rtol=0, atol=1e-12)
+        want = np.sqrt(np.abs(lin) ** 2 @ (errs ** 2).ravel()).reshape(16, 16)
+        np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -343,16 +375,11 @@ class TestProcessFidelityValues:
 class TestHermiticityOfAssembledActions:
     def test_pipeline_channel_action_adjoint_symmetry(self, design):
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.1)
-        channel = noisy_cnot_channel(noise)
-        outputs = {}
-        for label, rho_in in qpt_input_states().items():
-            rho_out = apply_channel(channel, rho_in)
+        outputs = []
+        for rho_out in channel_outputs(noisy_cnot_channel(noise)):
             probs = [sequence_probability(s, rho_out, noise) for s in design.sequences]
-            outputs[label] = reconstruct_state(probs, design)
-        action = assemble_channel_action(outputs)
-        for m in range(4):
-            for n in range(4):
-                assert np.max(np.abs(action[(m, n)].conj().T - action[(n, m)])) < 1e-10
+            outputs.append(reconstruct_state(probs, design))
+        assert hermiticity_defect(assemble_channel_action(outputs)) < 1e-10
 
 
 class TestEntanglementThreshold:
