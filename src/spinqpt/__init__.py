@@ -67,7 +67,6 @@ from .process_matrix import (
     process_fidelity,
 )
 from .closed_form import (
-    CoefficientSet,
     averaged_cnot_output_11,
     chi_closed_form,
     chi_element_1111,

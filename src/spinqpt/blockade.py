@@ -64,13 +64,15 @@ class Project:
 
 @dataclass(frozen=True)
 class Evolve:
-    """Free exchange evolution; mean_time is in units of 1/g, positive and finite."""
+    """Free exchange evolution; mean_time is in units of 1/g, positive, and the
+    singlet's exchange phase 4 * mean_time is finite."""
 
     mean_time: float
 
     def __post_init__(self):
-        if not (self.mean_time > 0 and np.isfinite(self.mean_time)):
-            raise ValueError(f"Evolve mean time must be positive and finite, got {self.mean_time}")
+        if not 0.0 < self.mean_time <= np.finfo(float).max / 4.0:
+            raise ValueError("Evolve mean time must be positive with a finite exchange phase "
+                             f"4 * mean_time, got {self.mean_time}")
 
 
 @dataclass(frozen=True)

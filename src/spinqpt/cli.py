@@ -107,10 +107,7 @@ def write_report(report: dict, path: str | None, fmt: str, csv_rows=None, csv_he
 
 
 def _chi_payload(chi: np.ndarray) -> dict:
-    return {
-        "chi_real": [[float(x) for x in row] for row in chi.real],
-        "chi_imag": [[float(x) for x in row] for row in chi.imag],
-    }
+    return {"chi_real": chi.real.tolist(), "chi_imag": chi.imag.tolist()}
 
 
 def _base_params(args, extra: dict | None = None) -> dict:
@@ -232,15 +229,18 @@ def cmd_fidelity_sweep(args) -> int:
     if args.r_steps < 2 or not (0.0 <= args.r_min < args.r_max <= 1.0):
         _usage_error("invalid sweep grid: need --r-steps >= 2 and 0 <= --r-min < --r-max <= 1")
     gdtaus = args.gdtau_values
-    rs = np.linspace(args.r_min, args.r_max, args.r_steps).tolist()
-    rows = [(r, gdtau, closed_form.fidelity_closed_form(r, gdtau)) for gdtau in gdtaus for r in rs]
+    rs = np.linspace(args.r_min, args.r_max, args.r_steps)
+    rows = np.concatenate([
+        np.column_stack((rs, np.full_like(rs, gdtau), closed_form.fidelity_closed_form(rs, gdtau)))
+        for gdtau in gdtaus
+    ]).tolist()
     report = {
         "params": _base_params(args, {
             "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,
             "gdtau_values": gdtaus, "jobs": args.jobs,
         }),
         "columns": ["r", "gdtau", "F"],
-        "rows": [[float(a), float(b), float(c)] for a, b, c in rows],
+        "rows": rows,
         "seed": args.seed,
         "method": "closed-form",
     }
@@ -258,10 +258,10 @@ def cmd_entanglement_threshold(args) -> int:
     result = tomography.entanglement_threshold(design, gdtau=args.gdtau, tol=args.tol)
     report = {
         "params": _base_params(args, {"gdtau": args.gdtau, "tolerance": args.tol}),
-        "r_star": None if result.r_star is None else float(result.r_star),
-        "bracket_history": [[float(a), float(b)] for a, b in result.bracket_history],
-        "curve": [[float(r), float(v)] for r, v in result.curve],
-        "endpoints": {"r0": float(result.endpoint_low), "r1": float(result.endpoint_high)},
+        "r_star": result.r_star,
+        "bracket_history": result.bracket_history,
+        "curve": result.curve,
+        "endpoints": {"r0": result.endpoint_low, "r1": result.endpoint_high},
         "message": result.message,
         "seed": args.seed,
         "method": "pipeline",

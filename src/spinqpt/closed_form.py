@@ -10,7 +10,9 @@ The 16x16 process matrix assembles from eleven 4x4 blocks in the fixed
 operator ordering of :mod:`spinqpt.process_matrix`; see
 :func:`chi_closed_form`.  Each entry is a polynomial in r with coefficients
 built from the families below.  Everything is evaluated in plain floating
-point; the expressions are well conditioned for gdtau <= 1.
+point; the expressions are well conditioned for gdtau <= 1.  :func:`coefficients`
+and :func:`fidelity_closed_form` also take an array of r: a whole sweep at one
+gdtau is one call, equal to the scalar calls exactly.
 
 :func:`chi_element_1111` provides the leading diagonal element through an
 independent explicit polynomial, and :func:`fidelity_closed_form` the process
@@ -20,7 +22,7 @@ F(r, 0) = (1 + 3r)^2 / 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,54 +30,19 @@ from .dynamics import dephasing_factor
 from .process_matrix import ProcessMatrix
 
 
-def _validated_dephasing(r: float, gdtau: float) -> float:
-    """Check the noise point and return d = exp(-2 gdtau^2)."""
-    if not 0.0 <= r <= 1.0:
+def _validated_dephasing(r, gdtau: float) -> float:
+    """Check the noise point (every r of an array; NaN fails) and return d = exp(-2 gdtau^2)."""
+    if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ValueError(f"polarization must lie in [0, 1], got {r}")
     return dephasing_factor(gdtau)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Every scalar entering the closed-form process matrix at one (r, gdtau)."""
-
-    r: float
-    gdtau: float
-    d: float
-    a_plus: float
-    a_minus: float
-    b_plus: float
-    b_minus: float
-    c_plus: float
-    c_minus: float
-    beta1_plus: float
-    beta1_minus: float
-    beta2_plus: float
-    beta2_minus: float
-    beta3_plus: float
-    beta3_minus: float
-    alpha1_pp: float
-    alpha1_pm: float
-    alpha1_mp: float
-    alpha1_mm: float
-    alpha2_pp: float
-    alpha2_pm: float
-    alpha2_mp: float
-    alpha2_mm: float
-    alpha3_pp: float
-    alpha3_pm: float
-    alpha3_mp: float
-    alpha3_mm: float
-    alpha4_plus: float
-    alpha4_minus: float
-    alpha5_plus: float
-    alpha5_minus: float
-    alpha6_plus: complex
-    alpha6_minus: complex
-
-
-def coefficients(r: float, gdtau: float) -> CoefficientSet:
+def coefficients(r, gdtau: float) -> SimpleNamespace:
     """Evaluate every coefficient family at the given noise point.
+
+    r may be a float or a numpy array: the families in d alone (a, b, c, beta,
+    alpha5) stay Python floats and the other alphas take the shape of r,
+    elementwise the exact floats of a scalar call (same operations, same order).
 
     For the two-subscript alpha families the first sign picks the sign of the
     r-linear term and the second selects the +/- member of the beta or a
@@ -92,7 +59,7 @@ def coefficients(r: float, gdtau: float) -> CoefficientSet:
     beta3_p = a_p - d ** 4 * a_m
     beta3_m = a_m - d ** 4 * a_p
     r2 = r * r
-    return CoefficientSet(
+    return SimpleNamespace(
         r=r, gdtau=gdtau, d=d,
         a_plus=a_p, a_minus=a_m,
         b_plus=b_p, b_minus=b_m,
@@ -121,7 +88,7 @@ def coefficients(r: float, gdtau: float) -> CoefficientSet:
     )
 
 
-def _blocks(c: CoefficientSet) -> dict:
+def _blocks(c: SimpleNamespace) -> dict:
     r = c.r
     m1 = np.array([
         [c.alpha1_pp, c.alpha1_pm, c.alpha1_mp, c.alpha1_mm],
@@ -248,8 +215,10 @@ def averaged_cnot_output_11(gdtau: float) -> np.ndarray:
     return out / 8.0
 
 
-def fidelity_closed_form(r: float, gdtau: float) -> float:
+def fidelity_closed_form(r, gdtau: float):
     """Process fidelity of the noisy CNOT against the ideal gate.
+
+    r may be an array; the result is then an array like r, elementwise the scalar F.
 
     F(r, gdtau) = (1/32) [ alpha1_pp + alpha2_pp
                            + 2 (2 c+ r alpha3_pp + c+^2 r alpha4_+ + c+ r^2 alpha5_+) ].
@@ -258,12 +227,6 @@ def fidelity_closed_form(r: float, gdtau: float) -> float:
     timing noise alone stays below about five percent for gdtau <= 0.1.
     """
     c = coefficients(r, gdtau)
-    return (
-        c.alpha1_pp
-        + c.alpha2_pp
-        + 2.0 * (
-            2.0 * c.c_plus * r * c.alpha3_pp
-            + c.c_plus ** 2 * r * c.alpha4_plus
-            + c.c_plus * r * r * c.alpha5_plus
-        )
-    ) / 32.0
+    cp = c.c_plus
+    cross = 2.0 * cp * r * c.alpha3_pp + cp ** 2 * r * c.alpha4_plus + cp * r * r * c.alpha5_plus
+    return (c.alpha1_pp + c.alpha2_pp + 2.0 * cross) / 32.0

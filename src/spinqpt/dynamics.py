@@ -218,7 +218,9 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
         raise ValueError("gaussian_averaged_channel requires a Hermitian generator")
     energies, v = np.linalg.eigh(hermitize(h))
     gaps = energies[:, None] - energies[None, :]
-    damp = np.exp(-1j * gaps * tau0 - 0.5 * (gaps * delta_tau) ** 2)
+    with np.errstate(over="ignore"):     # an infinite spread is the exact 0 of full dephasing
+        spread = (gaps * delta_tau) ** 2
+    damp = np.exp(-1j * gaps * tau0 - 0.5 * spread)
     to_eigen = np.kron(v.T, v.conj().T)          # rho -> V† rho V
     weight = np.diag(damp.reshape(-1, order="F"))
     from_eigen = np.kron(v.conj(), v)            # rho -> V rho V†

@@ -445,7 +445,7 @@ def entanglement_threshold(
     poly = _output_probability_polynomial(gdtau, design)
     grid = np.linspace(0.0, 1.0, sweep_steps + 1)
     values = _reconstructed_negativity(grid, poly, design).tolist()
-    curve = tuple((float(r), float(v)) for r, v in zip(grid, values))
+    curve = tuple(zip(grid.tolist(), values))
     entangled = [v > _NEGATIVITY_EPS for v in values]
     if entangled[0]:
         return ThresholdResult(

@@ -165,6 +165,14 @@ class TestFidelitySweep:
         assert len(rows) == 3
         assert all(math.isfinite(f) for _, _, f in rows)
 
+    def test_json_f_column_equals_scalar_calls(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run_cli("fidelity-sweep", "--r-steps", "101", "--gdtau-values", "0,0.1,0.37,1e300",
+                       "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 404
+        assert all(f == fidelity_closed_form(r, gdtau) for r, gdtau, f in rows)
+
 
 class TestEntanglementThreshold:
     def test_threshold_report(self, tmp_path):
@@ -235,7 +243,11 @@ class TestUsageErrors:
         # the shipped design with one transfer pulse of infinite duration
         (format_sequences(design_sequences(1.0).sequences).replace(
             f"E {math.pi / 4!r}", "E inf", 1), "Evolve mean time"),
-    ], ids=["bad-line", "one-sequence", "rank-deficient", "non-finite-evolve"])
+        # finite, but its exchange phase 4 * 1e308 is not
+        (format_sequences(design_sequences(1.0).sequences).replace(
+            f"E {math.pi / 4!r}", "E 1e308", 1), "Evolve mean time"),
+    ], ids=["bad-line", "one-sequence", "rank-deficient", "non-finite-evolve",
+            "overflowing-evolve-phase"])
     def test_bad_design_file_is_a_usage_error(self, tmp_path, capsys, command, contents, named):
         design = tmp_path / "design.txt"
         design.write_text(contents)
@@ -247,3 +259,22 @@ class TestUsageErrors:
         assert err.count("error:") == 1 and "Traceback" not in err
         assert len(err.splitlines()) == 1 and named in err
         assert not out.exists()
+
+
+class TestHugeGdtau:
+    """At huge gdtau every damping factor underflows to 0; the analytic routes
+    reach that fully dephased limit without an overflow warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gdtau", ["1e300", "1.7e308"])
+    @pytest.mark.parametrize("argv,progress", [
+        (("qpt", "--method", "pipeline"), "qpt[pipeline]"),
+        (("entanglement-threshold",), "entanglement-threshold:"),
+    ], ids=["pipeline", "threshold"])
+    def test_finite_report_and_only_progress_on_stderr(self, tmp_path, capsys, argv, progress,
+                                                       gdtau):
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--gdtau", gdtau, "--out", str(out)) == 0
+        canonical_json(json.loads(out.read_text()))     # raises on a non-finite number
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith(progress) and lines[1].startswith("(")

@@ -218,3 +218,38 @@ class TestFidelityClosedForm:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[0] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestArrayClosedForm:
+    """An array of r goes through the same floating-point operations as each scalar."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rs=st.lists(st.floats(0.0, 1.0), max_size=40).map(lambda v: np.array([0.0, 1.0, *v])),
+        gdtau=st.floats(0.0, 2.0) | st.just(1e300),
+    )
+    def test_array_equals_scalar_calls_exactly(self, rs, gdtau):
+        expected = [fidelity_closed_form(float(r), gdtau) for r in rs]
+        assert fidelity_closed_form(rs, gdtau).tolist() == expected
+
+    def test_scalar_r_returns_python_float(self):
+        assert type(fidelity_closed_form(0.6, 0.1)) is float
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, float("nan")])
+    def test_one_bad_value_rejects_the_array(self, bad):
+        rs = np.linspace(0.0, 1.0, 7)
+        rs[3] = bad
+        with pytest.raises(ValueError, match="polarization"):
+            fidelity_closed_form(rs, 0.1)
+        with pytest.raises(ValueError, match="polarization"):
+            coefficients(rs, 0.1)
+
+    def test_coefficients_of_an_array(self):
+        rs = np.linspace(0.0, 1.0, 5).reshape(1, 5)
+        c = coefficients(rs, 0.1)
+        for name in ("alpha1_pp", "alpha2_mm", "alpha3_pm", "alpha4_minus", "alpha6_plus"):
+            assert getattr(c, name).shape == rs.shape
+        for name in ("d", "a_plus", "b_minus", "c_plus", "beta1_plus", "beta3_minus",
+                     "alpha5_plus", "alpha5_minus"):
+            assert type(getattr(c, name)) is float
+        assert c.alpha6_minus.dtype == complex
