@@ -286,9 +286,10 @@ def propagate_sequence_samples(
       trajectory collapses onto its branch and is renormalized; after the
       last one it is left as the projection read it.
 
-    Draws, for every trajectory regardless of alive: one normal per Evolve,
-    then two uniforms per projection (readout branch, Born acceptance), in
-    step order, so the stream layout is deterministic.
+    Draws, for every trajectory regardless of alive: one normal per Evolve
+    (dispersion noise.sampled_delta_tau), then two uniforms per projection
+    (readout branch, Born acceptance), in step order, so the stream layout
+    is deterministic.
     """
     n = psi.shape[0]
     psi = np.asfortranarray(psi, dtype=complex)
@@ -304,7 +305,7 @@ def propagate_sequence_samples(
             pending = None
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
-            phase = rng.normal(step.mean_time / noise.g, noise.delta_tau, size=n)
+            phase = rng.normal(step.mean_time / noise.g, noise.sampled_delta_tau, size=n)
             phase *= 4.0 * noise.g
             rotor = np.empty(n, dtype=complex)
             np.cos(phase, out=rotor.real)

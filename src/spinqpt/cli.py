@@ -14,11 +14,15 @@ reruns compare clean.  Exit status: 0 on success, 1 when ``ideal-check`` finds
 a tolerance violated, 2 on a usage error (bad option value, sweep grid, path
 or ``--design-file`` contents: one ``error:`` line, no report).
 ``fidelity-sweep --jobs`` is echoed, not used.
+
+The argument parser is built once per process; ``main`` dispatches on the
+subcommand to the ``cmd_*`` function of this module.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,8 +60,31 @@ def _fmt_float(x: float) -> str:
     return out
 
 
+_FMT17 = "{:.17g}".format
+
+
+def _float_row(row) -> str | None:
+    """canonical_json of a non-empty list or tuple of floats in one pass; None for anything else.
+
+    Only integral and non-finite values give a token with neither "." nor "e":
+    those go through _fmt_float, which adds the float marker or raises.
+    """
+    if not isinstance(row, (list, tuple)) or not row or not all(type(x) is float for x in row):
+        return None
+    tokens = list(map(_FMT17, row))
+    for token in tokens:
+        if "." not in token and "e" not in token:
+            tokens = [t if "." in t or "e" in t else _fmt_float(x) for x, t in zip(row, tokens)]
+            break
+    return "[" + ", ".join(tokens) + "]"
+
+
 def canonical_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys.
+
+    A row of floats, and a list of such rows, is formatted a row at a time;
+    everything else recurses value by value.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -80,6 +107,17 @@ def canonical_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
+        row = _float_row(value)
+        if row is not None:
+            return row
+        rows = []
+        for item in value:
+            row = _float_row(item)
+            if row is None:
+                break
+            rows.append(inner + row)
+        else:
+            return "[\n" + ",\n".join(rows) + f"\n{pad}]"
         scalars = all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value)
         if scalars:
             return "[" + ", ".join(canonical_json(v) for v in value) + "]"
@@ -94,8 +132,9 @@ def write_report(report: dict, path: str | None, fmt: str, csv_rows=None, csv_he
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("this subcommand has no CSV form")
+        row_format = ",".join(["%.12g"] * len(csv_header.split(",")))
         lines = [csv_header]
-        lines += [",".join(format(x, ".12g") for x in row) for row in csv_rows]
+        lines += [row_format % tuple(row) for row in csv_rows]
         payload = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -226,8 +265,8 @@ def cmd_qpt(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_fidelity_sweep(args) -> int:
-    if args.r_steps < 2 or not (0.0 <= args.r_min < args.r_max <= 1.0):
-        _usage_error("invalid sweep grid: need --r-steps >= 2 and 0 <= --r-min < --r-max <= 1")
+    if not 0.0 <= args.r_min < args.r_max <= 1.0:
+        _usage_error("invalid sweep grid: need 0 <= --r-min < --r-max <= 1")
     gdtaus = args.gdtau_values
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
     rows = np.concatenate([
@@ -300,7 +339,12 @@ _polarization = _number(float, lambda x: 0.0 <= x <= 1.0, "a polarization in [0,
 _gdtau = _number(float, lambda x: 0.0 <= x < math.inf, "a finite gdtau >= 0")
 _tolerance = _number(float, lambda x: 0.0 < x < math.inf, "a finite tolerance > 0")
 _sample_count = _number(int, lambda n: n >= 1, "a sample count >= 1")
-_coupling_mev = _number(float, lambda x: 0.0 < x < math.inf, "a finite coupling > 0 in meV")
+_coupling_mev = _number(
+    float, lambda x: 0.0 < x < math.inf and all(map(math.isfinite, times_in_picoseconds(x).values())),
+    "a coupling > 0 in meV with finite pulse times")
+#: Largest --r-steps: 10**7 points per gdtau already make a report of several hundred MB.
+_MAX_R_STEPS = 10_000_000
+_r_steps = _number(int, lambda n: 2 <= n <= _MAX_R_STEPS, f"a step count in [2, {_MAX_R_STEPS}]")
 _seed = _number(int, lambda n: n >= 0, "a seed >= 0")
 
 
@@ -327,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_count, default=20)
     p.add_argument("--inject-angle-error", action="store_true",
                    help="test hook: perturb one rotation angle to force a failure")
-    p.set_defaults(func=cmd_ideal_check)
 
     p = sub.add_parser("qpt", parents=[common], help="emit a process matrix")
     p.add_argument("--r", type=_polarization, default=1.0)
@@ -338,20 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trajectories per probability in montecarlo mode")
     p.add_argument("--design-file", default=None,
                    help="custom 15-sequence design, blank-line separated line format")
-    p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("fidelity-sweep", parents=[common],
                        help="closed-form process fidelity over a polarization grid")
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--r-steps", type=int, default=21)
+    p.add_argument("--r-steps", type=_r_steps, default=21)
     p.add_argument("--gdtau-values", type=_gdtau_list, default="0,0.1",
                    help="comma-separated gdtau values, one sweep per value")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and echoed in the report; "
                         "the sweep always runs in-process, so it changes nothing")
-    p.set_defaults(func=cmd_fidelity_sweep)
 
     p = sub.add_parser("entanglement-threshold", parents=[common],
                        help="smallest polarization with entangled reconstructed output")
@@ -359,15 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.add_argument("--design-file", default=None,
                    help="custom 15-sequence design, blank-line separated line format")
-    p.set_defaults(func=cmd_entanglement_threshold)
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a wrapper installed on the module attribute runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()
     try:
-        status = args.func(args)
+        status = command(args)
     except OSError as exc:
         _usage_error(str(exc))
     print(f"({time.perf_counter() - start:.2f}s)", file=sys.stderr)

@@ -57,6 +57,10 @@ CNOT_TARGET.setflags(write=False)
 _HBAR_EV_S = 6.582119569e-16
 
 
+#: From this g*delta_tau on the timing noise dephases fully: d and every damping factor are 0.
+FULL_DEPHASING_GDTAU = 100.0
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """The three noise knobs: coupling g, time dispersion delta_tau, readout polarization r.
@@ -91,13 +95,24 @@ class NoiseParams:
         """d = exp(-2 (g delta_tau)^2), in [0, 1]."""
         return dephasing_factor(self.gdtau)
 
+    @property
+    def sampled_delta_tau(self) -> float:
+        """The dispersion Monte Carlo draws durations with: delta_tau, capped at the full-dephasing gdtau.
+
+        From that width on every sampled phase is uniform mod 2 pi to double
+        precision, and the draws stay far from overflow.
+        """
+        if self.gdtau < FULL_DEPHASING_GDTAU:
+            return self.delta_tau
+        return FULL_DEPHASING_GDTAU / self.g
+
 
 def dephasing_factor(gdtau: float) -> float:
     """d = exp(-2 gdtau^2) for a finite nonnegative gdtau."""
     if not 0.0 <= gdtau < math.inf:
         raise ValueError(f"gdtau must be finite and nonnegative, got {gdtau}")
     # exp underflows to 0.0 from gdtau ~ 19.3 on, long before gdtau ** 2 overflows.
-    return math.exp(-2.0 * gdtau ** 2) if gdtau < 100.0 else 0.0
+    return math.exp(-2.0 * gdtau ** 2) if gdtau < FULL_DEPHASING_GDTAU else 0.0
 
 
 @dataclass(frozen=True)
@@ -236,6 +251,12 @@ def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
     return gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau)
 
 
+@functools.cache
+def _frame_channels() -> tuple:
+    """The noise-free entry H_A and exit CNOT_FRAME of the noisy CNOT as channels, built on first use."""
+    return QuantumChannel.from_unitary(hadamard("A")), QuantumChannel.from_unitary(CNOT_FRAME)
+
+
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses.
 
@@ -251,8 +272,7 @@ def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
-    entry = QuantumChannel.from_unitary(hadamard("A"))
-    exit_channel = QuantumChannel.from_unitary(CNOT_FRAME)
+    entry, exit_channel = _frame_channels()
     sigma = noise.delta_tau / math.sqrt(2.0)
     phase_part = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, sigma)
     leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
@@ -273,8 +293,8 @@ def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator) -> np.ndar
     schedule = GateSchedule.for_coupling(g)
     rz = local_rotation("X", "z", math.pi)
     hexch = exchange_hamiltonian(g)
-    s1 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
-    s2 = sample_duration(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, rng)
+    s1 = sample_duration(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, rng)
+    s2 = sample_duration(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, rng)
     core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
     return CNOT_FRAME @ core @ hadamard("A")
 

@@ -39,6 +39,7 @@ the search costs one small solve and one 4x4 eigenvalue problem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,7 +160,8 @@ def design_from_sequences(sequences, g: float) -> TomographyDesign:
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
-    matrix.setflags(write=False)
+    for array in (*effects, matrix):
+        array.setflags(write=False)
     return TomographyDesign(g=g, sequences=sequences, effects=effects, design_matrix=matrix)
 
 
@@ -168,8 +170,14 @@ def design_sequences(g: float) -> TomographyDesign:
 
     Sequence #1 is the bare two-projection transfer sequence whose ideal
     effect is the |1><1| population.  Dropping any single sequence lowers the
-    rank to 15 (the design is minimal).
+    rank to 15 (the design is minimal).  Built once per value of g; its
+    arrays are read-only.
     """
+    return _shipped_design(float(g))
+
+
+@functools.lru_cache(maxsize=32)
+def _shipped_design(g: float) -> TomographyDesign:
     sequences = [_pair_sequence("z", "z")]
     sequences += [_edge_sequence(axis) for axis in _AXES]
     sequences += [_inner_sequence(axis) for axis in _AXES]
@@ -252,7 +260,8 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     """n independently sampled noisy-CNOT outputs of one pure state, CNOT_FRAME not yet applied.
 
     Draws s1 then s2, the two isolation-pulse durations, each Normal(tau0/2,
-    delta_tau/2) and n at a time.  The pulses act as exp(-i g (s1+s2) sz sz)
+    delta_tau/2) with delta_tau capped as noise.sampled_delta_tau, n at a
+    time.  The pulses act as exp(-i g (s1+s2) sz sz)
     times a flip-flop rotation by 2g (s1-s2) within {|ud>, |du>}; taking out
     the global phase exp(i g (s1+s2)), |uu> and |dd> carry exp(-2i g (s1+s2))
     and the middle pair only the rotation.  Returns the F-ordered (n, 4)
@@ -263,8 +272,8 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     g = noise.g
     schedule = GateSchedule.for_coupling(g)
     a = hadamard("A") @ state
-    s1 = rng.normal(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, size=n)
-    s2 = rng.normal(schedule.tau0_cnot / 2.0, noise.delta_tau / 2.0, size=n)
+    s1 = rng.normal(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, size=n)
+    s2 = rng.normal(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, size=n)
     outer = -2.0 * g * (s1 + s2)
     angle = 2.0 * g * (s1 - s2)
     phase = np.empty(n, dtype=complex)
@@ -437,7 +446,8 @@ def entanglement_threshold(
     number of projections in a sequence).  A bracketing sweep over
     sweep_steps intervals, reconstructed in one solve and tested with one
     batched eigenvalue call, guards against non-monotonic pathologies before
-    bisecting the first sign change of the negativity down to width tol; each
+    bisecting the first sign change of the negativity down to width tol, or
+    to two adjacent doubles when tol is finer than their spacing; each
     bisection step is one 4x4 evaluation of the same polynomial.
     """
     if tol <= 0:
@@ -464,6 +474,8 @@ def entanglement_threshold(
     history = [(lo, hi)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # lo and hi are adjacent doubles: tol is below their spacing
+            break
         if _reconstructed_negativity(mid, poly, design) > _NEGATIVITY_EPS:
             hi = mid
         else:

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import canonical_json_reference as reference
+from spinqpt import cli
 from spinqpt.blockade import format_sequences
 from spinqpt.cli import canonical_json, main
 from spinqpt.closed_form import chi_closed_form, fidelity_closed_form
@@ -14,6 +17,27 @@ from spinqpt.tomography import design_sequences
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1.0, -3.0, 1e16, 1e17, -1e17, 5e-324, -5e-324, 0.1, 2.0 ** 53, 1e300]),
+    st.integers(-10 ** 18, 10 ** 18).map(float),
+)
+_float_rows = st.one_of(st.lists(_floats, min_size=1, max_size=5),
+                        st.lists(_floats, min_size=1, max_size=5).map(tuple))
+_mixed_rows = st.lists(st.one_of(_floats, _floats.map(np.float64), st.integers(-99, 99), st.booleans()),
+                       max_size=5)
+_json_values = st.recursive(
+    st.one_of(_floats, _floats.map(np.float64), st.integers(), st.booleans(), st.none(),
+              st.text(max_size=3), _float_rows, _mixed_rows, st.lists(_float_rows, max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=24,
+)
 
 
 class TestCanonicalJson:
@@ -30,6 +54,21 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("shape", ["row", "tuple-row", "rows", "tuple-rows"])
+    def test_rejects_non_finite_anywhere_in_a_row(self, bad, position, shape):
+        row = [0.5, 2.0, 1e17]
+        row[position] = bad
+        value = {"row": row, "tuple-row": tuple(row), "rows": [[0.25, 1.0, 3.5], row],
+                 "tuple-rows": ((0.25, 1.0, 3.5), tuple(row))}[shape]
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json({"v": value})
+
+    @given(_json_values)
+    def test_same_text_as_the_recursive_reference(self, value):
+        assert canonical_json(value) == reference.canonical_json(value)
 
 
 class TestIdealCheck:
@@ -225,14 +264,40 @@ class TestUsageErrors:
         ("qpt", "--g-mev", "inf"),
         ("ideal-check", "--seed", "-1"),
         ("qpt", "--method", "montecarlo", "--seed", "-1"),
+        (),
+        ("bogus-command",),
+        ("qpt", "--g-mev", "1e-310"),           # pulse times overflow to inf
+        ("ideal-check", "--g-mev", "1e-320"),
+        ("qpt", "--method", "exact"),
+        ("qpt", "--samples", "1e3"),
+        ("qpt", "--seed", "1.5"),
+        ("qpt", "--r", ""),
+        ("qpt", "--design-file", "{tmp}"),        # a directory
+        ("qpt", "--method", "pipeline", "--design-file", "{binary}"),
+        ("entanglement-threshold", "--gdtau", "1e309"),
+        ("entanglement-threshold", "--tol", "-1"),
+        ("entanglement-threshold", "--design-file", "{binary}"),
+        ("fidelity-sweep", "--r-steps", "100000000000000000000"),
+        ("fidelity-sweep", "--r-steps", "10000001"),
+        ("fidelity-sweep", "--r-steps", "2.5"),
+        ("fidelity-sweep", "--gdtau-values", ""),
+        ("fidelity-sweep", "--gdtau-values", "0,,0.1"),
+        ("fidelity-sweep", "--r-min", "nan"),
+        ("fidelity-sweep", "--r-max", "inf"),
+        ("fidelity-sweep", "--jobs", "two"),
+        ("fidelity-sweep", "--format", "xml"),
     ])
     def test_exit_2_with_error_line_and_no_report(self, tmp_path, capsys, argv):
+        # Every value reachable through argv is checked here: none ends in a traceback.
+        binary = tmp_path / "design.bin"
+        binary.write_bytes(b"\xff\xfe\x00R X z 1\n")
         out = tmp_path / "report"
-        argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+        argv = [a.format(missing=tmp_path / "missing.txt", tmp=tmp_path, binary=binary) for a in argv]
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--out", str(out))
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" in err.splitlines()[-1]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["qpt", "entanglement-threshold"])
@@ -261,16 +326,47 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+class TestCachedParser:
+    """The parser is built once per process; no option carries over between calls."""
+
+    def test_consecutive_calls_leak_no_state(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("fidelity-sweep", "--gdtau-values", "0.3", "--r-steps", "3", "--format", "json",
+                       "--out", str(first)) == 0
+        assert run_cli("fidelity-sweep", "--format", "json", "--out", str(second)) == 0
+        report = json.loads(second.read_text())
+        assert report["params"]["gdtau_values"] == [0.0, 0.1] and report["params"]["r_steps"] == 21
+        assert sorted({gdtau for _, gdtau, _ in report["rows"]}) == [0.0, 0.1]
+        assert len(report["rows"]) == 42
+
+    def test_qpt_defaults_restored(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        run_cli("qpt", "--method", "pipeline", "--r", "0.5", "--gdtau", "0.2", "--out", str(first))
+        run_cli("qpt", "--out", str(second))
+        report = json.loads(second.read_text())
+        assert report["method"] == "closed-form"
+        assert (report["params"]["r"], report["params"]["gdtau"]) == (1.0, 0.0)
+
+    def test_dispatch_reads_the_module_attribute(self, tmp_path, monkeypatch):
+        assert run_cli("fidelity-sweep", "--out", str(tmp_path / "sweep.csv")) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fidelity_sweep", lambda args: calls.append(args.r_steps) or 0)
+        assert run_cli("fidelity-sweep", "--r-steps", "7") == 0
+        assert calls == [7]
+
+
 class TestHugeGdtau:
     """At huge gdtau every damping factor underflows to 0; the analytic routes
-    reach that fully dephased limit without an overflow warning."""
+    reach that fully dephased limit without an overflow warning, and Monte
+    Carlo draws its durations at the full-dephasing cut."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gdtau", ["1e300", "1.7e308"])
     @pytest.mark.parametrize("argv,progress", [
         (("qpt", "--method", "pipeline"), "qpt[pipeline]"),
         (("entanglement-threshold",), "entanglement-threshold:"),
-    ], ids=["pipeline", "threshold"])
+        (("qpt", "--method", "montecarlo", "--samples", "200"), "qpt[montecarlo]"),
+    ], ids=["pipeline", "threshold", "montecarlo"])
     def test_finite_report_and_only_progress_on_stderr(self, tmp_path, capsys, argv, progress,
                                                        gdtau):
         out = tmp_path / "report.json"

@@ -112,6 +112,19 @@ class TestDesign:
         assert a.sequences == b.sequences
         np.testing.assert_array_equal(a.design_matrix, b.design_matrix)
 
+    def test_built_once_per_coupling(self):
+        assert design_sequences(1.0) is design_sequences(1)
+        assert design_sequences(2.0) is not design_sequences(1.0)
+        assert design_sequences(2.0).g == 2.0
+
+    def test_cached_design_is_read_only(self):
+        design = design_sequences(1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            design.effects[0][0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            design.design_matrix[0, 0] = 0.5
+        assert design_sequences(1.0).effects[0][0, 0] == 1.0
+
     def test_custom_design_requires_fifteen_sequences(self, design):
         with pytest.raises(ValueError, match="exactly 15"):
             design_from_sequences(design.sequences[:14], g=1.0)
@@ -326,6 +339,24 @@ class TestRunQpt:
         want = np.sqrt(np.abs(lin) ** 2 @ (errs ** 2).ravel()).reshape(16, 16)
         np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_monte_carlo_at_full_dephasing_without_overflow(self, design):
+        # gdtau = 1.7e308 draws its durations at the full-dephasing cut, where the
+        # sampled phases are already uniform, and agrees with the exact pipeline.
+        noise = NoiseParams.from_dimensionless(r=1.0, gdtau=1.7e308)
+        pipeline = run_qpt(noise, method="pipeline", design=design)
+        assert process_fidelity(pipeline, ideal_cnot_chi()) == pytest.approx(0.21875, abs=1e-12)
+        mc = run_qpt(noise, method="monte_carlo", mc_samples=2000, seed=5, design=design)
+        ideal = ideal_cnot_chi().chi
+        # F is 1/16 of the sum of Re chi over the 16 unit entries of the ideal chi,
+        # so the sum of their standard errors bounds F's.
+        sigma = float(np.sum(np.abs(ideal) * mc.stderr)) / 16.0
+        assert abs(process_fidelity(mc, ideal_cnot_chi()) - 0.21875) < 5.0 * sigma
+        sampled = mc.stderr > 1e-12
+        z = np.abs(mc.chi - pipeline.chi)[sampled] / mc.stderr[sampled]
+        assert np.max(z) < 6.0
+        assert np.max(np.abs(mc.chi - pipeline.chi)[~sampled], initial=0.0) < 1e-12
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_qpt(NoiseParams(), method="variational")
@@ -430,6 +461,12 @@ class TestEntanglementThreshold:
     def test_rejects_bad_tolerance(self, design):
         with pytest.raises(ValueError):
             entanglement_threshold(design, gdtau=0.0, tol=0.0)
+
+    def test_tolerance_below_double_spacing_stops_at_adjacent_doubles(self, design):
+        result = entanglement_threshold(design, gdtau=0.0, tol=1e-300)
+        lo, hi = result.bracket_history[-1]
+        assert hi == np.nextafter(lo, 1.0) and result.r_star == hi
+        assert len(result.bracket_history) < 64
 
 
 class TestForwardReferenceEquivalence:
