@@ -36,6 +36,7 @@ product and no complex exponential is needed.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -270,10 +271,11 @@ def propagate_sequence_samples(
     """Run one batch of pure-state trajectories through a sequence.
 
     psi is (n, 4), one state per row, worked on as the four contiguous
-    columns of an F-ordered complex array (updated in place if psi is one,
-    else copied first); alive marks trajectories whose declared outcomes have
-    all occurred so far and is updated in place.  lead, if given, is a
-    noise-free unitary applied before the first step.
+    columns of an F-ordered complex array (updated in place if psi is a
+    writeable one, else copied before the first write); alive marks
+    trajectories whose declared outcomes have all occurred so far and is
+    updated in place.  lead, if given, is a noise-free unitary applied
+    before the first step.
 
     * Each run of noise-free unitaries (lead first, then rotations) is fused
       into one 4x4 matrix and applied column by column.
@@ -303,6 +305,8 @@ def propagate_sequence_samples(
         if pending is not None:
             psi = _apply_unitary(psi, pending)
             pending = None
+        elif not psi.flags.writeable:
+            psi = psi.copy(order="F")
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
             phase = rng.normal(step.mean_time / noise.g, noise.sampled_delta_tau, size=n)
@@ -344,39 +348,55 @@ def sequence_probability_mc(
 
     Each trajectory draws a Gaussian duration per Evolve step, a Bernoulli
     readout branch per projection, and a Born-rule acceptance for the branch
-    projector; the estimate is the surviving fraction.
+    projector; the estimate is the surviving fraction.  Per chunk, rng draws
+    the starting states, then the sequence's own draws.
     """
-    return _survival_estimates(
-        [(seq, rng)], noise, n_samples, lambda m, chunk_rng: sample_initial_states(rho, m, chunk_rng)
-    )[0]
+    p_hat, cov = _survival_estimates(
+        [(seq, rng)], noise, n_samples, lambda m: sample_initial_states(rho, m, rng)
+    )
+    return McEstimate(estimate=float(p_hat[0]), stderr=float(np.sqrt(cov[0, 0])),
+                      n_samples=operator.index(n_samples))
 
 
-def _survival_estimates(runs, noise, n_samples, sample_states, lead=None) -> list:
-    """Surviving fraction of n_samples trajectories for each (sequence, rng) run.
+def _sample_count(n_samples) -> int:
+    """n_samples as an int; anything but an integer of at least 1, True included, is rejected."""
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        n = 0
+    if isinstance(n_samples, bool) or n < 1:
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    return n
 
-    Trajectories go in chunks of _MC_CHUNK; sample_states(m, rng) draws a
-    chunk's (m, 4) starting states from rng before the sequence draws its own,
-    and lead is the noise-free unitary that precedes every sequence.
-    Looping over the runs here, not per call, keeps the chunk buffers' heap in
-    use between sequences; a call per sequence made Monte Carlo QPT ~15% slower.
+
+def _survival_estimates(runs, noise, n_samples, sample_states, lead=None) -> tuple[np.ndarray, np.ndarray]:
+    """Surviving fractions of n_samples trajectories per (sequence, rng) run, and their covariance.
+
+    Trajectories go in chunks of _MC_CHUNK.  Per chunk, sample_states(m)
+    draws the (m, 4) starting states once; the batch is made read-only and
+    every run, in order, propagates it with its own rng, lead being the
+    noise-free unitary that precedes every sequence.  Runs that share a batch
+    are correlated, so the covariance of the fractions is returned in full:
+    (n_st / n - p_s p_t) / n, with n_st the number of trajectories that
+    survive both run s and run t.  The counts come from one product of the
+    chunk's 0/1 survival rows in doubles; every partial sum is an integer
+    below 2**53, so they are exact and do not depend on the summation order.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    estimates = []
-    for seq, rng in runs:
-        successes = 0
-        remaining = int(n_samples)
-        while remaining > 0:
-            m = min(remaining, _MC_CHUNK)
-            psi = sample_states(m, rng)
-            alive = np.ones(m, dtype=bool)
-            _, alive = propagate_sequence_samples(psi, alive, seq, noise, rng, lead=lead)
-            successes += int(alive.sum())
-            remaining -= m
-        p_hat = successes / n_samples
-        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
-        estimates.append(McEstimate(estimate=float(p_hat), stderr=stderr, n_samples=int(n_samples)))
-    return estimates
+    n = _sample_count(n_samples)
+    runs = list(runs)
+    counts = np.zeros((len(runs), len(runs)))
+    remaining = n
+    while remaining > 0:
+        m = min(remaining, _MC_CHUNK)
+        psi = sample_states(m)
+        psi.setflags(write=False)
+        survived = np.empty((len(runs), m))
+        for row, (seq, rng) in zip(survived, runs):
+            row[:] = propagate_sequence_samples(psi, np.ones(m, dtype=bool), seq, noise, rng, lead=lead)[1]
+        counts += survived @ survived.T
+        remaining -= m
+    p_hat = np.diag(counts) / n
+    return p_hat, (counts / n - np.outer(p_hat, p_hat)) / n
 
 
 # ----------------------------------------------------------------------------

@@ -27,9 +27,10 @@ through the gate superoperator at once, the 15 x 16 probabilities are one
 product with the sequences' noisy effects (back-propagated once each, see
 :func:`spinqpt.blockade.effect_polynomial`), and one solve with 16
 right-hand sides reconstructs every output.  A Monte Carlo mode replaces
-every analytic sequence probability with a sampled estimate, each
-trajectory passing through its own sampled gate, and propagates the
-binomial variances exactly through the same two linear maps.
+every analytic sequence probability with a sampled estimate.  Each
+trajectory passes through its own sampled gate, and one batch of gate draws
+per input is shared by its 15 sequences, so their estimates are correlated;
+their full covariance is propagated exactly through the same two linear maps.
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -295,21 +296,25 @@ def _qpt_probabilities_mc(
     n_samples: int,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled sequence probabilities for one pure input state, with standard errors.
+    """Sampled sequence probabilities for one pure input state, and their covariance.
 
-    Each sequence gets its own child stream of seed_seq; per chunk it draws
-    the gate's s1 and s2, then the sequence's own draws.
+    seed_seq spawns one child per sequence, in design order, then one for the
+    gate.  Per chunk the gate stream draws s1 then s2 for the whole chunk, and
+    that one batch of noisy-gate outputs is shared, read-only, by every
+    sequence, each drawing from its own stream in design order.  The 15
+    estimates are therefore correlated; the second result is their 15 x 15
+    covariance.
     """
     evals, evecs = np.linalg.eigh(hermitize(rho_in))
     if not evals[-1] > 1.0 - 1e-9:
         raise ValueError("Monte Carlo process tomography needs pure input states")
     state = evecs[:, -1]
-    rngs = [np.random.default_rng(child) for child in seed_seq.spawn(design.n_sequences)]
-    ests = _survival_estimates(
-        zip(design.sequences, rngs), noise, n_samples,
-        lambda m, rng: _mc_gate_batch(state, m, noise, rng), lead=CNOT_FRAME,
+    *seq_seeds, gate_seed = seed_seq.spawn(design.n_sequences + 1)
+    gate_rng = np.random.default_rng(gate_seed)
+    return _survival_estimates(
+        zip(design.sequences, map(np.random.default_rng, seq_seeds)), noise, n_samples,
+        lambda m: _mc_gate_batch(state, m, noise, gate_rng), lead=CNOT_FRAME,
     )
-    return np.array([e.estimate for e in ests]), np.array([e.stderr for e in ests])
 
 
 def _noisy_effects(design: TomographyDesign, g: float, delta_tau: float) -> np.ndarray:
@@ -347,9 +352,13 @@ def run_qpt(
                   them with ideal effects, and chi follows by linearity;
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate
-                  (mc_samples trajectories each, deterministic in the seed),
-                  with stderr the exact propagation of their binomial errors
-                  through reconstruction and assembly, sqrt(E|delta chi|^2).
+                  (mc_samples trajectories each, an integer of at least 1,
+                  deterministic in the seed).  An input's 15 sequences share
+                  its gate draws, so stderr is sqrt(diag(L Sigma L^H)): L the
+                  linear map from probabilities to chi (reconstruction, then
+                  assembly) and Sigma block-diagonal, one 15 x 15 covariance
+                  of the means per input, from the co-survival counts.  That
+                  is sqrt(E|delta chi|^2) per entry.
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -367,16 +376,18 @@ def run_qpt(
     else:
         seeds = np.random.SeedSequence(seed).spawn(16)
         runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s) for rho, s in zip(states, seeds)]
-        probs, errs = np.array(runs).transpose(1, 2, 0)      # each (15, 16)
+        probs = np.array([p for p, _ in runs]).T                 # (15, 16)
+        cov = np.array([c for _, c in runs])                     # (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))
     stderr = None
     if method == "monte_carlo":
-        # Output entry [m, n] is sum_s dual_s[m, n] p_s plus a constant, and the
-        # p_s are independent: their variances add with weights |dual_s[m, n]|^2.
+        # Output entry e = [m, n] of input i is sum_s dual[s, e] p_si plus a constant,
+        # so its variance is the quadratic form of the input's covariance; inputs are
+        # independent, so chi takes the outputs' variances with |weights|^2.
         dual = np.tensordot(np.linalg.inv(design.design_matrix)[:, : design.n_sequences],
-                            _PAULI_STACK, axes=(0, 0))
-        var = np.tensordot((errs ** 2).T, np.abs(dual) ** 2, axes=1)
-        stderr = np.sqrt(_assemble(_WEIGHTS_ABS2, var))
+                            _PAULI_STACK, axes=(0, 0)).reshape(design.n_sequences, DIM * DIM)
+        var = np.einsum("se,ise->ie", dual, cov @ dual.conj()).real
+        stderr = np.sqrt(np.maximum(_assemble(_WEIGHTS_ABS2, var), 0.0))
     return ProcessMatrix(chi=chi, ordering=CHI_LABELS, stderr=stderr)
 
 

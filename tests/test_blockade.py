@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinqpt.blockade import (
+    _MC_CHUNK,
     DOWN,
     Evolve,
     MeasureSequence,
@@ -337,6 +338,37 @@ class TestMonteCarlo:
             sequence_probability_mc(POPULATION_SEQ, basis_state(0), noise, 0,
                                     np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_samples", [2.5, True, np.float64(3.0)], ids=repr)
+    def test_rejects_non_integral_sample_count(self, n_samples):
+        # int(2.5) trajectories divided by 2.5 gave a biased estimate; True ran one.
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            sequence_probability_mc(POPULATION_SEQ, basis_state(1), noise, n_samples,
+                                    np.random.default_rng(0))
+
+    def test_accepts_numpy_integer_sample_count(self):
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        a = sequence_probability_mc(POPULATION_SEQ, basis_state(1), noise, np.int64(300),
+                                    np.random.default_rng(3))
+        b = sequence_probability_mc(POPULATION_SEQ, basis_state(1), noise, 300,
+                                    np.random.default_rng(3))
+        assert a == b and type(a.n_samples) is int
+
+    @pytest.mark.parametrize("seq,rho,r,gdtau,seed,n,estimate", [
+        (POPULATION_SEQ, pure_state([1, 0, 1, 0]), 0.8, 0.1, 11, 1000, 0.445),
+        (MeasureSequence(steps=(Rotate("X", "y", math.pi / 2), Project(UP), Evolve(TRANSFER),
+                                Project(UP))),
+         pure_state([1, 1j, 0, 0]), 0.6, 0.3, 2024, 20_000, 0.27795),
+        (MeasureSequence(steps=(Evolve(TRANSFER), Project(UP))), basis_state(0), 0.9, 1.0, 7,
+         _MC_CHUNK + 1234, 0.950341116250189),
+    ], ids=["population", "rotated-pair", "two-chunks"])
+    def test_stream_is_pinned(self, seq, rho, r, gdtau, seed, n, estimate):
+        # Recorded values: per chunk, rng draws the starting states and then the
+        # sequence's own draws.  The last case runs two chunks.
+        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+        est = sequence_probability_mc(seq, rho, noise, n, np.random.default_rng(seed))
+        assert est.estimate == estimate and est.n_samples == n
+
 
 def reference_propagate(psi, alive, seq, noise, rng):
     """The eigenbasis trajectory kernel: a BLAS product per rotation and per
@@ -435,6 +467,23 @@ class TestColumnKernel:
                                             np.random.default_rng(seed))
         expected = psi @ evolve_unitary(exchange_hamiltonian(g), tau * g / g).T
         assert_rows_equal_up_to_phase(out, expected, atol=1e-11)
+
+    def test_read_only_states_are_copied_not_written(self):
+        # Evolve first, no lead: a writeable F-ordered batch is updated in place,
+        # a read-only one is copied and comes out of the run bit for bit as it went in.
+        noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
+        seq = MeasureSequence(steps=(Evolve(TRANSFER), Project(UP), Evolve(TRANSFER), Project(UP)))
+        psi = np.asfortranarray(random_pure_states(np.random.default_rng(4), 200))
+        frozen = psi.copy(order="F")
+        frozen.setflags(write=False)
+        out, alive = propagate_sequence_samples(frozen, np.ones(200, bool), seq, noise,
+                                                np.random.default_rng(9))
+        np.testing.assert_array_equal(frozen, psi)
+        want, want_alive = propagate_sequence_samples(psi, np.ones(200, bool), seq, noise,
+                                                      np.random.default_rng(9))
+        assert want is psi
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(alive, want_alive)
 
 
 class TestSerialization:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinqpt.blockade import Evolve, Project, UP, sequence_probability
+from spinqpt import tomography
+from spinqpt.blockade import Evolve, Project, UP, propagate_sequence_samples, sequence_probability
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
 from spinqpt.dynamics import (
     CNOT_FRAME,
@@ -29,7 +30,7 @@ from spinqpt.process_matrix import (
     ideal_cnot_chi,
     process_fidelity,
 )
-from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, negativity, pure_state
+from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, hermitize, negativity, pure_state
 from spinqpt.blockade import format_sequences
 from spinqpt.cli import main
 from spinqpt.tomography import (
@@ -325,19 +326,75 @@ class TestRunQpt:
     def test_monte_carlo_stderr_is_exact_propagation(self, design):
         # chi is affine in the 15 x 16 probability table; its linear part L is
         # read off the forward reference by pushing each unit table through it.
+        # The table is replayed from the seed layout: input i takes child i of
+        # the seed; its children 0-14 feed the sequences and child 15 the gate
+        # batch all 15 share.  Sigma, the covariance of the table's entries, is
+        # one 15 x 15 block per input, built from the survival indicators.
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
         seed, samples = 4, 500
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=seed, design=design)
-        seeds = np.random.SeedSequence(seed).spawn(16)
-        runs = [_qpt_probabilities_mc(rho, design, noise, samples, s)
-                for rho, s in zip(qpt_input_states().values(), seeds)]
-        probs, errs = np.array(runs).transpose(1, 2, 0)
+        indicators = []
+        for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
+            *seq_seeds, gate_seed = child.spawn(16)
+            state = np.linalg.eigh(hermitize(rho))[1][:, -1]
+            batch = _mc_gate_batch(state, samples, noise, np.random.default_rng(gate_seed))
+            indicators.append([
+                propagate_sequence_samples(batch, np.ones(samples, bool), seq, noise,
+                                           np.random.default_rng(s), lead=CNOT_FRAME)[1]
+                for seq, s in zip(design.sequences, seq_seeds)])
+        hits = np.array(indicators, dtype=float)                 # (input, sequence, trajectory)
+        probs = hits.mean(axis=2)
+        dev = hits - probs[..., None]
+        blocks = dev @ dev.transpose(0, 2, 1) / samples**2       # covariance of the means
+        sigma = np.zeros((15, 16, 15, 16))                       # table entry (s, i) by (t, j)
+        for i in range(16):
+            sigma[:, i, :, i] = blocks[i]
+        sigma = sigma.reshape(240, 240)
         base = forward_chi(np.zeros((15, 16)), design)
         lin = np.stack([(forward_chi(unit.reshape(15, 16), design) - base).ravel()
                         for unit in np.eye(240)], axis=1)
-        np.testing.assert_allclose(chi_mc.chi, forward_chi(probs, design), rtol=0, atol=1e-12)
-        want = np.sqrt(np.abs(lin) ** 2 @ (errs ** 2).ravel()).reshape(16, 16)
+        np.testing.assert_allclose(chi_mc.chi, forward_chi(probs.T, design), rtol=0, atol=1e-12)
+        want = np.sqrt(np.einsum("ea,ab,eb->e", lin, sigma, lin.conj()).real).reshape(16, 16)
         np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (1.0, 1.0)])
+    def test_monte_carlo_error_bars_cover(self, design, r, gdtau):
+        # Pooled over seeds, |chi_mc - chi_pipe| < 2 stderr for between 0.954
+        # (a real normal deviation) and 0.982 (a circular complex one) of the
+        # entries; gdtau = 1 is where the covariance term matters most.
+        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+        chi_pipe = run_qpt(noise, method="pipeline", design=design)
+        covered = []
+        for seed in range(6):
+            chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=2000, seed=seed, design=design)
+            sampled = chi_mc.stderr > 1e-12
+            covered.append((np.abs(chi_mc.chi - chi_pipe.chi) < 2.0 * chi_mc.stderr)[sampled])
+        assert 0.93 <= np.mean(np.concatenate(covered)) <= 0.995
+
+    def test_monte_carlo_gate_batch_shared_read_only(self, design, monkeypatch):
+        # One gate batch per input and chunk, read-only, and bit for bit the same
+        # after its 15 sequences ran as when it was drawn.
+        batches = []
+
+        def recording_batch(*args):
+            batch = _mc_gate_batch(*args)
+            batches.append((batch, batch.copy()))
+            return batch
+
+        monkeypatch.setattr(tomography, "_mc_gate_batch", recording_batch)
+        noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
+        p, cov = _qpt_probabilities_mc(qpt_input_states()[("+", 0, 1)], design, noise, 300,
+                                       np.random.SeedSequence(8))
+        assert len(batches) == 1 and p.shape == (15,) and cov.shape == (15, 15)
+        batch, drawn = batches[0]
+        assert not batch.flags.writeable
+        np.testing.assert_array_equal(batch, drawn)
+
+    @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0)], ids=repr)
+    def test_monte_carlo_rejects_non_integral_sample_count(self, samples):
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            run_qpt(noise, method="monte_carlo", mc_samples=samples)
 
     @pytest.mark.filterwarnings("error")
     def test_monte_carlo_at_full_dephasing_without_overflow(self, design):
