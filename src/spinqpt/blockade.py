@@ -244,7 +244,7 @@ def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("cannot sample from a zero state")
     probs = probs / total
     idx = rng.choice(DIM, size=n, p=probs)
-    return evecs[:, idx].T.astype(complex)
+    return evecs[:, idx].T.astype(complex, order="F")
 
 
 def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -60,29 +60,29 @@ def _fmt_float(x: float) -> str:
     return out
 
 
-_FMT17 = "{:.17g}".format
+def _float_table(table: np.ndarray, inner: str) -> str:
+    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
 
-
-def _float_row(row) -> str | None:
-    """canonical_json of a non-empty list or tuple of floats in one pass; None for anything else.
-
-    Only integral and non-finite values give a token with neither "." nor "e":
-    those go through _fmt_float, which adds the float marker or raises.
+    One "%" format writes the whole table with _fmt_float's bytes: "%.17g",
+    except where .17g would print a bare integer (a finite integral value
+    below 1e17 in size), which takes "%.1f", the same digits with the ".0"
+    marker.  Rows with the same pattern of such values share a row format.
     """
-    if not isinstance(row, (list, tuple)) or not row or not all(type(x) is float for x in row):
-        return None
-    tokens = list(map(_FMT17, row))
-    for token in tokens:
-        if "." not in token and "e" not in token:
-            tokens = [t if "." in t or "e" in t else _fmt_float(x) for x, t in zip(row, tokens)]
-            break
-    return "[" + ", ".join(tokens) + "]"
+    if not np.isfinite(table).all():
+        raise ValueError("reports must not contain non-finite numbers")
+    bare = (table == np.trunc(table)) & (np.abs(table) < 1e17)
+    packed = np.ascontiguousarray(np.packbits(bare, axis=1))
+    patterns = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+    row_format = {p: "[" + ", ".join(["%.1f" if b else "%.17g" for b in mask]) + "]"
+                  for p, mask in dict(zip(patterns, bare.tolist())).items()}
+    return (",\n" + inner).join([row_format[p] for p in patterns]) % tuple(table.ravel().tolist())
 
 
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
-    A row of floats, and a list of such rows, is formatted a row at a time;
+    A 2-D float64 array, a list of equal-width rows of floats and a row of
+    floats are written as a table by one format; other arrays are refused and
     everything else recurses value by value.
     """
     pad = "  " * indent
@@ -104,20 +104,22 @@ def canonical_json(value, indent: int = 0) -> str:
         for key in sorted(value):
             items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(x) is float for x in value):
+            return _float_table(np.array([value]), inner)
+        width = len(value[0]) if isinstance(value[0], (list, tuple)) else 0
+        if width and all(isinstance(row, (list, tuple)) and len(row) == width
+                         and all(type(x) is float for x in row) for row in value):
+            value = np.array(value)
+    if isinstance(value, np.ndarray):
+        if value.ndim != 2 or value.dtype != np.float64:
+            raise TypeError(f"cannot serialize a {value.ndim}-D {value.dtype} array")
+        if not value.size:
+            return canonical_json(value.tolist(), indent)
+        return "[\n" + inner + _float_table(value, inner) + f"\n{pad}]"
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
-        row = _float_row(value)
-        if row is not None:
-            return row
-        rows = []
-        for item in value:
-            row = _float_row(item)
-            if row is None:
-                break
-            rows.append(inner + row)
-        else:
-            return "[\n" + ",\n".join(rows) + f"\n{pad}]"
         scalars = all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value)
         if scalars:
             return "[" + ", ".join(canonical_json(v) for v in value) + "]"
@@ -132,10 +134,8 @@ def write_report(report: dict, path: str | None, fmt: str, csv_rows=None, csv_he
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("this subcommand has no CSV form")
-        row_format = ",".join(["%.12g"] * len(csv_header.split(",")))
-        lines = [csv_header]
-        lines += [row_format % tuple(row) for row in csv_rows]
-        payload = "\n".join(lines) + "\n"
+        table_format = "\n".join([",".join(["%.12g"] * csv_rows.shape[1])] * len(csv_rows))
+        payload = f"{csv_header}\n{table_format % tuple(csv_rows.ravel().tolist())}\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
@@ -146,7 +146,7 @@ def write_report(report: dict, path: str | None, fmt: str, csv_rows=None, csv_he
 
 
 def _chi_payload(chi: np.ndarray) -> dict:
-    return {"chi_real": chi.real.tolist(), "chi_imag": chi.imag.tolist()}
+    return {"chi_real": chi.real, "chi_imag": chi.imag}
 
 
 def _base_params(args, extra: dict | None = None) -> dict:
@@ -272,7 +272,7 @@ def cmd_fidelity_sweep(args) -> int:
     rows = np.concatenate([
         np.column_stack((rs, np.full_like(rs, gdtau), closed_form.fidelity_closed_form(rs, gdtau)))
         for gdtau in gdtaus
-    ]).tolist()
+    ])
     report = {
         "params": _base_params(args, {
             "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,

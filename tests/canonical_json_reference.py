@@ -1,8 +1,9 @@
 """Reference serializer: the value-by-value recursive ``canonical_json``.
 
-``spinqpt.cli.canonical_json`` formats rows of floats a row at a time; this
-is the plain recursion it replaced, kept verbatim so the tests can check that
-both write the same text.
+``spinqpt.cli.canonical_json`` writes each table of floats (a 2-D float64
+array, a list of equal-width rows of floats, or one row) with a single ``%``
+format; this is the plain recursion it replaced, kept verbatim so the tests
+can check that both write the same text.
 """
 
 import json

@@ -24,6 +24,7 @@ from spinqpt.blockade import (
     parse_sequences,
     propagate_sequence_samples,
     rotation_unitary,
+    sample_initial_states,
     sequence_probability,
     sequence_probability_mc,
 )
@@ -368,6 +369,11 @@ class TestMonteCarlo:
         noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
         est = sequence_probability_mc(seq, rho, noise, n, np.random.default_rng(seed))
         assert est.estimate == estimate and est.n_samples == n
+
+    def test_initial_states_are_f_ordered(self):
+        # The kernel works on F-ordered columns; a C-ordered batch is copied once more.
+        psi = sample_initial_states(np.diag([0.5, 0.3, 0.2, 0.0]), 7, np.random.default_rng(0))
+        assert psi.shape == (7, 4) and psi.dtype == complex and psi.flags.f_contiguous
 
 
 def reference_propagate(psi, alive, seq, noise, rng):

@@ -38,6 +38,9 @@ _json_values = st.recursive(
     ),
     max_leaves=24,
 )
+_float_tables = st.tuples(st.integers(1, 20), st.integers(1, 16)).flatmap(
+    lambda shape: st.lists(_floats, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda values: np.array(values).reshape(shape)))
 
 
 class TestCanonicalJson:
@@ -57,18 +60,39 @@ class TestCanonicalJson:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
-    @pytest.mark.parametrize("shape", ["row", "tuple-row", "rows", "tuple-rows"])
+    @pytest.mark.parametrize("shape", ["row", "tuple-row", "rows", "tuple-rows", "array"])
     def test_rejects_non_finite_anywhere_in_a_row(self, bad, position, shape):
         row = [0.5, 2.0, 1e17]
         row[position] = bad
         value = {"row": row, "tuple-row": tuple(row), "rows": [[0.25, 1.0, 3.5], row],
-                 "tuple-rows": ((0.25, 1.0, 3.5), tuple(row))}[shape]
+                 "tuple-rows": ((0.25, 1.0, 3.5), tuple(row)),
+                 "array": np.array([[0.25, 1.0, 3.5], row])}[shape]
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json({"v": value})
 
     @given(_json_values)
     def test_same_text_as_the_recursive_reference(self, value):
         assert canonical_json(value) == reference.canonical_json(value)
+
+    @given(_float_tables)
+    def test_float64_table_same_text_as_its_list(self, table):
+        expected = reference.canonical_json(table.tolist())
+        assert canonical_json(table) == expected
+        assert canonical_json(np.asfortranarray(table)) == expected
+        assert canonical_json({"t": table}) == reference.canonical_json({"t": table.tolist()})
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_float64_table_same_text_as_its_list(self, shape):
+        table = np.zeros(shape)
+        assert canonical_json({"t": table}) == reference.canonical_json({"t": table.tolist()})
+
+    @pytest.mark.parametrize("array", [
+        np.ones((2, 2), dtype=int), np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=complex),
+        np.ones((2, 2), dtype=np.float32), np.ones(3), np.ones((2, 2, 2)), np.array(1.0),
+    ], ids=["int", "bool", "complex", "float32", "1-D", "3-D", "0-D"])
+    def test_rejects_other_arrays(self, array):
+        with pytest.raises(TypeError):
+            canonical_json({"v": array})
 
 
 class TestIdealCheck:
