@@ -81,9 +81,9 @@ def _float_table(table: np.ndarray, inner: str) -> str:
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
-    A 2-D float64 array, a list of equal-width rows of floats and a row of
-    floats are written as a table by one format; other arrays are refused and
-    everything else recurses value by value.
+    A 2-D float64 array and a list of equal-width rows of floats are written
+    as a table by one format; other arrays are refused and everything else
+    recurses value by value.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -105,8 +105,6 @@ def canonical_json(value, indent: int = 0) -> str:
             items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)) and value:
-        if all(type(x) is float for x in value):
-            return _float_table(np.array([value]), inner)
         width = len(value[0]) if isinstance(value[0], (list, tuple)) else 0
         if width and all(isinstance(row, (list, tuple)) and len(row) == width
                          and all(type(x) is float for x in row) for row in value):

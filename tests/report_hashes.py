@@ -2,14 +2,12 @@
 
 Each argv runs in-process through ``spinqpt.cli.main`` with ``--out`` set, and
 the report's bytes are hashed.  ``test_report_hashes.py`` recomputes every
-hash and compares it with ``data/report_sha256.json``.  To check a change
-that must keep every report byte-identical, run from the root of a checkout
+hash and compares it with ``data/report_sha256.json``, one test per argv, so
 
-    PYTHONPATH=src python tests/report_hashes.py --check
+    PYTHONPATH=src python -m pytest tests/test_report_hashes.py
 
-which recomputes the hashes, prints each argv whose hash moved, exits 1 if any
-did and writes nothing.  When a change moves a report on purpose, regenerate
-the file with
+checks a change that must keep every report byte-identical without writing
+anything.  When a change moves a report on purpose, regenerate the file with
 
     PYTHONPATH=src python tests/report_hashes.py
 
@@ -77,21 +75,7 @@ def compute() -> dict:
         return {key(argv): report_sha256(argv, directory) for argv in ARGVS}
 
 
-def check() -> int:
-    """Exit status 1 if any report's hash differs from the golden file, else 0."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    moved = [name for name, digest in compute().items() if golden.get(name) != digest]
-    for name in moved:
-        print(f"moved: {name}")
-    print(f"{len(moved)} of {len(ARGVS)} hashes moved", file=sys.stderr)
-    return 1 if moved else 0
-
-
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--check"]:
-        sys.exit(check())
-    if sys.argv[1:]:
-        sys.exit("usage: report_hashes.py [--check]")
     hashes = compute()
     GOLDEN.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)
