@@ -8,8 +8,6 @@ g*delta_tau) and finite polarization r of the readout channel electrons.
 """
 
 from .qcore import (
-    BASIS_LABELS,
-    DensityMatrix4,
     PROJ_DOWN,
     PROJ_UP,
     QuantumChannel,
@@ -22,9 +20,10 @@ from .qcore import (
     pure_state,
 )
 from .dynamics import (
+    CNOT_PHASE_TIME,
     CNOT_TARGET,
-    GateSchedule,
     NoiseParams,
+    TRANSFER_TIME,
     cnot_unitary,
     evolve_unitary,
     exchange_hamiltonian,
@@ -34,8 +33,6 @@ from .dynamics import (
     hadamard,
     local_rotation,
     noisy_cnot_channel,
-    sample_cnot_unitary,
-    sample_duration,
     term_isolation_unitary,
     times_in_picoseconds,
     zz_hamiltonian,

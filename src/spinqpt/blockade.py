@@ -262,7 +262,6 @@ def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def propagate_sequence_samples(
     psi: np.ndarray,
-    alive: np.ndarray,
     seq: MeasureSequence,
     noise: NoiseParams,
     rng: np.random.Generator,
@@ -272,10 +271,10 @@ def propagate_sequence_samples(
 
     psi is (n, 4), one state per row, worked on as the four contiguous
     columns of an F-ordered complex array (updated in place if psi is a
-    writeable one, else copied before the first write); alive marks
-    trajectories whose declared outcomes have all occurred so far and is
-    updated in place.  lead, if given, is a noise-free unitary applied
-    before the first step.
+    writeable one, else copied before the first write).  lead, if given, is
+    a noise-free unitary applied before the first step.  Returns the states
+    and alive, which marks the trajectories whose declared outcomes all
+    occurred.
 
     * Each run of noise-free unitaries (lead first, then rotations) is fused
       into one 4x4 matrix and applied column by column.
@@ -295,6 +294,7 @@ def propagate_sequence_samples(
     """
     n = psi.shape[0]
     psi = np.asfortranarray(psi, dtype=complex)
+    alive = np.ones(n, dtype=bool)
     correct_weight, _ = branch_weights(noise.r)
     pending = lead
     for i, step in enumerate(seq.steps):
@@ -392,7 +392,7 @@ def _survival_estimates(runs, noise, n_samples, sample_states, lead=None) -> tup
         psi.setflags(write=False)
         survived = np.empty((len(runs), m))
         for row, (seq, rng) in zip(survived, runs):
-            row[:] = propagate_sequence_samples(psi, np.ones(m, dtype=bool), seq, noise, rng, lead=lead)[1]
+            row[:] = propagate_sequence_samples(psi, seq, noise, rng, lead=lead)[1]
         counts += survived @ survived.T
         remaining -= m
     p_hat = np.diag(counts) / n

@@ -115,19 +115,9 @@ def dephasing_factor(gdtau: float) -> float:
     return math.exp(-2.0 * gdtau ** 2) if gdtau < FULL_DEPHASING_GDTAU else 0.0
 
 
-@dataclass(frozen=True)
-class GateSchedule:
-    """Mean pulse durations fixed by the coupling g."""
-
-    g: float
-    tau0_cnot: float   # controlled-phase exponent time, 3 pi / 4g
-    tau0_tomo: float   # free-evolution (full spin transfer) time, pi / 4g
-
-    @classmethod
-    def for_coupling(cls, g: float) -> "GateSchedule":
-        if not g > 0:
-            raise ValueError("coupling must be positive")
-        return cls(g=g, tau0_cnot=3.0 * math.pi / (4.0 * g), tau0_tomo=math.pi / (4.0 * g))
+#: Pulse times in units of 1/g: the CNOT's controlled-phase exponent, and a full spin transfer.
+CNOT_PHASE_TIME = 3.0 * math.pi / 4.0
+TRANSFER_TIME = math.pi / 4.0
 
 
 def _on_qubit(op2: np.ndarray, qubit: str) -> np.ndarray:
@@ -138,8 +128,12 @@ def _on_qubit(op2: np.ndarray, qubit: str) -> np.ndarray:
     raise ValueError(f"qubit must be 'X' or 'A', got {qubit!r}")
 
 
-#: Unit exchange coupling sx sx + sy sy + sz sz, built once.
-_EXCHANGE_UNIT = sum(np.kron(p, p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+#: Unit couplings sz sz, sx sx + sy sy and their sum, the isotropic exchange; built once.
+_ZZ_UNIT = np.kron(SIGMA_Z, SIGMA_Z)
+_FLIPFLOP_UNIT = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+_EXCHANGE_UNIT = _FLIPFLOP_UNIT + _ZZ_UNIT
+_ZZ_UNIT.setflags(write=False)
+_FLIPFLOP_UNIT.setflags(write=False)
 _EXCHANGE_UNIT.setflags(write=False)
 
 
@@ -152,12 +146,12 @@ def exchange_hamiltonian(g: float) -> np.ndarray:
 
 def zz_hamiltonian(g: float) -> np.ndarray:
     """Longitudinal part g sz sz of the exchange coupling."""
-    return g * np.kron(SIGMA_Z, SIGMA_Z)
+    return g * _ZZ_UNIT
 
 
 def flipflop_hamiltonian(g: float) -> np.ndarray:
     """Transverse part g (sx sx + sy sy); swaps antiparallel spin pairs."""
-    return g * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
+    return g * _FLIPFLOP_UNIT
 
 
 def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -203,9 +197,17 @@ def term_isolation_unitary(g: float, t: float) -> np.ndarray:
     return rz @ half @ rz @ half
 
 
+#: Noise-free gate applied before the controlled-phase exponent, H_A.
+CNOT_ENTRY = hadamard("A")
+CNOT_ENTRY.setflags(write=False)
+
 #: Noise-free gates applied after the controlled-phase exponent, H_A Rz_X(pi/2) Rz_A(pi/2).
-CNOT_FRAME = hadamard("A") @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2)
+CNOT_FRAME = CNOT_ENTRY @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2)
 CNOT_FRAME.setflags(write=False)
+
+#: The noise-free entry and exit of the noisy CNOT as channels.
+_ENTRY_CHANNEL = QuantumChannel.from_unitary(CNOT_ENTRY)
+_EXIT_CHANNEL = QuantumChannel.from_unitary(CNOT_FRAME)
 
 
 def cnot_unitary(g: float) -> np.ndarray:
@@ -214,8 +216,8 @@ def cnot_unitary(g: float) -> np.ndarray:
     CNOT_FRAME exp(-i (3pi/4) sz sz) H_A, equal to CNOT_TARGET up to a global
     phase.
     """
-    zz_exp = evolve_unitary(zz_hamiltonian(g), 3.0 * math.pi / (4.0 * g))
-    return CNOT_FRAME @ zz_exp @ hadamard("A")
+    zz_exp = evolve_unitary(zz_hamiltonian(g), CNOT_PHASE_TIME / g)
+    return CNOT_FRAME @ zz_exp @ CNOT_ENTRY
 
 
 def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: float) -> QuantumChannel:
@@ -251,12 +253,6 @@ def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
     return gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau)
 
 
-@functools.cache
-def _frame_channels() -> tuple:
-    """The noise-free entry H_A and exit CNOT_FRAME of the noisy CNOT as channels, built on first use."""
-    return QuantumChannel.from_unitary(hadamard("A")), QuantumChannel.from_unitary(CNOT_FRAME)
-
-
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses.
 
@@ -271,32 +267,11 @@ def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     conjugation exactly.
     """
     g = noise.g
-    schedule = GateSchedule.for_coupling(g)
-    entry, exit_channel = _frame_channels()
     sigma = noise.delta_tau / math.sqrt(2.0)
-    phase_part = gaussian_averaged_channel(zz_hamiltonian(g), schedule.tau0_cnot, sigma)
+    phase_part = gaussian_averaged_channel(zz_hamiltonian(g), CNOT_PHASE_TIME / g, sigma)
     leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
     core = phase_part.compose(leak_part)
-    return exit_channel.compose(core.compose(entry))
-
-
-def sample_duration(tau0: float, delta_tau: float, rng: np.random.Generator) -> float:
-    """One Gaussian duration draw; negative draws are legitimate evolution times."""
-    if delta_tau < 0:
-        raise ValueError("time dispersion must be nonnegative")
-    return float(rng.normal(tau0, delta_tau))
-
-
-def sample_cnot_unitary(noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-    """One noisy-CNOT realization with freshly drawn pulse durations."""
-    g = noise.g
-    schedule = GateSchedule.for_coupling(g)
-    rz = local_rotation("X", "z", math.pi)
-    hexch = exchange_hamiltonian(g)
-    s1 = sample_duration(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, rng)
-    s2 = sample_duration(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, rng)
-    core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
-    return CNOT_FRAME @ core @ hadamard("A")
+    return _EXIT_CHANNEL.compose(core.compose(_ENTRY_CHANNEL))
 
 
 def times_in_picoseconds(g_mev: float) -> dict:
@@ -310,6 +285,6 @@ def times_in_picoseconds(g_mev: float) -> dict:
     inv_g_seconds = _HBAR_EV_S / (g_mev * 1e-3)
     ps = inv_g_seconds * 1e12
     return {
-        "tau0_cnot_ps": 3.0 * math.pi / 4.0 * ps,
-        "tau0_tomo_ps": math.pi / 4.0 * ps,
+        "tau0_cnot_ps": CNOT_PHASE_TIME * ps,
+        "tau0_tomo_ps": TRANSFER_TIME * ps,
     }

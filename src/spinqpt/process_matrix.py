@@ -55,7 +55,6 @@ class ProcessMatrix:
     """16x16 process matrix in the fixed ordering, with optional Monte Carlo errors."""
 
     chi: np.ndarray
-    ordering: tuple = CHI_LABELS
     stderr: np.ndarray | None = None
 
     def __post_init__(self):

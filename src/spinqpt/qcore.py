@@ -21,21 +21,11 @@ import numpy as np
 
 DIM = 4
 
-#: Spin labels of the basis states, index i <-> |i+1>.
-BASIS_LABELS = ("uu", "ud", "du", "dd")
-
 #: Projectors onto the edge-qubit spin states (up / down), acting on X only.
 PROJ_UP = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
 PROJ_DOWN = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
 PROJ_UP.setflags(write=False)
 PROJ_DOWN.setflags(write=False)
-
-# Tolerance conventions used throughout the package: structural checks at
-# 1e-10, cross-method equality at 1e-12, eigensolver slack for positivity
-# at 1e-9 (dense eigensolvers produce tiny spurious negatives).
-STRUCTURAL_TOL = 1e-10
-CROSS_METHOD_TOL = 1e-12
-POSITIVITY_SLACK = 1e-9
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -74,47 +64,8 @@ def pure_state(amplitudes) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True)
-class DensityMatrix4:
-    """Validated two-qubit density matrix.
-
-    Construction checks Hermiticity and unit trace to 1e-10 and eigenvalues
-    down to -1e-10.  Reconstructed (possibly non-physical) tomography outputs
-    are deliberately NOT carried by this type; they travel as raw arrays.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if mat.shape != (DIM, DIM):
-            raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > STRUCTURAL_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > STRUCTURAL_TOL or abs(np.trace(mat).imag) > STRUCTURAL_TOL:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(hermitize(mat)).min() < -STRUCTURAL_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def from_statevector(cls, amplitudes) -> "DensityMatrix4":
-        return cls(pure_state(amplitudes))
-
-    @classmethod
-    def basis(cls, index: int) -> "DensityMatrix4":
-        return cls(basis_state(index))
-
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix4":
-        return cls(np.eye(DIM, dtype=complex) / DIM)
-
-
 def as_density_array(rho) -> np.ndarray:
-    """Accept either a DensityMatrix4 or a raw 4x4 array; return the array."""
-    if isinstance(rho, DensityMatrix4):
-        return rho.mat
+    """A 4x4 operator as a complex array; any other shape is rejected."""
     arr = np.asarray(rho, dtype=complex)
     if arr.shape != (DIM, DIM):
         raise ValueError(f"expected a 4x4 operator, got shape {arr.shape}")
@@ -132,17 +83,14 @@ def kraus_to_superop(kraus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive map on 4x4 operators, stored as a 16x16 superoperator.
+    """Linear map on 4x4 operators, stored as a read-only 16x16 superoperator.
 
-    A Kraus decomposition is optional.  When present it is validated eagerly:
-    the operators must satisfy sum_i K_i† K_i = 1 within 1e-10 and must induce
-    the stored superoperator within 1e-12.  Maps that are not trace preserving
-    (for example a bare projection) can still be represented by passing the
-    superoperator alone.
+    Nothing beyond the shape is checked on construction: maps that are not
+    completely positive or not trace preserving (for example a bare
+    projection) are representable, and :func:`is_cptp` tests a channel.
     """
 
     superop: np.ndarray
-    kraus: tuple | None = None
 
     def __post_init__(self):
         s = np.array(self.superop, dtype=complex)
@@ -150,27 +98,14 @@ class QuantumChannel:
             raise ValueError(f"superoperator must be 16x16, got {s.shape}")
         s.setflags(write=False)
         object.__setattr__(self, "superop", s)
-        if self.kraus is not None:
-            ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
-            for k in ops:
-                if k.shape != (DIM, DIM):
-                    raise ValueError("Kraus operators must be 4x4")
-                k.setflags(write=False)
-            completeness = sum(k.conj().T @ k for k in ops)
-            if np.max(np.abs(completeness - np.eye(DIM))) > STRUCTURAL_TOL:
-                raise ValueError("Kraus operators do not sum to identity within 1e-10")
-            if np.max(np.abs(kraus_to_superop(ops) - s)) > CROSS_METHOD_TOL:
-                raise ValueError("superoperator inconsistent with Kraus decomposition")
-            object.__setattr__(self, "kraus", ops)
 
     @classmethod
     def from_kraus(cls, kraus) -> "QuantumChannel":
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        return cls(superop=kraus_to_superop(ops), kraus=tuple(ops))
+        return cls(superop=kraus_to_superop(kraus))
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "QuantumChannel":
-        return cls.from_kraus([u])
+        return cls(superop=kraus_to_superop([u]))
 
     @classmethod
     def identity(cls) -> "QuantumChannel":
@@ -183,10 +118,7 @@ class QuantumChannel:
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Apply a channel to a 4x4 operator.  Linear in rho."""
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (DIM, DIM):
-        raise ValueError(f"expected a 4x4 operator, got shape {arr.shape}")
-    return unvec(channel.superop @ vec(arr))
+    return unvec(channel.superop @ vec(as_density_array(rho)))
 
 
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:

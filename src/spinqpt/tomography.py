@@ -59,21 +59,19 @@ from .blockade import (
     polynomial_value,
 )
 from .dynamics import (
+    CNOT_ENTRY,
     CNOT_FRAME,
-    GateSchedule,
+    CNOT_PHASE_TIME,
     NoiseParams,
     SIGMA_I,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    hadamard,
+    TRANSFER_TIME,
     noisy_cnot_channel,
 )
-from .process_matrix import CHI_LABELS, CHI_ORDER, CHI_PERM, ProcessMatrix
+from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
 from .qcore import DIM, apply_channel, hermitize, negativity, pure_state
-
-#: Full spin-transfer pulse duration in units of 1/g.
-TRANSFER_TIME = math.pi / 4.0
 
 #: Pauli product basis, X factor first; index 0 is the identity.
 PAULI_BASIS = tuple(
@@ -224,6 +222,11 @@ def qpt_input_states() -> dict:
     return states
 
 
+#: The qpt_input_states() inputs as one read-only (16, 4, 4) stack, in order.
+_INPUT_STATES = np.array(list(qpt_input_states().values()))
+_INPUT_STATES.setflags(write=False)
+
+
 def _assembly_weights() -> np.ndarray:
     """A[c, i] with E_kl = sum_i A[c, i] rho_i, (k, l) = CHI_ORDER[c], rho_i the inputs in order:
     E_mn = rho(+;mn) + i rho(-;mn) - (1+i)/2 (|m><m| + |n><n|) for m < n, and E_nm = E_mn^dagger
@@ -260,10 +263,10 @@ def assemble_channel_action(outputs) -> np.ndarray:
 def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
     """n independently sampled noisy-CNOT outputs of one pure state, CNOT_FRAME not yet applied.
 
-    Draws s1 then s2, the two isolation-pulse durations, each Normal(tau0/2,
-    delta_tau/2) with delta_tau capped as noise.sampled_delta_tau, n at a
-    time.  The pulses act as exp(-i g (s1+s2) sz sz)
-    times a flip-flop rotation by 2g (s1-s2) within {|ud>, |du>}; taking out
+    Draws s1 then s2, the two isolation-pulse durations, each
+    Normal(CNOT_PHASE_TIME / 2g, delta_tau / 2) with delta_tau capped as
+    noise.sampled_delta_tau, n at a time.  The pulses act as exp(-i g (s1+s2)
+    sz sz) times a flip-flop rotation by 2g (s1-s2) within {|ud>, |du>}; taking out
     the global phase exp(i g (s1+s2)), |uu> and |dd> carry exp(-2i g (s1+s2))
     and the middle pair only the rotation.  Returns the F-ordered (n, 4)
     columns of Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global
@@ -271,10 +274,10 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     leading unitary.
     """
     g = noise.g
-    schedule = GateSchedule.for_coupling(g)
-    a = hadamard("A") @ state
-    s1 = rng.normal(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, size=n)
-    s2 = rng.normal(schedule.tau0_cnot / 2.0, noise.sampled_delta_tau / 2.0, size=n)
+    a = CNOT_ENTRY @ state
+    mean = CNOT_PHASE_TIME / g / 2.0
+    s1 = rng.normal(mean, noise.sampled_delta_tau / 2.0, size=n)
+    s2 = rng.normal(mean, noise.sampled_delta_tau / 2.0, size=n)
     outer = -2.0 * g * (s1 + s2)
     angle = 2.0 * g * (s1 - s2)
     phase = np.empty(n, dtype=complex)
@@ -366,16 +369,16 @@ def run_qpt(
         raise ValueError(f"unknown method {method!r}")
     if design is None:
         design = design_sequences(noise.g)
-    states = np.array(list(qpt_input_states().values()))
     if method == "pipeline":
         superop = noisy_cnot_channel(noise).superop
-        vecs = states.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
+        vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
         outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
         effects = polynomial_value(_noisy_effects(design, noise.g, noise.delta_tau), noise.r)
         probs = _probabilities(effects, outputs)
     else:
         seeds = np.random.SeedSequence(seed).spawn(16)
-        runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s) for rho, s in zip(states, seeds)]
+        runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s)
+                for rho, s in zip(_INPUT_STATES, seeds)]
         probs = np.array([p for p, _ in runs]).T                 # (15, 16)
         cov = np.array([c for _, c in runs])                     # (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))
@@ -388,7 +391,7 @@ def run_qpt(
                             _PAULI_STACK, axes=(0, 0)).reshape(design.n_sequences, DIM * DIM)
         var = np.einsum("se,ise->ie", dual, cov @ dual.conj()).real
         stderr = np.sqrt(np.maximum(_assemble(_WEIGHTS_ABS2, var), 0.0))
-    return ProcessMatrix(chi=chi, ordering=CHI_LABELS, stderr=stderr)
+    return ProcessMatrix(chi=chi, stderr=stderr)
 
 
 # ----------------------------------------------------------------------------

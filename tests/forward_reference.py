@@ -8,12 +8,28 @@ the gate output at every point.  They are slow and share no code with
 routes must reproduce.  chi is assembled here label by label, the channel
 action on each unit matrix written out from the inputs, independently of
 the weight matrix ``assemble_channel_action`` applies.
+
+``sample_cnot_unitary`` is the Monte Carlo counterpart: one noisy-CNOT
+realization built literally from its pulse sequence, the reference for the
+batched gate draws of ``tomography._mc_gate_batch``.
 """
+
+import math
 
 import numpy as np
 
 from spinqpt.blockade import Evolve, Project, blockade_map, rotation_unitary
-from spinqpt.dynamics import NoiseParams, exchange_hamiltonian, gaussian_averaged_channel, noisy_cnot_channel
+from spinqpt.dynamics import (
+    CNOT_ENTRY,
+    CNOT_FRAME,
+    CNOT_PHASE_TIME,
+    NoiseParams,
+    evolve_unitary,
+    exchange_hamiltonian,
+    gaussian_averaged_channel,
+    local_rotation,
+    noisy_cnot_channel,
+)
 from spinqpt.process_matrix import CHI_ORDER, CHI_PERM
 from spinqpt.qcore import apply_channel, as_density_array, hermitize, negativity, vec
 from spinqpt.tomography import ENTANGLEMENT_INPUT, PAULI_BASIS, qpt_input_states
@@ -82,6 +98,26 @@ def forward_pipeline_chi(noise, design):
     outputs = [apply_channel(channel, rho_in) for rho_in in qpt_input_states().values()]
     probs = [[forward_sequence_probability(seq, rho, noise) for rho in outputs] for seq in design.sequences]
     return forward_chi(probs, design)
+
+
+def sample_duration(tau0, delta_tau, rng):
+    """One Gaussian duration draw; negative draws are legitimate evolution times."""
+    return float(rng.normal(tau0, delta_tau))
+
+
+def sample_cnot_unitary(noise, rng):
+    """One noisy-CNOT realization: CNOT_FRAME Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A.
+
+    U(s) is the exchange pulse of duration s; s1 then s2 are drawn from
+    Normal(CNOT_PHASE_TIME / 2g, noise.sampled_delta_tau / 2).
+    """
+    g = noise.g
+    rz = local_rotation("X", "z", math.pi)
+    hexch = exchange_hamiltonian(g)
+    s1 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_delta_tau / 2.0, rng)
+    s2 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_delta_tau / 2.0, rng)
+    core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
+    return CNOT_FRAME @ core @ CNOT_ENTRY
 
 
 def forward_output_negativity(r, gdtau, design):

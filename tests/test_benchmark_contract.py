@@ -1,8 +1,9 @@
 """The package names the benchmark under perfbench/ depends on.
 
 perfbench/tracer.py wraps functions by qualified name, and perfbench/workloads.py
-reads attributes of spinqpt.tomography.  Renaming one of them breaks the
-benchmark; these tests make that a test failure here as well.
+reads attributes of the spinqpt modules it imports as modules.  Renaming or
+deleting one of them breaks the benchmark; these tests make that a test failure
+here as well.
 """
 
 import ast
@@ -37,13 +38,17 @@ def test_every_wrapped_name_resolves():
     assert len(wrapped) == 21 and missing == []
 
 
-def test_tomography_attributes_read_by_workloads_exist():
+def test_module_attributes_read_by_workloads_exist():
+    # Every `module.attr` read in workloads.py, for each module bound by `from spinqpt import ...`.
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    read = {node.attr for node in ast.walk(tree)
+    modules = {alias.asname or alias.name: importlib.import_module(f"spinqpt.{alias.name}")
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "spinqpt"
+               for alias in node.names}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "tomography"}
-    tomography = importlib.import_module("spinqpt.tomography")
-    assert read and [name for name in sorted(read) if not hasattr(tomography, name)] == []
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {"closed_form", "tomography"} <= {module for module, _ in read}
+    assert [f"{module}.{name}" for module, name in sorted(read) if not hasattr(modules[module], name)] == []
 
 
 def test_workloads_reference_stderr_still_runs():

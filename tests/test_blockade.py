@@ -29,7 +29,7 @@ from spinqpt.blockade import (
     sequence_probability_mc,
 )
 from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
-from spinqpt.qcore import DensityMatrix4, basis_state, hermitize, pure_state
+from spinqpt.qcore import basis_state, hermitize, pure_state
 
 from forward_reference import forward_sequence_probability
 
@@ -159,7 +159,7 @@ class TestSequenceProbability:
 
     def test_accepts_validated_density_type(self):
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.0)
-        p = sequence_probability(POPULATION_SEQ, DensityMatrix4.basis(0), noise)
+        p = sequence_probability(POPULATION_SEQ, basis_state(0), noise)
         assert p == pytest.approx(0.81, abs=1e-12)
 
     def test_probability_bounds_on_random_inputs(self):
@@ -447,8 +447,8 @@ class TestColumnKernel:
             start = psi if lead is None else psi @ lead.T
             ref_psi, ref_alive = reference_propagate(start, np.ones(300, bool), seq, noise,
                                                      np.random.default_rng(trial))
-            new_psi, new_alive = propagate_sequence_samples(psi, np.ones(300, bool), seq, noise,
-                                                            np.random.default_rng(trial), lead=lead)
+            new_psi, new_alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(trial),
+                                                            lead=lead)
             np.testing.assert_array_equal(new_alive, ref_alive)
             # The column kernel leaves the last projection's collapse out; apply
             # it onto the branch the reference kept.  Dead trajectories carry no
@@ -469,8 +469,7 @@ class TestColumnKernel:
         # of 1/g), and the last projection leaves the states as Evolve made them.
         psi = random_pure_states(np.random.default_rng(seed), 6)
         seq = MeasureSequence(steps=(Evolve(tau * g), Project(UP)))
-        out, _ = propagate_sequence_samples(psi, np.ones(6, bool), seq, NoiseParams(g=g),
-                                            np.random.default_rng(seed))
+        out, _ = propagate_sequence_samples(psi, seq, NoiseParams(g=g), np.random.default_rng(seed))
         expected = psi @ evolve_unitary(exchange_hamiltonian(g), tau * g / g).T
         assert_rows_equal_up_to_phase(out, expected, atol=1e-11)
 
@@ -482,11 +481,9 @@ class TestColumnKernel:
         psi = np.asfortranarray(random_pure_states(np.random.default_rng(4), 200))
         frozen = psi.copy(order="F")
         frozen.setflags(write=False)
-        out, alive = propagate_sequence_samples(frozen, np.ones(200, bool), seq, noise,
-                                                np.random.default_rng(9))
+        out, alive = propagate_sequence_samples(frozen, seq, noise, np.random.default_rng(9))
         np.testing.assert_array_equal(frozen, psi)
-        want, want_alive = propagate_sequence_samples(psi, np.ones(200, bool), seq, noise,
-                                                      np.random.default_rng(9))
+        want, want_alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(9))
         assert want is psi
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(alive, want_alive)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from spinqpt.dynamics import (
+    CNOT_PHASE_TIME,
     CNOT_TARGET,
-    GateSchedule,
     NoiseParams,
+    TRANSFER_TIME,
     cnot_unitary,
     dephasing_factor,
     evolve_unitary,
@@ -18,8 +19,6 @@ from spinqpt.dynamics import (
     hadamard,
     local_rotation,
     noisy_cnot_channel,
-    sample_cnot_unitary,
-    sample_duration,
     term_isolation_unitary,
     times_in_picoseconds,
     zz_hamiltonian,
@@ -31,6 +30,8 @@ from spinqpt.qcore import (
     is_cptp,
     negativity,
 )
+
+from forward_reference import sample_cnot_unitary
 
 
 def phase_invariant_overlap(u, v):
@@ -343,8 +344,7 @@ class TestNoisyCnotChannel:
         # Independent oracle: average the literally constructed pulse sequence
         # (the isolation sandwich with two freshly drawn exchange durations,
         # exact 4x4 unitaries) and compare the channel entrywise at 4 standard
-        # errors.  A handful of draws go through sample_cnot_unitary itself to
-        # pin the batched construction to the scalar one.
+        # errors.
         noise = NoiseParams.from_dimensionless(r=1.0, gdtau=0.12)
         g = noise.g
         analytic = noisy_cnot_channel(noise).superop
@@ -375,7 +375,8 @@ class TestNoisyCnotChannel:
         assert np.all(np.abs(mc - analytic) <= 4.0 * err + 1e-6)
 
     def test_sample_cnot_unitary_statistics(self):
-        # The scalar sampler agrees with the analytic channel too (smaller n).
+        # The scalar reference sampler of tests/forward_reference.py agrees with
+        # the analytic channel too (smaller n).
         noise = NoiseParams.from_dimensionless(r=1.0, gdtau=0.15)
         analytic = noisy_cnot_channel(noise).superop
         rng = np.random.default_rng(5)
@@ -384,19 +385,6 @@ class TestNoisyCnotChannel:
         outer = (flat.conj().T @ flat) / n
         mc = outer.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
         assert np.max(np.abs(mc - analytic)) < 0.05
-
-
-class TestSampling:
-    def test_zero_dispersion_is_exact(self):
-        rng = np.random.default_rng(0)
-        assert sample_duration(1.5, 0.0, rng) == 1.5
-
-    def test_sample_moments(self):
-        rng = np.random.default_rng(21)
-        tau0, dtau, n = 2.0, 0.3, 100_000
-        draws = np.array([sample_duration(tau0, dtau, rng) for _ in range(n)])
-        assert abs(draws.mean() - tau0) < 4 * dtau / math.sqrt(n)
-        assert abs(draws.var() - dtau**2) < 0.1 * dtau**2
 
 
 class TestParamsAndSchedule:
@@ -429,9 +417,11 @@ class TestParamsAndSchedule:
         assert 0.0 < noise.dephasing <= 1.0
 
     def test_gate_schedule(self):
-        sched = GateSchedule.for_coupling(2.0)
-        assert sched.tau0_cnot == pytest.approx(3 * math.pi / 8)
-        assert sched.tau0_tomo == pytest.approx(math.pi / 8)
+        # The pulse times are fixed in units of 1/g: 3 pi / 4 for the CNOT's
+        # controlled-phase exponent, pi / 4 for a full spin transfer.
+        assert CNOT_PHASE_TIME == 3 * math.pi / 4 and TRANSFER_TIME == math.pi / 4
+        for g in (0.5, 2.0):
+            assert phase_invariant_overlap(cnot_unitary(g), CNOT_TARGET) == pytest.approx(1.0, abs=1e-12)
 
     def test_picosecond_reporting(self):
         # 1 meV coupling puts the transfer pulse near half a picosecond and

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinqpt.qcore import (
-    DensityMatrix4,
     PROJ_DOWN,
     PROJ_UP,
     QuantumChannel,
@@ -220,41 +219,7 @@ class TestNegativity:
             negativity(stack)
 
 
-class TestDensityMatrix4:
-    def test_valid_construction(self):
-        dm = DensityMatrix4.maximally_mixed()
-        assert abs(np.trace(dm.mat) - 1.0) < 1e-14
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex) / 4
-        m[0, 1] = 0.3
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix4(m)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix4(np.eye(4, dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix4(m)
-
-    def test_immutable(self):
-        dm = DensityMatrix4.basis(1)
-        with pytest.raises(ValueError):
-            dm.mat[0, 0] = 5.0
-
-
 class TestQuantumChannelValidation:
-    def test_incomplete_kraus_rejected(self):
-        with pytest.raises(ValueError, match="identity"):
-            QuantumChannel.from_kraus([PROJ_UP])
-
-    def test_inconsistent_superop_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            QuantumChannel(superop=np.eye(16, dtype=complex), kraus=(CNOT_TARGET,))
-
     def test_compose_matches_sequential_application(self):
         rng = np.random.default_rng(8)
         rho = random_density(rng)

@@ -10,18 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spinqpt import tomography
 from spinqpt.blockade import Evolve, Project, UP, propagate_sequence_samples, sequence_probability
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
-from spinqpt.dynamics import (
-    CNOT_FRAME,
-    CNOT_TARGET,
-    GateSchedule,
-    NoiseParams,
-    evolve_unitary,
-    exchange_hamiltonian,
-    hadamard,
-    local_rotation,
-    noisy_cnot_channel,
-    sample_cnot_unitary,
-)
+from spinqpt.dynamics import CNOT_FRAME, CNOT_TARGET, NoiseParams, noisy_cnot_channel
 from spinqpt.process_matrix import (
     CHI_ORDER,
     chi_index,
@@ -55,6 +44,7 @@ from forward_reference import (
     forward_output_negativity,
     forward_pipeline_chi,
     forward_threshold,
+    sample_cnot_unitary,
 )
 from test_process_matrix import _random_kraus_channel
 
@@ -339,8 +329,7 @@ class TestRunQpt:
             state = np.linalg.eigh(hermitize(rho))[1][:, -1]
             batch = _mc_gate_batch(state, samples, noise, np.random.default_rng(gate_seed))
             indicators.append([
-                propagate_sequence_samples(batch, np.ones(samples, bool), seq, noise,
-                                           np.random.default_rng(s), lead=CNOT_FRAME)[1]
+                propagate_sequence_samples(batch, seq, noise, np.random.default_rng(s), lead=CNOT_FRAME)[1]
                 for seq, s in zip(design.sequences, seq_seeds)])
         hits = np.array(indicators, dtype=float)                 # (input, sequence, trajectory)
         probs = hits.mean(axis=2)
@@ -424,6 +413,16 @@ def assert_equal_up_to_phase(actual, expected, atol):
     np.testing.assert_allclose(expected, overlap / abs(overlap) * actual, rtol=0, atol=atol)
 
 
+class _Replay:
+    """Stands in for a Generator: normal(loc, scale) is loc + scale * z for the given z, in order."""
+
+    def __init__(self, *z):
+        self._z = iter(z)
+
+    def normal(self, loc, scale):
+        return loc + scale * next(self._z)
+
+
 class TestMonteCarloGateBatch:
     @settings(max_examples=60)
     @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -436,17 +435,14 @@ class TestMonteCarloGateBatch:
         out = _mc_gate_batch(state, 1, noise, np.random.default_rng(seed))
         expected = sample_cnot_unitary(noise, np.random.default_rng(seed)) @ state
         assert_equal_up_to_phase(CNOT_FRAME @ out[0], expected, atol=1e-11)
-        # Several trajectories: all s1 first, then all s2.
+        # Several trajectories: all s1 first, then all s2, so trajectory k is the
+        # reference gate on standard normals k and n + k of the stream.
         n = 5
         out = _mc_gate_batch(state, n, noise, np.random.default_rng(seed))
-        replay = np.random.default_rng(seed)
-        mean, spread = GateSchedule.for_coupling(g).tau0_cnot / 2.0, noise.delta_tau / 2.0
-        s1, s2 = replay.normal(mean, spread, size=n), replay.normal(mean, spread, size=n)
-        rz, hexch = local_rotation("X", "z", math.pi), exchange_hamiltonian(g)
+        z = np.random.default_rng(seed).standard_normal(2 * n)
         for k in range(n):
-            core = rz @ evolve_unitary(hexch, s2[k]) @ rz @ evolve_unitary(hexch, s1[k])
-            assert_equal_up_to_phase(CNOT_FRAME @ out[k], CNOT_FRAME @ core @ hadamard("A") @ state,
-                                     atol=1e-11)
+            expected = sample_cnot_unitary(noise, _Replay(z[k], z[n + k])) @ state
+            assert_equal_up_to_phase(CNOT_FRAME @ out[k], expected, atol=1e-11)
 
 
 class TestProcessFidelityValues:
