@@ -223,6 +223,8 @@ def ideal_effect_operator(seq: MeasureSequence, g: float) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _MC_CHUNK = 250_000
+#: Most rows one kernel call takes when inputs are stacked; a larger chunk runs alone.
+_MC_STACK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -247,9 +249,9 @@ def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
     return evecs[:, idx].T.astype(complex, order="F")
 
 
-def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows psi[i] -> u psi[i] as scalar-column multiply-adds, skipping zero entries of u."""
-    out = np.empty_like(psi)
+def _apply_unitary(psi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows psi[i] -> u psi[i] into out (new if None), as column multiply-adds skipping zeros of u."""
+    out = np.empty_like(psi) if out is None else out
     term = np.empty(psi.shape[0], dtype=complex)
     for k in range(DIM):
         col = out[:, k]
@@ -260,11 +262,24 @@ def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fuse(pending: np.ndarray | None, step: Rotate) -> np.ndarray:
+    """The step's rotation u after the pending unitary, u @ pending; u alone if there is none."""
+    u = rotation_unitary(step)
+    return u if pending is None else u @ pending
+
+
+def _blockwise(rngs: tuple, n: int, method: str, *args) -> np.ndarray:
+    """n draws in one array, block b of n // len(rngs) of them by rngs[b].method(*args, size=...)."""
+    if len(rngs) == 1:
+        return getattr(rngs[0], method)(*args, size=n)
+    return np.concatenate([getattr(rng, method)(*args, size=n // len(rngs)) for rng in rngs])
+
+
 def propagate_sequence_samples(
     psi: np.ndarray,
     seq: MeasureSequence,
     noise: NoiseParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | tuple,
     lead: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one batch of pure-state trajectories through a sequence.
@@ -287,20 +302,23 @@ def propagate_sequence_samples(
       trajectory collapses onto its branch and is renormalized; after the
       last one it is left as the projection read it.
 
-    Draws, for every trajectory regardless of alive: one normal per Evolve
-    (dispersion noise.sampled_delta_tau), then two uniforms per projection
-    (readout branch, Born acceptance), in step order, so the stream layout
-    is deterministic.
+    rng is one generator, or a tuple of them that splits the rows into as
+    many equal consecutive blocks, block b drawn by rng[b].  Draws, per
+    generator and for every trajectory of its block regardless of alive:
+    one normal per Evolve (dispersion noise.sampled_delta_tau), then two
+    uniforms per projection (readout branch, Born acceptance), in step
+    order.  A block therefore draws exactly what the same generator would
+    draw running those rows alone, and the stream layout is deterministic.
     """
     n = psi.shape[0]
+    rngs = rng if isinstance(rng, tuple) else (rng,)
     psi = np.asfortranarray(psi, dtype=complex)
     alive = np.ones(n, dtype=bool)
     correct_weight, _ = branch_weights(noise.r)
     pending = lead
     for i, step in enumerate(seq.steps):
         if isinstance(step, Rotate):
-            u = rotation_unitary(step)
-            pending = u if pending is None else u @ pending
+            pending = _fuse(pending, step)
             continue
         if pending is not None:
             psi = _apply_unitary(psi, pending)
@@ -309,7 +327,7 @@ def propagate_sequence_samples(
             psi = psi.copy(order="F")
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
-            phase = rng.normal(step.mean_time / noise.g, noise.sampled_delta_tau, size=n)
+            phase = _blockwise(rngs, n, "normal", step.mean_time / noise.g, noise.sampled_delta_tau)
             phase *= 4.0 * noise.g
             rotor = np.empty(n, dtype=complex)
             np.cos(phase, out=rotor.real)
@@ -321,11 +339,11 @@ def propagate_sequence_samples(
             c1 += d
             c2 -= d
             continue
-        correct = rng.random(n) < correct_weight
+        correct = _blockwise(rngs, n, "random") < correct_weight
         want_up = correct if step.declared == UP else ~correct
         p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
         p_phys = np.where(want_up, p_up, 1.0 - p_up)
-        alive &= rng.random(n) < p_phys
+        alive &= _blockwise(rngs, n, "random") < p_phys
         if i < len(seq.steps) - 1:
             scale = 1.0 / np.sqrt(np.maximum(p_phys, 1e-300))
             up_scale = np.where(want_up, scale, 0.0)
@@ -352,9 +370,9 @@ def sequence_probability_mc(
     the starting states, then the sequence's own draws.
     """
     p_hat, cov = _survival_estimates(
-        [(seq, rng)], noise, n_samples, lambda m: sample_initial_states(rho, m, rng)
+        (seq,), [(lambda m: sample_initial_states(rho, m, rng), (rng,))], noise, n_samples
     )
-    return McEstimate(estimate=float(p_hat[0]), stderr=float(np.sqrt(cov[0, 0])),
+    return McEstimate(estimate=float(p_hat[0, 0]), stderr=float(np.sqrt(cov[0, 0, 0])),
                       n_samples=operator.index(n_samples))
 
 
@@ -369,34 +387,68 @@ def _sample_count(n_samples) -> int:
     return n
 
 
-def _survival_estimates(runs, noise, n_samples, sample_states, lead=None) -> tuple[np.ndarray, np.ndarray]:
-    """Surviving fractions of n_samples trajectories per (sequence, rng) run, and their covariance.
+def _prefix_families(sequences, lead) -> list:
+    """The sequences grouped by their leading run of rotations, in order of first appearance.
 
-    Trajectories go in chunks of _MC_CHUNK.  Per chunk, sample_states(m)
-    draws the (m, 4) starting states once; the batch is made read-only and
-    every run, in order, propagates it with its own rng, lead being the
-    noise-free unitary that precedes every sequence.  Runs that share a batch
-    are correlated, so the covariance of the fractions is returned in full:
-    (n_st / n - p_s p_t) / n, with n_st the number of trajectories that
-    survive both run s and run t.  The counts come from one product of the
-    chunk's 0/1 survival rows in doubles; every partial sum is an integer
-    below 2**53, so they are exact and do not depend on the summation order.
+    One (fused, members) pair per distinct run: fused is the run fused onto lead as the kernel
+    fuses it, None if both are empty; members holds (index, the sequence after the run).
+    """
+    families: dict = {}
+    for s, seq in enumerate(sequences):
+        k = next(i for i, step in enumerate(seq.steps) if not isinstance(step, Rotate))
+        families.setdefault(seq.steps[:k], []).append((s, MeasureSequence(steps=seq.steps[k:])))
+    return [(functools.reduce(_fuse, run, lead), members) for run, members in families.items()]
+
+
+def _survival_estimates(sequences, inputs, noise, n_samples, lead=None) -> tuple[np.ndarray, np.ndarray]:
+    """Surviving fractions of n_samples trajectories per input and sequence, and their covariance.
+
+    inputs holds one (sample_states, rngs) pair per input: sample_states(m)
+    draws its (m, 4) starting states and rngs[s] is its generator for
+    sequence s.  Per chunk of _MC_CHUNK trajectories the inputs go in groups
+    of up to _MC_STACK_ROWS // m, at least one; each draws its batch once,
+    read-only, and the group's batches are stacked.  lead and each distinct
+    leading run of rotations are applied to the stack once; each sequence of
+    that run copies the result into a reused buffer and runs its other steps
+    in one kernel call, every input's block drawn by that input's generator.
+    Grouping therefore changes no draw.
+
+    An input's sequences share its batch, so each input gets the full
+    covariance of its fractions, (n_st / n - p_s p_t) / n with n_st the
+    number of its trajectories that survive both s and t.  The counts are
+    products of the chunk's 0/1 survival rows in float32: every partial sum
+    is an integer of at most _MC_CHUNK < 2**24, so they are exact in any
+    summation order.  Shapes (inputs, sequences) and (inputs, sequences, sequences).
     """
     n = _sample_count(n_samples)
-    runs = list(runs)
-    counts = np.zeros((len(runs), len(runs)))
-    remaining = n
-    while remaining > 0:
-        m = min(remaining, _MC_CHUNK)
-        psi = sample_states(m)
-        psi.setflags(write=False)
-        survived = np.empty((len(runs), m))
-        for row, (seq, rng) in zip(survived, runs):
-            row[:] = propagate_sequence_samples(psi, seq, noise, rng, lead=lead)[1]
-        counts += survived @ survived.T
-        remaining -= m
-    p_hat = np.diag(counts) / n
-    return p_hat, (counts / n - np.outer(p_hat, p_hat)) / n
+    families = _prefix_families(sequences, lead)
+    inputs = list(inputs)
+    counts = np.zeros((len(inputs), len(sequences), len(sequences)))
+    for done in range(0, n, _MC_CHUNK):
+        m = min(n - done, _MC_CHUNK)
+        per_group = max(1, _MC_STACK_ROWS // m)
+        width = min(per_group, len(inputs)) * m
+        survived = np.empty((len(sequences), width), dtype=np.float32)
+        buffers = [np.empty(width * DIM, dtype=complex) for _ in range(3)]
+        for first in range(0, len(inputs), per_group):
+            group = inputs[first:first + per_group]
+            rows = len(group) * m
+            stacked, prefixed, work = (b[: rows * DIM].reshape((rows, DIM), order="F") for b in buffers)
+            batches = [sample_states(m) for sample_states, _ in group]
+            for batch in batches:
+                batch.setflags(write=False)
+            psi = batches[0] if len(group) == 1 else np.concatenate(batches, out=stacked)
+            for fused, members in families:
+                state = psi if fused is None else _apply_unitary(psi, fused, out=prefixed)
+                for s, rest in members:
+                    np.copyto(work, state)
+                    rngs = tuple(streams[s] for _, streams in group)
+                    survived[s, :rows] = propagate_sequence_samples(work, rest, noise, rngs)[1]
+            for i, block in enumerate(np.split(survived[:, :rows], len(group), axis=1), start=first):
+                counts[i] += block @ block.T
+            del batches, batch, psi, state      # freed before the next group draws
+    p_hat = np.diagonal(counts, axis1=1, axis2=2) / n
+    return p_hat, (counts / n - p_hat[:, :, None] * p_hat[:, None, :]) / n
 
 
 # ----------------------------------------------------------------------------

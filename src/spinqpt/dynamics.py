@@ -137,21 +137,26 @@ _FLIPFLOP_UNIT.setflags(write=False)
 _EXCHANGE_UNIT.setflags(write=False)
 
 
-def exchange_hamiltonian(g: float) -> np.ndarray:
-    """Isotropic exchange H = g (sx sx + sy sy + sz sz), eigenvalues {g, g, g, -3g}."""
+def _positive_coupling(g: float) -> float:
+    """g itself; zero, a negative coupling and NaN are rejected."""
     if not g > 0:
         raise ValueError("coupling must be positive")
-    return g * _EXCHANGE_UNIT
+    return g
+
+
+def exchange_hamiltonian(g: float) -> np.ndarray:
+    """Isotropic exchange H = g (sx sx + sy sy + sz sz), eigenvalues {g, g, g, -3g}."""
+    return _positive_coupling(g) * _EXCHANGE_UNIT
 
 
 def zz_hamiltonian(g: float) -> np.ndarray:
     """Longitudinal part g sz sz of the exchange coupling."""
-    return g * _ZZ_UNIT
+    return _positive_coupling(g) * _ZZ_UNIT
 
 
 def flipflop_hamiltonian(g: float) -> np.ndarray:
     """Transverse part g (sx sx + sy sy); swaps antiparallel spin pairs."""
-    return g * _FLIPFLOP_UNIT
+    return _positive_coupling(g) * _FLIPFLOP_UNIT
 
 
 def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -216,6 +221,7 @@ def cnot_unitary(g: float) -> np.ndarray:
     CNOT_FRAME exp(-i (3pi/4) sz sz) H_A, equal to CNOT_TARGET up to a global
     phase.
     """
+    g = _positive_coupling(g)
     zz_exp = evolve_unitary(zz_hamiltonian(g), CNOT_PHASE_TIME / g)
     return CNOT_FRAME @ zz_exp @ CNOT_ENTRY
 
@@ -280,9 +286,7 @@ def times_in_picoseconds(g_mev: float) -> dict:
     Purely cosmetic (the engine works in units of 1/g); a 1 meV coupling puts
     the full spin-transfer time pi/4g near half a picosecond.
     """
-    if not g_mev > 0:
-        raise ValueError("coupling must be positive")
-    inv_g_seconds = _HBAR_EV_S / (g_mev * 1e-3)
+    inv_g_seconds = _HBAR_EV_S / (_positive_coupling(g_mev) * 1e-3)
     ps = inv_g_seconds * 1e12
     return {
         "tau0_cnot_ps": CNOT_PHASE_TIME * ps,

@@ -31,6 +31,10 @@ every analytic sequence probability with a sampled estimate.  Each
 trajectory passes through its own sampled gate, and one batch of gate draws
 per input is shared by its 15 sequences, so their estimates are correlated;
 their full covariance is propagated exactly through the same two linear maps.
+The seed spawns one child per input, and each child one stream per sequence,
+then one for the gate.  Small batches of several inputs share each kernel
+call and rotations that open several sequences are applied once (see
+:func:`spinqpt.blockade._survival_estimates`); neither changes a draw.
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -226,6 +230,10 @@ def qpt_input_states() -> dict:
 _INPUT_STATES = np.array(list(qpt_input_states().values()))
 _INPUT_STATES.setflags(write=False)
 
+#: Their state vectors as eigh returns them, the starting points of the Monte Carlo gate draws.
+_INPUT_VECTORS = np.array([np.linalg.eigh(hermitize(rho))[1][:, -1] for rho in _INPUT_STATES])
+_INPUT_VECTORS.setflags(write=False)
+
 
 def _assembly_weights() -> np.ndarray:
     """A[c, i] with E_kl = sum_i A[c, i] rho_i, (k, l) = CHI_ORDER[c], rho_i the inputs in order:
@@ -270,8 +278,8 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     the global phase exp(i g (s1+s2)), |uu> and |dd> carry exp(-2i g (s1+s2))
     and the middle pair only the rotation.  Returns the F-ordered (n, 4)
     columns of Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global
-    phase per trajectory; the trajectory kernel applies CNOT_FRAME as its
-    leading unitary.
+    phase per trajectory; CNOT_FRAME follows, fused with each sequence's
+    leading rotations.
     """
     g = noise.g
     a = CNOT_ENTRY @ state
@@ -290,34 +298,6 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     psi[:, 1] = a[1] * cos_a - 1j * a[2] * sin_a
     psi[:, 2] = a[2] * cos_a - 1j * a[1] * sin_a
     return psi
-
-
-def _qpt_probabilities_mc(
-    rho_in: np.ndarray,
-    design: TomographyDesign,
-    noise: NoiseParams,
-    n_samples: int,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled sequence probabilities for one pure input state, and their covariance.
-
-    seed_seq spawns one child per sequence, in design order, then one for the
-    gate.  Per chunk the gate stream draws s1 then s2 for the whole chunk, and
-    that one batch of noisy-gate outputs is shared, read-only, by every
-    sequence, each drawing from its own stream in design order.  The 15
-    estimates are therefore correlated; the second result is their 15 x 15
-    covariance.
-    """
-    evals, evecs = np.linalg.eigh(hermitize(rho_in))
-    if not evals[-1] > 1.0 - 1e-9:
-        raise ValueError("Monte Carlo process tomography needs pure input states")
-    state = evecs[:, -1]
-    *seq_seeds, gate_seed = seed_seq.spawn(design.n_sequences + 1)
-    gate_rng = np.random.default_rng(gate_seed)
-    return _survival_estimates(
-        zip(design.sequences, map(np.random.default_rng, seq_seeds)), noise, n_samples,
-        lambda m: _mc_gate_batch(state, m, noise, gate_rng), lead=CNOT_FRAME,
-    )
 
 
 def _noisy_effects(design: TomographyDesign, g: float, delta_tau: float) -> np.ndarray:
@@ -376,11 +356,14 @@ def run_qpt(
         effects = polynomial_value(_noisy_effects(design, noise.g, noise.delta_tau), noise.r)
         probs = _probabilities(effects, outputs)
     else:
-        seeds = np.random.SeedSequence(seed).spawn(16)
-        runs = [_qpt_probabilities_mc(rho, design, noise, mc_samples, s)
-                for rho, s in zip(_INPUT_STATES, seeds)]
-        probs = np.array([p for p, _ in runs]).T                 # (15, 16)
-        cov = np.array([c for _, c in runs])                     # (16, 15, 15)
+        inputs = []
+        for state, child in zip(_INPUT_VECTORS, np.random.SeedSequence(seed).spawn(16)):
+            *seq_seeds, gate_seed = child.spawn(design.n_sequences + 1)
+            gate_rng = np.random.default_rng(gate_seed)
+            inputs.append((lambda m, state=state, rng=gate_rng: _mc_gate_batch(state, m, noise, rng),
+                           tuple(map(np.random.default_rng, seq_seeds))))
+        probs, cov = _survival_estimates(design.sequences, inputs, noise, mc_samples, lead=CNOT_FRAME)
+        probs = probs.T                                          # (15, 16); cov is (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))
     stderr = None
     if method == "monte_carlo":

@@ -57,3 +57,35 @@ def test_workloads_reference_stderr_still_runs():
     noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
     stderr = workloads.expected_mc_stderr(noise, design_sequences(1.0))
     assert stderr.shape == (16, 16) and np.all(np.isfinite(stderr))
+
+
+def test_traced_monte_carlo_counts_every_trajectory(tmp_path):
+    # The tracer counts the rows of the kernel's first argument, the (rows, 4)
+    # batch of one call; over one QPT they total 16 inputs x 15 sequences x n.
+    tracer_module = load_perfbench("tracer")
+    shapes = []
+
+    class Recording(tracer_module.Tracer):
+        def _count_trajectories(self, args, kwargs, result):
+            shapes.append((args[0].shape, args[0].dtype, args[0].flags.f_contiguous, result[1].shape))
+            super()._count_trajectories(args, kwargs, result)
+
+    from spinqpt import cli
+
+    n = 300
+    tracer = Recording(("light",))
+    tracer.install(0)
+    tracer.active = True
+    try:
+        status = cli.main(["qpt", "--method", "montecarlo", "--samples", str(n), "--seed", "1",
+                           "--out", str(tmp_path / "report")])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert status == 0
+    assert metrics[tracer_module.TRAJECTORIES] == 16 * 15 * n
+    assert metrics["blockade.propagate_sequence_samples.calls"] == len(shapes)
+    for (rows, width), dtype, f_contiguous, alive in shapes:
+        assert width == 4 and rows % n == 0 and dtype == complex and f_contiguous
+        assert alive == (rows,)

@@ -67,6 +67,13 @@ class TestExchangeHamiltonian:
         with pytest.raises(ValueError):
             exchange_hamiltonian(0.0)
 
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan], ids=repr)
+    @pytest.mark.parametrize("build", [exchange_hamiltonian, zz_hamiltonian, flipflop_hamiltonian,
+                                       cnot_unitary], ids=lambda f: f.__name__)
+    def test_every_coupling_constructor_rejects_nonpositive_g(self, build, g):
+        with pytest.raises(ValueError, match="^coupling must be positive$"):
+            build(g)
+
 
 class TestEvolveUnitary:
     def test_zero_time_is_identity(self):

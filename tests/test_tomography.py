@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinqpt import tomography
-from spinqpt.blockade import Evolve, Project, UP, propagate_sequence_samples, sequence_probability
+from spinqpt import blockade, tomography
+from spinqpt.blockade import (
+    Evolve,
+    MeasureSequence,
+    Project,
+    Rotate,
+    UP,
+    format_sequences,
+    parse_sequences,
+    propagate_sequence_samples,
+    sequence_probability,
+)
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
 from spinqpt.dynamics import CNOT_FRAME, CNOT_TARGET, NoiseParams, noisy_cnot_channel
 from spinqpt.process_matrix import (
@@ -20,14 +30,12 @@ from spinqpt.process_matrix import (
     process_fidelity,
 )
 from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, hermitize, negativity, pure_state
-from spinqpt.blockade import format_sequences
 from spinqpt.cli import main
 from spinqpt.tomography import (
     DesignRankError,
     ENTANGLEMENT_INPUT,
     TRANSFER_TIME,
     _mc_gate_batch,
-    _qpt_probabilities_mc,
     assemble_channel_action,
     design_from_sequences,
     design_matrix_rows,
@@ -314,37 +322,43 @@ class TestRunQpt:
         assert zs.max() < 6.0
 
     def test_monte_carlo_stderr_is_exact_propagation(self, design):
-        # chi is affine in the 15 x 16 probability table; its linear part L is
-        # read off the forward reference by pushing each unit table through it.
-        # The table is replayed from the seed layout: input i takes child i of
-        # the seed; its children 0-14 feed the sequences and child 15 the gate
-        # batch all 15 share.  Sigma, the covariance of the table's entries, is
-        # one 15 x 15 block per input, built from the survival indicators.
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
         seed, samples = 4, 500
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=seed, design=design)
-        indicators = []
-        for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
-            *seq_seeds, gate_seed = child.spawn(16)
-            state = np.linalg.eigh(hermitize(rho))[1][:, -1]
-            batch = _mc_gate_batch(state, samples, noise, np.random.default_rng(gate_seed))
-            indicators.append([
-                propagate_sequence_samples(batch, seq, noise, np.random.default_rng(s), lead=CNOT_FRAME)[1]
-                for seq, s in zip(design.sequences, seq_seeds)])
-        hits = np.array(indicators, dtype=float)                 # (input, sequence, trajectory)
-        probs = hits.mean(axis=2)
-        dev = hits - probs[..., None]
-        blocks = dev @ dev.transpose(0, 2, 1) / samples**2       # covariance of the means
-        sigma = np.zeros((15, 16, 15, 16))                       # table entry (s, i) by (t, j)
-        for i in range(16):
-            sigma[:, i, :, i] = blocks[i]
-        sigma = sigma.reshape(240, 240)
-        base = forward_chi(np.zeros((15, 16)), design)
-        lin = np.stack([(forward_chi(unit.reshape(15, 16), design) - base).ravel()
-                        for unit in np.eye(240)], axis=1)
-        np.testing.assert_allclose(chi_mc.chi, forward_chi(probs.T, design), rtol=0, atol=1e-12)
-        want = np.sqrt(np.einsum("ea,ab,eb->e", lin, sigma, lin.conj()).real).reshape(16, 16)
-        np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
+        assert_matches_replay(chi_mc, design, noise, seed, samples)
+
+    def test_monte_carlo_rotation_after_projection_matches_replay(self, tmp_path):
+        # A design file whose sequences rotate after a projection as well as
+        # before it: only the leading rotations are applied ahead of the
+        # kernel, the later ones stay in it, and the result is the same.
+        sequences = list(design_sequences(g=1.0).sequences)
+        for s, rotation in ((0, Rotate("A", "x", 0.7)), (8, Rotate("global", "y", -1.1)),
+                            (12, Rotate("X", "z", 0.3))):
+            steps = sequences[s].steps
+            after = steps.index(Project(UP)) + 1
+            sequences[s] = MeasureSequence(steps=(*steps[:after], rotation, *steps[after:]))
+        path = tmp_path / "design.txt"
+        path.write_text(format_sequences(sequences), encoding="utf-8")
+        custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")), g=1.0)
+        noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
+        chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=6, design=custom)
+        assert_matches_replay(chi_mc, custom, noise, 6, 300)
+
+    @pytest.mark.parametrize("chunk", [blockade._MC_CHUNK, 97], ids=["one-chunk", "three-chunks"])
+    def test_monte_carlo_layout_neutral(self, design, monkeypatch, chunk):
+        # Stacking inputs changes no draw: one input per kernel call, all 16
+        # in one call, and uneven groups (five inputs, the last group one)
+        # give the same chi and stderr bit for bit.
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        samples = 250
+        monkeypatch.setattr(blockade, "_MC_CHUNK", chunk)
+        runs = []
+        for stack_rows in (1, 5 * min(chunk, samples), 16 * samples, blockade._MC_STACK_ROWS):
+            monkeypatch.setattr(blockade, "_MC_STACK_ROWS", stack_rows)
+            runs.append(run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=3, design=design))
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.chi, runs[0].chi)
+            np.testing.assert_array_equal(run.stderr, runs[0].stderr)
 
     @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (1.0, 1.0)])
     def test_monte_carlo_error_bars_cover(self, design, r, gdtau):
@@ -371,13 +385,13 @@ class TestRunQpt:
             return batch
 
         monkeypatch.setattr(tomography, "_mc_gate_batch", recording_batch)
+        monkeypatch.setattr(blockade, "_MC_CHUNK", 128)
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
-        p, cov = _qpt_probabilities_mc(qpt_input_states()[("+", 0, 1)], design, noise, 300,
-                                       np.random.SeedSequence(8))
-        assert len(batches) == 1 and p.shape == (15,) and cov.shape == (15, 15)
-        batch, drawn = batches[0]
-        assert not batch.flags.writeable
-        np.testing.assert_array_equal(batch, drawn)
+        run_qpt(noise, method="monte_carlo", mc_samples=300, seed=8, design=design)
+        assert [len(batch) for batch, _ in batches] == [128] * 32 + [44] * 16
+        for batch, drawn in batches:
+            assert not batch.flags.writeable
+            np.testing.assert_array_equal(batch, drawn)
 
     @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0)], ids=repr)
     def test_monte_carlo_rejects_non_integral_sample_count(self, samples):
@@ -406,6 +420,42 @@ class TestRunQpt:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_qpt(NoiseParams(), method="variational")
+
+
+def assert_matches_replay(chi_mc, design, noise, seed, samples):
+    """chi and stderr of a Monte Carlo run equal those of its draws replayed per input.
+
+    chi is affine in the 15 x 16 probability table; its linear part L is read
+    off the forward reference by pushing each unit table through it.  The
+    table is replayed from the seed layout, one kernel call per input and
+    sequence with the whole sequence and CNOT_FRAME as its lead: input i
+    takes child i of the seed; its children 0-14 feed the sequences and
+    child 15 the gate batch all 15 share.  Sigma, the covariance of the
+    table's entries, is one 15 x 15 block per input, built from the survival
+    indicators.
+    """
+    indicators = []
+    for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
+        *seq_seeds, gate_seed = child.spawn(16)
+        state = np.linalg.eigh(hermitize(rho))[1][:, -1]
+        batch = _mc_gate_batch(state, samples, noise, np.random.default_rng(gate_seed))
+        indicators.append([
+            propagate_sequence_samples(batch, seq, noise, np.random.default_rng(s), lead=CNOT_FRAME)[1]
+            for seq, s in zip(design.sequences, seq_seeds)])
+    hits = np.array(indicators, dtype=float)                 # (input, sequence, trajectory)
+    probs = hits.mean(axis=2)
+    dev = hits - probs[..., None]
+    blocks = dev @ dev.transpose(0, 2, 1) / samples**2       # covariance of the means
+    sigma = np.zeros((15, 16, 15, 16))                       # table entry (s, i) by (t, j)
+    for i in range(16):
+        sigma[:, i, :, i] = blocks[i]
+    sigma = sigma.reshape(240, 240)
+    base = forward_chi(np.zeros((15, 16)), design)
+    lin = np.stack([(forward_chi(unit.reshape(15, 16), design) - base).ravel()
+                    for unit in np.eye(240)], axis=1)
+    np.testing.assert_allclose(chi_mc.chi, forward_chi(probs.T, design), rtol=0, atol=1e-12)
+    want = np.sqrt(np.einsum("ea,ab,eb->e", lin, sigma, lin.conj()).real).reshape(16, 16)
+    np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
 
 
 def assert_equal_up_to_phase(actual, expected, atol):
