@@ -17,7 +17,8 @@ target A is compiled from this coupling in three layers:
 Timing noise: every exchange pulse duration is Gaussian.  A free-evolution
 pulse of mean t has dispersion delta_tau.  Inside the compiled CNOT the two
 isolation pulses fluctuate independently, each with dispersion delta_tau/2,
-so the sum of the two durations carries dispersion delta_tau/sqrt(2).  This
+so the averaged CNOT is the product of its two averaged pulses: the same
+exchange channel as a free-evolution pulse, at half the dispersion.  This
 calibration makes every observable depend on the single dimensionless number
 g*delta_tau through d = exp(-2 (g delta_tau)^2): the flip-flop leakage of the
 noisy CNOT carries (1 - d^2)/8 weights while a free-evolution pulse damps
@@ -210,9 +211,10 @@ CNOT_ENTRY.setflags(write=False)
 CNOT_FRAME = CNOT_ENTRY @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2)
 CNOT_FRAME.setflags(write=False)
 
-#: The noise-free entry and exit of the noisy CNOT as channels.
+#: The noise-free entry and exit of the noisy CNOT and its Rz_X(pi) between pulses, as channels.
 _ENTRY_CHANNEL = QuantumChannel.from_unitary(CNOT_ENTRY)
 _EXIT_CHANNEL = QuantumChannel.from_unitary(CNOT_FRAME)
+_FLIP_X_CHANNEL = QuantumChannel.from_unitary(local_rotation("X", "z", math.pi))
 
 
 def cnot_unitary(g: float) -> np.ndarray:
@@ -262,22 +264,21 @@ def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses.
 
-    The two isolation pulses inside the controlled-phase exponent fluctuate
-    independently, dispersion delta_tau/2 each.  The pulse-sum and
-    pulse-difference are then independent Gaussians of dispersion
-    delta_tau/sqrt(2); the sum dephases the sz sz exponent while the
-    difference reintroduces a flip-flop admixture, which is what populates
-    the spin-transfer sector of the averaged output.
+    The gate's pulse program averaged step by step: CNOT_ENTRY, then twice an
+    exchange pulse of mean duration CNOT_PHASE_TIME / 2g and dispersion
+    delta_tau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
+    independent, so the average of the product is the product of the averaged
+    pulses, each built by exchange_channel, whose cache readout Evolve steps share.
 
     Rotations and Hadamards are ideal.  delta_tau = 0 gives the ideal CNOT
     conjugation exactly.
     """
     g = noise.g
-    sigma = noise.delta_tau / math.sqrt(2.0)
-    phase_part = gaussian_averaged_channel(zz_hamiltonian(g), CNOT_PHASE_TIME / g, sigma)
-    leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
-    core = phase_part.compose(leak_part)
-    return _EXIT_CHANNEL.compose(core.compose(_ENTRY_CHANNEL))
+    channel = _ENTRY_CHANNEL
+    for _ in range(2):
+        pulse = exchange_channel(CNOT_PHASE_TIME / 2 / g, noise.delta_tau / 2, g)
+        channel = _FLIP_X_CHANNEL.compose(pulse.compose(channel))
+    return _EXIT_CHANNEL.compose(channel)
 
 
 def times_in_picoseconds(g_mev: float) -> dict:

@@ -386,6 +386,9 @@ ENTANGLEMENT_INPUT = pure_state([1.0, 0.0, 1.0, 0.0])
 
 _NEGATIVITY_EPS = 1e-10
 
+#: Intervals of the threshold's bracketing sweep over r in [0, 1].
+THRESHOLD_SWEEP_STEPS = 64
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -393,9 +396,7 @@ class ThresholdResult:
 
     r_star: float | None
     bracket_history: tuple
-    curve: tuple                 # sampled (r, negativity) pairs
-    endpoint_low: float
-    endpoint_high: float
+    curve: tuple                 # sampled (r, negativity) pairs, r from 0 to 1
     message: str
 
 
@@ -434,55 +435,44 @@ def entanglement_threshold(
     design: TomographyDesign,
     gdtau: float,
     tol: float = 1e-4,
-    sweep_steps: int = 64,
 ) -> ThresholdResult:
     """Smallest polarization at which the reconstructed output is entangled.
 
     The gate output does not depend on r, so the 15 sequence probabilities
     are built once as exact polynomials in r (degree at most the largest
     number of projections in a sequence).  A bracketing sweep over
-    sweep_steps intervals, reconstructed in one solve and tested with one
-    batched eigenvalue call, guards against non-monotonic pathologies before
-    bisecting the first sign change of the negativity down to width tol, or
-    to two adjacent doubles when tol is finer than their spacing; each
-    bisection step is one 4x4 evaluation of the same polynomial.
+    THRESHOLD_SWEEP_STEPS intervals, reconstructed in one solve and tested
+    with one batched eigenvalue call, guards against non-monotonic
+    pathologies before bisecting the first sign change of the negativity
+    down to width tol, or to two adjacent doubles when tol is finer than
+    their spacing; each bisection step is one 4x4 evaluation of the same
+    polynomial.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     poly = _output_probability_polynomial(gdtau, design)
-    grid = np.linspace(0.0, 1.0, sweep_steps + 1)
+    grid = np.linspace(0.0, 1.0, THRESHOLD_SWEEP_STEPS + 1)
     values = _reconstructed_negativity(grid, poly, design).tolist()
     curve = tuple(zip(grid.tolist(), values))
     entangled = [v > _NEGATIVITY_EPS for v in values]
+    history = []
     if entangled[0]:
-        return ThresholdResult(
-            r_star=0.0, bracket_history=(), curve=curve,
-            endpoint_low=values[0], endpoint_high=values[-1],
-            message="entangled over the whole polarization range",
-        )
-    if not any(entangled):
-        return ThresholdResult(
-            r_star=None, bracket_history=(), curve=curve,
-            endpoint_low=values[0], endpoint_high=values[-1],
-            message="no threshold: reconstructed output never entangled",
-        )
-    first = next(i for i, flag in enumerate(entangled) if flag)
-    lo, hi = float(grid[first - 1]), float(grid[first])
-    history = [(lo, hi)]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:       # lo and hi are adjacent doubles: tol is below their spacing
-            break
-        if _reconstructed_negativity(mid, poly, design) > _NEGATIVITY_EPS:
-            hi = mid
-        else:
-            lo = mid
+        r_star, message = 0.0, "entangled over the whole polarization range"
+    elif not any(entangled):
+        r_star, message = None, "no threshold: reconstructed output never entangled"
+    else:
+        first = entangled.index(True)
+        lo, hi = float(grid[first - 1]), float(grid[first])
         history.append((lo, hi))
-    return ThresholdResult(
-        r_star=hi,
-        bracket_history=tuple(history),
-        curve=curve,
-        endpoint_low=values[0],
-        endpoint_high=values[-1],
-        message="threshold located",
-    )
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:       # lo and hi are adjacent doubles: tol is below their spacing
+                break
+            if _reconstructed_negativity(mid, poly, design) > _NEGATIVITY_EPS:
+                hi = mid
+            else:
+                lo = mid
+            history.append((lo, hi))
+        r_star, message = hi, "threshold located"
+    return ThresholdResult(r_star=r_star, bracket_history=tuple(history), curve=curve,
+                           message=message)

@@ -11,7 +11,9 @@ the weight matrix ``assemble_channel_action`` applies.
 
 ``sample_cnot_unitary`` is the Monte Carlo counterpart: one noisy-CNOT
 realization built literally from its pulse sequence, the reference for the
-batched gate draws of ``tomography._mc_gate_batch``.
+batched gate draws of ``tomography._mc_gate_batch``.  ``split_cnot_channel``
+averages the same gate a second way, through the sum and difference of its
+two pulse durations, the reference for ``noisy_cnot_channel``.
 """
 
 import math
@@ -26,12 +28,14 @@ from spinqpt.dynamics import (
     NoiseParams,
     evolve_unitary,
     exchange_hamiltonian,
+    flipflop_hamiltonian,
     gaussian_averaged_channel,
     local_rotation,
     noisy_cnot_channel,
+    zz_hamiltonian,
 )
 from spinqpt.process_matrix import CHI_ORDER, CHI_PERM
-from spinqpt.qcore import apply_channel, as_density_array, hermitize, negativity, vec
+from spinqpt.qcore import QuantumChannel, apply_channel, as_density_array, hermitize, negativity, vec
 from spinqpt.tomography import ENTANGLEMENT_INPUT, PAULI_BASIS, qpt_input_states
 
 
@@ -118,6 +122,23 @@ def sample_cnot_unitary(noise, rng):
     s2 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_delta_tau / 2.0, rng)
     core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
     return CNOT_FRAME @ core @ CNOT_ENTRY
+
+
+def split_cnot_channel(noise):
+    """Averaged CNOT from the sum and difference of its two pulse durations.
+
+    The isolation pulses s1, s2 fluctuate independently with dispersion
+    delta_tau/2 each, so their sum and difference are independent Gaussians
+    of dispersion delta_tau/sqrt(2).  The sum dephases the sz sz exponent
+    about CNOT_PHASE_TIME/g; the difference, of mean 0, reintroduces a
+    flip-flop admixture, which populates the spin-transfer sector.
+    """
+    g = noise.g
+    sigma = noise.delta_tau / math.sqrt(2.0)
+    phase_part = gaussian_averaged_channel(zz_hamiltonian(g), CNOT_PHASE_TIME / g, sigma)
+    leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
+    entry, frame = QuantumChannel.from_unitary(CNOT_ENTRY), QuantumChannel.from_unitary(CNOT_FRAME)
+    return frame.compose(phase_part.compose(leak_part).compose(entry))
 
 
 def forward_output_negativity(r, gdtau, design):

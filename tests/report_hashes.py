@@ -11,7 +11,8 @@ anything.  When a change moves a report on purpose, regenerate the file with
 
     PYTHONPATH=src python tests/report_hashes.py
 
-and say in CHANGES.md which reports moved and why.
+which first prints one line for each argv whose hash changed or is new, and
+say in CHANGES.md which reports moved and why.
 """
 
 from __future__ import annotations
@@ -77,5 +78,11 @@ def compute() -> dict:
 
 if __name__ == "__main__":
     hashes = compute()
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for argv, digest in hashes.items():
+        if argv not in previous:
+            print(f"new: {argv}")
+        elif previous[argv] != digest:
+            print(f"changed: {argv}")
     GOLDEN.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)

@@ -140,9 +140,12 @@ class TestQptCommand:
                        "--samples", "2000", "--out", str(out)) == 0
         report = json.loads(out.read_text())
         dev = report["deviations"]
-        assert dev["expected_discrepancy_caveat"] is True
+        assert dev["expected_discrepancy_caveat"] is False   # readout noise alone opens no gap
         assert dev["pipeline_vs_closed_form"] < 1e-10  # exact agreement at gdtau = 0
         assert dev["montecarlo_vs_pipeline"] > 0
+        assert run_cli("qpt", "--r", "0.6", "--gdtau", "0.1", "--method", "all",
+                       "--samples", "200", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["deviations"]["expected_discrepancy_caveat"] is True
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinqpt.dynamics import (
     CNOT_PHASE_TIME,
@@ -13,6 +14,7 @@ from spinqpt.dynamics import (
     cnot_unitary,
     dephasing_factor,
     evolve_unitary,
+    exchange_channel,
     exchange_hamiltonian,
     flipflop_hamiltonian,
     gaussian_averaged_channel,
@@ -31,7 +33,7 @@ from spinqpt.qcore import (
     negativity,
 )
 
-from forward_reference import sample_cnot_unitary
+from forward_reference import sample_cnot_unitary, split_cnot_channel
 
 
 def phase_invariant_overlap(u, v):
@@ -380,6 +382,26 @@ class TestNoisyCnotChannel:
         mc = outer.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
         err = stderr.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
         assert np.all(np.abs(mc - analytic) <= 4.0 * err + 1e-6)
+
+    @settings(max_examples=100)
+    @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 2.0))
+    @example(g=0.05, gdtau=1e300)
+    @example(g=20.0, gdtau=1e300)
+    def test_two_averaged_pulses_equal_sum_difference_split(self, g, gdtau):
+        noise = NoiseParams(g=g, delta_tau=gdtau / g)
+        np.testing.assert_allclose(noisy_cnot_channel(noise).superop,
+                                   split_cnot_channel(noise).superop, rtol=0, atol=1e-13)
+
+    def test_fresh_noise_builds_one_pulse_channel(self):
+        # The two pulses share one (duration, dispersion, g): one build, one cache hit.
+        noise = NoiseParams(g=0.913, delta_tau=0.0271)
+        before = exchange_channel.cache_info()
+        noisy_cnot_channel(noise)
+        after = exchange_channel.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        noisy_cnot_channel(noise)
+        again = exchange_channel.cache_info()
+        assert (again.misses - after.misses, again.hits - after.hits) == (0, 2)
 
     def test_sample_cnot_unitary_statistics(self):
         # The scalar reference sampler of tests/forward_reference.py agrees with
