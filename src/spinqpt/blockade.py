@@ -15,8 +15,9 @@ and nothing is renormalized in between; sequences with three or more
 projections extend the two-projection branch bookkeeping by the same product
 rule.
 
-Evolve durations are stored in units of 1/g so that serialized sequences are
-coupling independent.  The analytic evaluator back-propagates the identity
+The module works in units of 1/g: Evolve durations are g*t and the timing
+noise is the dimensionless gdtau, so serialized sequences are coupling
+independent.  The analytic evaluator back-propagates the identity
 through the sequence once (Heisenberg picture): each Evolve step applies the
 adjoint of the exact Gaussian-averaged exchange channel, and each projection
 the self-adjoint blockade map, which is affine in r.  The result is the
@@ -36,6 +37,7 @@ product and no complex exponential is needed.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -156,12 +158,12 @@ _SAME_EDGE = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
 _EDGE_SIGN = 0.5 * np.kron(np.diag([1.0, -1.0]), np.ones((2, 2)))
 
 
-def effect_polynomial(seq: MeasureSequence, g: float, delta_tau: float) -> np.ndarray:
+def effect_polynomial(seq: MeasureSequence, gdtau: float) -> np.ndarray:
     """Noisy effect of a sequence as coefficients E_0 ... E_k in the polarization r.
 
     Returns an array of shape (k + 1, 4, 4), k = seq.n_projections, with
-    Tr[(sum_j r^j E_j) rho] the sequence's success probability at coupling g,
-    time dispersion delta_tau and readout polarization r.  Built by one
+    Tr[(sum_j r^j E_j) rho] the sequence's success probability at timing
+    noise gdtau (units of 1/g) and readout polarization r.  Built by one
     Heisenberg back-propagation of the identity: walking the steps in
     reverse, a projection maps E_j -> M0(E_j) +/- M1(E_{j-1}) (the blockade
     map is self-adjoint and affine in r), an Evolve step applies the adjoint
@@ -176,7 +178,7 @@ def effect_polynomial(seq: MeasureSequence, g: float, delta_tau: float) -> np.nd
             coeffs *= _SAME_EDGE
             coeffs[1:] += odd
         elif isinstance(step, Evolve):
-            superop = exchange_channel(step.mean_time / g, delta_tau, g).superop
+            superop = exchange_channel(step.mean_time, gdtau).superop
             # vec(E) of each coefficient is row n*4+m of E.T; apply S† to it.
             flat = coeffs.transpose(0, 2, 1).reshape(-1, DIM * DIM) @ superop.conj()
             coeffs = flat.reshape(-1, DIM, DIM).transpose(0, 2, 1)
@@ -200,22 +202,22 @@ def sequence_probability(seq: MeasureSequence, rho, noise: NoiseParams) -> float
     """Probability that every projection in the sequence reports its declared outcome.
 
     Evolve steps act through the Gaussian-averaged exchange channel at the
-    step's mean duration and the global dispersion noise.delta_tau; rotations
-    are ideal; projections apply the polarization-degraded blockade map.
+    step's mean duration and the dispersion noise.gdtau, both in units of
+    1/g; rotations are ideal; projections apply the polarization-degraded
+    blockade map.
     Evaluated as Re Tr[E(r) rho] on the effect of :func:`effect_polynomial`.
     """
-    effect = polynomial_value(effect_polynomial(seq, noise.g, noise.delta_tau), noise.r)
+    effect = polynomial_value(effect_polynomial(seq, noise.gdtau), noise.r)
     return float(np.sum(effect * as_density_array(rho).T).real)
 
 
-def ideal_effect_operator(seq: MeasureSequence, g: float) -> np.ndarray:
-    """Hermitian effect E with Tr[E rho] = success probability at r = 1, delta_tau = 0.
+def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
+    """Hermitian effect E with Tr[E rho] = success probability at r = 1, gdtau = 0.
 
-    The r = 1 value of :func:`effect_polynomial` without timing noise.
-    Satisfies 0 <= E <= 1 and is independent of g because the Evolve
-    durations are stored in units of 1/g.
+    The r = 1 value of :func:`effect_polynomial` without timing noise;
+    satisfies 0 <= E <= 1.
     """
-    return hermitize(effect_polynomial(seq, g, 0.0).sum(axis=0))
+    return hermitize(effect_polynomial(seq, 0.0).sum(axis=0))
 
 
 # ----------------------------------------------------------------------------
@@ -293,11 +295,11 @@ def propagate_sequence_samples(
 
     * Each run of noise-free unitaries (lead first, then rotations) is fused
       into one 4x4 matrix and applied column by column.
-    * Exchange has the triplet level g and the singlet level -3g, so an
-      Evolve of duration tau is, up to the global phase exp(-i g tau), the
-      singlet phase alone: d = (c1 - c2)(exp(4i g tau) - 1)/2, c1 += d,
-      c2 -= d.  States are therefore equal to the exact evolution only up
-      to a global phase per trajectory.
+    * Exchange has the triplet level 1 and the singlet level -3 (units of
+      g), so an Evolve of duration tau is, up to the global phase
+      exp(-i tau), the singlet phase alone: d = (c1 - c2)(exp(4i tau) - 1)/2,
+      c1 += d, c2 -= d.  States are therefore equal to the exact evolution
+      only up to a global phase per trajectory.
     * A projection reads p_up = |c0|^2 + |c1|^2.  Between projections the
       trajectory collapses onto its branch and is renormalized; after the
       last one it is left as the projection read it.
@@ -305,7 +307,7 @@ def propagate_sequence_samples(
     rng is one generator, or a tuple of them that splits the rows into as
     many equal consecutive blocks, block b drawn by rng[b].  Draws, per
     generator and for every trajectory of its block regardless of alive:
-    one normal per Evolve (dispersion noise.sampled_delta_tau), then two
+    one normal per Evolve (dispersion noise.sampled_gdtau), then two
     uniforms per projection (readout branch, Born acceptance), in step
     order.  A block therefore draws exactly what the same generator would
     draw running those rows alone, and the stream layout is deterministic.
@@ -327,8 +329,8 @@ def propagate_sequence_samples(
             psi = psi.copy(order="F")
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
-            phase = _blockwise(rngs, n, "normal", step.mean_time / noise.g, noise.sampled_delta_tau)
-            phase *= 4.0 * noise.g
+            phase = _blockwise(rngs, n, "normal", step.mean_time, noise.sampled_gdtau)
+            phase *= 4.0
             rotor = np.empty(n, dtype=complex)
             np.cos(phase, out=rotor.real)
             np.sin(phase, out=rotor.imag)
@@ -500,15 +502,6 @@ def format_sequences(sequences) -> str:
 
 
 def parse_sequences(text: str) -> tuple:
-    """Inverse of :func:`format_sequences`."""
-    sequences = []
-    block: list = []
-    for raw in text.splitlines():
-        if raw.strip():
-            block.append(_parse_step(raw))
-        elif block:
-            sequences.append(MeasureSequence(steps=tuple(block)))
-            block = []
-    if block:
-        sequences.append(MeasureSequence(steps=tuple(block)))
-    return tuple(sequences)
+    """Inverse of :func:`format_sequences`: each run of non-blank lines is one sequence."""
+    blocks = itertools.groupby(text.splitlines(), key=lambda raw: bool(raw.strip()))
+    return tuple(parse_sequence("\n".join(lines)) for filled, lines in blocks if filled)

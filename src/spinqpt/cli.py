@@ -211,7 +211,7 @@ def _load_design(args) -> "tomography.TomographyDesign | None":
         return None
     try:
         with open(args.design_file, encoding="utf-8") as fh:
-            return tomography.design_from_sequences(parse_sequences(fh.read()), g=1.0)
+            return tomography.design_from_sequences(parse_sequences(fh.read()))
     except ValueError as exc:       # also a file that is not UTF-8 text
         _usage_error(f"{args.design_file}: {exc}")
 
@@ -223,7 +223,7 @@ def cmd_qpt(args) -> int:
     noise = NoiseParams.from_dimensionless(r=args.r, gdtau=args.gdtau)
     design = _load_design(args)
     if design is None and args.method == "all":
-        design = tomography.design_sequences(g=noise.g)
+        design = tomography.design_sequences()
     methods = list(_QPT_METHODS) if args.method == "all" else [args.method]
     results = {m: tomography.run_qpt(noise, method=_QPT_METHODS[m], mc_samples=args.samples,
                                      seed=args.seed, design=design) for m in methods}
@@ -292,7 +292,7 @@ def cmd_fidelity_sweep(args) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_entanglement_threshold(args) -> int:
-    design = _load_design(args) or tomography.design_sequences(g=1.0)
+    design = _load_design(args) or tomography.design_sequences()
     result = tomography.entanglement_threshold(design, gdtau=args.gdtau, tol=args.tol)
     report = {
         "params": _base_params(args, {"gdtau": args.gdtau, "tolerance": args.tol}),

@@ -26,6 +26,10 @@ singlet-triplet coherences by d^4.  Only ensemble averages are physical; the
 averaged evolution is computed exactly from the eigenstructure (each coherence
 between levels split by dE picks up exp(-i dE t0) exp(-(dE delta)^2 / 2)).
 Local rotations and Hadamards are treated as noise free.
+
+The noisy engine (NoiseParams, exchange_channel, noisy_cnot_channel) works in
+units of 1/g and sees the dispersion only as gdtau; the Hamiltonians, the gate
+constructors and gaussian_averaged_channel take g or absolute times.
 """
 
 from __future__ import annotations
@@ -64,48 +68,39 @@ FULL_DEPHASING_GDTAU = 100.0
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """The three noise knobs: coupling g, time dispersion delta_tau, readout polarization r.
+    """The two noise knobs: readout polarization r and timing noise gdtau = g * delta_tau.
 
-    Only the dimensionless product g*delta_tau affects any computed quantity,
-    exposed as .gdtau with the derived damping d = exp(-2 gdtau^2).
+    The engine works in units of 1/g, so the pulse-duration dispersion enters
+    only as the dimensionless gdtau, with the derived damping d = exp(-2 gdtau^2).
     """
 
-    g: float = 1.0
-    delta_tau: float = 0.0
     r: float = 1.0
+    gdtau: float = 0.0
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"exchange coupling g must be positive, got {self.g}")
-        if not 0.0 <= self.delta_tau < math.inf:
-            raise ValueError(f"time dispersion must be finite and nonnegative, got {self.delta_tau}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"polarization must lie in [0, 1], got {self.r}")
+        if not 0.0 <= self.gdtau < math.inf:
+            raise ValueError(f"gdtau must be finite and nonnegative, got {self.gdtau}")
 
     @classmethod
     def from_dimensionless(cls, r: float, gdtau: float) -> "NoiseParams":
-        """Work in units of 1/g: set g = 1 and delta_tau = gdtau."""
-        return cls(g=1.0, delta_tau=gdtau, r=r)
-
-    @property
-    def gdtau(self) -> float:
-        return self.g * self.delta_tau
+        """The noise point (r, gdtau), the same as calling the class."""
+        return cls(r=r, gdtau=gdtau)
 
     @property
     def dephasing(self) -> float:
-        """d = exp(-2 (g delta_tau)^2), in [0, 1]."""
+        """d = exp(-2 gdtau^2), in [0, 1]."""
         return dephasing_factor(self.gdtau)
 
     @property
-    def sampled_delta_tau(self) -> float:
-        """The dispersion Monte Carlo draws durations with: delta_tau, capped at the full-dephasing gdtau.
+    def sampled_gdtau(self) -> float:
+        """The dispersion Monte Carlo draws durations with: gdtau, capped at the full-dephasing cut.
 
         From that width on every sampled phase is uniform mod 2 pi to double
         precision, and the draws stay far from overflow.
         """
-        if self.gdtau < FULL_DEPHASING_GDTAU:
-            return self.delta_tau
-        return FULL_DEPHASING_GDTAU / self.g
+        return min(self.gdtau, FULL_DEPHASING_GDTAU)
 
 
 def dephasing_factor(gdtau: float) -> float:
@@ -160,13 +155,18 @@ def flipflop_hamiltonian(g: float) -> np.ndarray:
     return _positive_coupling(g) * _FLIPFLOP_UNIT
 
 
-def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) through the eigendecomposition of a Hermitian H."""
+def _hermitian_eigh(hamiltonian: np.ndarray, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian generator; a non-Hermitian one is rejected."""
     h = np.asarray(hamiltonian, dtype=complex)
     scale = max(1.0, np.max(np.abs(h)))
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-        raise ValueError("evolve_unitary requires a Hermitian generator")
-    energies, vectors = np.linalg.eigh(hermitize(h))
+        raise ValueError(f"{caller} requires a Hermitian generator")
+    return np.linalg.eigh(hermitize(h))
+
+
+def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) through the eigendecomposition of a Hermitian H."""
+    energies, vectors = _hermitian_eigh(hamiltonian, "evolve_unitary")
     phases = np.exp(-1j * energies * t)
     return (vectors * phases) @ vectors.conj().T
 
@@ -237,11 +237,7 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
     """
     if delta_tau < 0:
         raise ValueError("time dispersion must be nonnegative")
-    h = np.asarray(hamiltonian, dtype=complex)
-    scale = max(1.0, np.max(np.abs(h)))
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-        raise ValueError("gaussian_averaged_channel requires a Hermitian generator")
-    energies, v = np.linalg.eigh(hermitize(h))
+    energies, v = _hermitian_eigh(hamiltonian, "gaussian_averaged_channel")
     gaps = energies[:, None] - energies[None, :]
     with np.errstate(over="ignore"):     # an infinite spread is the exact 0 of full dephasing
         spread = (gaps * delta_tau) ** 2
@@ -253,30 +249,29 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
 
 
 @functools.lru_cache(maxsize=256)
-def exchange_channel(tau0: float, delta_tau: float, g: float) -> QuantumChannel:
-    """gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau), built once per arguments.
+def exchange_channel(mean_time: float, gdtau: float) -> QuantumChannel:
+    """The averaged exchange pulse of mean duration mean_time and dispersion gdtau (units of 1/g).
 
-    The channel is immutable, so every Evolve step of that duration shares it.
+    Built once per arguments; immutable, so every Evolve step of that duration shares it.
     """
-    return gaussian_averaged_channel(exchange_hamiltonian(g), tau0, delta_tau)
+    return gaussian_averaged_channel(_EXCHANGE_UNIT, mean_time, gdtau)
 
 
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
-    """Averaged CNOT under Gaussian timing noise of the exchange pulses.
+    """Averaged CNOT under Gaussian timing noise of the exchange pulses, in units of 1/g.
 
     The gate's pulse program averaged step by step: CNOT_ENTRY, then twice an
-    exchange pulse of mean duration CNOT_PHASE_TIME / 2g and dispersion
-    delta_tau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
+    exchange pulse of mean duration CNOT_PHASE_TIME / 2 and dispersion
+    gdtau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
     independent, so the average of the product is the product of the averaged
     pulses, each built by exchange_channel, whose cache readout Evolve steps share.
 
-    Rotations and Hadamards are ideal.  delta_tau = 0 gives the ideal CNOT
+    Rotations and Hadamards are ideal.  gdtau = 0 gives the ideal CNOT
     conjugation exactly.
     """
-    g = noise.g
     channel = _ENTRY_CHANNEL
     for _ in range(2):
-        pulse = exchange_channel(CNOT_PHASE_TIME / 2 / g, noise.delta_tau / 2, g)
+        pulse = exchange_channel(CNOT_PHASE_TIME / 2, noise.gdtau / 2)
         channel = _FLIP_X_CHANNEL.compose(pulse.compose(channel))
     return _EXIT_CHANNEL.compose(channel)
 

@@ -1,4 +1,4 @@
-"""Edge-readout-only state tomography and full process tomography.
+"""Edge-readout-only state tomography and full process tomography, in units of 1/g.
 
 Only the edge qubit X can be measured, so information about the inner qubit
 is routed to it with exchange pulses before projecting.  The shipped design
@@ -7,7 +7,7 @@ normalization constraint:
 
 * one transfer-correlation sequence per axis pair (i, j): rotate i onto z on
   X and j onto z on A, project the edge, run the full spin-transfer pulse
-  (duration pi/4 in units of 1/g, swapping the two spins), project again.
+  (duration pi/4, swapping the two spins), project again.
   The (z, z) member needs no rotations and reads the leading population
   directly; it is sequence #1.
 * three single-projection sequences reading the edge-qubit axes directly;
@@ -72,6 +72,7 @@ from .dynamics import (
     SIGMA_Y,
     SIGMA_Z,
     TRANSFER_TIME,
+    _positive_coupling,
     noisy_cnot_channel,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
@@ -100,7 +101,6 @@ class DesignRankError(ValueError):
 class TomographyDesign:
     """Sequences, their ideal effects, and the inversion matrix."""
 
-    g: float
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
@@ -148,7 +148,7 @@ def design_matrix_rows(effects) -> np.ndarray:
     return np.einsum("sij,bji->sb", ops, _PAULI_STACK).real.copy()
 
 
-def design_from_sequences(sequences, g: float) -> TomographyDesign:
+def design_from_sequences(sequences) -> TomographyDesign:
     """Build and verify a design from user-supplied sequences.
 
     Exactly 15 sequences are required (the trace constraint supplies the 16th
@@ -158,29 +158,31 @@ def design_from_sequences(sequences, g: float) -> TomographyDesign:
     sequences = tuple(sequences)
     if len(sequences) != 15:
         raise ValueError(f"a design needs exactly 15 sequences, got {len(sequences)}")
-    effects = tuple(ideal_effect_operator(seq, g) for seq in sequences)
+    effects = tuple(ideal_effect_operator(seq) for seq in sequences)
     matrix = design_matrix_rows(effects)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
     for array in (*effects, matrix):
         array.setflags(write=False)
-    return TomographyDesign(g=g, sequences=sequences, effects=effects, design_matrix=matrix)
+    return TomographyDesign(sequences=sequences, effects=effects, design_matrix=matrix)
 
 
-def design_sequences(g: float) -> TomographyDesign:
+def design_sequences(g: float = 1.0) -> TomographyDesign:
     """The shipped 15-sequence design; deterministic and verified rank 16.
 
     Sequence #1 is the bare two-projection transfer sequence whose ideal
     effect is the |1><1| population.  Dropping any single sequence lowers the
-    rank to 15 (the design is minimal).  Built once per value of g; its
-    arrays are read-only.
+    rank to 15 (the design is minimal).  Its Evolve durations are in units of
+    1/g, so every positive coupling g gets the one design, built once with
+    read-only arrays; g is only checked.
     """
-    return _shipped_design(float(g))
+    _positive_coupling(g)
+    return _shipped_design()
 
 
-@functools.lru_cache(maxsize=32)
-def _shipped_design(g: float) -> TomographyDesign:
+@functools.cache
+def _shipped_design() -> TomographyDesign:
     sequences = [_pair_sequence("z", "z")]
     sequences += [_edge_sequence(axis) for axis in _AXES]
     sequences += [_inner_sequence(axis) for axis in _AXES]
@@ -190,7 +192,7 @@ def _shipped_design(g: float) -> TomographyDesign:
         for aa in ("x", "y", "z")
         if (ax, aa) != ("z", "z")
     ]
-    return design_from_sequences(sequences, g)
+    return design_from_sequences(sequences)
 
 
 def reconstruct_state(probabilities, design: TomographyDesign) -> np.ndarray:
@@ -271,23 +273,19 @@ def assemble_channel_action(outputs) -> np.ndarray:
 def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
     """n independently sampled noisy-CNOT outputs of one pure state, CNOT_FRAME not yet applied.
 
-    Draws s1 then s2, the two isolation-pulse durations, each
-    Normal(CNOT_PHASE_TIME / 2g, delta_tau / 2) with delta_tau capped as
-    noise.sampled_delta_tau, n at a time.  The pulses act as exp(-i g (s1+s2)
-    sz sz) times a flip-flop rotation by 2g (s1-s2) within {|ud>, |du>}; taking out
-    the global phase exp(i g (s1+s2)), |uu> and |dd> carry exp(-2i g (s1+s2))
-    and the middle pair only the rotation.  Returns the F-ordered (n, 4)
-    columns of Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global
-    phase per trajectory; CNOT_FRAME follows, fused with each sequence's
-    leading rotations.
+    Durations are in units of 1/g.  Draws s1 then s2, the two isolation-pulse
+    durations, each Normal(CNOT_PHASE_TIME / 2, noise.sampled_gdtau / 2), n at
+    a time.  The pulses act as exp(-i (s1+s2) sz sz) times a flip-flop rotation
+    by 2 (s1-s2) within {|ud>, |du>}; taking out the global phase
+    exp(i (s1+s2)), |uu> and |dd> carry exp(-2i (s1+s2)) and the middle pair
+    only the rotation.  Returns the F-ordered (n, 4) columns of
+    Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global phase per
+    trajectory; CNOT_FRAME follows, fused with each sequence's leading rotations.
     """
-    g = noise.g
     a = CNOT_ENTRY @ state
-    mean = CNOT_PHASE_TIME / g / 2.0
-    s1 = rng.normal(mean, noise.sampled_delta_tau / 2.0, size=n)
-    s2 = rng.normal(mean, noise.sampled_delta_tau / 2.0, size=n)
-    outer = -2.0 * g * (s1 + s2)
-    angle = 2.0 * g * (s1 - s2)
+    s1, s2 = rng.normal(CNOT_PHASE_TIME / 2.0, noise.sampled_gdtau / 2.0, size=(2, n))
+    outer = -2.0 * (s1 + s2)
+    angle = 2.0 * (s1 - s2)
     phase = np.empty(n, dtype=complex)
     np.cos(outer, out=phase.real)
     np.sin(outer, out=phase.imag)
@@ -300,14 +298,14 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     return psi
 
 
-def _noisy_effects(design: TomographyDesign, g: float, delta_tau: float) -> np.ndarray:
+def _noisy_effects(design: TomographyDesign, gdtau: float) -> np.ndarray:
     """The design's noisy effects as one polynomial in r, shape (k + 1, 15, 4, 4).
 
     k is the largest number of projections in a sequence; coefficient j of
     sequence s is E_j of :func:`spinqpt.blockade.effect_polynomial`, zero
     beyond that sequence's own degree.
     """
-    polys = [effect_polynomial(seq, g, delta_tau) for seq in design.sequences]
+    polys = [effect_polynomial(seq, gdtau) for seq in design.sequences]
     stacked = np.zeros((max(map(len, polys)), len(polys), DIM, DIM), dtype=complex)
     for s, poly in enumerate(polys):
         stacked[: len(poly), s] = poly
@@ -348,12 +346,12 @@ def run_qpt(
     if method not in ("pipeline", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     if design is None:
-        design = design_sequences(noise.g)
+        design = design_sequences()
     if method == "pipeline":
         superop = noisy_cnot_channel(noise).superop
         vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
         outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
-        effects = polynomial_value(_noisy_effects(design, noise.g, noise.delta_tau), noise.r)
+        effects = polynomial_value(_noisy_effects(design, noise.gdtau), noise.r)
         probs = _probabilities(effects, outputs)
     else:
         inputs = []
@@ -406,9 +404,8 @@ def _output_probability_polynomial(gdtau: float, design: TomographyDesign) -> np
     The averaged gate does not depend on r, so its output is computed once and
     read by the design's noisy effects coefficient by coefficient.
     """
-    noise = NoiseParams(g=design.g, delta_tau=gdtau / design.g)
-    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
-    return _probabilities(_noisy_effects(design, noise.g, noise.delta_tau), rho_out[None])[..., 0]
+    rho_out = apply_channel(noisy_cnot_channel(NoiseParams(gdtau=gdtau)), ENTANGLEMENT_INPUT)
+    return _probabilities(_noisy_effects(design, gdtau), rho_out[None])[..., 0]
 
 
 def _reconstructed_negativity(r, poly: np.ndarray, design: TomographyDesign):

@@ -14,6 +14,11 @@ realization built literally from its pulse sequence, the reference for the
 batched gate draws of ``tomography._mc_gate_batch``.  ``split_cnot_channel``
 averages the same gate a second way, through the sum and difference of its
 two pulse durations, the reference for ``noisy_cnot_channel``.
+
+The engine works in units of 1/g; these references do not.  Each takes the
+coupling g explicitly (default 1) and runs at the exchange Hamiltonian of
+that g, with durations mean_time / g and dispersion noise.gdtau / g, so
+comparing them with the engine at g != 1 tests that only g*delta_tau matters.
 """
 
 import math
@@ -39,15 +44,15 @@ from spinqpt.qcore import QuantumChannel, apply_channel, as_density_array, hermi
 from spinqpt.tomography import ENTANGLEMENT_INPUT, PAULI_BASIS, qpt_input_states
 
 
-def forward_sequence_probability(seq, rho, noise):
-    """Trace of the running operator after every step, never renormalized."""
+def forward_sequence_probability(seq, rho, noise, g=1.0):
+    """Trace of the running operator after every step, never renormalized, at coupling g."""
     state = as_density_array(rho).copy()
-    hexch = exchange_hamiltonian(noise.g)
+    hexch = exchange_hamiltonian(g)
     for step in seq.steps:
         if isinstance(step, Project):
             state = blockade_map(state, step.declared, noise.r)
         elif isinstance(step, Evolve):
-            channel = gaussian_averaged_channel(hexch, step.mean_time / noise.g, noise.delta_tau)
+            channel = gaussian_averaged_channel(hexch, step.mean_time / g, noise.gdtau / g)
             state = apply_channel(channel, state)
         else:
             u = rotation_unitary(step)
@@ -96,11 +101,12 @@ def forward_chi(probs, design):
     return chi_from_action(action_from_outputs(outputs))
 
 
-def forward_pipeline_chi(noise, design):
-    """Pipeline chi with one forward evaluation per (input, sequence) pair."""
-    channel = noisy_cnot_channel(noise)
+def forward_pipeline_chi(noise, design, g=1.0):
+    """Pipeline chi at coupling g: the split gate, one forward evaluation per (input, sequence) pair."""
+    channel = split_cnot_channel(noise, g)
     outputs = [apply_channel(channel, rho_in) for rho_in in qpt_input_states().values()]
-    probs = [[forward_sequence_probability(seq, rho, noise) for rho in outputs] for seq in design.sequences]
+    probs = [[forward_sequence_probability(seq, rho, noise, g) for rho in outputs]
+             for seq in design.sequences]
     return forward_chi(probs, design)
 
 
@@ -109,32 +115,31 @@ def sample_duration(tau0, delta_tau, rng):
     return float(rng.normal(tau0, delta_tau))
 
 
-def sample_cnot_unitary(noise, rng):
-    """One noisy-CNOT realization: CNOT_FRAME Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A.
+def sample_cnot_unitary(noise, rng, g=1.0):
+    """One noisy-CNOT realization at coupling g: CNOT_FRAME Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A.
 
     U(s) is the exchange pulse of duration s; s1 then s2 are drawn from
-    Normal(CNOT_PHASE_TIME / 2g, noise.sampled_delta_tau / 2).
+    Normal(CNOT_PHASE_TIME / 2g, noise.sampled_gdtau / 2g).
     """
-    g = noise.g
     rz = local_rotation("X", "z", math.pi)
     hexch = exchange_hamiltonian(g)
-    s1 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_delta_tau / 2.0, rng)
-    s2 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_delta_tau / 2.0, rng)
+    s1 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_gdtau / g / 2.0, rng)
+    s2 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_gdtau / g / 2.0, rng)
     core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
     return CNOT_FRAME @ core @ CNOT_ENTRY
 
 
-def split_cnot_channel(noise):
-    """Averaged CNOT from the sum and difference of its two pulse durations.
+def split_cnot_channel(noise, g=1.0):
+    """Averaged CNOT at coupling g from the sum and difference of its two pulse durations.
 
     The isolation pulses s1, s2 fluctuate independently with dispersion
-    delta_tau/2 each, so their sum and difference are independent Gaussians
-    of dispersion delta_tau/sqrt(2).  The sum dephases the sz sz exponent
-    about CNOT_PHASE_TIME/g; the difference, of mean 0, reintroduces a
-    flip-flop admixture, which populates the spin-transfer sector.
+    delta_tau/2 each, delta_tau = noise.gdtau / g, so their sum and difference
+    are independent Gaussians of dispersion delta_tau/sqrt(2).  The sum
+    dephases the sz sz exponent about CNOT_PHASE_TIME/g; the difference, of
+    mean 0, reintroduces a flip-flop admixture, which populates the
+    spin-transfer sector.
     """
-    g = noise.g
-    sigma = noise.delta_tau / math.sqrt(2.0)
+    sigma = noise.gdtau / g / math.sqrt(2.0)
     phase_part = gaussian_averaged_channel(zz_hamiltonian(g), CNOT_PHASE_TIME / g, sigma)
     leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
     entry, frame = QuantumChannel.from_unitary(CNOT_ENTRY), QuantumChannel.from_unitary(CNOT_FRAME)
@@ -143,7 +148,7 @@ def split_cnot_channel(noise):
 
 def forward_output_negativity(r, gdtau, design):
     """Negativity of the reconstructed gate output, rebuilt from scratch at r."""
-    noise = NoiseParams(g=design.g, delta_tau=gdtau / design.g, r=r)
+    noise = NoiseParams(r=r, gdtau=gdtau)
     rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
     probs = [forward_sequence_probability(seq, rho_out, noise) for seq in design.sequences]
     return negativity(hermitize(forward_reconstruct(probs, design)))

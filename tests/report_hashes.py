@@ -12,7 +12,8 @@ anything.  When a change moves a report on purpose, regenerate the file with
     PYTHONPATH=src python tests/report_hashes.py
 
 which first prints one line for each argv whose hash changed or is new, and
-say in CHANGES.md which reports moved and why.
+for each golden key whose argv left ARGVS, and say in CHANGES.md which
+reports moved and why.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "report_sha256.json"
 _SWEEP_GDTAUS = "0,0.05,0.1,0.37,1,2,1e300"
 
 #: Every report family: the three qpt routes and all of them together, Monte
-#: Carlo below the full-dephasing cut, JSON and CSV sweeps, the threshold and
-#: both ideal-check outcomes.
+#: Carlo below and above the full-dephasing cut, JSON and CSV sweeps, the
+#: threshold and both ideal-check outcomes.
 ARGVS = (
     ("qpt",),
     ("qpt", "--method", "pipeline"),
@@ -44,6 +45,8 @@ ARGVS = (
      "--g-mev", "1.0"),
     ("qpt", "--method", "montecarlo", "--samples", "200", "--seed", "3", "--r", "0.9",
      "--gdtau", "99"),
+    ("qpt", "--method", "montecarlo", "--samples", "200", "--seed", "3", "--r", "0.9",
+     "--gdtau", "1e300"),
     ("fidelity-sweep",),
     ("fidelity-sweep", "--r-steps", "1001", "--gdtau-values", _SWEEP_GDTAUS),
     ("fidelity-sweep", "--format", "json", "--r-steps", "1001", "--gdtau-values", _SWEEP_GDTAUS),
@@ -84,5 +87,8 @@ if __name__ == "__main__":
             print(f"new: {argv}")
         elif previous[argv] != digest:
             print(f"changed: {argv}")
+    for argv in previous:
+        if argv not in hashes:
+            print(f"removed: {argv}")
     GOLDEN.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)

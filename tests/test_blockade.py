@@ -1,6 +1,7 @@
 """Tests for the blockade readout model and sequence evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,35 +179,36 @@ class TestIdealEffectOperator:
     def test_single_projection(self):
         seq = MeasureSequence(steps=(Project(UP),))
         np.testing.assert_allclose(
-            ideal_effect_operator(seq, 1.0), np.diag([1, 1, 0, 0]), atol=1e-14
+            ideal_effect_operator(seq), np.diag([1, 1, 0, 0]), atol=1e-14
         )
 
     def test_transfer_sequence_reads_leading_population(self):
         np.testing.assert_allclose(
-            ideal_effect_operator(POPULATION_SEQ, 1.0), np.diag([1, 0, 0, 0]), atol=1e-12
+            ideal_effect_operator(POPULATION_SEQ), np.diag([1, 0, 0, 0]), atol=1e-12
         )
 
     def test_global_pi_flip_reads_down_block(self):
         seq = MeasureSequence(steps=(Rotate("global", "x", math.pi), Project(UP)))
         np.testing.assert_allclose(
-            ideal_effect_operator(seq, 1.0), np.diag([0, 0, 1, 1]), atol=1e-12
+            ideal_effect_operator(seq), np.diag([0, 0, 1, 1]), atol=1e-12
         )
 
     def test_effect_independent_of_coupling(self):
+        # Evolve durations are in units of 1/g: the one effect reads the
+        # forward probability at every coupling.
         rng = np.random.default_rng(3)
         for _ in range(10):
-            seq = random_sequence(rng)
-            np.testing.assert_allclose(
-                ideal_effect_operator(seq, 0.3),
-                ideal_effect_operator(seq, 2.7),
-                atol=1e-12,
-            )
+            seq, rho = random_sequence(rng), random_density(rng)
+            p_effect = np.trace(ideal_effect_operator(seq) @ rho).real
+            for g in (0.3, 2.7):
+                assert p_effect == pytest.approx(
+                    forward_sequence_probability(seq, rho, NoiseParams(), g), abs=1e-12)
 
     def test_effect_bounds(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             seq = random_sequence(rng)
-            evals = np.linalg.eigvalsh(hermitize(ideal_effect_operator(seq, 1.0)))
+            evals = np.linalg.eigvalsh(hermitize(ideal_effect_operator(seq)))
             assert evals.min() >= -1e-12 and evals.max() <= 1.0 + 1e-12
 
     def test_matches_noise_free_probability(self):
@@ -216,7 +218,7 @@ class TestIdealEffectOperator:
         for _ in range(100):
             seq = random_sequence(rng)
             rho = random_density(rng)
-            effect = ideal_effect_operator(seq, noise.g)
+            effect = ideal_effect_operator(seq)
             p_effect = np.trace(effect @ rho).real
             p_forward = forward_sequence_probability(seq, rho, noise)
             assert p_effect == pytest.approx(p_forward, abs=1e-12)
@@ -242,29 +244,30 @@ class TestEffectPolynomial:
     @given(seq=sequences(), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5),
            g=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
     def test_equals_forward_probability(self, seq, r, gdtau, g, seed):
-        noise = NoiseParams(g=g, delta_tau=gdtau / g, r=r)
+        # The forward reference runs at coupling g with dispersion gdtau / g.
+        noise = NoiseParams(r=r, gdtau=gdtau)
         rho = random_density(np.random.default_rng(seed))
-        coeffs = effect_polynomial(seq, g, noise.delta_tau)
+        coeffs = effect_polynomial(seq, gdtau)
         assert coeffs.shape == (seq.n_projections + 1, 4, 4)
         effect = sum(r ** j * c for j, c in enumerate(coeffs))
-        expected = forward_sequence_probability(seq, rho, noise)
+        expected = forward_sequence_probability(seq, rho, noise, g)
         assert abs(np.trace(effect @ rho).real - expected) < 1e-12
         assert abs(sequence_probability(seq, rho, noise) - expected) < 1e-12
 
     def test_coefficients_are_hermitian(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            coeffs = effect_polynomial(random_sequence(rng), 1.0, float(rng.uniform(0, 0.3)))
+            coeffs = effect_polynomial(random_sequence(rng), float(rng.uniform(0, 0.3)))
             np.testing.assert_allclose(coeffs, coeffs.conj().transpose(0, 2, 1), atol=1e-14)
 
     def test_cubic_in_r_for_three_projections(self):
         # P+ P+ reads the same block twice: the ideal effect is unchanged but
         # the noisy one picks up one more readout factor (1 + r)/2 per repeat.
         seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(UP), Project(UP)))
-        coeffs = effect_polynomial(seq, 1.0, 0.1)
+        coeffs = effect_polynomial(seq, 0.1)
         assert len(coeffs) == 4 and np.abs(coeffs[3]).max() > 0.1
-        np.testing.assert_allclose(ideal_effect_operator(seq, 1.0),
-                                   ideal_effect_operator(POPULATION_SEQ, 1.0), atol=1e-14)
+        np.testing.assert_allclose(ideal_effect_operator(seq),
+                                   ideal_effect_operator(POPULATION_SEQ), atol=1e-14)
 
 
 class TestMonteCarlo:
@@ -376,19 +379,20 @@ class TestMonteCarlo:
         assert psi.shape == (7, 4) and psi.dtype == complex and psi.flags.f_contiguous
 
 
-def reference_propagate(psi, alive, seq, noise, rng):
+def reference_propagate(psi, alive, seq, noise, rng, g):
     """The eigenbasis trajectory kernel: a BLAS product per rotation and per
     Evolve, a complex exp(outer(...)) per Evolve, a collapse after every
-    projection.  Kept verbatim as the reference for the column kernel."""
+    projection.  Kept as the reference for the column kernel, in absolute
+    time at coupling g: durations mean_time / g, dispersion noise.gdtau / g."""
     n = psi.shape[0]
-    hexch = exchange_hamiltonian(noise.g)
+    hexch = exchange_hamiltonian(g)
     energies, v = np.linalg.eigh(hermitize(hexch))
     correct_weight, _ = branch_weights(noise.r)
     for step in seq.steps:
         if isinstance(step, Rotate):
             psi = psi @ rotation_unitary(step).T
         elif isinstance(step, Evolve):
-            taus = rng.normal(step.mean_time / noise.g, noise.delta_tau, size=n)
+            taus = rng.normal(step.mean_time / g, noise.gdtau / g, size=n)
             amp = psi @ v.conj()
             amp *= np.exp(-1j * np.outer(taus, energies))
             psi = amp @ v.T
@@ -441,12 +445,12 @@ class TestColumnKernel:
         compared = 0
         for trial in range(12):
             seq = kernel_sequence(rng, n_evolve)
-            noise = NoiseParams(g=float(rng.uniform(0.5, 2.0)), delta_tau=float(rng.uniform(0.0, 0.2)),
-                                r=float(rng.uniform(0.2, 1.0)))
+            g = float(rng.uniform(0.5, 2.0))
+            noise = NoiseParams(gdtau=g * float(rng.uniform(0.0, 0.2)), r=float(rng.uniform(0.2, 1.0)))
             psi = random_pure_states(rng, 300)
             start = psi if lead is None else psi @ lead.T
             ref_psi, ref_alive = reference_propagate(start, np.ones(300, bool), seq, noise,
-                                                     np.random.default_rng(trial))
+                                                     np.random.default_rng(trial), g)
             new_psi, new_alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(trial),
                                                             lead=lead)
             np.testing.assert_array_equal(new_alive, ref_alive)
@@ -469,7 +473,7 @@ class TestColumnKernel:
         # of 1/g), and the last projection leaves the states as Evolve made them.
         psi = random_pure_states(np.random.default_rng(seed), 6)
         seq = MeasureSequence(steps=(Evolve(tau * g), Project(UP)))
-        out, _ = propagate_sequence_samples(psi, seq, NoiseParams(g=g), np.random.default_rng(seed))
+        out, _ = propagate_sequence_samples(psi, seq, NoiseParams(), np.random.default_rng(seed))
         expected = psi @ evolve_unitary(exchange_hamiltonian(g), tau * g / g).T
         assert_rows_equal_up_to_phase(out, expected, atol=1e-11)
 
@@ -520,6 +524,19 @@ class TestSerialization:
             parse_sequence("P+\nQ 1.0\n")
         with pytest.raises(ValueError):
             parse_sequence("R B x 0.5\nP+\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("P+\n\nE 0.5\n\nQ\n", "a measurement sequence must end with a projection"),
+        ("P+\n  Q 1.0 \n\nE 0.5\n", "unrecognized sequence line: '  Q 1.0 '"),
+        ("P+\n \t\nR B x 0.5\nP+\n", "unknown rotation scope in line: 'R B x 0.5'"),
+    ])
+    def test_multi_sequence_document_reports_first_bad_block(self, text, message):
+        # Blocks are checked in order, each when its last line has been read.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sequences(text)
+
+    def test_blank_document_holds_no_sequence(self):
+        assert parse_sequences("\n  \n\t\n") == ()
 
     def test_multi_sequence_document_round_trip(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 """Tests for Hamiltonians, gate synthesis, and the timing-noise channel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from spinqpt.dynamics import (
     CNOT_PHASE_TIME,
     CNOT_TARGET,
+    FULL_DEPHASING_GDTAU,
     NoiseParams,
     TRANSFER_TIME,
     cnot_unitary,
@@ -352,10 +354,10 @@ class TestNoisyCnotChannel:
     def test_per_pulse_model_matches_sampled_gate_ensemble(self):
         # Independent oracle: average the literally constructed pulse sequence
         # (the isolation sandwich with two freshly drawn exchange durations,
-        # exact 4x4 unitaries) and compare the channel entrywise at 4 standard
-        # errors.
+        # exact 4x4 unitaries at coupling g, dispersion gdtau / g) and compare
+        # the channel entrywise at 4 standard errors.
         noise = NoiseParams.from_dimensionless(r=1.0, gdtau=0.12)
-        g = noise.g
+        g = 0.7
         analytic = noisy_cnot_channel(noise).superop
         rz = local_rotation("X", "z", math.pi)
         outer_gates = (
@@ -372,8 +374,8 @@ class TestNoisyCnotChannel:
 
         rng = np.random.default_rng(99)
         n = 200_000
-        s1 = rng.normal(tau_half, noise.delta_tau / 2, size=n)
-        s2 = rng.normal(tau_half, noise.delta_tau / 2, size=n)
+        s1 = rng.normal(tau_half, noise.gdtau / g / 2, size=n)
+        s2 = rng.normal(tau_half, noise.gdtau / g / 2, size=n)
         gates = outer_gates @ rz @ pulse_batch(s2) @ rz @ pulse_batch(s1) @ hadamard("A")
         flat = gates.reshape(n, 16)
         outer = (flat.conj().T @ flat) / n
@@ -388,13 +390,14 @@ class TestNoisyCnotChannel:
     @example(g=0.05, gdtau=1e300)
     @example(g=20.0, gdtau=1e300)
     def test_two_averaged_pulses_equal_sum_difference_split(self, g, gdtau):
-        noise = NoiseParams(g=g, delta_tau=gdtau / g)
+        # The split reference runs at coupling g with dispersion gdtau / g.
+        noise = NoiseParams(gdtau=gdtau)
         np.testing.assert_allclose(noisy_cnot_channel(noise).superop,
-                                   split_cnot_channel(noise).superop, rtol=0, atol=1e-13)
+                                   split_cnot_channel(noise, g).superop, rtol=0, atol=1e-13)
 
     def test_fresh_noise_builds_one_pulse_channel(self):
-        # The two pulses share one (duration, dispersion, g): one build, one cache hit.
-        noise = NoiseParams(g=0.913, delta_tau=0.0271)
+        # The two pulses share one (duration, dispersion): one build, one cache hit.
+        noise = NoiseParams(gdtau=0.0247423)
         before = exchange_channel.cache_info()
         noisy_cnot_channel(noise)
         after = exchange_channel.cache_info()
@@ -404,13 +407,13 @@ class TestNoisyCnotChannel:
         assert (again.misses - after.misses, again.hits - after.hits) == (0, 2)
 
     def test_sample_cnot_unitary_statistics(self):
-        # The scalar reference sampler of tests/forward_reference.py agrees with
-        # the analytic channel too (smaller n).
+        # The scalar reference sampler of tests/forward_reference.py, run at
+        # g = 1.6, agrees with the analytic channel too (smaller n).
         noise = NoiseParams.from_dimensionless(r=1.0, gdtau=0.15)
         analytic = noisy_cnot_channel(noise).superop
         rng = np.random.default_rng(5)
         n = 4000
-        flat = np.stack([sample_cnot_unitary(noise, rng).reshape(16) for _ in range(n)])
+        flat = np.stack([sample_cnot_unitary(noise, rng, 1.6).reshape(16) for _ in range(n)])
         outer = (flat.conj().T @ flat) / n
         mc = outer.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
         assert np.max(np.abs(mc - analytic)) < 0.05
@@ -418,15 +421,19 @@ class TestNoisyCnotChannel:
 
 class TestParamsAndSchedule:
     def test_noise_params_validation(self):
-        with pytest.raises(ValueError):
-            NoiseParams(g=-1.0)
-        with pytest.raises(ValueError):
-            NoiseParams(delta_tau=-0.1)
-        with pytest.raises(ValueError):
-            NoiseParams(r=1.2)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                NoiseParams(delta_tau=bad)
+        assert [f.name for f in dataclasses.fields(NoiseParams)] == ["r", "gdtau"]
+        for bad in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match="polarization"):
+                NoiseParams(r=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.1], ids=repr)
+    def test_noise_params_reject_non_finite_or_negative_gdtau(self, bad):
+        with pytest.raises(ValueError, match="^gdtau must be finite and nonnegative"):
+            NoiseParams(gdtau=bad)
+
+    def test_sampled_gdtau_is_capped_at_full_dephasing(self):
+        assert NoiseParams(gdtau=0.3).sampled_gdtau == 0.3
+        assert NoiseParams(gdtau=1.7e308).sampled_gdtau == FULL_DEPHASING_GDTAU
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
     def test_dephasing_factor_rejects_non_finite_and_negative(self, bad):

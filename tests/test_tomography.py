@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinqpt import blockade, tomography
 from spinqpt.blockade import (
@@ -59,7 +59,7 @@ from test_process_matrix import _random_kraus_channel
 
 @pytest.fixture(scope="module")
 def design():
-    return design_sequences(g=1.0)
+    return design_sequences()
 
 
 def random_density(rng):
@@ -106,15 +106,18 @@ class TestDesign:
             assert np.linalg.matrix_rank(design_matrix_rows(effects)) == 15
 
     def test_deterministic(self):
-        a = design_sequences(g=1.0)
-        b = design_sequences(g=1.0)
+        a = design_sequences()
+        b = design_from_sequences(a.sequences)
         assert a.sequences == b.sequences
         np.testing.assert_array_equal(a.design_matrix, b.design_matrix)
 
-    def test_built_once_per_coupling(self):
-        assert design_sequences(1.0) is design_sequences(1)
-        assert design_sequences(2.0) is not design_sequences(1.0)
-        assert design_sequences(2.0).g == 2.0
+    def test_one_design_for_every_coupling(self):
+        # Evolve durations are in units of 1/g, so g is only checked.
+        assert design_sequences(2.0) is design_sequences(1) is design_sequences()
+        assert not hasattr(design_sequences(), "g")
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^coupling must be positive$"):
+                design_sequences(bad)
 
     def test_cached_design_is_read_only(self):
         design = design_sequences(1.0)
@@ -126,12 +129,12 @@ class TestDesign:
 
     def test_custom_design_requires_fifteen_sequences(self, design):
         with pytest.raises(ValueError, match="exactly 15"):
-            design_from_sequences(design.sequences[:14], g=1.0)
+            design_from_sequences(design.sequences[:14])
 
     def test_rank_deficient_custom_design_reports_rank(self, design):
         clones = (design.sequences[0],) * 15
         with pytest.raises(DesignRankError) as excinfo:
-            design_from_sequences(clones, g=1.0)
+            design_from_sequences(clones)
         assert excinfo.value.achieved_rank < 16
 
 
@@ -331,7 +334,7 @@ class TestRunQpt:
         # A design file whose sequences rotate after a projection as well as
         # before it: only the leading rotations are applied ahead of the
         # kernel, the later ones stay in it, and the result is the same.
-        sequences = list(design_sequences(g=1.0).sequences)
+        sequences = list(design_sequences().sequences)
         for s, rotation in ((0, Rotate("A", "x", 0.7)), (8, Rotate("global", "y", -1.1)),
                             (12, Rotate("X", "z", 0.3))):
             steps = sequences[s].steps
@@ -339,7 +342,7 @@ class TestRunQpt:
             sequences[s] = MeasureSequence(steps=(*steps[:after], rotation, *steps[after:]))
         path = tmp_path / "design.txt"
         path.write_text(format_sequences(sequences), encoding="utf-8")
-        custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")), g=1.0)
+        custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=6, design=custom)
         assert_matches_replay(chi_mc, custom, noise, 6, 300)
@@ -417,6 +420,17 @@ class TestRunQpt:
         assert np.max(z) < 6.0
         assert np.max(np.abs(mc.chi - pipeline.chi)[~sampled], initial=0.0) < 1e-12
 
+    @settings(max_examples=25)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, allow_infinity=False))
+    @example(r=0.8, gdtau=1.7e308)
+    def test_every_accepted_noise_gives_finite_chi(self, design, r, gdtau):
+        # Whatever NoiseParams accepts, all three routes run to a finite chi.
+        noise = NoiseParams(r=r, gdtau=gdtau)
+        for method in ("pipeline", "closed_form", "monte_carlo"):
+            result = run_qpt(noise, method=method, mc_samples=20, seed=1, design=design)
+            assert np.all(np.isfinite(result.chi))
+            assert result.stderr is None or np.all(np.isfinite(result.stderr))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_qpt(NoiseParams(), method="variational")
@@ -477,13 +491,14 @@ class TestMonteCarloGateBatch:
     @settings(max_examples=60)
     @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_equals_sampled_cnot_unitary(self, g, gdtau, seed):
-        noise = NoiseParams(g=g, delta_tau=gdtau / g, r=1.0)
+        # The reference draws durations at coupling g, dispersion gdtau / g.
+        noise = NoiseParams(r=1.0, gdtau=gdtau)
         rng = np.random.default_rng(seed)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         state /= np.linalg.norm(state)
         # One trajectory draws s1 then s2 exactly as sample_cnot_unitary does.
         out = _mc_gate_batch(state, 1, noise, np.random.default_rng(seed))
-        expected = sample_cnot_unitary(noise, np.random.default_rng(seed)) @ state
+        expected = sample_cnot_unitary(noise, np.random.default_rng(seed), g) @ state
         assert_equal_up_to_phase(CNOT_FRAME @ out[0], expected, atol=1e-11)
         # Several trajectories: all s1 first, then all s2, so trajectory k is the
         # reference gate on standard normals k and n + k of the stream.
@@ -491,7 +506,7 @@ class TestMonteCarloGateBatch:
         out = _mc_gate_batch(state, n, noise, np.random.default_rng(seed))
         z = np.random.default_rng(seed).standard_normal(2 * n)
         for k in range(n):
-            expected = sample_cnot_unitary(noise, _Replay(z[k], z[n + k])) @ state
+            expected = sample_cnot_unitary(noise, _Replay(z[k], z[n + k]), g) @ state
             assert_equal_up_to_phase(CNOT_FRAME @ out[k], expected, atol=1e-11)
 
 
@@ -574,11 +589,12 @@ class TestEntanglementThreshold:
 
 class TestForwardReferenceEquivalence:
     @settings(max_examples=15)
-    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5))
-    def test_pipeline_chi_equals_forward_pipeline(self, design, r, gdtau):
-        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5), g=st.floats(0.05, 20.0))
+    def test_pipeline_chi_equals_forward_pipeline(self, design, r, gdtau, g):
+        # The reference runs at coupling g with dispersion gdtau / g.
+        noise = NoiseParams(r=r, gdtau=gdtau)
         chi = run_qpt(noise, method="pipeline", design=design).chi
-        assert np.max(np.abs(chi - forward_pipeline_chi(noise, design))) < 1e-12
+        assert np.max(np.abs(chi - forward_pipeline_chi(noise, design, g))) < 1e-12
 
     @settings(max_examples=30)
     @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5))
@@ -606,7 +622,7 @@ class TestCubicDesign:
         sequences = (type(first)(steps=first.steps + (first.steps[-1],)),) + design.sequences[1:]
         path = tmp_path_factory.mktemp("cubic") / "design.txt"
         path.write_text(format_sequences(sequences))
-        return path, design_from_sequences(sequences, g=1.0)
+        return path, design_from_sequences(sequences)
 
     @staticmethod
     def _report(tmp_path, *argv):
