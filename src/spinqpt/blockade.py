@@ -23,9 +23,11 @@ adjoint of the exact Gaussian-averaged exchange channel, and each projection
 the self-adjoint blockade map, which is affine in r.  The result is the
 sequence's noisy effect operator held as a polynomial in r of degree at most
 the number of projections, so one back-propagation serves every input state
-and every polarization.  The Monte Carlo evaluator draws a fresh duration
-per Evolve step and a Bernoulli readout branch per projection, giving an
-independent unbiased estimate.
+and every polarization.  The Monte Carlo evaluators sample a duration per
+Evolve step and a readout branch per projection, giving an independent
+unbiased estimate: :func:`sequence_probability_mc` counts the trajectories
+that also pass a Born acceptance draw, and the process-tomography driver
+weights each trajectory by the Born probabilities instead.
 
 The Monte Carlo trajectories are pure states held as four state columns.
 Each run of noise-free rotations is fused into one 4x4 matrix, and since
@@ -277,47 +279,82 @@ def _blockwise(rngs: tuple, n: int, method: str, *args) -> np.ndarray:
     return np.concatenate([getattr(rng, method)(*args, size=n // len(rngs)) for rng in rngs])
 
 
+def _times(weight: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
+    """weight * factor, in place; factor itself (not copied) if there is no weight yet."""
+    return factor if weight is None else np.multiply(weight, factor, out=weight)
+
+
+def _evolve_rotors(durations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(exp(4i tau) - 1) / 2 for each duration tau (units of 1/g): the kernel's Evolve factor."""
+    phase = np.multiply(durations, 4.0)
+    out = np.empty(phase.shape, dtype=complex) if out is None else out
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out -= 1.0
+    out *= 0.5
+    return out
+
+
 def propagate_sequence_samples(
     psi: np.ndarray,
     seq: MeasureSequence,
     noise: NoiseParams,
     rng: np.random.Generator | tuple,
     lead: np.ndarray | None = None,
+    rotors: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one batch of pure-state trajectories through a sequence.
 
     psi is (n, 4), one state per row, worked on as the four contiguous
     columns of an F-ordered complex array (updated in place if psi is a
     writeable one, else copied before the first write).  lead, if given, is
-    a noise-free unitary applied before the first step.  Returns the states
-    and alive, which marks the trajectories whose declared outcomes all
-    occurred.
+    a noise-free unitary applied before the first step.
 
     * Each run of noise-free unitaries (lead first, then rotations) is fused
       into one 4x4 matrix and applied column by column.
     * Exchange has the triplet level 1 and the singlet level -3 (units of
       g), so an Evolve of duration tau is, up to the global phase
-      exp(-i tau), the singlet phase alone: d = (c1 - c2)(exp(4i tau) - 1)/2,
-      c1 += d, c2 -= d.  States are therefore equal to the exact evolution
-      only up to a global phase per trajectory.
+      exp(-i tau), the singlet phase alone: d = (c1 - c2) rotor, c1 += d,
+      c2 -= d, with rotor = (exp(4i tau) - 1)/2 (:func:`_evolve_rotors`).
+      States are therefore equal to the exact evolution only up to a global
+      phase per trajectory.
     * A projection reads p_up = |c0|^2 + |c1|^2.  Between projections the
-      trajectory collapses onto its branch and is renormalized; after the
-      last one it is left as the projection read it.
+      trajectory collapses onto its readout branch and is renormalized;
+      after the last one it is left as the projection read it.
+
+    Two estimators share the kernel:
+
+    * Bernoulli (rotors None): returns the states and alive, which marks the
+      trajectories whose declared outcomes all occurred.  Per generator and
+      for every trajectory of its block regardless of alive: one normal per
+      Evolve (dispersion noise.sampled_gdtau), then two uniforms per
+      projection (readout branch, Born acceptance), in step order.
+    * Weighted (rotors given, one (n,) rotor array per Evolve step in step
+      order, read and never written): returns the states and float64
+      weights whose mean is the success probability.  A projection before
+      the last draws its readout branch, one uniform per trajectory, and
+      multiplies the weight by the Born probability of that branch; the
+      last projection draws nothing and multiplies it by the declaration
+      probability, (1-r)/2 + r p_up for "up" and (1+r)/2 - r p_up for
+      "down".  Every weight lies in [0, 1].
 
     rng is one generator, or a tuple of them that splits the rows into as
-    many equal consecutive blocks, block b drawn by rng[b].  Draws, per
-    generator and for every trajectory of its block regardless of alive:
-    one normal per Evolve (dispersion noise.sampled_gdtau), then two
-    uniforms per projection (readout branch, Born acceptance), in step
-    order.  A block therefore draws exactly what the same generator would
-    draw running those rows alone, and the stream layout is deterministic.
+    many equal consecutive blocks, block b drawn by rng[b].  A block
+    therefore draws exactly what the same generator would draw running
+    those rows alone, and the stream layout is deterministic.
     """
     n = psi.shape[0]
     rngs = rng if isinstance(rng, tuple) else (rng,)
     psi = np.asfortranarray(psi, dtype=complex)
-    alive = np.ones(n, dtype=bool)
+    weighted = rotors is not None
+    if weighted:
+        rotors = iter(rotors)
+        weight = None
+    else:
+        alive = np.ones(n, dtype=bool)
     correct_weight, _ = branch_weights(noise.r)
     pending = lead
+    last = len(seq.steps) - 1
     for i, step in enumerate(seq.steps):
         if isinstance(step, Rotate):
             pending = _fuse(pending, step)
@@ -329,24 +366,32 @@ def propagate_sequence_samples(
             psi = psi.copy(order="F")
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
-            phase = _blockwise(rngs, n, "normal", step.mean_time, noise.sampled_gdtau)
-            phase *= 4.0
-            rotor = np.empty(n, dtype=complex)
-            np.cos(phase, out=rotor.real)
-            np.sin(phase, out=rotor.imag)
-            rotor -= 1.0
+            if weighted:
+                rotor = next(rotors)
+            else:
+                rotor = _evolve_rotors(_blockwise(rngs, n, "normal", step.mean_time, noise.sampled_gdtau))
             d = c1 - c2
-            d *= 0.5
             d *= rotor
             c1 += d
             c2 -= d
             continue
+        p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
+        if weighted:
+            np.minimum(p_up, 1.0, out=p_up)         # a unit state's p_up may round past 1
+            if i == last:
+                signed_r = noise.r if step.declared == UP else -noise.r
+                p_up *= signed_r
+                p_up += 0.5 * (1.0 - signed_r)
+                weight = _times(weight, p_up)
+                break
         correct = _blockwise(rngs, n, "random") < correct_weight
         want_up = correct if step.declared == UP else ~correct
-        p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
         p_phys = np.where(want_up, p_up, 1.0 - p_up)
-        alive &= _blockwise(rngs, n, "random") < p_phys
-        if i < len(seq.steps) - 1:
+        if weighted:
+            weight = _times(weight, p_phys)
+        else:
+            alive &= _blockwise(rngs, n, "random") < p_phys
+        if i < last:
             scale = 1.0 / np.sqrt(np.maximum(p_phys, 1e-300))
             up_scale = np.where(want_up, scale, 0.0)
             down_scale = scale - up_scale
@@ -354,7 +399,7 @@ def propagate_sequence_samples(
             c1 *= up_scale
             c2 *= down_scale
             c3 *= down_scale
-    return psi, alive
+    return psi, (weight if weighted else alive)
 
 
 def sequence_probability_mc(
@@ -368,11 +413,12 @@ def sequence_probability_mc(
 
     Each trajectory draws a Gaussian duration per Evolve step, a Bernoulli
     readout branch per projection, and a Born-rule acceptance for the branch
-    projector; the estimate is the surviving fraction.  Per chunk, rng draws
-    the starting states, then the sequence's own draws.
+    projector; the estimate is the surviving fraction, so its error is
+    binomial.  Per chunk, rng draws the starting states, then the
+    sequence's own draws.
     """
     p_hat, cov = _survival_estimates(
-        (seq,), [(lambda m: sample_initial_states(rho, m, rng), (rng,))], noise, n_samples
+        (seq,), [(lambda m: sample_initial_states(rho, m, rng), (rng,), None)], noise, n_samples
     )
     return McEstimate(estimate=float(p_hat[0, 0]), stderr=float(np.sqrt(cov[0, 0, 0])),
                       n_samples=operator.index(n_samples))
@@ -402,55 +448,87 @@ def _prefix_families(sequences, lead) -> list:
     return [(functools.reduce(_fuse, run, lead), members) for run, members in families.items()]
 
 
-def _survival_estimates(sequences, inputs, noise, n_samples, lead=None) -> tuple[np.ndarray, np.ndarray]:
-    """Surviving fractions of n_samples trajectories per input and sequence, and their covariance.
+def _evolve_slots(sequences) -> tuple[list, list]:
+    """The distinct Evolve slots and, per sequence, the slot of each of its Evolve steps.
 
-    inputs holds one (sample_states, rngs) pair per input: sample_states(m)
-    draws its (m, 4) starting states and rngs[s] is its generator for
-    sequence s.  Per chunk of _MC_CHUNK trajectories the inputs go in groups
+    A slot is (mean_time, k) for the k-th Evolve step of a sequence; slots are listed in
+    order of first appearance.  Two steps of one sequence never share a slot.
+    """
+    slots: dict = {}
+    members = []
+    for seq in sequences:
+        times = [step.mean_time for step in seq.steps if isinstance(step, Evolve)]
+        members.append([slots.setdefault(key, len(slots)) for key in zip(times, itertools.count())])
+    return [time for time, _ in slots], members
+
+
+def _survival_estimates(sequences, inputs, noise, n_samples, lead=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean success of n_samples trajectories per input and sequence, and their covariance.
+
+    inputs holds one (sample_states, rngs, durations) triple per input:
+    sample_states(m) draws its (m, 4) starting states, rngs[s] is its
+    generator for sequence s, and durations is None for the Bernoulli
+    estimator or the input's duration generator for the weighted one (see
+    :func:`propagate_sequence_samples`); every input takes the same
+    estimator.  Per chunk of _MC_CHUNK trajectories the inputs go in groups
     of up to _MC_STACK_ROWS // m, at least one; each draws its batch once,
-    read-only, and the group's batches are stacked.  lead and each distinct
+    read-only, and the group's batches are stacked.  A weighted input then
+    draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot
+    (:func:`_evolve_slots`) in slot order and turns it into rotors once;
+    every sequence with that slot reads them.  lead and each distinct
     leading run of rotations are applied to the stack once; each sequence of
     that run copies the result into a reused buffer and runs its other steps
-    in one kernel call, every input's block drawn by that input's generator.
+    in one kernel call, every input's block drawn by that input's generators.
     Grouping therefore changes no draw.
 
-    An input's sequences share its batch, so each input gets the full
-    covariance of its fractions, (n_st / n - p_s p_t) / n with n_st the
-    number of its trajectories that survive both s and t.  The counts are
-    products of the chunk's 0/1 survival rows in float32: every partial sum
-    is an integer of at most _MC_CHUNK < 2**24, so they are exact in any
-    summation order.  Shapes (inputs, sequences) and (inputs, sequences, sequences).
+    An input's sequences share its batch (and its rotors), so each input
+    gets the full covariance of its means, (mean(w_s w_t) - p_s p_t) / n,
+    with w_s the float64 row of trajectory results for sequence s (0/1 for
+    the Bernoulli estimator, weights for the other).  p_s is the row sum
+    over n; the products are summed chunk by chunk in a fixed order, so
+    reruns are byte-identical.  Shapes (inputs, sequences) and
+    (inputs, sequences, sequences).
     """
     n = _sample_count(n_samples)
     families = _prefix_families(sequences, lead)
+    slot_times, seq_slots = _evolve_slots(sequences)
     inputs = list(inputs)
-    counts = np.zeros((len(inputs), len(sequences), len(sequences)))
+    weighted = inputs[0][2] is not None
+    sums = np.zeros((len(inputs), len(sequences)))
+    products = np.zeros((len(inputs), len(sequences), len(sequences)))
     for done in range(0, n, _MC_CHUNK):
         m = min(n - done, _MC_CHUNK)
         per_group = max(1, _MC_STACK_ROWS // m)
         width = min(per_group, len(inputs)) * m
-        survived = np.empty((len(sequences), width), dtype=np.float32)
+        results = np.empty((len(sequences), width))
+        rotors = np.empty((len(slot_times) if weighted else 0, width), dtype=complex)
         buffers = [np.empty(width * DIM, dtype=complex) for _ in range(3)]
         for first in range(0, len(inputs), per_group):
             group = inputs[first:first + per_group]
             rows = len(group) * m
             stacked, prefixed, work = (b[: rows * DIM].reshape((rows, DIM), order="F") for b in buffers)
-            batches = [sample_states(m) for sample_states, _ in group]
+            batches = [sample_states(m) for sample_states, _, _ in group]
             for batch in batches:
                 batch.setflags(write=False)
             psi = batches[0] if len(group) == 1 else np.concatenate(batches, out=stacked)
+            if weighted:
+                for i, (_, _, durations) in enumerate(group):
+                    for slot, time in enumerate(slot_times):
+                        _evolve_rotors(durations.normal(time, noise.sampled_gdtau, size=m),
+                                       out=rotors[slot, i * m:(i + 1) * m])
             for fused, members in families:
                 state = psi if fused is None else _apply_unitary(psi, fused, out=prefixed)
                 for s, rest in members:
                     np.copyto(work, state)
-                    rngs = tuple(streams[s] for _, streams in group)
-                    survived[s, :rows] = propagate_sequence_samples(work, rest, noise, rngs)[1]
-            for i, block in enumerate(np.split(survived[:, :rows], len(group), axis=1), start=first):
-                counts[i] += block @ block.T
+                    rngs = tuple(streams[s] for _, streams, _ in group)
+                    shared = tuple(rotors[slot, :rows] for slot in seq_slots[s]) if weighted else None
+                    results[s, :rows] = propagate_sequence_samples(work, rest, noise, rngs, rotors=shared)[1]
+            for i, block in enumerate(np.split(results[:, :rows], len(group), axis=1), start=first):
+                sums[i] += block.sum(axis=1)
+                products[i] += block @ block.T
             del batches, batch, psi, state      # freed before the next group draws
-    p_hat = np.diagonal(counts, axis1=1, axis2=2) / n
-    return p_hat, (counts / n - p_hat[:, :, None] * p_hat[:, None, :]) / n
+    p_hat = sums / n
+    return p_hat, (products / n - p_hat[:, :, None] * p_hat[:, None, :]) / n
 
 
 # ----------------------------------------------------------------------------

@@ -232,9 +232,14 @@ def cmd_qpt(args) -> int:
     if args.method == "all":
         def maxdev(a, b):
             return float(np.max(np.abs(results[a].chi - results[b].chi)))
+        mc = results["montecarlo"]
+        sampled = mc.stderr > 1e-12
+        gap = np.abs(mc.chi - results["pipeline"].chi)[sampled]
         deviations = {
             "pipeline_vs_closed_form": maxdev("pipeline", "closed-form"),
             "montecarlo_vs_pipeline": maxdev("montecarlo", "pipeline"),
+            # The same gap in units of each entry's propagated standard error.
+            "montecarlo_max_abs_z": float(np.max(gap / mc.stderr[sampled], initial=0.0)),
             "montecarlo_vs_closed_form": maxdev("montecarlo", "closed-form"),
             # Off-diagonal sectors of the reconstruction depend on the sequence
             # design once timing noise is on, so a pipeline versus closed-form

@@ -27,14 +27,18 @@ through the gate superoperator at once, the 15 x 16 probabilities are one
 product with the sequences' noisy effects (back-propagated once each, see
 :func:`spinqpt.blockade.effect_polynomial`), and one solve with 16
 right-hand sides reconstructs every output.  A Monte Carlo mode replaces
-every analytic sequence probability with a sampled estimate.  Each
-trajectory passes through its own sampled gate, and one batch of gate draws
-per input is shared by its 15 sequences, so their estimates are correlated;
-their full covariance is propagated exactly through the same two linear maps.
-The seed spawns one child per input, and each child one stream per sequence,
-then one for the gate.  Small batches of several inputs share each kernel
-call and rotations that open several sequences are applied once (see
-:func:`spinqpt.blockade._survival_estimates`); neither changes a draw.
+every analytic sequence probability with a sampled estimate, the mean
+weight of its trajectories (a trajectory keeps its readout-branch draws and
+is weighted by the Born probabilities of its branches).  Each trajectory
+passes through its own sampled gate, and one batch of gate draws per input
+is shared by its 15 sequences, as is one column of durations per Evolve
+slot, so their estimates are correlated; their full covariance is
+propagated exactly through the same two linear maps.  The seed spawns one
+child per input, and each child one stream per sequence, then one for the
+gate and one for the Evolve durations.  Small batches of several inputs
+share each kernel call and rotations that open several sequences are
+applied once (see :func:`spinqpt.blockade._survival_estimates`); neither
+changes a draw.
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -332,14 +336,15 @@ def run_qpt(
                   noise.r, one solve with 16 right-hand sides reconstructs
                   them with ideal effects, and chi follows by linearity;
     closed_form   evaluate the explicit block expressions directly;
-    monte_carlo   like pipeline but every probability is a sampled estimate
-                  (mc_samples trajectories each, an integer of at least 1,
-                  deterministic in the seed).  An input's 15 sequences share
-                  its gate draws, so stderr is sqrt(diag(L Sigma L^H)): L the
-                  linear map from probabilities to chi (reconstruction, then
-                  assembly) and Sigma block-diagonal, one 15 x 15 covariance
-                  of the means per input, from the co-survival counts.  That
-                  is sqrt(E|delta chi|^2) per entry.
+    monte_carlo   like pipeline but every probability is a sampled estimate,
+                  the mean weight of mc_samples trajectories (an integer of
+                  at least 1, deterministic in the seed).  An input's 15
+                  sequences share its gate and Evolve draws, so stderr is
+                  sqrt(diag(L Sigma L^H)): L the linear map from
+                  probabilities to chi (reconstruction, then assembly) and
+                  Sigma block-diagonal, one 15 x 15 covariance of the means
+                  per input, from the products of the weights.  That is
+                  sqrt(E|delta chi|^2) per entry.
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -356,10 +361,10 @@ def run_qpt(
     else:
         inputs = []
         for state, child in zip(_INPUT_VECTORS, np.random.SeedSequence(seed).spawn(16)):
-            *seq_seeds, gate_seed = child.spawn(design.n_sequences + 1)
-            gate_rng = np.random.default_rng(gate_seed)
+            *seq_rngs, gate_rng, duration_rng = map(np.random.default_rng,
+                                                     child.spawn(design.n_sequences + 2))
             inputs.append((lambda m, state=state, rng=gate_rng: _mc_gate_batch(state, m, noise, rng),
-                           tuple(map(np.random.default_rng, seq_seeds))))
+                           tuple(seq_rngs), duration_rng))
         probs, cov = _survival_estimates(design.sequences, inputs, noise, mc_samples, lead=CNOT_FRAME)
         probs = probs.T                                          # (15, 16); cov is (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))

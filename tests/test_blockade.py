@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinqpt.blockade import (
     _MC_CHUNK,
@@ -491,6 +491,60 @@ class TestColumnKernel:
         assert want is psi
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(alive, want_alive)
+
+
+_kernel_steps = st.lists(st.one_of(
+    st.floats(0.1, 2.0).map(Evolve),
+    st.builds(Rotate, st.sampled_from(["X", "A", "global"]), st.sampled_from("xyz"), st.floats(-3.0, 3.0)),
+), max_size=3)
+
+
+class TestWeightedKernel:
+    @settings(max_examples=60)
+    @given(steps=_kernel_steps, declared=st.sampled_from([UP, DOWN]), r=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(steps=[], declared=UP, r=1.0, seed=0)
+    @example(steps=[], declared=DOWN, r=1.0, seed=0)
+    def test_one_projection_weight_is_sequence_probability(self, steps, declared, r, seed):
+        # Without timing noise the one projection's weight is each trajectory's exact
+        # success probability.  Row 0 has p_up = 2 * sqrt(0.5)^2, which rounds past 1.
+        seq = MeasureSequence(steps=(*steps, Project(declared)))
+        noise = NoiseParams(r=r)
+        psi = random_pure_states(np.random.default_rng(seed), 20)
+        psi[0] = [math.sqrt(0.5), math.sqrt(0.5), 0, 0]
+        rotors = tuple(np.full(20, (np.exp(4j * step.mean_time) - 1) / 2) for step in steps
+                       if isinstance(step, Evolve))
+        _, weights = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(seed), rotors=rotors)
+        want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
+        assert weights.dtype == np.float64 and weights.shape == (20,)
+        np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
+        assert np.all((0.0 <= weights) & (weights <= 1.0))
+
+    def test_branch_draws_only_before_the_last_projection(self):
+        # One uniform per trajectory and projection before the last; none for
+        # Evolve steps (their rotors are given) or for the last projection.
+        seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(DOWN), Project(UP)))
+        rng = np.random.default_rng(5)
+        psi = random_pure_states(np.random.default_rng(6), 30)
+        propagate_sequence_samples(psi, seq, NoiseParams(r=0.7), rng, rotors=(np.zeros(30, complex),))
+        expected = np.random.default_rng(5)
+        expected.random(60)
+        assert rng.random() == expected.random()
+
+    def test_weight_mean_agrees_with_analytic_evaluator(self):
+        # The kernel's own Evolve draws, replayed as rotors: the weights' mean
+        # estimates the success probability within its standard error.
+        noise = NoiseParams(r=0.8, gdtau=0.3)
+        seq = MeasureSequence(steps=(Rotate("X", "y", 0.9), Project(UP), Evolve(TRANSFER),
+                                     Project(DOWN)))
+        rho = pure_state([1, 1j, 0.5, 0])
+        n = 40_000
+        rng = np.random.default_rng(8)
+        psi = sample_initial_states(rho, n, rng)
+        rotors = ((np.exp(4j * rng.normal(TRANSFER, noise.sampled_gdtau, size=n)) - 1) / 2,)
+        _, weights = propagate_sequence_samples(psi, seq, noise, rng, rotors=rotors)
+        p = sequence_probability(seq, rho, noise)
+        assert abs(weights.mean() - p) < 4.0 * weights.std() / math.sqrt(n)
 
 
 class TestSerialization:

@@ -147,6 +147,23 @@ class TestQptCommand:
                        "--samples", "200", "--out", str(out)) == 0
         assert json.loads(out.read_text())["deviations"]["expected_discrepancy_caveat"] is True
 
+    def test_all_methods_report_monte_carlo_z(self, tmp_path):
+        # The largest |chi_mc - chi_pipeline| / stderr over the sampled entries.
+        from spinqpt.dynamics import NoiseParams
+        from spinqpt.tomography import run_qpt
+
+        out = tmp_path / "all.json"
+        assert run_cli("qpt", "--r", "0.7", "--gdtau", "0.2", "--method", "all",
+                       "--samples", "400", "--seed", "4", "--out", str(out)) == 0
+        z = json.loads(out.read_text())["deviations"]["montecarlo_max_abs_z"]
+        noise = NoiseParams(r=0.7, gdtau=0.2)
+        mc = run_qpt(noise, method="monte_carlo", mc_samples=400, seed=4)
+        pipe = run_qpt(noise, method="pipeline")
+        sampled = mc.stderr > 1e-12
+        assert sampled.any()
+        assert z == np.max(np.abs(mc.chi - pipe.chi)[sampled] / mc.stderr[sampled])
+        assert z < 5.0
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["qpt", "--r", "0.7", "--gdtau", "0.1", "--method", "all",
