@@ -19,11 +19,10 @@ The module works in units of 1/g: Evolve durations are g*t and the timing
 noise is the dimensionless gdtau, so serialized sequences are coupling
 independent.  The analytic evaluator back-propagates the identity
 through the sequence once (Heisenberg picture): each Evolve step applies the
-adjoint of the exact Gaussian-averaged exchange channel, and each projection
-the self-adjoint blockade map, which is affine in r.  The result is the
-sequence's noisy effect operator held as a polynomial in r of degree at most
-the number of projections, so one back-propagation serves every input state
-and every polarization.  The Monte Carlo evaluators sample a duration per
+adjoint of the averaged exchange pulse, affine in its damping D = exp(-8 gdtau^2),
+and each projection the self-adjoint blockade map, affine in r.  The result,
+the sequence's noisy effect as an exact polynomial in D and r, serves every
+input state and every noise point.  The Monte Carlo evaluators sample a duration per
 Evolve step and a readout branch per projection, giving an independent
 unbiased estimate: :func:`sequence_probability_mc` counts the trajectories
 that also pass a Born acceptance draw, and the process-tomography driver
@@ -46,7 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import NoiseParams, exchange_channel, global_rotation, local_rotation
+from .dynamics import _EXCHANGE_BLOCKS, NoiseParams, exchange_coherence, global_rotation, local_rotation
 from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize
 
 UP = "up"
@@ -160,30 +159,31 @@ _SAME_EDGE = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
 _EDGE_SIGN = 0.5 * np.kron(np.diag([1.0, -1.0]), np.ones((2, 2)))
 
 
-def effect_polynomial(seq: MeasureSequence, gdtau: float) -> np.ndarray:
-    """Noisy effect of a sequence as coefficients E_0 ... E_k in the polarization r.
+def effect_polynomial(seq: MeasureSequence) -> np.ndarray:
+    """Noisy effect of a sequence as exact coefficients E_cj of D^c r^j, shape (m + 1, k + 1, 4, 4).
 
-    Returns an array of shape (k + 1, 4, 4), k = seq.n_projections, with
-    Tr[(sum_j r^j E_j) rho] the sequence's success probability at timing
-    noise gdtau (units of 1/g) and readout polarization r.  Built by one
-    Heisenberg back-propagation of the identity: walking the steps in
-    reverse, a projection maps E_j -> M0(E_j) +/- M1(E_{j-1}) (the blockade
-    map is self-adjoint and affine in r), an Evolve step applies the adjoint
-    of the Gaussian-averaged exchange channel, and a rotation u maps
-    E -> u† E u.  Each coefficient is Hermitian.
+    m counts the Evolve steps and k = seq.n_projections.  Tr[(sum D^c r^j E_cj) rho]
+    is the success probability at polarization r and timing noise gdtau (units of 1/g),
+    D = exp(-8 gdtau^2); polynomial_value at D, then at r, evaluates it.  Built by one
+    Heisenberg back-propagation of the identity: walking the steps in reverse, a
+    projection maps E_cj -> M0(E_cj) +/- M1(E_c,j-1), an Evolve step keeps the exchange
+    blocks of E_cj at D^c and adds the adjoint of its coherences at D^(c+1), and a
+    rotation u maps E -> u† E u.  Each coefficient is Hermitian.
     """
-    coeffs = np.zeros((seq.n_projections + 1, DIM, DIM), dtype=complex)
-    coeffs[0] = np.eye(DIM)
+    n_evolves = sum(isinstance(s, Evolve) for s in seq.steps)
+    coeffs = np.zeros((n_evolves + 1, seq.n_projections + 1, DIM, DIM), dtype=complex)
+    coeffs[0, 0] = np.eye(DIM)
     for step in reversed(seq.steps):
         if isinstance(step, Project):
-            odd = coeffs[:-1] * (_EDGE_SIGN if step.declared == UP else -_EDGE_SIGN)
+            odd = coeffs[:, :-1] * (_EDGE_SIGN if step.declared == UP else -_EDGE_SIGN)
             coeffs *= _SAME_EDGE
-            coeffs[1:] += odd
+            coeffs[:, 1:] += odd
         elif isinstance(step, Evolve):
-            superop = exchange_channel(step.mean_time, gdtau).superop
             # vec(E) of each coefficient is row n*4+m of E.T; apply S† to it.
-            flat = coeffs.transpose(0, 2, 1).reshape(-1, DIM * DIM) @ superop.conj()
-            coeffs = flat.reshape(-1, DIM, DIM).transpose(0, 2, 1)
+            rows = coeffs.swapaxes(-1, -2).reshape(-1, DIM * DIM)
+            coeffs, coherences = ((rows @ superop.conj()).reshape(coeffs.shape).swapaxes(-1, -2)
+                                  for superop in (_EXCHANGE_BLOCKS, exchange_coherence(step.mean_time)))
+            coeffs[1:] += coherences[:-1]       # coherences[-1] is zero: m Evolves reach D^m
         else:
             u = rotation_unitary(step)
             coeffs = u.conj().T @ coeffs @ u
@@ -203,23 +203,22 @@ def polynomial_value(coeffs: np.ndarray, r):
 def sequence_probability(seq: MeasureSequence, rho, noise: NoiseParams) -> float:
     """Probability that every projection in the sequence reports its declared outcome.
 
-    Evolve steps act through the Gaussian-averaged exchange channel at the
+    Evolve steps act through the Gaussian-averaged exchange pulse at the
     step's mean duration and the dispersion noise.gdtau, both in units of
     1/g; rotations are ideal; projections apply the polarization-degraded
-    blockade map.
-    Evaluated as Re Tr[E(r) rho] on the effect of :func:`effect_polynomial`.
+    blockade map.  Evaluated as Re Tr[E rho] on :func:`effect_polynomial` at D = d^4, r.
     """
-    effect = polynomial_value(effect_polynomial(seq, noise.gdtau), noise.r)
+    effect = polynomial_value(polynomial_value(effect_polynomial(seq), noise.dephasing ** 4), noise.r)
     return float(np.sum(effect * as_density_array(rho).T).real)
 
 
 def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
     """Hermitian effect E with Tr[E rho] = success probability at r = 1, gdtau = 0.
 
-    The r = 1 value of :func:`effect_polynomial` without timing noise;
+    The value of :func:`effect_polynomial` at r = D = 1, hermitized;
     satisfies 0 <= E <= 1.
     """
-    return hermitize(effect_polynomial(seq, 0.0).sum(axis=0))
+    return hermitize(effect_polynomial(seq).sum(axis=(0, 1)))
 
 
 # ----------------------------------------------------------------------------

@@ -343,6 +343,7 @@ _polarization = _number(float, lambda x: 0.0 <= x <= 1.0, "a polarization in [0,
 _gdtau = _number(float, lambda x: 0.0 <= x < math.inf, "a finite gdtau >= 0")
 _tolerance = _number(float, lambda x: 0.0 < x < math.inf, "a finite tolerance > 0")
 _sample_count = _number(int, lambda n: n >= 1, "a sample count >= 1")
+_job_count = _number(int, lambda n: n >= 1, "a job count >= 1")
 _coupling_mev = _number(
     float, lambda x: 0.0 < x < math.inf and all(map(math.isfinite, times_in_picoseconds(x).values())),
     "a coupling > 0 in meV with finite pulse times")
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gdtau", type=_gdtau, default=0.0)
     p.add_argument("--method", default="closed-form",
                    choices=["pipeline", "closed-form", "montecarlo", "all"])
-    p.add_argument("--samples", type=_sample_count, default=100_000,
+    p.add_argument("--samples", type=_sample_count, default=tomography.DEFAULT_MC_SAMPLES,
                    help="trajectories per probability in montecarlo mode")
     p.add_argument("--design-file", default=None,
                    help="custom 15-sequence design, blank-line separated line format")
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gdtau-values", type=_gdtau_list, default="0,0.1",
                    help="comma-separated gdtau values, one sweep per value")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_job_count, default=1,
                    help="accepted for compatibility and echoed in the report; "
                         "the sweep always runs in-process, so it changes nothing")
 

@@ -22,19 +22,18 @@ exchange channel as a free-evolution pulse, at half the dispersion.  This
 calibration makes every observable depend on the single dimensionless number
 g*delta_tau through d = exp(-2 (g delta_tau)^2): the flip-flop leakage of the
 noisy CNOT carries (1 - d^2)/8 weights while a free-evolution pulse damps
-singlet-triplet coherences by d^4.  Only ensemble averages are physical; the
-averaged evolution is computed exactly from the eigenstructure (each coherence
-between levels split by dE picks up exp(-i dE t0) exp(-(dE delta)^2 / 2)).
+singlet-triplet coherences by D = d^4.  Only ensemble averages are physical.
+With one singlet and one triplet level, a pulse of mean t averaged over a
+dispersion sigma is _EXCHANGE_BLOCKS + exp(-8 sigma^2) exchange_coherence(t).
 Local rotations and Hadamards are treated as noise free.
 
-The noisy engine (NoiseParams, exchange_channel, noisy_cnot_channel) works in
+The noisy engine (NoiseParams, exchange_coherence, noisy_cnot_channel) works in
 units of 1/g and sees the dispersion only as gdtau; the Hamiltonians, the gate
 constructors and gaussian_averaged_channel take g or absolute times.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -211,10 +210,19 @@ CNOT_ENTRY.setflags(write=False)
 CNOT_FRAME = CNOT_ENTRY @ local_rotation("X", "z", math.pi / 2) @ local_rotation("A", "z", math.pi / 2)
 CNOT_FRAME.setflags(write=False)
 
-#: The noise-free entry and exit of the noisy CNOT and its Rz_X(pi) between pulses, as channels.
-_ENTRY_CHANNEL = QuantumChannel.from_unitary(CNOT_ENTRY)
-_EXIT_CHANNEL = QuantumChannel.from_unitary(CNOT_FRAME)
-_FLIP_X_CHANNEL = QuantumChannel.from_unitary(local_rotation("X", "z", math.pi))
+#: Superoperators of the noise-free entry and exit of the noisy CNOT and of its Rz_X(pi) between pulses.
+_ENTRY, _EXIT, _FLIP_X = (QuantumChannel.from_unitary(u).superop
+                          for u in (CNOT_ENTRY, CNOT_FRAME, local_rotation("X", "z", math.pi)))
+#: Projectors P_S onto the exchange singlet (level -3 in units of g) and P_T onto the triplet (level 1).
+_SINGLET = (np.eye(4) - _EXCHANGE_UNIT) / 4
+_TRIPLET = np.eye(4) - _SINGLET
+#: rho -> P_T rho P_T + P_S rho P_S, the part of an averaged exchange pulse that no phase reaches.
+_EXCHANGE_BLOCKS = QuantumChannel.from_kraus([_TRIPLET, _SINGLET]).superop
+#: rho -> P_S rho P_T and rho -> P_T rho P_S (both projectors are real and symmetric).
+_SINGLET_TRIPLET = np.kron(_TRIPLET, _SINGLET)
+_TRIPLET_SINGLET = np.kron(_SINGLET, _TRIPLET)
+_SINGLET_TRIPLET.setflags(write=False)
+_TRIPLET_SINGLET.setflags(write=False)
 
 
 def cnot_unitary(g: float) -> np.ndarray:
@@ -248,13 +256,11 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
     return QuantumChannel(superop=from_eigen @ weight @ to_eigen)
 
 
-@functools.lru_cache(maxsize=256)
-def exchange_channel(mean_time: float, gdtau: float) -> QuantumChannel:
-    """The averaged exchange pulse of mean duration mean_time and dispersion gdtau (units of 1/g).
-
-    Built once per arguments; immutable, so every Evolve step of that duration shares it.
-    """
-    return gaussian_averaged_channel(_EXCHANGE_UNIT, mean_time, gdtau)
+def exchange_coherence(mean_time: float) -> np.ndarray:
+    """rho -> q P_S rho P_T + conj(q) P_T rho P_S, q = exp(4i mean_time): the singlet-triplet
+    coherences of an exchange pulse of mean duration mean_time (units of 1/g), as a superoperator."""
+    q = np.exp(4j * mean_time)
+    return q * _SINGLET_TRIPLET + q.conjugate() * _TRIPLET_SINGLET
 
 
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
@@ -264,16 +270,13 @@ def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     exchange pulse of mean duration CNOT_PHASE_TIME / 2 and dispersion
     gdtau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
     independent, so the average of the product is the product of the averaged
-    pulses, each built by exchange_channel, whose cache readout Evolve steps share.
+    pulses, each _EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence.
 
     Rotations and Hadamards are ideal.  gdtau = 0 gives the ideal CNOT
     conjugation exactly.
     """
-    channel = _ENTRY_CHANNEL
-    for _ in range(2):
-        pulse = exchange_channel(CNOT_PHASE_TIME / 2, noise.gdtau / 2)
-        channel = _FLIP_X_CHANNEL.compose(pulse.compose(channel))
-    return _EXIT_CHANNEL.compose(channel)
+    step = _FLIP_X @ (_EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence(CNOT_PHASE_TIME / 2))
+    return QuantumChannel(superop=_EXIT @ step @ step @ _ENTRY)
 
 
 def times_in_picoseconds(g_mev: float) -> dict:

@@ -24,8 +24,8 @@ the noisy gate and the tomography above, and assembles chi by linearity: one
 constant 16 x 16 matrix of exact weights maps the 16 reconstructed outputs
 onto chi.  The analytic route is a few array products: the 16 input vecs go
 through the gate superoperator at once, the 15 x 16 probabilities are one
-product with the sequences' noisy effects (back-propagated once each, see
-:func:`spinqpt.blockade.effect_polynomial`), and one solve with 16
+product with the noisy effects, one exact polynomial in D = exp(-8 gdtau^2)
+and r that the design carries, and one solve with 16
 right-hand sides reconstructs every output.  A Monte Carlo mode replaces
 every analytic sequence probability with a sampled estimate, the mean
 weight of its trajectories (a trajectory keeps its readout-branch draws and
@@ -42,8 +42,8 @@ changes a draw.
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
-are then exact polynomials in r, built once per gdtau, and each point of
-the search costs one small solve and one 4x4 eigenvalue problem.
+are then exact polynomials in r, read off the design's effects at gdtau, and
+each point of the search costs one small solve and one 4x4 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .blockade import (
     UP,
     _survival_estimates,
     effect_polynomial,
-    ideal_effect_operator,
     polynomial_value,
 )
 from .dynamics import (
@@ -103,11 +102,13 @@ class DesignRankError(ValueError):
 
 @dataclass(frozen=True)
 class TomographyDesign:
-    """Sequences, their ideal effects, and the inversion matrix."""
+    """Sequences, their ideal effects, the inversion matrix, and the noisy effects: noisy_effects[c, j, s]
+    is coefficient E_cj of sequence s's effect_polynomial, zero-padded to (m+1, k+1, 15, 4, 4)."""
 
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
+    noisy_effects: np.ndarray
 
     @property
     def n_sequences(self) -> int:
@@ -157,19 +158,23 @@ def design_from_sequences(sequences) -> TomographyDesign:
 
     Exactly 15 sequences are required (the trace constraint supplies the 16th
     row), and their ideal effects together with the identity must span the
-    full operator space.
+    full operator space.  A sequence's ideal effect is its noisy one at r = D = 1, hermitized.
     """
     sequences = tuple(sequences)
     if len(sequences) != 15:
         raise ValueError(f"a design needs exactly 15 sequences, got {len(sequences)}")
-    effects = tuple(ideal_effect_operator(seq) for seq in sequences)
+    polys = [effect_polynomial(seq) for seq in sequences]
+    effects = tuple(hermitize(poly.sum(axis=(0, 1))) for poly in polys)
     matrix = design_matrix_rows(effects)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
-    for array in (*effects, matrix):
+    noisy = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
+    for s, poly in enumerate(polys):
+        noisy[: len(poly), : poly.shape[1], s] = poly
+    for array in (*effects, matrix, noisy):
         array.setflags(write=False)
-    return TomographyDesign(sequences=sequences, effects=effects, design_matrix=matrix)
+    return TomographyDesign(sequences, effects, matrix, noisy)
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -240,6 +245,9 @@ _INPUT_STATES.setflags(write=False)
 _INPUT_VECTORS = np.array([np.linalg.eigh(hermitize(rho))[1][:, -1] for rho in _INPUT_STATES])
 _INPUT_VECTORS.setflags(write=False)
 
+#: Trajectories per sequence probability of a Monte Carlo QPT unless told otherwise.
+DEFAULT_MC_SAMPLES = 100_000
+
 
 def _assembly_weights() -> np.ndarray:
     """A[c, i] with E_kl = sum_i A[c, i] rho_i, (k, l) = CHI_ORDER[c], rho_i the inputs in order:
@@ -302,20 +310,6 @@ def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random
     return psi
 
 
-def _noisy_effects(design: TomographyDesign, gdtau: float) -> np.ndarray:
-    """The design's noisy effects as one polynomial in r, shape (k + 1, 15, 4, 4).
-
-    k is the largest number of projections in a sequence; coefficient j of
-    sequence s is E_j of :func:`spinqpt.blockade.effect_polynomial`, zero
-    beyond that sequence's own degree.
-    """
-    polys = [effect_polynomial(seq, gdtau) for seq in design.sequences]
-    stacked = np.zeros((max(map(len, polys)), len(polys), DIM, DIM), dtype=complex)
-    for s, poly in enumerate(polys):
-        stacked[: len(poly), s] = poly
-    return stacked
-
-
 def _probabilities(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Re Tr[E rho] for every effect in a (..., 4, 4) stack and every state in an (m, 4, 4) one."""
     return np.einsum("...ij,nji->...n", effects, states).real
@@ -324,7 +318,7 @@ def _probabilities(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
 def run_qpt(
     noise: NoiseParams,
     method: str = "pipeline",
-    mc_samples: int = 100_000,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
     design: TomographyDesign | None = None,
 ) -> ProcessMatrix:
@@ -332,9 +326,10 @@ def run_qpt(
 
     pipeline      one linear map: the 16 inputs go through the averaged noisy
                   gate in one superoperator product, their 15 x 16 sequence
-                  probabilities are one product with the noisy effects at
-                  noise.r, one solve with 16 right-hand sides reconstructs
-                  them with ideal effects, and chi follows by linearity;
+                  probabilities are one product with the design's noisy
+                  effects at noise.gdtau and noise.r, one solve with 16
+                  right-hand sides reconstructs them with ideal effects, and
+                  chi follows by linearity;
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate,
                   the mean weight of mc_samples trajectories (an integer of
@@ -356,7 +351,7 @@ def run_qpt(
         superop = noisy_cnot_channel(noise).superop
         vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
         outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
-        effects = polynomial_value(_noisy_effects(design, noise.gdtau), noise.r)
+        effects = polynomial_value(polynomial_value(design.noisy_effects, noise.dephasing ** 4), noise.r)
         probs = _probabilities(effects, outputs)
     else:
         inputs = []
@@ -407,10 +402,12 @@ def _output_probability_polynomial(gdtau: float, design: TomographyDesign) -> np
     """The 15 sequence probabilities of the gate output as polynomials in r, shape (k + 1, 15).
 
     The averaged gate does not depend on r, so its output is computed once and
-    read by the design's noisy effects coefficient by coefficient.
+    read by the design's noisy effects at gdtau coefficient by coefficient.
     """
-    rho_out = apply_channel(noisy_cnot_channel(NoiseParams(gdtau=gdtau)), ENTANGLEMENT_INPUT)
-    return _probabilities(_noisy_effects(design, gdtau), rho_out[None])[..., 0]
+    noise = NoiseParams(gdtau=gdtau)
+    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
+    effects = polynomial_value(design.noisy_effects, noise.dephasing ** 4)
+    return _probabilities(effects, rho_out[None])[..., 0]
 
 
 def _reconstructed_negativity(r, poly: np.ndarray, design: TomographyDesign):
@@ -450,8 +447,8 @@ def entanglement_threshold(
     their spacing; each bisection step is one 4x4 evaluation of the same
     polynomial.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     poly = _output_probability_polynomial(gdtau, design)
     grid = np.linspace(0.0, 1.0, THRESHOLD_SWEEP_STEPS + 1)
     values = _reconstructed_negativity(grid, poly, design).tolist()

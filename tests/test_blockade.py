@@ -247,9 +247,11 @@ class TestEffectPolynomial:
         # The forward reference runs at coupling g with dispersion gdtau / g.
         noise = NoiseParams(r=r, gdtau=gdtau)
         rho = random_density(np.random.default_rng(seed))
-        coeffs = effect_polynomial(seq, gdtau)
-        assert coeffs.shape == (seq.n_projections + 1, 4, 4)
-        effect = sum(r ** j * c for j, c in enumerate(coeffs))
+        coeffs = effect_polynomial(seq)
+        n_evolves = sum(isinstance(step, Evolve) for step in seq.steps)
+        assert coeffs.shape == (n_evolves + 1, seq.n_projections + 1, 4, 4)
+        damping = noise.dephasing ** 4
+        effect = sum(damping ** c * r ** j * coeffs[c, j] for c, j in np.ndindex(coeffs.shape[:2]))
         expected = forward_sequence_probability(seq, rho, noise, g)
         assert abs(np.trace(effect @ rho).real - expected) < 1e-12
         assert abs(sequence_probability(seq, rho, noise) - expected) < 1e-12
@@ -257,15 +259,15 @@ class TestEffectPolynomial:
     def test_coefficients_are_hermitian(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            coeffs = effect_polynomial(random_sequence(rng), float(rng.uniform(0, 0.3)))
-            np.testing.assert_allclose(coeffs, coeffs.conj().transpose(0, 2, 1), atol=1e-14)
+            coeffs = effect_polynomial(random_sequence(rng))
+            np.testing.assert_allclose(coeffs, coeffs.conj().swapaxes(-1, -2), atol=1e-14)
 
     def test_cubic_in_r_for_three_projections(self):
         # P+ P+ reads the same block twice: the ideal effect is unchanged but
         # the noisy one picks up one more readout factor (1 + r)/2 per repeat.
         seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(UP), Project(UP)))
-        coeffs = effect_polynomial(seq, 0.1)
-        assert len(coeffs) == 4 and np.abs(coeffs[3]).max() > 0.1
+        coeffs = effect_polynomial(seq)
+        assert coeffs.shape == (2, 4, 4, 4) and np.abs(coeffs[:, 3]).max() > 0.1
         np.testing.assert_allclose(ideal_effect_operator(seq),
                                    ideal_effect_operator(POPULATION_SEQ), atol=1e-14)
 

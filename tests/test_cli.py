@@ -329,6 +329,8 @@ class TestUsageErrors:
         ("fidelity-sweep", "--r-min", "nan"),
         ("fidelity-sweep", "--r-max", "inf"),
         ("fidelity-sweep", "--jobs", "two"),
+        ("fidelity-sweep", "--jobs", "0"),
+        ("fidelity-sweep", "--jobs", "-4"),
         ("fidelity-sweep", "--format", "xml"),
     ])
     def test_exit_2_with_error_line_and_no_report(self, tmp_path, capsys, argv):

@@ -15,8 +15,9 @@ from spinqpt.dynamics import (
     TRANSFER_TIME,
     cnot_unitary,
     dephasing_factor,
+    _EXCHANGE_BLOCKS,
     evolve_unitary,
-    exchange_channel,
+    exchange_coherence,
     exchange_hamiltonian,
     flipflop_hamiltonian,
     gaussian_averaged_channel,
@@ -250,6 +251,16 @@ class TestGaussianAveragedChannel:
         ch_b = gaussian_averaged_channel(exchange_hamiltonian(2.0), 0.3, 0.1)
         np.testing.assert_allclose(ch_a.superop, ch_b.superop, atol=1e-13)
 
+    @settings(max_examples=200)
+    @given(t=st.floats(0.05, 3.0), gdtau=st.floats(0.0, 2.0))
+    @example(t=math.pi / 4, gdtau=100.0)
+    @example(t=3 * math.pi / 8, gdtau=1e300)
+    def test_equals_closed_form_pulse(self, t, gdtau):
+        # Blocks plus the coherences damped by D = d^4 = exp(-8 gdtau^2), no eigenbasis.
+        pulse = _EXCHANGE_BLOCKS + dephasing_factor(gdtau) ** 4 * exchange_coherence(t)
+        reference = gaussian_averaged_channel(exchange_hamiltonian(1.0), t, gdtau).superop
+        np.testing.assert_allclose(pulse, reference, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("tau0,dtau", [(0.0, 0.1), (0.785, 0.05), (2.36, 0.3)])
     def test_cptp(self, tau0, dtau):
         ch = gaussian_averaged_channel(exchange_hamiltonian(1.0), tau0, dtau)
@@ -394,17 +405,6 @@ class TestNoisyCnotChannel:
         noise = NoiseParams(gdtau=gdtau)
         np.testing.assert_allclose(noisy_cnot_channel(noise).superop,
                                    split_cnot_channel(noise, g).superop, rtol=0, atol=1e-13)
-
-    def test_fresh_noise_builds_one_pulse_channel(self):
-        # The two pulses share one (duration, dispersion): one build, one cache hit.
-        noise = NoiseParams(gdtau=0.0247423)
-        before = exchange_channel.cache_info()
-        noisy_cnot_channel(noise)
-        after = exchange_channel.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-        noisy_cnot_channel(noise)
-        again = exchange_channel.cache_info()
-        assert (again.misses - after.misses, again.hits - after.hits) == (0, 2)
 
     def test_sample_cnot_unitary_statistics(self):
         # The scalar reference sampler of tests/forward_reference.py, run at

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinqpt import blockade, tomography
+from spinqpt import blockade, dynamics, tomography
 from spinqpt.blockade import (
     Evolve,
     MeasureSequence,
@@ -125,7 +125,20 @@ class TestDesign:
             design.effects[0][0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             design.design_matrix[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            design.noisy_effects[0, 0, 0, 0, 0] = 0.5
         assert design_sequences(1.0).effects[0][0, 0] == 1.0
+
+    def test_noise_points_only_evaluate_the_design(self, design, monkeypatch):
+        # The noisy effects are built with the design: a fresh gdtau needs no
+        # back-propagation and no eigenbasis.
+        def rebuilt(*args):
+            raise AssertionError("noisy effects rebuilt for a noise point")
+        for module, name in ((blockade, "effect_polynomial"), (tomography, "effect_polynomial"),
+                             (dynamics, "gaussian_averaged_channel")):
+            monkeypatch.setattr(module, name, rebuilt)
+        assert np.isfinite(run_qpt(NoiseParams(r=0.83, gdtau=0.0731), design=design).chi).all()
+        assert entanglement_threshold(design, gdtau=0.0617).r_star is not None
 
     def test_custom_design_requires_fifteen_sequences(self, design):
         with pytest.raises(ValueError, match="exactly 15"):
@@ -614,8 +627,9 @@ class TestEntanglementThreshold:
         assert hi - lo <= 1e-3 + 1e-12
 
     def test_rejects_bad_tolerance(self, design):
-        with pytest.raises(ValueError):
-            entanglement_threshold(design, gdtau=0.0, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                entanglement_threshold(design, gdtau=0.1, tol=tol)
 
     def test_tolerance_below_double_spacing_stops_at_adjacent_doubles(self, design):
         result = entanglement_threshold(design, gdtau=0.0, tol=1e-300)
