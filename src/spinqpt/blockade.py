@@ -28,24 +28,43 @@ unbiased estimate: :func:`sequence_probability_mc` counts the trajectories
 that also pass a Born acceptance draw, and the process-tomography driver
 weights each trajectory by the Born probabilities instead.
 
-The Monte Carlo trajectories are pure states held as four state columns.
-Each run of noise-free rotations is fused into one 4x4 matrix, and since
-the exchange coupling has only two levels (triplet g, singlet -3g) an
-Evolve step is a single relative phase on the singlet component; no BLAS
-product and no complex exponential is needed.
+The Bernoulli kernel (:func:`propagate_sequence_samples`) holds its
+trajectories as pure states in four state columns.  Each run of noise-free
+rotations is fused into one 4x4 matrix, and since the exchange coupling has
+only two levels (triplet g, singlet -3g) an Evolve step is a single relative
+phase on the singlet component; no BLAS product and no complex exponential
+is needed.
+
+The weighted estimate propagates no state.  A branch is drawn independently
+of the state, so a trajectory's weight is the Hermitian form psi† E psi of
+its starting state, E its sequence's effect along the drawn branches and
+durations.  :func:`compile_weight_forms` writes each E once per design, as
+coefficients of the 16 real features of psi psi† at r^0 and r^1 for each
+branch pattern and each product of cos 4 tau and sin 4 tau of its Evolve
+steps; :class:`TrajectoryWeights` evaluates them as one real matrix product
+per block of trajectories.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .dynamics import _EXCHANGE_BLOCKS, NoiseParams, exchange_coherence, global_rotation, local_rotation
+from .dynamics import (
+    _EXCHANGE_BLOCKS,
+    _SINGLET,
+    _TRIPLET,
+    NoiseParams,
+    exchange_coherence,
+    global_rotation,
+    local_rotation,
+)
 from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize
 
 UP = "up"
@@ -226,8 +245,11 @@ def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _MC_CHUNK = 250_000
-#: Most rows one kernel call takes when inputs are stacked; a larger chunk runs alone.
-_MC_STACK_ROWS = 16_384
+#: Trajectories of a chunk whose weights are evaluated together; bounds the (monomials, 16, rows) work array.
+_MC_BLOCK = 4096
+#: Most (branch pattern, monomial) terms a weight form keeps, the 16 reals of one effect; the
+#: steps before one that would exceed it run on each trajectory's features instead.
+_FORM_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -252,9 +274,9 @@ def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
     return evecs[:, idx].T.astype(complex, order="F")
 
 
-def _apply_unitary(psi: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows psi[i] -> u psi[i] into out (new if None), as column multiply-adds skipping zeros of u."""
-    out = np.empty_like(psi) if out is None else out
+def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows psi[i] -> u psi[i] into a new F-ordered array, as column multiply-adds skipping zeros of u."""
+    out = np.empty_like(psi)
     term = np.empty(psi.shape[0], dtype=complex)
     for k in range(DIM):
         col = out[:, k]
@@ -271,22 +293,10 @@ def _fuse(pending: np.ndarray | None, step: Rotate) -> np.ndarray:
     return u if pending is None else u @ pending
 
 
-def _blockwise(rngs: tuple, n: int, method: str, *args) -> np.ndarray:
-    """n draws in one array, block b of n // len(rngs) of them by rngs[b].method(*args, size=...)."""
-    if len(rngs) == 1:
-        return getattr(rngs[0], method)(*args, size=n)
-    return np.concatenate([getattr(rng, method)(*args, size=n // len(rngs)) for rng in rngs])
-
-
-def _times(weight: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
-    """weight * factor, in place; factor itself (not copied) if there is no weight yet."""
-    return factor if weight is None else np.multiply(weight, factor, out=weight)
-
-
-def _evolve_rotors(durations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _evolve_rotors(durations: np.ndarray) -> np.ndarray:
     """(exp(4i tau) - 1) / 2 for each duration tau (units of 1/g): the kernel's Evolve factor."""
     phase = np.multiply(durations, 4.0)
-    out = np.empty(phase.shape, dtype=complex) if out is None else out
+    out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     out -= 1.0
@@ -298,61 +308,37 @@ def propagate_sequence_samples(
     psi: np.ndarray,
     seq: MeasureSequence,
     noise: NoiseParams,
-    rng: np.random.Generator | tuple,
-    lead: np.ndarray | None = None,
-    rotors: tuple | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one batch of pure-state trajectories through a sequence.
+    """Run one batch of pure-state trajectories through a sequence; return the states and alive.
 
     psi is (n, 4), one state per row, worked on as the four contiguous
     columns of an F-ordered complex array (updated in place if psi is a
-    writeable one, else copied before the first write).  lead, if given, is
-    a noise-free unitary applied before the first step.
+    writeable one, else copied before the first write).
 
-    * Each run of noise-free unitaries (lead first, then rotations) is fused
-      into one 4x4 matrix and applied column by column.
+    * Each run of rotations is fused into one 4x4 matrix and applied column
+      by column.
     * Exchange has the triplet level 1 and the singlet level -3 (units of
       g), so an Evolve of duration tau is, up to the global phase
       exp(-i tau), the singlet phase alone: d = (c1 - c2) rotor, c1 += d,
       c2 -= d, with rotor = (exp(4i tau) - 1)/2 (:func:`_evolve_rotors`).
       States are therefore equal to the exact evolution only up to a global
       phase per trajectory.
-    * A projection reads p_up = |c0|^2 + |c1|^2.  Between projections the
-      trajectory collapses onto its readout branch and is renormalized;
-      after the last one it is left as the projection read it.
+    * A projection reads p_up = |c0|^2 + |c1|^2, draws its readout branch
+      and a Born acceptance of that branch.  Between projections the
+      trajectory collapses onto its branch and is renormalized; after the
+      last one it is left as the projection read it.
 
-    Two estimators share the kernel:
-
-    * Bernoulli (rotors None): returns the states and alive, which marks the
-      trajectories whose declared outcomes all occurred.  Per generator and
-      for every trajectory of its block regardless of alive: one normal per
-      Evolve (dispersion noise.sampled_gdtau), then two uniforms per
-      projection (readout branch, Born acceptance), in step order.
-    * Weighted (rotors given, one (n,) rotor array per Evolve step in step
-      order, read and never written): returns the states and float64
-      weights whose mean is the success probability.  A projection before
-      the last draws its readout branch, one uniform per trajectory, and
-      multiplies the weight by the Born probability of that branch; the
-      last projection draws nothing and multiplies it by the declaration
-      probability, (1-r)/2 + r p_up for "up" and (1+r)/2 - r p_up for
-      "down".  Every weight lies in [0, 1].
-
-    rng is one generator, or a tuple of them that splits the rows into as
-    many equal consecutive blocks, block b drawn by rng[b].  A block
-    therefore draws exactly what the same generator would draw running
-    those rows alone, and the stream layout is deterministic.
+    alive marks the trajectories whose declared outcomes all occurred.  rng
+    draws, for every trajectory regardless of alive: one normal per Evolve
+    (dispersion noise.sampled_gdtau), then two uniforms per projection
+    (readout branch, Born acceptance), in step order.
     """
     n = psi.shape[0]
-    rngs = rng if isinstance(rng, tuple) else (rng,)
     psi = np.asfortranarray(psi, dtype=complex)
-    weighted = rotors is not None
-    if weighted:
-        rotors = iter(rotors)
-        weight = None
-    else:
-        alive = np.ones(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
     correct_weight, _ = branch_weights(noise.r)
-    pending = lead
+    pending = None
     last = len(seq.steps) - 1
     for i, step in enumerate(seq.steps):
         if isinstance(step, Rotate):
@@ -365,31 +351,16 @@ def propagate_sequence_samples(
             psi = psi.copy(order="F")
         c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
         if isinstance(step, Evolve):
-            if weighted:
-                rotor = next(rotors)
-            else:
-                rotor = _evolve_rotors(_blockwise(rngs, n, "normal", step.mean_time, noise.sampled_gdtau))
             d = c1 - c2
-            d *= rotor
+            d *= _evolve_rotors(rng.normal(step.mean_time, noise.sampled_gdtau, size=n))
             c1 += d
             c2 -= d
             continue
         p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
-        if weighted:
-            np.minimum(p_up, 1.0, out=p_up)         # a unit state's p_up may round past 1
-            if i == last:
-                signed_r = noise.r if step.declared == UP else -noise.r
-                p_up *= signed_r
-                p_up += 0.5 * (1.0 - signed_r)
-                weight = _times(weight, p_up)
-                break
-        correct = _blockwise(rngs, n, "random") < correct_weight
+        correct = rng.random(n) < correct_weight
         want_up = correct if step.declared == UP else ~correct
         p_phys = np.where(want_up, p_up, 1.0 - p_up)
-        if weighted:
-            weight = _times(weight, p_phys)
-        else:
-            alive &= _blockwise(rngs, n, "random") < p_phys
+        alive &= rng.random(n) < p_phys
         if i < last:
             scale = 1.0 / np.sqrt(np.maximum(p_phys, 1e-300))
             up_scale = np.where(want_up, scale, 0.0)
@@ -398,29 +369,7 @@ def propagate_sequence_samples(
             c1 *= up_scale
             c2 *= down_scale
             c3 *= down_scale
-    return psi, (weight if weighted else alive)
-
-
-def sequence_probability_mc(
-    seq: MeasureSequence,
-    rho,
-    noise: NoiseParams,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> McEstimate:
-    """Unbiased Monte Carlo estimate of :func:`sequence_probability`.
-
-    Each trajectory draws a Gaussian duration per Evolve step, a Bernoulli
-    readout branch per projection, and a Born-rule acceptance for the branch
-    projector; the estimate is the surviving fraction, so its error is
-    binomial.  Per chunk, rng draws the starting states, then the
-    sequence's own draws.
-    """
-    p_hat, cov = _survival_estimates(
-        (seq,), [(lambda m: sample_initial_states(rho, m, rng), (rng,), None)], noise, n_samples
-    )
-    return McEstimate(estimate=float(p_hat[0, 0]), stderr=float(np.sqrt(cov[0, 0, 0])),
-                      n_samples=operator.index(n_samples))
+    return psi, alive
 
 
 def _sample_count(n_samples) -> int:
@@ -434,17 +383,87 @@ def _sample_count(n_samples) -> int:
     return n
 
 
-def _prefix_families(sequences, lead) -> list:
-    """The sequences grouped by their leading run of rotations, in order of first appearance.
+def sequence_probability_mc(
+    seq: MeasureSequence,
+    rho,
+    noise: NoiseParams,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> McEstimate:
+    """Unbiased Monte Carlo estimate of :func:`sequence_probability`.
 
-    One (fused, members) pair per distinct run: fused is the run fused onto lead as the kernel
-    fuses it, None if both are empty; members holds (index, the sequence after the run).
+    Each trajectory draws a Gaussian duration per Evolve step, a Bernoulli
+    readout branch per projection, and a Born-rule acceptance for the branch
+    projector (:func:`propagate_sequence_samples`); the estimate is the
+    surviving fraction, so its error is binomial.  Per chunk of _MC_CHUNK
+    trajectories, rng draws the starting states, then the sequence's own draws.
     """
-    families: dict = {}
-    for s, seq in enumerate(sequences):
-        k = next(i for i, step in enumerate(seq.steps) if not isinstance(step, Rotate))
-        families.setdefault(seq.steps[:k], []).append((s, MeasureSequence(steps=seq.steps[k:])))
-    return [(functools.reduce(_fuse, run, lead), members) for run, members in families.items()]
+    n = _sample_count(n_samples)
+    hits = 0
+    for done in range(0, n, _MC_CHUNK):
+        m = min(n - done, _MC_CHUNK)
+        hits += int(np.count_nonzero(propagate_sequence_samples(sample_initial_states(rho, m, rng),
+                                                                seq, noise, rng)[1]))
+    p_hat = hits / n
+    return McEstimate(estimate=p_hat, stderr=math.sqrt((p_hat - p_hat * p_hat) / n), n_samples=n)
+
+
+# A readout branch is drawn independently of the state, with probability (1 + r)/2 of being the
+# declared one.  Along a trajectory the Born factor each collapse multiplies the weight by and the
+# renormalization after it therefore cancel: the weight is the Hermitian form psi† E psi of the
+# starting state psi, with E the sequence's effect along the drawn branches and durations,
+# unnormalized projectors in place of the collapses.  E is affine in r, which enters only through
+# the last projection's declaration probability, and in (1, cos 4 tau, sin 4 tau) for each Evolve
+# duration tau.  Written over the 16 real features of psi psi†, every weight is one dot product.
+
+#: The pairs a < b of the off-diagonal features.
+_PAIR_A, _PAIR_B = np.triu_indices(DIM, 1)
+
+
+def _features(ops: np.ndarray) -> np.ndarray:
+    """The 16 real features of each Hermitian X of a (..., 4, 4) stack: Re X_aa, then Re X_ba and
+    Im X_ba for each pair a < b.  For X = psi psi† they read |psi_a|^2 and conj(psi_a) psi_b."""
+    pairs = ops[..., _PAIR_B, _PAIR_A]
+    parts = np.stack([pairs.real, pairs.imag], axis=-1).reshape(*pairs.shape[:-1], -1)
+    return np.concatenate([np.diagonal(ops, axis1=-2, axis2=-1).real, parts], axis=-1)
+
+
+def _dual_basis() -> np.ndarray:
+    """H_j with X = sum_j features(X)_j H_j for Hermitian X, so Tr[E X] = sum_j Tr[E H_j] features(X)_j."""
+    basis = np.zeros((16, DIM, DIM), dtype=complex)
+    basis[range(DIM), range(DIM), range(DIM)] = 1.0
+    for p, (a, b) in enumerate(zip(_PAIR_A, _PAIR_B)):
+        basis[DIM + 2 * p, [a, b], [b, a]] = 1.0
+        basis[DIM + 2 * p + 1, [b, a], [a, b]] = 1j, -1j
+    return basis
+
+
+_DUAL = _dual_basis()
+
+
+@functools.lru_cache(maxsize=256)
+def _step_maps(step) -> np.ndarray:
+    """A step's action on unnormalized trajectory states as maps S_k on features, shape (K, 16, 16).
+
+    A rotation u has one, rho -> u rho u†.  A projection has two, rho -> P rho P onto the down and
+    the up branch.  An Evolve step of duration tau is rho -> V rho V† with V = P_T + exp(4i tau) P_S
+    up to a global phase; its three parts, at 1, cos 4 tau and sin 4 tau, are
+    P_T rho P_T + P_S rho P_S, P_T rho P_S + P_S rho P_T and i (P_S rho P_T - P_T rho P_S).
+    On the coefficients c of an effect, Tr[E rho] = c . features(rho), S_k acts as c -> c @ S_k.
+    Read-only, built once per distinct step.
+    """
+    if isinstance(step, Rotate):
+        u = rotation_unitary(step)
+        images = [u @ _DUAL @ u.conj().T]
+    elif isinstance(step, Project):
+        images = [proj @ _DUAL @ proj for proj in (PROJ_DOWN, PROJ_UP)]
+    else:
+        triplet_singlet, singlet_triplet = _TRIPLET @ _DUAL @ _SINGLET, _SINGLET @ _DUAL @ _TRIPLET
+        images = [_TRIPLET @ _DUAL @ _TRIPLET + _SINGLET @ _DUAL @ _SINGLET,
+                  triplet_singlet + singlet_triplet, 1j * (singlet_triplet - triplet_singlet)]
+    maps = np.array([_features(image).T for image in images])
+    maps.setflags(write=False)
+    return maps
 
 
 def _evolve_slots(sequences) -> tuple[list, list]:
@@ -461,71 +480,232 @@ def _evolve_slots(sequences) -> tuple[list, list]:
     return [time for time, _ in slots], members
 
 
-def _survival_estimates(sequences, inputs, noise, n_samples, lead=None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean success of n_samples trajectories per input and sequence, and their covariance.
+def _weight_form(seq: MeasureSequence, slots: list) -> tuple[int, dict]:
+    """(cut, terms): the sequence's weight as a form of the trajectory state after steps[:cut].
 
-    inputs holds one (sample_states, rngs, durations) triple per input:
-    sample_states(m) draws its (m, 4) starting states, rngs[s] is its
-    generator for sequence s, and durations is None for the Bernoulli
-    estimator or the input's duration generator for the weighted one (see
-    :func:`propagate_sequence_samples`); every input takes the same
-    estimator.  Per chunk of _MC_CHUNK trajectories the inputs go in groups
-    of up to _MC_STACK_ROWS // m, at least one; each draws its batch once,
-    read-only, and the group's batches are stacked.  A weighted input then
-    draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot
-    (:func:`_evolve_slots`) in slot order and turns it into rotors once;
-    every sequence with that slot reads them.  lead and each distinct
-    leading run of rotations are applied to the stack once; each sequence of
-    that run copies the result into a reused buffer and runs its other steps
-    in one kernel call, every input's block drawn by that input's generators.
-    Grouping therefore changes no draw.
+    Back-propagates the last projection's effect, 1/2 ± r/2 Z_X, through the steps before it until
+    the next one would make more than _FORM_TERMS terms; cut is 0 if none does.  terms maps
+    (pattern, monomial) to the (2, 16) coefficients at r^0 and r^1.  Bit j of pattern is set when
+    the j-th projection after the cut, the last excepted, kept the up branch; monomial is a sorted
+    tuple of (slot, 1) for cos 4 tau and (slot, 2) for sin 4 tau, () for 1.
+    """
+    *early, final = seq.steps
+    n_projections = sum(isinstance(step, Project) for step in early)
+    n_evolves = len(slots)
+    sign = 1.0 if final.declared == UP else -1.0
+    last = np.array([np.eye(DIM), sign * (PROJ_UP - PROJ_DOWN)]) / 2.0
+    terms = {(0, ()): np.einsum("rij,kji->rk", last, _DUAL).real}          # c_k = Tr[E H_k]
+    cut = 0
+    for i in range(len(early) - 1, -1, -1):
+        step = early[i]
+        maps = _step_maps(step)
+        if len(terms) * len(maps) > _FORM_TERMS:
+            cut = i + 1
+            break
+        n_projections -= isinstance(step, Project)
+        n_evolves -= isinstance(step, Evolve)
+        split = {}
+        for (pattern, monomial), coeffs in terms.items():
+            for k, step_map in enumerate(maps):
+                if isinstance(step, Project):
+                    pattern_k, monomial_k = pattern | k << n_projections, monomial
+                else:
+                    pattern_k = pattern
+                    monomial_k = tuple(sorted(monomial + ((slots[n_evolves], k),))) if k else monomial
+                split[pattern_k, monomial_k] = coeffs @ step_map
+        terms = split
+    return cut, {(pattern >> n_projections, monomial): coeffs for (pattern, monomial), coeffs in terms.items()}
 
-    An input's sequences share its batch (and its rotors), so each input
-    gets the full covariance of its means, (mean(w_s w_t) - p_s p_t) / n,
-    with w_s the float64 row of trajectory results for sequence s (0/1 for
-    the Bernoulli estimator, weights for the other).  p_s is the row sum
-    over n; the products are summed chunk by chunk in a fixed order, so
-    reruns are byte-identical.  Shapes (inputs, sequences) and
-    (inputs, sequences, sequences).
+
+@dataclass(frozen=True, eq=False)
+class _FormGroup:
+    """Sequences whose weights one product evaluates.
+
+    coeffs[j, m, :, col] holds the r^j coefficients of monomial m in column col; member s reads
+    column offsets[i] + its branch pattern, made of its projections from shifts[i] on.  A group
+    with a prefix has one member and runs the prefix's steps on the trajectory features first,
+    each as (maps, draw) with draw None, ("branch", j) for the j-th projection or ("slot", slot).
+    """
+
+    members: tuple
+    prefix: tuple
+    monomials: tuple
+    coeffs: np.ndarray
+    offsets: np.ndarray
+    shifts: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class WeightForms:
+    """The Monte Carlo weights of a tuple of sequences as Hermitian forms, compiled once.
+
+    slot_times holds the mean time of each Evolve slot in draw order; flips[s] marks the
+    projections of sequence s before its last that declare "down", one uniform drawn per
+    trajectory for each.
+    """
+
+    slot_times: tuple
+    flips: tuple
+    groups: tuple
+
+
+def compile_weight_forms(sequences) -> WeightForms:
+    """The weight forms of the sequences, built with a design and shared by all its runs.
+
+    The sequences whose forms start at the trajectory state go into groups by their monomials: a
+    sequence joins the first group whose monomials hold its own, taking the sequences with the most
+    monomials first (the shipped design is one group).  Each sequence whose form starts later is a
+    group of its own.
+    """
+    slot_times, seq_slots = _evolve_slots(sequences)
+    forms = [_weight_form(seq, slots) for seq, slots in zip(sequences, seq_slots)]
+    monomials = [sorted({monomial for _, monomial in terms}, key=lambda m: (len(m), m)) for _, terms in forms]
+    shared: dict = {}
+    for s in sorted((s for s, (cut, _) in enumerate(forms) if not cut), key=lambda s: -len(monomials[s])):
+        home = next((key for key in shared if set(monomials[s]) <= set(key)), tuple(monomials[s]))
+        shared.setdefault(home, []).append(s)
+    groups = [(sorted(members), home) for home, members in shared.items()]
+    groups += [([s], tuple(monomials[s])) for s, (cut, _) in enumerate(forms) if cut]
+    flips = tuple(np.array([step.declared == DOWN for step in seq.steps[:-1] if isinstance(step, Project)],
+                           dtype=bool) for seq in sequences)
+    return WeightForms(tuple(slot_times), flips,
+                       tuple(_form_group(members, home, forms, sequences, seq_slots) for members, home in groups))
+
+
+def _form_group(members, monomials, forms, sequences, seq_slots) -> _FormGroup:
+    """The group of the given sequences over the given monomials, from their (cut, terms) forms."""
+    index = {monomial: m for m, monomial in enumerate(monomials)}
+    offsets, columns, shifts, prefix = [], [], [], ()
+    for s in members:
+        cut, terms = forms[s]
+        steps = sequences[s].steps[:cut]
+        shifts.append(sum(isinstance(step, Project) for step in steps))
+        n_bits = sum(isinstance(step, Project) for step in sequences[s].steps[cut:-1])
+        block = np.zeros((1 << n_bits, 2, len(monomials), 16))
+        offsets.append(len(columns))
+        for (pattern, monomial), coeffs in terms.items():
+            block[pattern, :, index[monomial]] = coeffs
+        columns += list(block)
+        if cut:
+            projections, slots = itertools.count(), iter(seq_slots[s])
+            prefix = tuple((_step_maps(step), None if isinstance(step, Rotate) else
+                            ("branch", next(projections)) if isinstance(step, Project) else ("slot", next(slots)))
+                           for step in steps)
+    coeffs = np.moveaxis(np.array(columns), 0, -1)          # (2, monomials, 16, columns)
+    coeffs.setflags(write=False)
+    return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs, np.array(offsets), tuple(shifts))
+
+
+class TrajectoryWeights:
+    """The Monte Carlo weights of trajectories under compiled forms, at one noise point.
+
+    A call takes n trajectories by the features of their starting states, basis @ coords: basis
+    is (16, K) and coords (K, n), one column per trajectory (a state batch psi has basis the
+    identity and coords its features; a gate batch has few coordinates per trajectory).  It also
+    takes one row of n Evolve durations (units of 1/g) per slot of the forms and one generator
+    per sequence: rngs[s] draws one uniform per trajectory for each projection of s before its
+    last, in step order, and a trajectory keeps the declared branch where its uniform is below
+    (1 + r)/2.  It returns the (sequences, n) weights, each the product of the Born
+    probabilities of the kept branches and of the last declaration, clipped to [0, 1], which it
+    leaves only by rounding.  The returned array and the work arrays are reused by the next call.
+
+    Per group of forms and block of _MC_BLOCK trajectories, the coordinates times each monomial of
+    the group go through one product with the group's coefficients at r, the basis folded in, and
+    every sequence reads the column of its branch pattern.  A group with a prefix runs it on the
+    block's features first.
+    """
+
+    def __init__(self, forms: WeightForms, noise: NoiseParams):
+        self._flips = forms.flips
+        self._correct_weight, _ = branch_weights(noise.r)
+        self._groups = [(group, group.coeffs[0] + noise.r * group.coeffs[1]) for group in forms.groups]
+        self._buffers: dict = {}
+
+    def _array(self, key, shape, dtype=float) -> np.ndarray:
+        """A contiguous work array of the given shape, the front of a buffer kept across calls."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[key] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def __call__(self, basis: np.ndarray, coords: np.ndarray, durations, rngs) -> np.ndarray:
+        n = coords.shape[1]
+        phases = np.multiply(np.reshape(durations, (-1, n)), 4.0, out=self._array("phases", (len(durations), n)))
+        trig = self._array("trig", (len(durations), 2, n))                   # cos, sin of 4 tau per slot
+        np.cos(phases, out=trig[:, 0])
+        np.sin(phases, out=trig[:, 1])
+        kept_up = []
+        for rng, flip in zip(rngs, self._flips):
+            uniforms = rng.random(out=self._array("uniforms", (len(flip), n)))
+            kept_up.append(np.not_equal(uniforms < self._correct_weight, flip[:, None]).view(np.uint8))
+        weights = self._array("weights", (len(self._flips), n))
+        for g, (group, coeffs) in enumerate(self._groups):
+            if not group.prefix:
+                coeffs = basis.T @ coeffs                # c . (basis @ x) = (basis^T c) . x
+            coeffs = coeffs.reshape(-1, coeffs.shape[-1]).T.copy()       # (columns, monomials * width)
+            monomials = self._array(("monomials", g), (len(group.monomials), n))
+            monomials.fill(1.0)
+            for row, monomial in zip(monomials, group.monomials):
+                for slot, kind in monomial:
+                    row *= trig[slot, kind - 1]
+            patterns = self._array(("patterns", g), (len(group.members), n), np.uint8)
+            patterns.fill(0)
+            for row, s, shift in zip(patterns, group.members, group.shifts):
+                for j, bits in enumerate(kept_up[s][shift:]):
+                    row += bits << j
+            for start in range(0, n, _MC_BLOCK):
+                rows = slice(start, min(start + _MC_BLOCK, n))
+                size = rows.stop - start
+                x = coords[:, rows] if not group.prefix else basis @ coords[:, rows]
+                for maps, draw in group.prefix:
+                    images = maps @ x
+                    if draw is None:
+                        x = images[0]
+                    elif draw[0] == "branch":
+                        x = np.where(kept_up[group.members[0]][draw[1], rows], images[1], images[0])
+                    else:
+                        cos, sin = trig[draw[1], :, rows]
+                        x = images[0] + cos * images[1] + sin * images[2]
+                terms = np.multiply(monomials[:, None, rows], x, out=self._array(("terms", g), (len(monomials), len(x), size)))
+                values = np.matmul(coeffs, terms.reshape(-1, size), out=self._array(("values", g), (len(coeffs), size)))
+                index = np.multiply(patterns[:, rows], size, dtype=np.intp,
+                                    out=self._array(("index", g), (len(patterns), size), np.intp))
+                index += group.offsets[:, None] * size          # row j of column c sits at c * size + j
+                index += np.arange(size)
+                weights[list(group.members), rows] = np.take(values, index, mode="clip",
+                                                             out=self._array(("taken", g), index.shape))
+        return np.clip(weights, 0.0, 1.0, out=weights)
+
+
+def _weighted_estimates(forms: WeightForms, inputs, noise, n_samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mean weight of n_samples trajectories per input and sequence, and their covariance.
+
+    inputs holds one (basis, sample_coords, rngs, durations) tuple per input.  Per chunk of
+    _MC_CHUNK trajectories and per input: sample_coords(m) draws the (K, m) coordinates of the
+    starting states, whose features are basis @ coords, read-only and shared by every sequence;
+    durations draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot
+    (:func:`_evolve_slots`), in slot order, shared the same way; then :class:`TrajectoryWeights`
+    draws each sequence's branches from rngs[s] and evaluates every weight.
+
+    An input's sequences share its draws, so each input gets the full covariance of its means,
+    (mean(w_s w_t) - p_s p_t) / n, with w_s the float64 row of weights for sequence s.  p_s is the
+    row sum over n; sums and products run over each chunk's full rows, chunk by chunk in a fixed
+    order, so reruns are byte-identical.  Shapes (inputs, sequences) and (inputs, sequences, sequences).
     """
     n = _sample_count(n_samples)
-    families = _prefix_families(sequences, lead)
-    slot_times, seq_slots = _evolve_slots(sequences)
-    inputs = list(inputs)
-    weighted = inputs[0][2] is not None
-    sums = np.zeros((len(inputs), len(sequences)))
-    products = np.zeros((len(inputs), len(sequences), len(sequences)))
+    weights_of = TrajectoryWeights(forms, noise)
+    sums = np.zeros((len(inputs), len(forms.flips)))
+    products = np.zeros((len(inputs), len(forms.flips), len(forms.flips)))
     for done in range(0, n, _MC_CHUNK):
         m = min(n - done, _MC_CHUNK)
-        per_group = max(1, _MC_STACK_ROWS // m)
-        width = min(per_group, len(inputs)) * m
-        results = np.empty((len(sequences), width))
-        rotors = np.empty((len(slot_times) if weighted else 0, width), dtype=complex)
-        buffers = [np.empty(width * DIM, dtype=complex) for _ in range(3)]
-        for first in range(0, len(inputs), per_group):
-            group = inputs[first:first + per_group]
-            rows = len(group) * m
-            stacked, prefixed, work = (b[: rows * DIM].reshape((rows, DIM), order="F") for b in buffers)
-            batches = [sample_states(m) for sample_states, _, _ in group]
-            for batch in batches:
-                batch.setflags(write=False)
-            psi = batches[0] if len(group) == 1 else np.concatenate(batches, out=stacked)
-            if weighted:
-                for i, (_, _, durations) in enumerate(group):
-                    for slot, time in enumerate(slot_times):
-                        _evolve_rotors(durations.normal(time, noise.sampled_gdtau, size=m),
-                                       out=rotors[slot, i * m:(i + 1) * m])
-            for fused, members in families:
-                state = psi if fused is None else _apply_unitary(psi, fused, out=prefixed)
-                for s, rest in members:
-                    np.copyto(work, state)
-                    rngs = tuple(streams[s] for _, streams, _ in group)
-                    shared = tuple(rotors[slot, :rows] for slot in seq_slots[s]) if weighted else None
-                    results[s, :rows] = propagate_sequence_samples(work, rest, noise, rngs, rotors=shared)[1]
-            for i, block in enumerate(np.split(results[:, :rows], len(group), axis=1), start=first):
-                sums[i] += block.sum(axis=1)
-                products[i] += block @ block.T
-            del batches, batch, psi, state      # freed before the next group draws
+        for i, (basis, sample_coords, rngs, durations) in enumerate(inputs):
+            coords = sample_coords(m)
+            coords.setflags(write=False)
+            taus = [durations.normal(time, noise.sampled_gdtau, size=m) for time in forms.slot_times]
+            weights = weights_of(basis, coords, taus, rngs)
+            sums[i] += weights.sum(axis=1)
+            products[i] += weights @ weights.T
     p_hat = sums / n
     return p_hat, (products / n - p_hat[:, :, None] * p_hat[:, None, :]) / n
 

@@ -35,10 +35,10 @@ is shared by its 15 sequences, as is one column of durations per Evolve
 slot, so their estimates are correlated; their full covariance is
 propagated exactly through the same two linear maps.  The seed spawns one
 child per input, and each child one stream per sequence, then one for the
-gate and one for the Evolve durations.  Small batches of several inputs
-share each kernel call and rotations that open several sequences are
-applied once (see :func:`spinqpt.blockade._survival_estimates`); neither
-changes a draw.
+gate and one for the Evolve durations.  No trajectory state is built: the
+features of a sampled gate output are a fixed linear map of seven
+trigonometric functions of its two pulse durations, and the design's weight
+forms read them directly (see :class:`spinqpt.blockade.TrajectoryWeights`).
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -61,7 +61,10 @@ from .blockade import (
     Project,
     Rotate,
     UP,
-    _survival_estimates,
+    WeightForms,
+    _features,
+    _weighted_estimates,
+    compile_weight_forms,
     effect_polynomial,
     polynomial_value,
 )
@@ -100,15 +103,23 @@ class DesignRankError(ValueError):
         self.achieved_rank = achieved_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    """Sequences, their ideal effects, the inversion matrix, and the noisy effects: noisy_effects[c, j, s]
-    is coefficient E_cj of sequence s's effect_polynomial, zero-padded to (m+1, k+1, 15, 4, 4)."""
+    """Sequences, their ideal effects, the inversion matrix, the noisy effects and the Monte Carlo
+    weight forms.  noisy_effects[c, j, s] is coefficient E_cj of sequence s's effect_polynomial,
+    zero-padded to (m+1, k+1, 15, 4, 4).  Two designs compare equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
     noisy_effects: np.ndarray
+    weight_forms: WeightForms
+
+    def __eq__(self, other):
+        return self.sequences == other.sequences if isinstance(other, TomographyDesign) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.sequences)
 
     @property
     def n_sequences(self) -> int:
@@ -174,7 +185,7 @@ def design_from_sequences(sequences) -> TomographyDesign:
         noisy[: len(poly), : poly.shape[1], s] = poly
     for array in (*effects, matrix, noisy):
         array.setflags(write=False)
-    return TomographyDesign(sequences, effects, matrix, noisy)
+    return TomographyDesign(sequences, effects, matrix, noisy, compile_weight_forms(sequences))
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -246,7 +257,7 @@ _INPUT_VECTORS = np.array([np.linalg.eigh(hermitize(rho))[1][:, -1] for rho in _
 _INPUT_VECTORS.setflags(write=False)
 
 #: Trajectories per sequence probability of a Monte Carlo QPT unless told otherwise.
-DEFAULT_MC_SAMPLES = 100_000
+DEFAULT_MC_SAMPLES = 20_000
 
 
 def _assembly_weights() -> np.ndarray:
@@ -282,32 +293,59 @@ def assemble_channel_action(outputs) -> np.ndarray:
     return _assemble(_WEIGHTS, outputs)
 
 
-def _mc_gate_batch(state: np.ndarray, n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-    """n independently sampled noisy-CNOT outputs of one pure state, CNOT_FRAME not yet applied.
+def _mc_gate_coords(n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+    """The coordinates of n independently sampled noisy-CNOT outputs in the gate basis, shape (7, n).
 
     Durations are in units of 1/g.  Draws s1 then s2, the two isolation-pulse
     durations, each Normal(CNOT_PHASE_TIME / 2, noise.sampled_gdtau / 2), n at
-    a time.  The pulses act as exp(-i (s1+s2) sz sz) times a flip-flop rotation
-    by 2 (s1-s2) within {|ud>, |du>}; taking out the global phase
-    exp(i (s1+s2)), |uu> and |dd> carry exp(-2i (s1+s2)) and the middle pair
-    only the rotation.  Returns the F-ordered (n, 4) columns of
-    Rz_X(pi) U(s2) Rz_X(pi) U(s1) H_A |state>, up to a global phase per
-    trajectory; CNOT_FRAME follows, fused with each sequence's leading rotations.
+    a time.  With O = -2 (s1 + s2) and A = 2 (s1 - s2), the coordinates are
+    1, cos 2A, sin 2A, cos O cos A, sin O cos A, cos O sin A and sin O sin A
+    (see :func:`_gate_feature_basis`).
+    """
+    s1, s2 = rng.normal(CNOT_PHASE_TIME / 2.0, noise.sampled_gdtau / 2.0, size=(2, n))
+    outer, angle = -2.0 * (s1 + s2), 2.0 * (s1 - s2)
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    coords = np.empty((7, n))
+    coords[0] = 1.0
+    np.subtract(cos_a * cos_a, sin_a * sin_a, out=coords[1])
+    np.multiply(2.0 * cos_a, sin_a, out=coords[2])
+    cos_o, sin_o = np.cos(outer, out=coords[3]), np.sin(outer, out=coords[4])
+    np.multiply(cos_o, sin_a, out=coords[5])
+    np.multiply(sin_o, sin_a, out=coords[6])
+    cos_o *= cos_a
+    sin_o *= cos_a
+    return coords
+
+
+def _gate_feature_basis(state: np.ndarray) -> np.ndarray:
+    """The (16, 7) basis with features(psi psi†) = basis @ coords for every sampled gate output psi.
+
+    The pulses act as exp(-i (s1+s2) sz sz) times a flip-flop rotation by 2 (s1-s2) within
+    {|ud>, |du>}.  Taking out the global phase exp(i (s1+s2)), the output of a = H_A |state>
+    before the frame is psi = exp(iO) v1 + cos A v2 + sin A v3 with v1 = a_0|uu> + a_3|dd>,
+    v2 = a_1|ud> + a_2|du> and v3 = -i (a_2|ud> + a_1|du>); that is Rz_X(pi) U(s2) Rz_X(pi) U(s1)
+    H_A |state> up to a global phase per trajectory.  CNOT_FRAME maps each v_k.  psi psi† is then
+    linear in the coordinates of :func:`_mc_gate_coords`, with cos^2 A = (1 + cos 2A)/2,
+    sin^2 A = (1 - cos 2A)/2 and cos A sin A = sin 2A / 2.
     """
     a = CNOT_ENTRY @ state
-    s1, s2 = rng.normal(CNOT_PHASE_TIME / 2.0, noise.sampled_gdtau / 2.0, size=(2, n))
-    outer = -2.0 * (s1 + s2)
-    angle = 2.0 * (s1 - s2)
-    phase = np.empty(n, dtype=complex)
-    np.cos(outer, out=phase.real)
-    np.sin(outer, out=phase.imag)
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
-    psi = np.empty((n, DIM), dtype=complex, order="F")
-    np.multiply(phase, a[0], out=psi[:, 0])
-    np.multiply(phase, a[3], out=psi[:, 3])
-    psi[:, 1] = a[1] * cos_a - 1j * a[2] * sin_a
-    psi[:, 2] = a[2] * cos_a - 1j * a[1] * sin_a
-    return psi
+    v1, v2, v3 = (CNOT_FRAME @ np.array([[a[0], 0, 0, a[3]], [0, a[1], a[2], 0], [0, -1j * a[2], -1j * a[1], 0]]).T).T
+    outer = np.outer
+
+    def both(x, y):
+        return outer(x, y.conj()) + outer(y, x.conj()), 1j * (outer(x, y.conj()) - outer(y, x.conj()))
+
+    parts = [outer(v1, v1.conj()) + (outer(v2, v2.conj()) + outer(v3, v3.conj())) / 2,
+             (outer(v2, v2.conj()) - outer(v3, v3.conj())) / 2, both(v2, v3)[0] / 2, *both(v1, v2), *both(v1, v3)]
+    return _features(np.array(parts)).T
+
+
+@functools.cache
+def _gate_feature_bases() -> np.ndarray:
+    """The gate basis of each input of _INPUT_VECTORS, a read-only (16, 16, 7) stack built once."""
+    bases = np.array([_gate_feature_basis(state) for state in _INPUT_VECTORS])
+    bases.setflags(write=False)
+    return bases
 
 
 def _probabilities(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -355,12 +393,12 @@ def run_qpt(
         probs = _probabilities(effects, outputs)
     else:
         inputs = []
-        for state, child in zip(_INPUT_VECTORS, np.random.SeedSequence(seed).spawn(16)):
+        for basis, child in zip(_gate_feature_bases(), np.random.SeedSequence(seed).spawn(16)):
             *seq_rngs, gate_rng, duration_rng = map(np.random.default_rng,
                                                      child.spawn(design.n_sequences + 2))
-            inputs.append((lambda m, state=state, rng=gate_rng: _mc_gate_batch(state, m, noise, rng),
+            inputs.append((basis, lambda m, rng=gate_rng: _mc_gate_coords(m, noise, rng),
                            tuple(seq_rngs), duration_rng))
-        probs, cov = _survival_estimates(design.sequences, inputs, noise, mc_samples, lead=CNOT_FRAME)
+        probs, cov = _weighted_estimates(design.weight_forms, inputs, noise, mc_samples)
         probs = probs.T                                          # (15, 16); cov is (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))
     stderr = None

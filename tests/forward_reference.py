@@ -11,7 +11,12 @@ the weight matrix ``assemble_channel_action`` applies.
 
 ``sample_cnot_unitary`` is the Monte Carlo counterpart: one noisy-CNOT
 realization built literally from its pulse sequence, the reference for the
-batched gate draws of ``tomography._mc_gate_batch``.  ``split_cnot_channel``
+gate coordinates of ``tomography._mc_gate_coords``; ``gate_output_batch``
+builds the same gate for a batch of trajectories as states.
+``replay_weights`` runs each trajectory's state through a sequence step by
+step, collapsing and renormalizing at every projection, the reference for
+the weight forms of ``blockade.TrajectoryWeights``, which read a state by
+its ``state_features``.  ``split_cnot_channel``
 averages the same gate a second way, through the sum and difference of its
 two pulse durations, the reference for ``noisy_cnot_channel``.
 
@@ -25,7 +30,7 @@ import math
 
 import numpy as np
 
-from spinqpt.blockade import Evolve, Project, blockade_map, rotation_unitary
+from spinqpt.blockade import UP, Evolve, Project, blockade_map, branch_weights, rotation_unitary
 from spinqpt.dynamics import (
     CNOT_ENTRY,
     CNOT_FRAME,
@@ -127,6 +132,67 @@ def sample_cnot_unitary(noise, rng, g=1.0):
     s2 = sample_duration(CNOT_PHASE_TIME / g / 2.0, noise.sampled_gdtau / g / 2.0, rng)
     core = rz @ evolve_unitary(hexch, s2) @ rz @ evolve_unitary(hexch, s1)
     return CNOT_FRAME @ core @ CNOT_ENTRY
+
+
+def gate_output_batch(state, n, noise, rng, g=1.0):
+    """n noisy-CNOT outputs of a pure state at coupling g, rows of an (n, 4) array.
+
+    rng draws every first pulse duration, then every second one, as
+    rng.normal(CNOT_PHASE_TIME / 2g, noise.sampled_gdtau / 2g, size=(2, n)), so
+    trajectory k is sample_cnot_unitary on standard normals k and n + k.  Each
+    pulse runs in the eigenbasis of the exchange Hamiltonian.
+    """
+    s1, s2 = rng.normal(CNOT_PHASE_TIME / g / 2.0, noise.sampled_gdtau / g / 2.0, size=(2, n))
+    energies, v = np.linalg.eigh(exchange_hamiltonian(g))
+    rz = local_rotation("X", "z", math.pi)
+    psi = np.tile(CNOT_ENTRY @ state, (n, 1))
+    for durations in (s1, s2):
+        psi = ((psi @ v.conj()) * np.exp(-1j * np.outer(durations, energies))) @ v.T @ rz.T
+    return psi @ CNOT_FRAME.T
+
+
+def state_features(psi):
+    """The 16 real features of psi psi† for each row of psi, one column per row: |psi_a|^2,
+    then the real and the imaginary part of conj(psi_a) psi_b for each pair a < b."""
+    psi = np.asarray(psi)
+    a, b = np.triu_indices(4, 1)
+    pairs = psi[:, a].conj() * psi[:, b]
+    return np.vstack([np.abs(psi.T) ** 2, np.stack([pairs.real.T, pairs.imag.T], axis=1).reshape(12, -1)])
+
+
+def replay_weights(psi, seq, noise, rng, durations, g=1.0):
+    """Weights of the trajectories starting at the rows of psi, replayed state by state at coupling g.
+
+    The k-th Evolve step of a trajectory runs for durations[k] / g in the
+    exchange eigenbasis.  A projection before the last draws rng.random(n)
+    for its readout branch (the declared one below (1 + r)/2), multiplies
+    the weight by the Born probability of that branch and collapses onto
+    it, renormalized; the last one multiplies the weight by the probability
+    of its declaration.  p_up is clipped to 1, where it may round past it.
+    """
+    psi = np.array(psi, dtype=complex)
+    n = len(psi)
+    weight = np.ones(n)
+    energies, v = np.linalg.eigh(exchange_hamiltonian(g))
+    correct_weight, _ = branch_weights(noise.r)
+    evolves = iter(durations)
+    *early, last = seq.steps
+    for step in early:
+        if isinstance(step, Evolve):
+            psi = ((psi @ v.conj()) * np.exp(-1j * np.outer(np.asarray(next(evolves)) / g, energies))) @ v.T
+        elif isinstance(step, Project):
+            p_up = np.minimum(np.sum(np.abs(psi[:, :2]) ** 2, axis=1), 1.0)
+            correct = rng.random(n) < correct_weight
+            kept_up = correct if step.declared == UP else ~correct
+            p_kept = np.where(kept_up, p_up, 1.0 - p_up)
+            weight *= p_kept
+            psi = np.where(kept_up[:, None], [1, 1, 0, 0], [0, 0, 1, 1]) * psi
+            psi /= np.sqrt(np.maximum(p_kept, 1e-300))[:, None]
+        else:
+            psi = psi @ rotation_unitary(step).T
+    p_up = np.minimum(np.sum(np.abs(psi[:, :2]) ** 2, axis=1), 1.0)
+    sign = noise.r if last.declared == UP else -noise.r
+    return weight * (0.5 * (1.0 - sign) + sign * p_up)
 
 
 def split_cnot_channel(noise, g=1.0):

@@ -60,8 +60,9 @@ def test_workloads_reference_stderr_still_runs():
 
 
 def test_traced_monte_carlo_counts_every_trajectory(tmp_path):
-    # The tracer counts the rows of the kernel's first argument, the (rows, 4)
-    # batch of one call; over one QPT they total 16 inputs x 15 sequences x n.
+    # A Monte Carlo QPT evaluates its weights as forms and makes no kernel call;
+    # sequence_probability_mc does, and the tracer counts the rows of the kernel's
+    # first argument, the (rows, 4) batch of one call: n over one estimate.
     tracer_module = load_perfbench("tracer")
     shapes = []
 
@@ -70,22 +71,30 @@ def test_traced_monte_carlo_counts_every_trajectory(tmp_path):
             shapes.append((args[0].shape, args[0].dtype, args[0].flags.f_contiguous, result[1].shape))
             super()._count_trajectories(args, kwargs, result)
 
-    from spinqpt import cli
+    from spinqpt import blockade, cli
 
     n = 300
-    tracer = Recording(("light",))
-    tracer.install(0)
-    tracer.active = True
-    try:
-        status = cli.main(["qpt", "--method", "montecarlo", "--samples", str(n), "--seed", "1",
-                           "--out", str(tmp_path / "report")])
-    finally:
-        tracer.active = False
-        tracer.uninstall()
-    metrics = tracer.metrics()
-    assert status == 0
-    assert metrics[tracer_module.TRAJECTORIES] == 16 * 15 * n
-    assert metrics["blockade.propagate_sequence_samples.calls"] == len(shapes)
-    for (rows, width), dtype, f_contiguous, alive in shapes:
-        assert width == 4 and rows % n == 0 and dtype == complex and f_contiguous
-        assert alive == (rows,)
+    metrics = {}
+    for label, run in (
+        ("qpt", lambda: cli.main(["qpt", "--method", "montecarlo", "--samples", str(n), "--seed", "1",
+                                  "--out", str(tmp_path / "report")])),
+        ("estimate", lambda: blockade.sequence_probability_mc(
+            blockade.MeasureSequence(steps=(blockade.Project("up"), blockade.Evolve(0.7), blockade.Project("up"))),
+            np.diag([0.5, 0.5, 0.0, 0.0]), NoiseParams(r=0.8, gdtau=0.1), n, np.random.default_rng(2))),
+    ):
+        tracer = Recording(("light",))
+        tracer.install(0)
+        tracer.active = True
+        try:
+            result = run()
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        metrics[label] = tracer.metrics()
+    assert result.n_samples == n
+    assert metrics["qpt"][tracer_module.TRAJECTORIES] == 0
+    assert metrics["qpt"]["blockade.propagate_sequence_samples.calls"] == 0
+    assert metrics["qpt"]["tomography.run_qpt.calls"] == 1
+    assert metrics["estimate"][tracer_module.TRAJECTORIES] == n
+    assert metrics["estimate"]["blockade.propagate_sequence_samples.calls"] == len(shapes) == 1
+    assert shapes == [((n, 4), complex, True, (n,))]

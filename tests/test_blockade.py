@@ -14,9 +14,11 @@ from spinqpt.blockade import (
     MeasureSequence,
     Project,
     Rotate,
+    TrajectoryWeights,
     UP,
     blockade_map,
     branch_weights,
+    compile_weight_forms,
     effect_polynomial,
     format_sequence,
     format_sequences,
@@ -32,7 +34,7 @@ from spinqpt.blockade import (
 from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
 from spinqpt.qcore import basis_state, hermitize, pure_state
 
-from forward_reference import forward_sequence_probability
+from forward_reference import forward_sequence_probability, replay_weights, state_features
 
 TRANSFER = math.pi / 4.0
 
@@ -453,8 +455,7 @@ class TestColumnKernel:
             start = psi if lead is None else psi @ lead.T
             ref_psi, ref_alive = reference_propagate(start, np.ones(300, bool), seq, noise,
                                                      np.random.default_rng(trial), g)
-            new_psi, new_alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(trial),
-                                                            lead=lead)
+            new_psi, new_alive = propagate_sequence_samples(start, seq, noise, np.random.default_rng(trial))
             np.testing.assert_array_equal(new_alive, ref_alive)
             # The column kernel leaves the last projection's collapse out; apply
             # it onto the branch the reference kept.  Dead trajectories carry no
@@ -495,10 +496,23 @@ class TestColumnKernel:
         np.testing.assert_array_equal(alive, want_alive)
 
 
+def form_weights(seq, psi, noise, durations, rng):
+    """The weights of trajectories starting at the rows of psi through one sequence's form."""
+    evaluate = TrajectoryWeights(compile_weight_forms((seq,)), noise)
+    return evaluate(np.eye(16), state_features(psi), durations, (rng,))[0].copy()
+
+
 _kernel_steps = st.lists(st.one_of(
     st.floats(0.1, 2.0).map(Evolve),
     st.builds(Rotate, st.sampled_from(["X", "A", "global"]), st.sampled_from("xyz"), st.floats(-3.0, 3.0)),
 ), max_size=3)
+
+_weighted_steps = st.lists(st.one_of(
+    st.floats(0.1, 2.0).map(Evolve),
+    st.builds(Rotate, st.sampled_from(["X", "A", "global"]), st.sampled_from("xyz"), st.floats(-3.0, 3.0)),
+    st.sampled_from([UP, DOWN]).map(Project),
+), max_size=9).filter(lambda steps: sum(isinstance(step, Evolve) for step in steps) <= 3
+                      and sum(isinstance(step, Project) for step in steps) <= 2)
 
 
 class TestWeightedKernel:
@@ -514,9 +528,8 @@ class TestWeightedKernel:
         noise = NoiseParams(r=r)
         psi = random_pure_states(np.random.default_rng(seed), 20)
         psi[0] = [math.sqrt(0.5), math.sqrt(0.5), 0, 0]
-        rotors = tuple(np.full(20, (np.exp(4j * step.mean_time) - 1) / 2) for step in steps
-                       if isinstance(step, Evolve))
-        _, weights = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(seed), rotors=rotors)
+        durations = [np.full(20, step.mean_time) for step in steps if isinstance(step, Evolve)]
+        weights = form_weights(seq, psi, noise, durations, np.random.default_rng(seed))
         want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
         assert weights.dtype == np.float64 and weights.shape == (20,)
         np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
@@ -524,18 +537,18 @@ class TestWeightedKernel:
 
     def test_branch_draws_only_before_the_last_projection(self):
         # One uniform per trajectory and projection before the last; none for
-        # Evolve steps (their rotors are given) or for the last projection.
+        # Evolve steps (their durations are given) or for the last projection.
         seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(DOWN), Project(UP)))
         rng = np.random.default_rng(5)
         psi = random_pure_states(np.random.default_rng(6), 30)
-        propagate_sequence_samples(psi, seq, NoiseParams(r=0.7), rng, rotors=(np.zeros(30, complex),))
+        form_weights(seq, psi, NoiseParams(r=0.7), [np.zeros(30)], rng)
         expected = np.random.default_rng(5)
         expected.random(60)
         assert rng.random() == expected.random()
 
     def test_weight_mean_agrees_with_analytic_evaluator(self):
-        # The kernel's own Evolve draws, replayed as rotors: the weights' mean
-        # estimates the success probability within its standard error.
+        # Sampled durations and branches: the weights' mean estimates the success
+        # probability within its standard error.
         noise = NoiseParams(r=0.8, gdtau=0.3)
         seq = MeasureSequence(steps=(Rotate("X", "y", 0.9), Project(UP), Evolve(TRANSFER),
                                      Project(DOWN)))
@@ -543,10 +556,26 @@ class TestWeightedKernel:
         n = 40_000
         rng = np.random.default_rng(8)
         psi = sample_initial_states(rho, n, rng)
-        rotors = ((np.exp(4j * rng.normal(TRANSFER, noise.sampled_gdtau, size=n)) - 1) / 2,)
-        _, weights = propagate_sequence_samples(psi, seq, noise, rng, rotors=rotors)
+        durations = [rng.normal(TRANSFER, noise.sampled_gdtau, size=n)]
+        weights = form_weights(seq, psi, noise, durations, rng)
         p = sequence_probability(seq, rho, noise)
         assert abs(weights.mean() - p) < 4.0 * weights.std() / math.sqrt(n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_weighted_steps, declared=st.sampled_from([UP, DOWN]), r=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_form_weight_equals_state_replay(self, steps, declared, r, seed):
+        # Random pure states, rotations anywhere, up to three projections and three
+        # Evolve steps, random branches and random durations: the Hermitian form
+        # gives the weight the trajectory's step-by-step replay gives.
+        seq = MeasureSequence(steps=(*steps, Project(declared)))
+        noise = NoiseParams(r=r)
+        rng = np.random.default_rng(seed)
+        psi = random_pure_states(rng, 50)
+        durations = [rng.uniform(-5.0, 5.0, size=50) for step in steps if isinstance(step, Evolve)]
+        weights = form_weights(seq, psi, noise, durations, np.random.default_rng(seed + 1))
+        want = replay_weights(psi, seq, noise, np.random.default_rng(seed + 1), durations)
+        np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
 
 
 class TestSerialization:

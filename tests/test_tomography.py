@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from spinqpt.blockade import (
     UP,
     format_sequences,
     parse_sequences,
-    propagate_sequence_samples,
     sequence_probability,
 )
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
-from spinqpt.dynamics import CNOT_FRAME, CNOT_TARGET, NoiseParams, noisy_cnot_channel
+from spinqpt.dynamics import CNOT_TARGET, NoiseParams, noisy_cnot_channel
 from spinqpt.process_matrix import (
     CHI_ORDER,
     chi_index,
@@ -35,7 +35,8 @@ from spinqpt.tomography import (
     DesignRankError,
     ENTANGLEMENT_INPUT,
     TRANSFER_TIME,
-    _mc_gate_batch,
+    _gate_feature_basis,
+    _mc_gate_coords,
     assemble_channel_action,
     design_from_sequences,
     design_matrix_rows,
@@ -52,7 +53,10 @@ from forward_reference import (
     forward_output_negativity,
     forward_pipeline_chi,
     forward_threshold,
+    gate_output_batch,
+    replay_weights,
     sample_cnot_unitary,
+    state_features,
 )
 from test_process_matrix import _random_kraus_channel
 
@@ -127,7 +131,18 @@ class TestDesign:
             design.design_matrix[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             design.noisy_effects[0, 0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            design.weight_forms.groups[0].coeffs[0, 0, 0, 0] = 0.5
         assert design_sequences(1.0).effects[0][0, 0] == 1.0
+
+    def test_designs_compare_by_sequences(self, design):
+        # The arrays of a design take no part in == (they used to raise on it).
+        rebuilt = design_from_sequences(design.sequences)
+        assert rebuilt == design and hash(rebuilt) == hash(design)
+        other = list(design.sequences)
+        other[1], other[2] = other[2], other[1]
+        assert design_from_sequences(other) != design
+        assert design != design.sequences
 
     def test_noise_points_only_evaluate_the_design(self, design, monkeypatch):
         # The noisy effects are built with the design: a fresh gdtau needs no
@@ -381,6 +396,34 @@ class TestRunQpt:
         z = np.abs(chi_mc.chi - chi_pipe.chi)[sampled] / chi_mc.stderr[sampled]
         assert np.max(z) < 5.0
 
+    def test_monte_carlo_long_sequence_matches_replay(self, tmp_path):
+        # A design file whose first transfer sequence runs five Evolve steps and
+        # three projections: 2^2 * 3^5 = 972 terms as one form.  Its form keeps
+        # the two Evolve steps after the transfer pulse (9 terms); the five steps
+        # before them run on each trajectory's features.  Identity pulses
+        # (4 * pi/2 = 2 pi) and a repeated projection leave its ideal effect, and
+        # so the design, as they were.
+        sequences = list(design_sequences().sequences)
+        full = Evolve(math.pi / 2)
+        steps = sequences[0].steps
+        sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
+                                              full, full, steps[-1]))
+        path = tmp_path / "design.txt"
+        path.write_text(format_sequences(sequences), encoding="utf-8")
+        custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
+        shared, long = custom.weight_forms.groups
+        assert long.members == (0,) and len(long.prefix) == 5 and len(long.monomials) == 9
+        assert long.coeffs.shape[-1] == 1 and shared.coeffs.shape[1] == 3
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
+        tracemalloc.start()
+        try:
+            chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=5, design=custom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert_matches_replay(chi_mc, custom, noise, 5, 300)
+
     def test_monte_carlo_error_bars_are_weighted(self, design):
         # The weighted estimator's bars at 2,000 samples: 0.029 rms with a
         # Born acceptance drawn per projection, about 0.005 with weights.
@@ -390,19 +433,23 @@ class TestRunQpt:
 
     @pytest.mark.parametrize("chunk", [blockade._MC_CHUNK, 97], ids=["one-chunk", "three-chunks"])
     def test_monte_carlo_layout_neutral(self, design, monkeypatch, chunk):
-        # Stacking inputs changes no draw: one input per kernel call, all 16
-        # in one call, and uneven groups (five inputs, the last group one)
-        # give the same chi and stderr bit for bit.
+        # The row-block size changes no draw: blocks of one row, uneven blocks
+        # (the last one shorter) and the whole chunk in one block give the same
+        # chi and stderr up to rounding.  Sums and products run over each
+        # chunk's full rows, but the BLAS product of a block rounds a row
+        # differently with the block's width (seen: 3.4e-16 on chi, 9e-14
+        # relative on stderr); a draw that moved would move chi by about stderr.
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
         samples = 250
         monkeypatch.setattr(blockade, "_MC_CHUNK", chunk)
         runs = []
-        for stack_rows in (1, 5 * min(chunk, samples), 16 * samples, blockade._MC_STACK_ROWS):
-            monkeypatch.setattr(blockade, "_MC_STACK_ROWS", stack_rows)
+        for block in (1, 7, 64, samples, blockade._MC_BLOCK):
+            monkeypatch.setattr(blockade, "_MC_BLOCK", block)
             runs.append(run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=3, design=design))
+        assert np.min(runs[0].stderr) > 1e-3
         for run in runs[1:]:
-            np.testing.assert_array_equal(run.chi, runs[0].chi)
-            np.testing.assert_array_equal(run.stderr, runs[0].stderr)
+            np.testing.assert_allclose(run.chi, runs[0].chi, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(run.stderr, runs[0].stderr, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (1.0, 1.0)])
     def test_monte_carlo_error_bars_cover(self, design, r, gdtau):
@@ -424,15 +471,15 @@ class TestRunQpt:
         batches = []
 
         def recording_batch(*args):
-            batch = _mc_gate_batch(*args)
+            batch = _mc_gate_coords(*args)
             batches.append((batch, batch.copy()))
             return batch
 
-        monkeypatch.setattr(tomography, "_mc_gate_batch", recording_batch)
+        monkeypatch.setattr(tomography, "_mc_gate_coords", recording_batch)
         monkeypatch.setattr(blockade, "_MC_CHUNK", 128)
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
         run_qpt(noise, method="monte_carlo", mc_samples=300, seed=8, design=design)
-        assert [len(batch) for batch, _ in batches] == [128] * 32 + [44] * 16
+        assert [batch.shape for batch, _ in batches] == [(7, 128)] * 32 + [(7, 44)] * 16
         for batch, drawn in batches:
             assert not batch.flags.writeable
             np.testing.assert_array_equal(batch, drawn)
@@ -482,19 +529,19 @@ def assert_matches_replay(chi_mc, design, noise, seed, samples):
 
     chi is affine in the 15 x 16 probability table; its linear part L is read
     off the forward reference by pushing each unit table through it.  The
-    table is replayed from the seed layout, one kernel call per input and
-    sequence with the whole sequence and CNOT_FRAME as its lead: input i
-    takes child i of the seed; its children 0-14 feed the sequences' branch
-    draws, child 15 the gate batch all 15 share and child 16 the Evolve
-    durations they share, one column per (mean time, k-th Evolve of its
-    sequence) in order of first appearance.  Sigma, the covariance of the
-    table's entries, is one 15 x 15 block per input, built from the weights.
+    table is replayed from the seed layout, trajectory by trajectory
+    (forward_reference.replay_weights): input i takes child i of the seed;
+    its children 0-14 feed the sequences' branch draws, child 15 the gate
+    batch all 15 share and child 16 the Evolve durations they share, one
+    column per (mean time, k-th Evolve of its sequence) in order of first
+    appearance.  Sigma, the covariance of the table's entries, is one
+    15 x 15 block per input, built from the weights.
     """
     weights = []
     for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
         *seq_seeds, gate_seed, duration_seed = child.spawn(17)
         state = np.linalg.eigh(hermitize(rho))[1][:, -1]
-        batch = _mc_gate_batch(state, samples, noise, np.random.default_rng(gate_seed))
+        batch = gate_output_batch(state, samples, noise, np.random.default_rng(gate_seed))
         durations = np.random.default_rng(duration_seed)
         taus = {}
         for seq, seq_seed in zip(design.sequences, seq_seeds):
@@ -503,9 +550,8 @@ def assert_matches_replay(chi_mc, design, noise, seed, samples):
             for key in keys:
                 if key not in taus:
                     taus[key] = durations.normal(key[0], noise.sampled_gdtau, size=samples)
-            rotors = tuple((np.exp(4j * taus[key]) - 1.0) / 2.0 for key in keys)
-            weights.append(propagate_sequence_samples(batch, seq, noise, np.random.default_rng(seq_seed),
-                                                      lead=CNOT_FRAME, rotors=rotors)[1])
+            weights.append(replay_weights(batch, seq, noise, np.random.default_rng(seq_seed),
+                                          [taus[key] for key in keys]))
     hits = np.reshape(weights, (16, 15, samples))            # (input, sequence, trajectory)
     probs = hits.mean(axis=2)
     dev = hits - probs[..., None]
@@ -522,11 +568,6 @@ def assert_matches_replay(chi_mc, design, noise, seed, samples):
     np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
 
 
-def assert_equal_up_to_phase(actual, expected, atol):
-    overlap = np.vdot(actual, expected)
-    np.testing.assert_allclose(expected, overlap / abs(overlap) * actual, rtol=0, atol=atol)
-
-
 class _Replay:
     """Stands in for a Generator: normal(loc, scale) is loc + scale * z for the given z, in order."""
 
@@ -541,23 +582,28 @@ class TestMonteCarloGateBatch:
     @settings(max_examples=60)
     @given(g=st.floats(0.05, 20.0), gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_equals_sampled_cnot_unitary(self, g, gdtau, seed):
-        # The reference draws durations at coupling g, dispersion gdtau / g.
+        # The gate basis times the drawn coordinates gives the features of the
+        # sampled gate's output; the reference draws durations at coupling g,
+        # dispersion gdtau / g.
         noise = NoiseParams(r=1.0, gdtau=gdtau)
         rng = np.random.default_rng(seed)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         state /= np.linalg.norm(state)
+        basis = _gate_feature_basis(state)
         # One trajectory draws s1 then s2 exactly as sample_cnot_unitary does.
-        out = _mc_gate_batch(state, 1, noise, np.random.default_rng(seed))
+        out = basis @ _mc_gate_coords(1, noise, np.random.default_rng(seed))
         expected = sample_cnot_unitary(noise, np.random.default_rng(seed), g) @ state
-        assert_equal_up_to_phase(CNOT_FRAME @ out[0], expected, atol=1e-11)
+        np.testing.assert_allclose(out[:, 0], state_features([expected])[:, 0], rtol=0, atol=1e-11)
         # Several trajectories: all s1 first, then all s2, so trajectory k is the
         # reference gate on standard normals k and n + k of the stream.
         n = 5
-        out = _mc_gate_batch(state, n, noise, np.random.default_rng(seed))
+        out = basis @ _mc_gate_coords(n, noise, np.random.default_rng(seed))
         z = np.random.default_rng(seed).standard_normal(2 * n)
-        for k in range(n):
-            expected = sample_cnot_unitary(noise, _Replay(z[k], z[n + k]), g) @ state
-            assert_equal_up_to_phase(CNOT_FRAME @ out[k], expected, atol=1e-11)
+        expected = [sample_cnot_unitary(noise, _Replay(z[k], z[n + k]), g) @ state for k in range(n)]
+        np.testing.assert_allclose(out, state_features(expected), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(out, state_features(gate_output_batch(state, n, noise,
+                                                                         np.random.default_rng(seed), g)),
+                                   rtol=0, atol=1e-11)
 
 
 class TestProcessFidelityValues:
