@@ -23,10 +23,11 @@ adjoint of the averaged exchange pulse, affine in its damping D = exp(-8 gdtau^2
 and each projection the self-adjoint blockade map, affine in r.  The result,
 the sequence's noisy effect as an exact polynomial in D and r, serves every
 input state and every noise point.  The Monte Carlo evaluators sample a duration per
-Evolve step and a readout branch per projection, giving an independent
-unbiased estimate: :func:`sequence_probability_mc` counts the trajectories
-that also pass a Born acceptance draw, and the process-tomography driver
-weights each trajectory by the Born probabilities instead.
+Evolve step, giving an unbiased estimate: :func:`sequence_probability_mc` also
+draws a readout branch per projection and counts the trajectories that pass a
+Born acceptance draw, and the process-tomography driver weights each
+trajectory by its success probability given its durations, summed over the
+readout branches in closed form.
 
 The Bernoulli kernel (:func:`propagate_sequence_samples`) holds its
 trajectories as pure states in four state columns.  Each run of noise-free
@@ -35,14 +36,15 @@ only two levels (triplet g, singlet -3g) an Evolve step is a single relative
 phase on the singlet component; no BLAS product and no complex exponential
 is needed.
 
-The weighted estimate propagates no state.  A branch is drawn independently
-of the state, so a trajectory's weight is the Hermitian form psi† E psi of
-its starting state, E its sequence's effect along the drawn branches and
-durations.  :func:`compile_weight_forms` writes each E once per design, as
-coefficients of the 16 real features of psi psi† at r^0 and r^1 for each
-branch pattern and each product of cos 4 tau and sin 4 tau of its Evolve
-steps; :class:`TrajectoryWeights` evaluates them as one real matrix product
-per block of trajectories.
+The weighted estimate propagates no state and draws no branch.  A trajectory's
+weight is the Hermitian form psi† E psi of its starting state, E its
+sequence's noisy effect at the drawn durations: each projection acts as its
+blockade map, the average over its two readout branches.
+:func:`compile_weight_forms` writes each E once per design, as coefficients of
+the 16 real features of psi psi† for each power of r and each product of
+cos 4 tau and sin 4 tau of its Evolve steps; :class:`TrajectoryWeights` folds
+r in and evaluates them as one real matrix product per block of trajectories,
+one row per sequence.
 """
 
 from __future__ import annotations
@@ -247,8 +249,9 @@ def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
 _MC_CHUNK = 250_000
 #: Trajectories of a chunk whose weights are evaluated together; bounds the (monomials, 16, rows) work array.
 _MC_BLOCK = 4096
-#: Most (branch pattern, monomial) terms a weight form keeps, the 16 reals of one effect; the
-#: steps before one that would exceed it run on each trajectory's features instead.
+#: Most monomials a weight form keeps, the 16 reals of one effect (r is folded in before a form is
+#: evaluated, so a form costs its monomials); the steps before an Evolve step that would exceed it
+#: run on each trajectory's features instead.
 _FORM_TERMS = 16
 
 
@@ -412,8 +415,9 @@ def sequence_probability_mc(
 # declared one.  Along a trajectory the Born factor each collapse multiplies the weight by and the
 # renormalization after it therefore cancel: the weight is the Hermitian form psi† E psi of the
 # starting state psi, with E the sequence's effect along the drawn branches and durations,
-# unnormalized projectors in place of the collapses.  E is affine in r, which enters only through
-# the last projection's declaration probability, and in (1, cos 4 tau, sin 4 tau) for each Evolve
+# unnormalized projectors in place of the collapses.  Averaged over the branches, with their
+# probabilities (1 ± r)/2, each projection becomes the blockade map and E the sequence's noisy
+# effect at the drawn durations: a polynomial in r, and in (1, cos 4 tau, sin 4 tau) for each Evolve
 # duration tau.  Written over the 16 real features of psi psi†, every weight is one dot product.
 
 #: The pairs a < b of the off-diagonal features.
@@ -445,18 +449,21 @@ _DUAL = _dual_basis()
 def _step_maps(step) -> np.ndarray:
     """A step's action on unnormalized trajectory states as maps S_k on features, shape (K, 16, 16).
 
-    A rotation u has one, rho -> u rho u†.  A projection has two, rho -> P rho P onto the down and
-    the up branch.  An Evolve step of duration tau is rho -> V rho V† with V = P_T + exp(4i tau) P_S
-    up to a global phase; its three parts, at 1, cos 4 tau and sin 4 tau, are
-    P_T rho P_T + P_S rho P_S, P_T rho P_S + P_S rho P_T and i (P_S rho P_T - P_T rho P_S).
-    On the coefficients c of an effect, Tr[E rho] = c . features(rho), S_k acts as c -> c @ S_k.
-    Read-only, built once per distinct step.
+    A rotation u has one, rho -> u rho u†.  A projection has two, the r^0 and r^1 parts of its
+    blockade map, (P rho P + Q rho Q)/2 and (P rho P - Q rho Q)/2 for P the projector onto the
+    declared edge state and Q the other one.  An Evolve step of duration tau is rho -> V rho V†
+    with V = P_T + exp(4i tau) P_S up to a global phase; its three parts, at 1, cos 4 tau and
+    sin 4 tau, are P_T rho P_T + P_S rho P_S, P_T rho P_S + P_S rho P_T and
+    i (P_S rho P_T - P_T rho P_S).  On the coefficients c of an effect, Tr[E rho] = c . features(rho),
+    S_k acts as c -> c @ S_k.  Read-only, built once per distinct step.
     """
     if isinstance(step, Rotate):
         u = rotation_unitary(step)
         images = [u @ _DUAL @ u.conj().T]
     elif isinstance(step, Project):
-        images = [proj @ _DUAL @ proj for proj in (PROJ_DOWN, PROJ_UP)]
+        keep, flip = (PROJ_UP, PROJ_DOWN) if step.declared == UP else (PROJ_DOWN, PROJ_UP)
+        kept, flipped = keep @ _DUAL @ keep, flip @ _DUAL @ flip
+        images = [(kept + flipped) / 2.0, (kept - flipped) / 2.0]
     else:
         triplet_singlet, singlet_triplet = _TRIPLET @ _DUAL @ _SINGLET, _SINGLET @ _DUAL @ _TRIPLET
         images = [_TRIPLET @ _DUAL @ _TRIPLET + _SINGLET @ _DUAL @ _SINGLET,
@@ -483,70 +490,61 @@ def _evolve_slots(sequences) -> tuple[list, list]:
 def _weight_form(seq: MeasureSequence, slots: list) -> tuple[int, dict]:
     """(cut, terms): the sequence's weight as a form of the trajectory state after steps[:cut].
 
-    Back-propagates the last projection's effect, 1/2 ± r/2 Z_X, through the steps before it until
-    the next one would make more than _FORM_TERMS terms; cut is 0 if none does.  terms maps
-    (pattern, monomial) to the (2, 16) coefficients at r^0 and r^1.  Bit j of pattern is set when
-    the j-th projection after the cut, the last excepted, kept the up branch; monomial is a sorted
-    tuple of (slot, 1) for cos 4 tau and (slot, 2) for sin 4 tau, () for 1.
+    Back-propagates the identity through the steps, the last first, until the next Evolve step would
+    give the form more than _FORM_TERMS monomials; cut is 0 if none does.  terms maps (power,
+    monomial) to the 16 coefficients of r^power times the monomial, a sorted tuple of (slot, 1) for
+    cos 4 tau and (slot, 2) for sin 4 tau, () for 1.  Equal keys merge, so k projections and m
+    Evolve steps make at most (k + 1) 3^m terms.
     """
-    *early, final = seq.steps
-    n_projections = sum(isinstance(step, Project) for step in early)
+    terms = {(0, ()): np.trace(_DUAL, axis1=1, axis2=2).real}          # c_k = Tr[1 H_k]
     n_evolves = len(slots)
-    sign = 1.0 if final.declared == UP else -1.0
-    last = np.array([np.eye(DIM), sign * (PROJ_UP - PROJ_DOWN)]) / 2.0
-    terms = {(0, ()): np.einsum("rij,kji->rk", last, _DUAL).real}          # c_k = Tr[E H_k]
-    cut = 0
-    for i in range(len(early) - 1, -1, -1):
-        step = early[i]
-        maps = _step_maps(step)
-        if len(terms) * len(maps) > _FORM_TERMS:
-            cut = i + 1
-            break
-        n_projections -= isinstance(step, Project)
-        n_evolves -= isinstance(step, Evolve)
-        split = {}
-        for (pattern, monomial), coeffs in terms.items():
-            for k, step_map in enumerate(maps):
+    for i in range(len(seq.steps) - 1, -1, -1):
+        step = seq.steps[i]
+        if isinstance(step, Evolve):
+            if 3 * len({monomial for _, monomial in terms}) > _FORM_TERMS:
+                return i + 1, terms
+            n_evolves -= 1
+        split: dict = {}
+        for (power, monomial), coeffs in terms.items():
+            for k, step_map in enumerate(_step_maps(step)):
                 if isinstance(step, Project):
-                    pattern_k, monomial_k = pattern | k << n_projections, monomial
+                    key = (power + k, monomial)
                 else:
-                    pattern_k = pattern
-                    monomial_k = tuple(sorted(monomial + ((slots[n_evolves], k),))) if k else monomial
-                split[pattern_k, monomial_k] = coeffs @ step_map
+                    key = (power, tuple(sorted(monomial + ((slots[n_evolves], k),))) if k else monomial)
+                split[key] = split.get(key, 0.0) + coeffs @ step_map
         terms = split
-    return cut, {(pattern >> n_projections, monomial): coeffs for (pattern, monomial), coeffs in terms.items()}
+    return 0, terms
 
 
 @dataclass(frozen=True, eq=False)
 class _FormGroup:
     """Sequences whose weights one product evaluates.
 
-    coeffs[j, m, :, col] holds the r^j coefficients of monomial m in column col; member s reads
-    column offsets[i] + its branch pattern, made of its projections from shifts[i] on.  A group
-    with a prefix has one member and runs the prefix's steps on the trajectory features first,
-    each as (maps, draw) with draw None, ("branch", j) for the j-th projection or ("slot", slot).
+    coeffs[j, m, :, col] holds the coefficients of r^j times monomial m of member col.  A group with
+    a prefix has one member and runs the prefix's steps on the trajectory features first, each as
+    (maps, slot): slot None for a rotation (one map) or a projection (the r^0 and r^1 parts of its
+    map), the Evolve slot for an Evolve step (its three maps).
     """
 
     members: tuple
     prefix: tuple
     monomials: tuple
     coeffs: np.ndarray
-    offsets: np.ndarray
-    shifts: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class WeightForms:
     """The Monte Carlo weights of a tuple of sequences as Hermitian forms, compiled once.
 
-    slot_times holds the mean time of each Evolve slot in draw order; flips[s] marks the
-    projections of sequence s before its last that declare "down", one uniform drawn per
-    trajectory for each.
+    slot_times holds the mean time of each Evolve slot in draw order.
     """
 
     slot_times: tuple
-    flips: tuple
     groups: tuple
+
+    @property
+    def n_sequences(self) -> int:
+        return sum(len(group.members) for group in self.groups)
 
 
 def compile_weight_forms(sequences) -> WeightForms:
@@ -566,34 +564,24 @@ def compile_weight_forms(sequences) -> WeightForms:
         shared.setdefault(home, []).append(s)
     groups = [(sorted(members), home) for home, members in shared.items()]
     groups += [([s], tuple(monomials[s])) for s, (cut, _) in enumerate(forms) if cut]
-    flips = tuple(np.array([step.declared == DOWN for step in seq.steps[:-1] if isinstance(step, Project)],
-                           dtype=bool) for seq in sequences)
-    return WeightForms(tuple(slot_times), flips,
+    return WeightForms(tuple(slot_times),
                        tuple(_form_group(members, home, forms, sequences, seq_slots) for members, home in groups))
 
 
 def _form_group(members, monomials, forms, sequences, seq_slots) -> _FormGroup:
     """The group of the given sequences over the given monomials, from their (cut, terms) forms."""
     index = {monomial: m for m, monomial in enumerate(monomials)}
-    offsets, columns, shifts, prefix = [], [], [], ()
-    for s in members:
-        cut, terms = forms[s]
-        steps = sequences[s].steps[:cut]
-        shifts.append(sum(isinstance(step, Project) for step in steps))
-        n_bits = sum(isinstance(step, Project) for step in sequences[s].steps[cut:-1])
-        block = np.zeros((1 << n_bits, 2, len(monomials), 16))
-        offsets.append(len(columns))
-        for (pattern, monomial), coeffs in terms.items():
-            block[pattern, :, index[monomial]] = coeffs
-        columns += list(block)
-        if cut:
-            projections, slots = itertools.count(), iter(seq_slots[s])
-            prefix = tuple((_step_maps(step), None if isinstance(step, Rotate) else
-                            ("branch", next(projections)) if isinstance(step, Project) else ("slot", next(slots)))
-                           for step in steps)
-    coeffs = np.moveaxis(np.array(columns), 0, -1)          # (2, monomials, 16, columns)
+    n_powers = 1 + max(power for s in members for power, _ in forms[s][1])
+    coeffs = np.zeros((n_powers, len(monomials), 16, len(members)))
+    for col, s in enumerate(members):
+        for (power, monomial), column in forms[s][1].items():
+            coeffs[power, index[monomial], :, col] = column
     coeffs.setflags(write=False)
-    return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs, np.array(offsets), tuple(shifts))
+    cut = forms[members[0]][0]
+    slots = iter(seq_slots[members[0]])
+    prefix = tuple((_step_maps(step), next(slots) if isinstance(step, Evolve) else None)
+                   for step in sequences[members[0]].steps[:cut])
+    return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs)
 
 
 class TrajectoryWeights:
@@ -602,112 +590,102 @@ class TrajectoryWeights:
     A call takes n trajectories by the features of their starting states, basis @ coords: basis
     is (16, K) and coords (K, n), one column per trajectory (a state batch psi has basis the
     identity and coords its features; a gate batch has few coordinates per trajectory).  It also
-    takes one row of n Evolve durations (units of 1/g) per slot of the forms and one generator
-    per sequence: rngs[s] draws one uniform per trajectory for each projection of s before its
-    last, in step order, and a trajectory keeps the declared branch where its uniform is below
-    (1 + r)/2.  It returns the (sequences, n) weights, each the product of the Born
-    probabilities of the kept branches and of the last declaration, clipped to [0, 1], which it
-    leaves only by rounding.  The returned array and the work arrays are reused by the next call.
+    takes one row of n Evolve durations (units of 1/g) per slot of the forms, and draws nothing.
+    It returns the (sequences, n) weights, each the probability that every projection of the
+    sequence reports its declaration, given the trajectory's gate and durations, clipped to [0, 1],
+    which it leaves only by rounding.  The returned array and the work arrays are reused by the
+    next call.
 
-    Per group of forms and block of _MC_BLOCK trajectories, the coordinates times each monomial of
-    the group go through one product with the group's coefficients at r, the basis folded in, and
-    every sequence reads the column of its branch pattern.  A group with a prefix runs it on the
-    block's features first.
+    r is folded into the coefficients once.  Per group of forms and block of _MC_BLOCK trajectories,
+    the coordinates times each monomial of the group go through one product with the group's
+    coefficients, the basis folded in, whose rows are the members' weights.  A group with a prefix
+    runs it on the block's features first.
     """
 
     def __init__(self, forms: WeightForms, noise: NoiseParams):
-        self._flips = forms.flips
-        self._correct_weight, _ = branch_weights(noise.r)
-        self._groups = [(group, group.coeffs[0] + noise.r * group.coeffs[1]) for group in forms.groups]
+        self._n_sequences = forms.n_sequences
+        self._groups = [(group, polynomial_value(group.coeffs, noise.r),
+                         [(polynomial_value(maps, noise.r) if slot is None else maps, slot)
+                          for maps, slot in group.prefix])
+                        for group in forms.groups]
         self._buffers: dict = {}
 
-    def _array(self, key, shape, dtype=float) -> np.ndarray:
-        """A contiguous work array of the given shape, the front of a buffer kept across calls."""
+    def _array(self, key, shape) -> np.ndarray:
+        """A contiguous float64 work array of the given shape, the front of a buffer kept across calls."""
         size = math.prod(shape)
         buffer = self._buffers.get(key)
         if buffer is None or buffer.size < size:
-            buffer = self._buffers[key] = np.empty(size, dtype)
+            buffer = self._buffers[key] = np.empty(size)
         return buffer[:size].reshape(shape)
 
-    def __call__(self, basis: np.ndarray, coords: np.ndarray, durations, rngs) -> np.ndarray:
+    def __call__(self, basis: np.ndarray, coords: np.ndarray, durations) -> np.ndarray:
         n = coords.shape[1]
         phases = np.multiply(np.reshape(durations, (-1, n)), 4.0, out=self._array("phases", (len(durations), n)))
         trig = self._array("trig", (len(durations), 2, n))                   # cos, sin of 4 tau per slot
         np.cos(phases, out=trig[:, 0])
         np.sin(phases, out=trig[:, 1])
-        kept_up = []
-        for rng, flip in zip(rngs, self._flips):
-            uniforms = rng.random(out=self._array("uniforms", (len(flip), n)))
-            kept_up.append(np.not_equal(uniforms < self._correct_weight, flip[:, None]).view(np.uint8))
-        weights = self._array("weights", (len(self._flips), n))
-        for g, (group, coeffs) in enumerate(self._groups):
-            if not group.prefix:
+        weights = self._array("weights", (self._n_sequences, n))
+        for g, (group, coeffs, prefix) in enumerate(self._groups):
+            if not prefix:
                 coeffs = basis.T @ coeffs                # c . (basis @ x) = (basis^T c) . x
-            coeffs = coeffs.reshape(-1, coeffs.shape[-1]).T.copy()       # (columns, monomials * width)
+            coeffs = coeffs.reshape(-1, coeffs.shape[-1]).T.copy()       # (members, monomials * width)
             monomials = self._array(("monomials", g), (len(group.monomials), n))
             monomials.fill(1.0)
             for row, monomial in zip(monomials, group.monomials):
                 for slot, kind in monomial:
                     row *= trig[slot, kind - 1]
-            patterns = self._array(("patterns", g), (len(group.members), n), np.uint8)
-            patterns.fill(0)
-            for row, s, shift in zip(patterns, group.members, group.shifts):
-                for j, bits in enumerate(kept_up[s][shift:]):
-                    row += bits << j
+            members = list(group.members)
             for start in range(0, n, _MC_BLOCK):
                 rows = slice(start, min(start + _MC_BLOCK, n))
                 size = rows.stop - start
-                x = coords[:, rows] if not group.prefix else basis @ coords[:, rows]
-                for maps, draw in group.prefix:
-                    images = maps @ x
-                    if draw is None:
-                        x = images[0]
-                    elif draw[0] == "branch":
-                        x = np.where(kept_up[group.members[0]][draw[1], rows], images[1], images[0])
+                x = coords[:, rows] if not prefix else basis @ coords[:, rows]
+                for maps, slot in prefix:
+                    if slot is None:
+                        x = maps @ x
                     else:
-                        cos, sin = trig[draw[1], :, rows]
+                        images = maps @ x
+                        cos, sin = trig[slot, :, rows]
                         x = images[0] + cos * images[1] + sin * images[2]
                 terms = np.multiply(monomials[:, None, rows], x, out=self._array(("terms", g), (len(monomials), len(x), size)))
-                values = np.matmul(coeffs, terms.reshape(-1, size), out=self._array(("values", g), (len(coeffs), size)))
-                index = np.multiply(patterns[:, rows], size, dtype=np.intp,
-                                    out=self._array(("index", g), (len(patterns), size), np.intp))
-                index += group.offsets[:, None] * size          # row j of column c sits at c * size + j
-                index += np.arange(size)
-                weights[list(group.members), rows] = np.take(values, index, mode="clip",
-                                                             out=self._array(("taken", g), index.shape))
+                weights[members, rows] = np.matmul(coeffs, terms.reshape(-1, size),
+                                                   out=self._array(("values", g), (len(coeffs), size)))
         return np.clip(weights, 0.0, 1.0, out=weights)
 
 
 def _weighted_estimates(forms: WeightForms, inputs, noise, n_samples) -> tuple[np.ndarray, np.ndarray]:
     """Mean weight of n_samples trajectories per input and sequence, and their covariance.
 
-    inputs holds one (basis, sample_coords, rngs, durations) tuple per input.  Per chunk of
-    _MC_CHUNK trajectories and per input: sample_coords(m) draws the (K, m) coordinates of the
-    starting states, whose features are basis @ coords, read-only and shared by every sequence;
-    durations draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot
-    (:func:`_evolve_slots`), in slot order, shared the same way; then :class:`TrajectoryWeights`
-    draws each sequence's branches from rngs[s] and evaluates every weight.
+    inputs holds one (basis, sample_coords, durations) tuple per input.  Per chunk of _MC_CHUNK
+    trajectories and per input: sample_coords(m) draws the (K, m) coordinates of the starting
+    states, whose features are basis @ coords, read-only and shared by every sequence; durations
+    draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot (:func:`_evolve_slots`),
+    in slot order, shared the same way; then :class:`TrajectoryWeights` evaluates every weight.
 
-    An input's sequences share its draws, so each input gets the full covariance of its means,
-    (mean(w_s w_t) - p_s p_t) / n, with w_s the float64 row of weights for sequence s.  p_s is the
-    row sum over n; sums and products run over each chunk's full rows, chunk by chunk in a fixed
-    order, so reruns are byte-identical.  Shapes (inputs, sequences) and (inputs, sequences, sequences).
+    An input's sequences share its draws, so each input gets the full covariance of its means.  The
+    moments are taken about c, the input's first row of weights (its first trajectory's): with
+    d_s = w_s - c_s, p_s = c_s + mean(d_s) and the covariance is (mean(d_s d_t) - mean(d_s) mean(d_t)) / n,
+    exactly 0 for a sequence whose weights all equal c_s.  Sums and products run over each chunk's
+    full rows, chunk by chunk in a fixed order, so reruns are byte-identical.  Shapes (inputs,
+    sequences) and (inputs, sequences, sequences).
     """
     n = _sample_count(n_samples)
     weights_of = TrajectoryWeights(forms, noise)
-    sums = np.zeros((len(inputs), len(forms.flips)))
-    products = np.zeros((len(inputs), len(forms.flips), len(forms.flips)))
+    centers, sums = np.zeros((2, len(inputs), forms.n_sequences))
+    products = np.zeros((len(inputs), forms.n_sequences, forms.n_sequences))
     for done in range(0, n, _MC_CHUNK):
         m = min(n - done, _MC_CHUNK)
-        for i, (basis, sample_coords, rngs, durations) in enumerate(inputs):
+        for i, (basis, sample_coords, durations) in enumerate(inputs):
             coords = sample_coords(m)
             coords.setflags(write=False)
             taus = [durations.normal(time, noise.sampled_gdtau, size=m) for time in forms.slot_times]
-            weights = weights_of(basis, coords, taus, rngs)
+            weights = weights_of(basis, coords, taus)
+            if not done:
+                centers[i] = weights[:, 0]
+            weights -= centers[i][:, None]
             sums[i] += weights.sum(axis=1)
             products[i] += weights @ weights.T
-    p_hat = sums / n
-    return p_hat, (products / n - p_hat[:, :, None] * p_hat[:, None, :]) / n
+    mean = sums / n
+    return centers + mean, (products / n - mean[:, :, None] * mean[:, None, :]) / n
 
 
 # ----------------------------------------------------------------------------

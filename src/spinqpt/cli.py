@@ -247,9 +247,11 @@ def cmd_qpt(args) -> int:
             # opens no gap.
             "expected_discrepancy_caveat": bool(args.gdtau > 0.0),
         }
+    params = {"r": args.r, "gdtau": args.gdtau}
+    if "montecarlo" in results:                 # --samples has no effect on the other routes
+        params["mc_samples"] = args.samples
     report = {
-        "params": _base_params(args, {"r": args.r, "gdtau": args.gdtau,
-                                      "mc_samples": args.samples}),
+        "params": _base_params(args, params),
         "ordering": list(CHI_LABELS),
         **_chi_payload(primary.chi),
         "fidelity": process_fidelity(primary, ideal_cnot_chi()),

@@ -111,10 +111,6 @@ class QuantumChannel:
     def identity(cls) -> "QuantumChannel":
         return cls.from_unitary(np.eye(DIM, dtype=complex))
 
-    def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
-        """Channel applying `inner` first, then this channel."""
-        return QuantumChannel(superop=self.superop @ inner.superop)
-
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Apply a channel to a 4x4 operator.  Linear in rho."""

@@ -28,17 +28,18 @@ product with the noisy effects, one exact polynomial in D = exp(-8 gdtau^2)
 and r that the design carries, and one solve with 16
 right-hand sides reconstructs every output.  A Monte Carlo mode replaces
 every analytic sequence probability with a sampled estimate, the mean
-weight of its trajectories (a trajectory keeps its readout-branch draws and
-is weighted by the Born probabilities of its branches).  Each trajectory
-passes through its own sampled gate, and one batch of gate draws per input
-is shared by its 15 sequences, as is one column of durations per Evolve
-slot, so their estimates are correlated; their full covariance is
-propagated exactly through the same two linear maps.  The seed spawns one
-child per input, and each child one stream per sequence, then one for the
-gate and one for the Evolve durations.  No trajectory state is built: the
-features of a sampled gate output are a fixed linear map of seven
-trigonometric functions of its two pulse durations, and the design's weight
-forms read them directly (see :class:`spinqpt.blockade.TrajectoryWeights`).
+weight of its trajectories: a trajectory's success probability given its
+sampled gate and Evolve durations, the readout branches summed over in
+closed form.  Each trajectory passes through its own sampled gate, and one
+batch of gate draws per input is shared by its 15 sequences, as is one
+column of durations per Evolve slot, so their estimates are correlated;
+their full covariance is propagated exactly through the same two linear
+maps.  The seed spawns one child per input, and of each child's streams
+only two are built, number 15 for the gate and number 16 for the Evolve
+durations.  No trajectory state is built: the features of a sampled gate
+output are a fixed linear map of seven trigonometric functions of its two
+pulse durations, and the design's weight forms read them directly (see
+:class:`spinqpt.blockade.TrajectoryWeights`).
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -371,7 +372,9 @@ def run_qpt(
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate,
                   the mean weight of mc_samples trajectories (an integer of
-                  at least 1, deterministic in the seed).  An input's 15
+                  at least 1, deterministic in the seed), each weight the
+                  success probability given the trajectory's sampled gate
+                  and Evolve durations.  An input's 15
                   sequences share its gate and Evolve draws, so stderr is
                   sqrt(diag(L Sigma L^H)): L the linear map from
                   probabilities to chi (reconstruction, then assembly) and
@@ -393,11 +396,12 @@ def run_qpt(
         probs = _probabilities(effects, outputs)
     else:
         inputs = []
-        for basis, child in zip(_gate_feature_bases(), np.random.SeedSequence(seed).spawn(16)):
-            *seq_rngs, gate_rng, duration_rng = map(np.random.default_rng,
-                                                     child.spawn(design.n_sequences + 2))
-            inputs.append((basis, lambda m, rng=gate_rng: _mc_gate_coords(m, noise, rng),
-                           tuple(seq_rngs), duration_rng))
+        for i, basis in enumerate(_gate_feature_bases()):
+            # Streams 15 and 16 of input child i, SeedSequence(seed).spawn(16)[i].spawn(17)[15]
+            # and [16], built directly from their spawn keys.
+            gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, k)))
+                                      for k in (15, 16))
+            inputs.append((basis, lambda m, rng=gate_rng: _mc_gate_coords(m, noise, rng), duration_rng))
         probs, cov = _weighted_estimates(design.weight_forms, inputs, noise, mc_samples)
         probs = probs.T                                          # (15, 16); cov is (16, 15, 15)
     chi = assemble_channel_action(reconstruct_state(probs, design))

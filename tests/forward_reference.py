@@ -14,11 +14,13 @@ realization built literally from its pulse sequence, the reference for the
 gate coordinates of ``tomography._mc_gate_coords``; ``gate_output_batch``
 builds the same gate for a batch of trajectories as states.
 ``replay_weights`` runs each trajectory's state through a sequence step by
-step, collapsing and renormalizing at every projection, the reference for
-the weight forms of ``blockade.TrajectoryWeights``, which read a state by
-its ``state_features``.  ``split_cnot_channel``
-averages the same gate a second way, through the sum and difference of its
-two pulse durations, the reference for ``noisy_cnot_channel``.
+step, drawing a readout branch and collapsing and renormalizing at every
+projection; ``branch_summed_replay`` averages it over every branch pattern,
+the reference for the weight forms of ``blockade.TrajectoryWeights``, which
+read a state by its ``state_features``.  ``split_cnot_channel`` averages the
+same gate a second way, through the sum and difference of its two pulse
+durations, the reference for ``noisy_cnot_channel``; ``compose`` chains its
+channels.
 
 The engine works in units of 1/g; these references do not.  Each takes the
 coupling g explicitly (default 1) and runs at the exchange Hamiltonian of
@@ -26,6 +28,7 @@ that g, with durations mean_time / g and dispersion noise.gdtau / g, so
 comparing them with the engine at g != 1 tests that only g*delta_tau matters.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -195,6 +198,33 @@ def replay_weights(psi, seq, noise, rng, durations, g=1.0):
     return weight * (0.5 * (1.0 - sign) + sign * p_up)
 
 
+class _Branches:
+    """Stands in for a Generator in replay_weights: the j-th random(n) call returns 0 for every
+    trajectory, keeping the declared branch, if kept[j] is true, else 1, keeping the other one."""
+
+    def __init__(self, kept):
+        self._kept = iter(kept)
+
+    def random(self, n):
+        return np.full(n, 0.0 if next(self._kept) else 1.0)
+
+
+def branch_summed_replay(psi, seq, noise, durations, g=1.0):
+    """replay_weights averaged over the readout branches of the k projections before the last.
+
+    Replays each of the 2^k branch patterns with uniforms that force it and weights it by
+    (1 + r)/2 for each projection that keeps its declared branch and (1 - r)/2 for each that
+    keeps the other one.
+    """
+    correct, error = branch_weights(noise.r)
+    k = sum(isinstance(step, Project) for step in seq.steps[:-1])
+    total = np.zeros(len(psi))
+    for kept in itertools.product((True, False), repeat=k):
+        probability = math.prod(correct if keep else error for keep in kept)
+        total += probability * replay_weights(psi, seq, noise, _Branches(kept), durations, g)
+    return total
+
+
 def split_cnot_channel(noise, g=1.0):
     """Averaged CNOT at coupling g from the sum and difference of its two pulse durations.
 
@@ -209,7 +239,12 @@ def split_cnot_channel(noise, g=1.0):
     phase_part = gaussian_averaged_channel(zz_hamiltonian(g), CNOT_PHASE_TIME / g, sigma)
     leak_part = gaussian_averaged_channel(flipflop_hamiltonian(g), 0.0, sigma)
     entry, frame = QuantumChannel.from_unitary(CNOT_ENTRY), QuantumChannel.from_unitary(CNOT_FRAME)
-    return frame.compose(phase_part.compose(leak_part).compose(entry))
+    return compose(frame, phase_part, leak_part, entry)
+
+
+def compose(*channels):
+    """The channel applying the last of two or more channels first and the first one last."""
+    return QuantumChannel(superop=np.linalg.multi_dot([channel.superop for channel in channels]))
 
 
 def forward_output_negativity(r, gdtau, design):

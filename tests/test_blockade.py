@@ -1,5 +1,6 @@
 """Tests for the blockade readout model and sequence evaluation."""
 
+import inspect
 import math
 import re
 
@@ -34,7 +35,7 @@ from spinqpt.blockade import (
 from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
 from spinqpt.qcore import basis_state, hermitize, pure_state
 
-from forward_reference import forward_sequence_probability, replay_weights, state_features
+from forward_reference import branch_summed_replay, forward_sequence_probability, state_features
 
 TRANSFER = math.pi / 4.0
 
@@ -496,10 +497,10 @@ class TestColumnKernel:
         np.testing.assert_array_equal(alive, want_alive)
 
 
-def form_weights(seq, psi, noise, durations, rng):
+def form_weights(seq, psi, noise, durations):
     """The weights of trajectories starting at the rows of psi through one sequence's form."""
     evaluate = TrajectoryWeights(compile_weight_forms((seq,)), noise)
-    return evaluate(np.eye(16), state_features(psi), durations, (rng,))[0].copy()
+    return evaluate(np.eye(16), state_features(psi), durations)[0].copy()
 
 
 _kernel_steps = st.lists(st.one_of(
@@ -529,22 +530,27 @@ class TestWeightedKernel:
         psi = random_pure_states(np.random.default_rng(seed), 20)
         psi[0] = [math.sqrt(0.5), math.sqrt(0.5), 0, 0]
         durations = [np.full(20, step.mean_time) for step in steps if isinstance(step, Evolve)]
-        weights = form_weights(seq, psi, noise, durations, np.random.default_rng(seed))
+        weights = form_weights(seq, psi, noise, durations)
         want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
         assert weights.dtype == np.float64 and weights.shape == (20,)
         np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
         assert np.all((0.0 <= weights) & (weights <= 1.0))
 
-    def test_branch_draws_only_before_the_last_projection(self):
-        # One uniform per trajectory and projection before the last; none for
-        # Evolve steps (their durations are given) or for the last projection.
+    def test_evaluator_draws_nothing(self):
+        # The readout branches are summed over, not drawn: the evaluator takes no
+        # generator, leaves numpy's global stream as it was and repeats its weights.
+        assert list(inspect.signature(TrajectoryWeights.__call__).parameters) == [
+            "self", "basis", "coords", "durations"]
         seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(DOWN), Project(UP)))
-        rng = np.random.default_rng(5)
         psi = random_pure_states(np.random.default_rng(6), 30)
-        form_weights(seq, psi, NoiseParams(r=0.7), [np.zeros(30)], rng)
-        expected = np.random.default_rng(5)
-        expected.random(60)
-        assert rng.random() == expected.random()
+        durations = [np.random.default_rng(7).normal(TRANSFER, 0.3, size=30)]
+        before = np.random.get_state()
+        evaluate = TrajectoryWeights(compile_weight_forms((seq,)), NoiseParams(r=0.7))
+        first = evaluate(np.eye(16), state_features(psi), durations).copy()
+        np.testing.assert_array_equal(evaluate(np.eye(16), state_features(psi), durations), first)
+        after = np.random.get_state()
+        assert after[0] == before[0] and after[2:] == before[2:]
+        np.testing.assert_array_equal(after[1], before[1])
 
     def test_weight_mean_agrees_with_analytic_evaluator(self):
         # Sampled durations and branches: the weights' mean estimates the success
@@ -557,7 +563,7 @@ class TestWeightedKernel:
         rng = np.random.default_rng(8)
         psi = sample_initial_states(rho, n, rng)
         durations = [rng.normal(TRANSFER, noise.sampled_gdtau, size=n)]
-        weights = form_weights(seq, psi, noise, durations, rng)
+        weights = form_weights(seq, psi, noise, durations)
         p = sequence_probability(seq, rho, noise)
         assert abs(weights.mean() - p) < 4.0 * weights.std() / math.sqrt(n)
 
@@ -566,16 +572,29 @@ class TestWeightedKernel:
            seed=st.integers(0, 2**32 - 1))
     def test_form_weight_equals_state_replay(self, steps, declared, r, seed):
         # Random pure states, rotations anywhere, up to three projections and three
-        # Evolve steps, random branches and random durations: the Hermitian form
-        # gives the weight the trajectory's step-by-step replay gives.
+        # Evolve steps and random durations: the Hermitian form gives the weight
+        # the trajectory's step-by-step replay gives, averaged over its branches.
         seq = MeasureSequence(steps=(*steps, Project(declared)))
         noise = NoiseParams(r=r)
         rng = np.random.default_rng(seed)
         psi = random_pure_states(rng, 50)
         durations = [rng.uniform(-5.0, 5.0, size=50) for step in steps if isinstance(step, Evolve)]
-        weights = form_weights(seq, psi, noise, durations, np.random.default_rng(seed + 1))
-        want = replay_weights(psi, seq, noise, np.random.default_rng(seed + 1), durations)
+        weights = form_weights(seq, psi, noise, durations)
+        want = branch_summed_replay(psi, seq, noise, durations)
         np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_weighted_steps, declared=st.sampled_from([UP, DOWN]), r=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_weight_at_mean_durations_is_sequence_probability(self, steps, declared, r, seed):
+        # Without timing noise nothing is random: every weight, with any number of
+        # projections, is the trajectory's exact success probability.
+        seq = MeasureSequence(steps=(*steps, Project(declared)))
+        noise = NoiseParams(r=r)
+        psi = random_pure_states(np.random.default_rng(seed), 10)
+        durations = [np.full(10, step.mean_time) for step in steps if isinstance(step, Evolve)]
+        want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
+        np.testing.assert_allclose(form_weights(seq, psi, noise, durations), want, rtol=0, atol=1e-12)
 
 
 class TestSerialization:

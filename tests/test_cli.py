@@ -142,10 +142,21 @@ class TestQptCommand:
         dev = report["deviations"]
         assert dev["expected_discrepancy_caveat"] is False   # readout noise alone opens no gap
         assert dev["pipeline_vs_closed_form"] < 1e-10  # exact agreement at gdtau = 0
-        assert dev["montecarlo_vs_pipeline"] > 0
+        # Nothing is sampled at gdtau = 0: Monte Carlo is the pipeline up to rounding.
+        assert dev["montecarlo_vs_pipeline"] < 1e-12
+        assert dev["montecarlo_max_abs_z"] == 0.0
+        assert report["params"]["mc_samples"] == 2000
         assert run_cli("qpt", "--r", "0.6", "--gdtau", "0.1", "--method", "all",
                        "--samples", "200", "--out", str(out)) == 0
         assert json.loads(out.read_text())["deviations"]["expected_discrepancy_caveat"] is True
+
+    @pytest.mark.parametrize("method", ["pipeline", "closed-form"])
+    def test_sample_count_only_in_monte_carlo_reports(self, tmp_path, method):
+        out = tmp_path / "chi.json"
+        assert run_cli("qpt", "--method", method, "--samples", "300", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["params"] == {"r": 1.0, "gdtau": 0.0}
+        assert run_cli("qpt", "--method", "montecarlo", "--samples", "300", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["params"]["mc_samples"] == 300
 
     def test_all_methods_report_monte_carlo_z(self, tmp_path):
         # The largest |chi_mc - chi_pipeline| / stderr over the sampled entries.

@@ -29,6 +29,8 @@ from spinqpt.dynamics import (
     zz_hamiltonian,
 )
 from spinqpt.qcore import (
+    PROJ_DOWN,
+    PROJ_UP,
     QuantumChannel,
     apply_channel,
     basis_state,
@@ -36,7 +38,7 @@ from spinqpt.qcore import (
     negativity,
 )
 
-from forward_reference import sample_cnot_unitary, split_cnot_channel
+from forward_reference import compose, sample_cnot_unitary, split_cnot_channel
 
 
 def phase_invariant_overlap(u, v):
@@ -405,6 +407,16 @@ class TestNoisyCnotChannel:
         noise = NoiseParams(gdtau=gdtau)
         np.testing.assert_allclose(noisy_cnot_channel(noise).superop,
                                    split_cnot_channel(noise, g).superop, rtol=0, atol=1e-13)
+
+    def test_compose_matches_sequential_application(self):
+        # The forward reference's channel composition, which split_cnot_channel chains.
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        ch1 = noisy_cnot_channel(NoiseParams.from_dimensionless(r=1.0, gdtau=0.1))
+        ch2 = QuantumChannel.from_kraus([PROJ_UP, PROJ_DOWN])
+        np.testing.assert_allclose(apply_channel(compose(ch2, ch1), rho),
+                                   apply_channel(ch2, apply_channel(ch1, rho)), atol=1e-13)
 
     def test_sample_cnot_unitary_statistics(self):
         # The scalar reference sampler of tests/forward_reference.py, run at

@@ -218,16 +218,3 @@ class TestNegativity:
         with pytest.raises(ValueError):
             negativity(stack)
 
-
-class TestQuantumChannelValidation:
-    def test_compose_matches_sequential_application(self):
-        rng = np.random.default_rng(8)
-        rho = random_density(rng)
-        ch1 = noisy_cnot_channel(NoiseParams.from_dimensionless(r=1.0, gdtau=0.1))
-        ch2 = QuantumChannel.from_kraus([PROJ_UP, PROJ_DOWN])
-        combined = ch2.compose(ch1)
-        np.testing.assert_allclose(
-            apply_channel(combined, rho),
-            apply_channel(ch2, apply_channel(ch1, rho)),
-            atol=1e-13,
-        )

@@ -53,8 +53,8 @@ from forward_reference import (
     forward_output_negativity,
     forward_pipeline_chi,
     forward_threshold,
+    branch_summed_replay,
     gate_output_batch,
-    replay_weights,
     sample_cnot_unitary,
     state_features,
 )
@@ -362,14 +362,8 @@ class TestRunQpt:
         # A design file whose sequences rotate after a projection as well as
         # before it: only the leading rotations are applied ahead of the
         # kernel, the later ones stay in it, and the result is the same.
-        sequences = list(design_sequences().sequences)
-        for s, rotation in ((0, Rotate("A", "x", 0.7)), (8, Rotate("global", "y", -1.1)),
-                            (12, Rotate("X", "z", 0.3))):
-            steps = sequences[s].steps
-            after = steps.index(Project(UP)) + 1
-            sequences[s] = MeasureSequence(steps=(*steps[:after], rotation, *steps[after:]))
         path = tmp_path / "design.txt"
-        path.write_text(format_sequences(sequences), encoding="utf-8")
+        path.write_text(format_sequences(rotation_after_projection_sequences()), encoding="utf-8")
         custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=6, design=custom)
@@ -398,11 +392,12 @@ class TestRunQpt:
 
     def test_monte_carlo_long_sequence_matches_replay(self, tmp_path):
         # A design file whose first transfer sequence runs five Evolve steps and
-        # three projections: 2^2 * 3^5 = 972 terms as one form.  Its form keeps
-        # the two Evolve steps after the transfer pulse (9 terms); the five steps
-        # before them run on each trajectory's features.  Identity pulses
-        # (4 * pi/2 = 2 pi) and a repeated projection leave its ideal effect, and
-        # so the design, as they were.
+        # three projections: (3 + 1) * 3^5 = 972 (power of r, monomial) terms as
+        # one form.  Its form keeps the two Evolve steps after the transfer pulse
+        # (9 monomials at r^0 and r^1, 18 terms); the five steps before them run
+        # on each trajectory's features, each projection as its blockade map at r.
+        # Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its
+        # ideal effect, and so the design, as they were.
         sequences = list(design_sequences().sequences)
         full = Evolve(math.pi / 2)
         steps = sequences[0].steps
@@ -413,7 +408,7 @@ class TestRunQpt:
         custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
         shared, long = custom.weight_forms.groups
         assert long.members == (0,) and len(long.prefix) == 5 and len(long.monomials) == 9
-        assert long.coeffs.shape[-1] == 1 and shared.coeffs.shape[1] == 3
+        assert long.coeffs.shape == (2, 9, 16, 1) and shared.coeffs.shape == (3, 3, 16, 14)
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
         tracemalloc.start()
         try:
@@ -426,7 +421,8 @@ class TestRunQpt:
 
     def test_monte_carlo_error_bars_are_weighted(self, design):
         # The weighted estimator's bars at 2,000 samples: 0.029 rms with a
-        # Born acceptance drawn per projection, about 0.005 with weights.
+        # Born acceptance drawn per projection, about 0.005 with weights that
+        # drew their readout branches, 0.0016 with the branches summed.
         noise = NoiseParams(r=0.8, gdtau=0.1)
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=2000, seed=0, design=design)
         assert math.sqrt(float(np.mean(chi_mc.stderr ** 2))) < 0.012
@@ -439,7 +435,7 @@ class TestRunQpt:
         # chunk's full rows, but the BLAS product of a block rounds a row
         # differently with the block's width (seen: 3.4e-16 on chi, 9e-14
         # relative on stderr); a draw that moved would move chi by about stderr.
-        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
         samples = 250
         monkeypatch.setattr(blockade, "_MC_CHUNK", chunk)
         runs = []
@@ -484,6 +480,43 @@ class TestRunQpt:
             assert not batch.flags.writeable
             np.testing.assert_array_equal(batch, drawn)
 
+    @pytest.mark.parametrize("rotated", [False, True], ids=["shipped", "rotation-after-projection"])
+    def test_monte_carlo_exact_without_timing_noise(self, design, rotated):
+        # At gdtau = 0 nothing is sampled: the gate and the durations are fixed and
+        # the readout branches are summed over, so chi is the pipeline's up to
+        # rounding and every error bar vanishes.
+        if rotated:
+            design = design_from_sequences(rotation_after_projection_sequences())
+        for r in (0.6, 0.93):
+            noise = NoiseParams(r=r, gdtau=0.0)
+            mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=4, design=design)
+            np.testing.assert_allclose(mc.chi, run_qpt(noise, method="pipeline", design=design).chi,
+                                       rtol=0, atol=1e-12)
+            assert np.max(mc.stderr) <= 1e-12
+
+    def test_monte_carlo_streams_are_pinned(self, design, monkeypatch):
+        # Input i draws its gate batch from stream 15 and its Evolve durations from
+        # stream 16 of SeedSequence(seed).spawn(16)[i].spawn(17); streams 0 to 14
+        # are not built.
+        gate_states, duration_states = [], []
+
+        def recording_coords(n, noise, rng):
+            gate_states.append(rng.bit_generator.state)
+            return _mc_gate_coords(n, noise, rng)
+
+        estimates = tomography._weighted_estimates
+
+        def recording_estimates(forms, inputs, noise, n_samples):
+            duration_states.extend(durations.bit_generator.state for *_, durations in inputs)
+            return estimates(forms, inputs, noise, n_samples)
+
+        monkeypatch.setattr(tomography, "_mc_gate_coords", recording_coords)
+        monkeypatch.setattr(tomography, "_weighted_estimates", recording_estimates)
+        run_qpt(NoiseParams(r=0.8, gdtau=0.2), method="monte_carlo", mc_samples=50, seed=13, design=design)
+        streams = [child.spawn(17) for child in np.random.SeedSequence(13).spawn(16)]
+        assert gate_states == [np.random.default_rng(s[15]).bit_generator.state for s in streams]
+        assert duration_states == [np.random.default_rng(s[16]).bit_generator.state for s in streams]
+
     @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0)], ids=repr)
     def test_monte_carlo_rejects_non_integral_sample_count(self, samples):
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
@@ -524,34 +557,45 @@ class TestRunQpt:
             run_qpt(NoiseParams(), method="variational")
 
 
+def rotation_after_projection_sequences():
+    """The shipped sequences with a rotation after the first projection of sequences 0, 8 and 12."""
+    sequences = list(design_sequences().sequences)
+    for s, rotation in ((0, Rotate("A", "x", 0.7)), (8, Rotate("global", "y", -1.1)),
+                        (12, Rotate("X", "z", 0.3))):
+        steps = sequences[s].steps
+        after = steps.index(Project(UP)) + 1
+        sequences[s] = MeasureSequence(steps=(*steps[:after], rotation, *steps[after:]))
+    return sequences
+
+
 def assert_matches_replay(chi_mc, design, noise, seed, samples):
     """chi and stderr of a Monte Carlo run equal those of its draws replayed per input.
 
     chi is affine in the 15 x 16 probability table; its linear part L is read
     off the forward reference by pushing each unit table through it.  The
-    table is replayed from the seed layout, trajectory by trajectory
-    (forward_reference.replay_weights): input i takes child i of the seed;
-    its children 0-14 feed the sequences' branch draws, child 15 the gate
-    batch all 15 share and child 16 the Evolve durations they share, one
-    column per (mean time, k-th Evolve of its sequence) in order of first
-    appearance.  Sigma, the covariance of the table's entries, is one
-    15 x 15 block per input, built from the weights.
+    table is replayed from the seed layout, trajectory by trajectory, each
+    weight the average of the step-by-step replay over the readout branches
+    (forward_reference.branch_summed_replay): input i takes child i of the
+    seed; its child 15 feeds the gate batch all 15 sequences share and child
+    16 the Evolve durations they share, one column per (mean time, k-th
+    Evolve of its sequence) in order of first appearance.  Sigma, the
+    covariance of the table's entries, is one 15 x 15 block per input, built
+    from the weights.
     """
     weights = []
     for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
-        *seq_seeds, gate_seed, duration_seed = child.spawn(17)
+        streams = child.spawn(17)
         state = np.linalg.eigh(hermitize(rho))[1][:, -1]
-        batch = gate_output_batch(state, samples, noise, np.random.default_rng(gate_seed))
-        durations = np.random.default_rng(duration_seed)
+        batch = gate_output_batch(state, samples, noise, np.random.default_rng(streams[15]))
+        durations = np.random.default_rng(streams[16])
         taus = {}
-        for seq, seq_seed in zip(design.sequences, seq_seeds):
+        for seq in design.sequences:
             keys = [(step.mean_time, k) for k, step in
                     enumerate(step for step in seq.steps if isinstance(step, Evolve))]
             for key in keys:
                 if key not in taus:
                     taus[key] = durations.normal(key[0], noise.sampled_gdtau, size=samples)
-            weights.append(replay_weights(batch, seq, noise, np.random.default_rng(seq_seed),
-                                          [taus[key] for key in keys]))
+            weights.append(branch_summed_replay(batch, seq, noise, [taus[key] for key in keys]))
     hits = np.reshape(weights, (16, 15, samples))            # (input, sequence, trajectory)
     probs = hits.mean(axis=2)
     dev = hits - probs[..., None]
