@@ -42,9 +42,10 @@ sequence's noisy effect at the drawn durations: each projection acts as its
 blockade map, the average over its two readout branches.
 :func:`compile_weight_forms` writes each E once per design, as coefficients of
 the 16 real features of psi psi† for each power of r and each product of
-cos 4 tau and sin 4 tau of its Evolve steps; :class:`TrajectoryWeights` folds
-r in and evaluates them as one real matrix product per block of trajectories,
-one row per sequence.
+cos 4 tau and sin 4 tau of its Evolve steps.  Every weight is then linear in
+the products of those monomials with the trajectory's coordinates
+(:class:`TrajectoryFeatures`), so the estimator keeps only their sums and
+Gram matrix (:func:`_feature_moments`).
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _MC_CHUNK = 250_000
-#: Trajectories of a chunk whose weights are evaluated together; bounds the (monomials, 16, rows) work array.
+#: Trajectories of a chunk whose features are evaluated and summed together; bounds the (features, rows) array.
 _MC_BLOCK = 4096
 #: Most monomials a weight form keeps, the 16 reals of one effect (r is folded in before a form is
 #: evaluated, so a form costs its monomials); the steps before an Evolve step that would exceed it
@@ -518,7 +519,7 @@ def _weight_form(seq: MeasureSequence, slots: list) -> tuple[int, dict]:
 
 @dataclass(frozen=True, eq=False)
 class _FormGroup:
-    """Sequences whose weights one product evaluates.
+    """Sequences whose weights share one set of monomials.
 
     coeffs[j, m, :, col] holds the coefficients of r^j times monomial m of member col.  A group with
     a prefix has one member and runs the prefix's steps on the trajectory features first, each as
@@ -550,26 +551,21 @@ class WeightForms:
 def compile_weight_forms(sequences) -> WeightForms:
     """The weight forms of the sequences, built with a design and shared by all its runs.
 
-    The sequences whose forms start at the trajectory state go into groups by their monomials: a
-    sequence joins the first group whose monomials hold its own, taking the sequences with the most
-    monomials first (the shipped design is one group).  Each sequence whose form starts later is a
-    group of its own.
+    The sequences whose forms start at the trajectory state make one group, the first, over the
+    union of their monomials (the shipped design's 15, over 1, cos 4 tau and sin 4 tau).  Each
+    sequence whose form starts later is a group of its own.
     """
     slot_times, seq_slots = _evolve_slots(sequences)
     forms = [_weight_form(seq, slots) for seq, slots in zip(sequences, seq_slots)]
-    monomials = [sorted({monomial for _, monomial in terms}, key=lambda m: (len(m), m)) for _, terms in forms]
-    shared: dict = {}
-    for s in sorted((s for s, (cut, _) in enumerate(forms) if not cut), key=lambda s: -len(monomials[s])):
-        home = next((key for key in shared if set(monomials[s]) <= set(key)), tuple(monomials[s]))
-        shared.setdefault(home, []).append(s)
-    groups = [(sorted(members), home) for home, members in shared.items()]
-    groups += [([s], tuple(monomials[s])) for s, (cut, _) in enumerate(forms) if cut]
+    shared = [s for s, (cut, _) in enumerate(forms) if not cut]
+    groups = [shared] + [[s] for s, (cut, _) in enumerate(forms) if cut]
     return WeightForms(tuple(slot_times),
-                       tuple(_form_group(members, home, forms, sequences, seq_slots) for members, home in groups))
+                       tuple(_form_group(members, forms, sequences, seq_slots) for members in groups if members))
 
 
-def _form_group(members, monomials, forms, sequences, seq_slots) -> _FormGroup:
-    """The group of the given sequences over the given monomials, from their (cut, terms) forms."""
+def _form_group(members, forms, sequences, seq_slots) -> _FormGroup:
+    """The group of the given sequences over the union of their monomials, from their (cut, terms) forms."""
+    monomials = sorted({monomial for s in members for _, monomial in forms[s][1]}, key=lambda m: (len(m), m))
     index = {monomial: m for m, monomial in enumerate(monomials)}
     n_powers = 1 + max(power for s in members for power, _ in forms[s][1])
     coeffs = np.zeros((n_powers, len(monomials), 16, len(members)))
@@ -584,108 +580,111 @@ def _form_group(members, monomials, forms, sequences, seq_slots) -> _FormGroup:
     return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs)
 
 
-class TrajectoryWeights:
-    """The Monte Carlo weights of trajectories under compiled forms, at one noise point.
+class TrajectoryFeatures:
+    """The Monte Carlo weights of trajectories under compiled forms, at one noise point, as linear
+    functions of one real feature vector per trajectory.
 
-    A call takes n trajectories by the features of their starting states, basis @ coords: basis
-    is (16, K) and coords (K, n), one column per trajectory (a state batch psi has basis the
-    identity and coords its features; a gate batch has few coordinates per trajectory).  It also
-    takes one row of n Evolve durations (units of 1/g) per slot of the forms, and draws nothing.
-    It returns the (sequences, n) weights, each the probability that every projection of the
-    sequence reports its declaration, given the trajectory's gate and durations, clipped to [0, 1],
-    which it leaves only by rounding.  The returned array and the work arrays are reused by the
-    next call.
+    bases is (inputs, 16, K): a trajectory with coordinates x (K reals) starts input i at the state
+    whose features are bases[i] @ x (a state batch psi is one input with basis the identity and
+    coords its features; a gate batch has seven coordinates per trajectory, shared by every input).
+    The trajectory's weight in sequence s of input i, the probability that every projection of s
+    reports its declaration given the trajectory's gate and Evolve durations, is
+    coefficients[i, s] @ f for its feature vector f.
 
-    r is folded into the coefficients once.  Per group of forms and block of _MC_BLOCK trajectories,
-    the coordinates times each monomial of the group go through one product with the group's
-    coefficients, the basis folded in, whose rows are the members' weights.  A group with a prefix
-    runs it on the block's features first.
+    A call takes the (K, n) coordinates of n trajectories and one row of n Evolve durations (units
+    of 1/g) per slot of the forms, draws nothing and returns their (n_features, n) features, an
+    array the next call reuses.  A group without a prefix gives its monomials of the durations
+    times the coordinates, monomial-major, with its coefficients at r, the input's basis folded in.
+    A group with a prefix runs it on each input's features and gives one row per input, that
+    input's weight, with a unit coefficient.
     """
 
-    def __init__(self, forms: WeightForms, noise: NoiseParams):
-        self._n_sequences = forms.n_sequences
-        self._groups = [(group, polynomial_value(group.coeffs, noise.r),
+    def __init__(self, forms: WeightForms, noise: NoiseParams, bases: np.ndarray):
+        self.slot_times = forms.slot_times
+        self._bases = bases
+        n_inputs, _, width = bases.shape
+        self._groups = [(group.monomials, polynomial_value(group.coeffs, noise.r),
                          [(polynomial_value(maps, noise.r) if slot is None else maps, slot)
                           for maps, slot in group.prefix])
                         for group in forms.groups]
-        self._buffers: dict = {}
+        blocks = [np.zeros((n_inputs, forms.n_sequences, n_inputs if prefix else len(monomials) * width))
+                  for monomials, _, prefix in self._groups]
+        for group, (_, coeffs, prefix), block in zip(forms.groups, self._groups, blocks):
+            if prefix:
+                block[range(n_inputs), group.members[0], range(n_inputs)] = 1.0
+            else:                                        # c . (basis @ x) = (basis^T c) . x
+                block[:, list(group.members)] = np.einsum("mjc,ijk->icmk", coeffs, bases).reshape(
+                    n_inputs, len(group.members), -1)
+        self.coefficients = np.concatenate(blocks, axis=-1)
+        self.coefficients.setflags(write=False)
+        self.n_features = self.coefficients.shape[-1]
+        self._buffer = np.empty(0)
 
-    def _array(self, key, shape) -> np.ndarray:
-        """A contiguous float64 work array of the given shape, the front of a buffer kept across calls."""
-        size = math.prod(shape)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[key] = np.empty(size)
-        return buffer[:size].reshape(shape)
-
-    def __call__(self, basis: np.ndarray, coords: np.ndarray, durations) -> np.ndarray:
+    def __call__(self, coords: np.ndarray, durations) -> np.ndarray:
         n = coords.shape[1]
-        phases = np.multiply(np.reshape(durations, (-1, n)), 4.0, out=self._array("phases", (len(durations), n)))
-        trig = self._array("trig", (len(durations), 2, n))                   # cos, sin of 4 tau per slot
-        np.cos(phases, out=trig[:, 0])
-        np.sin(phases, out=trig[:, 1])
-        weights = self._array("weights", (self._n_sequences, n))
-        for g, (group, coeffs, prefix) in enumerate(self._groups):
+        phases = 4.0 * np.reshape(durations, (-1, n))
+        trig = np.stack([np.cos(phases), np.sin(phases)], axis=1)          # cos, sin of 4 tau per slot
+        if self._buffer.size < self.n_features * n:       # reused: a fresh one costs its page faults
+            self._buffer = np.empty(self.n_features * n)
+        features = self._buffer[: self.n_features * n].reshape(self.n_features, n)
+        start = 0
+        for monomials, coeffs, prefix in self._groups:
+            rows = np.array([math.prod((trig[slot, kind - 1] for slot, kind in monomial), start=np.ones(n))
+                             for monomial in monomials])
             if not prefix:
-                coeffs = basis.T @ coeffs                # c . (basis @ x) = (basis^T c) . x
-            coeffs = coeffs.reshape(-1, coeffs.shape[-1]).T.copy()       # (members, monomials * width)
-            monomials = self._array(("monomials", g), (len(group.monomials), n))
-            monomials.fill(1.0)
-            for row, monomial in zip(monomials, group.monomials):
-                for slot, kind in monomial:
-                    row *= trig[slot, kind - 1]
-            members = list(group.members)
-            for start in range(0, n, _MC_BLOCK):
-                rows = slice(start, min(start + _MC_BLOCK, n))
-                size = rows.stop - start
-                x = coords[:, rows] if not prefix else basis @ coords[:, rows]
+                size = len(monomials) * len(coords)
+                out = features[start:start + size].reshape(len(monomials), -1, n)
+                np.multiply(rows[:, None], coords, out=out)
+                start += size
+                continue
+            for basis in self._bases:
+                x = basis @ coords
                 for maps, slot in prefix:
                     if slot is None:
                         x = maps @ x
                     else:
                         images = maps @ x
-                        cos, sin = trig[slot, :, rows]
+                        cos, sin = trig[slot]
                         x = images[0] + cos * images[1] + sin * images[2]
-                terms = np.multiply(monomials[:, None, rows], x, out=self._array(("terms", g), (len(monomials), len(x), size)))
-                weights[members, rows] = np.matmul(coeffs, terms.reshape(-1, size),
-                                                   out=self._array(("values", g), (len(coeffs), size)))
-        return np.clip(weights, 0.0, 1.0, out=weights)
+                np.einsum("mt,mt->t", rows, coeffs[..., 0] @ x, out=features[start])
+                start += 1
+        return features
 
 
-def _weighted_estimates(forms: WeightForms, inputs, noise, n_samples) -> tuple[np.ndarray, np.ndarray]:
-    """Mean weight of n_samples trajectories per input and sequence, and their covariance.
+def _feature_moments(features: TrajectoryFeatures, sample_coords, durations, noise, n_samples
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The mean feature vector of n_samples trajectories and the covariance of that mean.
 
-    inputs holds one (basis, sample_coords, durations) tuple per input.  Per chunk of _MC_CHUNK
-    trajectories and per input: sample_coords(m) draws the (K, m) coordinates of the starting
-    states, whose features are basis @ coords, read-only and shared by every sequence; durations
-    draws one Normal(mean_time, noise.sampled_gdtau) column per Evolve slot (:func:`_evolve_slots`),
-    in slot order, shared the same way; then :class:`TrajectoryWeights` evaluates every weight.
+    Per chunk of _MC_CHUNK trajectories, sample_coords(m) draws the (K, m) coordinates of the
+    chunk's trajectories, read-only and shared by every input and sequence; then the generator
+    durations draws one Normal(mean_time, noise.sampled_gdtau) row of m per Evolve slot
+    (:func:`_evolve_slots`), in slot order, shared the same way.  Each block of _MC_BLOCK
+    trajectories goes through features, and only its sums and its Gram matrix are kept.
 
-    An input's sequences share its draws, so each input gets the full covariance of its means.  The
-    moments are taken about c, the input's first row of weights (its first trajectory's): with
-    d_s = w_s - c_s, p_s = c_s + mean(d_s) and the covariance is (mean(d_s d_t) - mean(d_s) mean(d_t)) / n,
-    exactly 0 for a sequence whose weights all equal c_s.  Sums and products run over each chunk's
-    full rows, chunk by chunk in a fixed order, so reruns are byte-identical.  Shapes (inputs,
-    sequences) and (inputs, sequences, sequences).
+    The moments are taken about c, the first trajectory's features: with d = f - c, the mean is
+    c + mean(d) and the covariance (mean(d d^T) - mean(d) mean(d)^T) / n, exactly 0 for a feature
+    that never moves.  Sums and products accumulate block by block in a fixed order, so reruns
+    are byte-identical.
     """
     n = _sample_count(n_samples)
-    weights_of = TrajectoryWeights(forms, noise)
-    centers, sums = np.zeros((2, len(inputs), forms.n_sequences))
-    products = np.zeros((len(inputs), forms.n_sequences, forms.n_sequences))
+    center, sums = np.zeros((2, features.n_features))
+    gram = np.zeros((features.n_features, features.n_features))
     for done in range(0, n, _MC_CHUNK):
         m = min(n - done, _MC_CHUNK)
-        for i, (basis, sample_coords, durations) in enumerate(inputs):
-            coords = sample_coords(m)
-            coords.setflags(write=False)
-            taus = [durations.normal(time, noise.sampled_gdtau, size=m) for time in forms.slot_times]
-            weights = weights_of(basis, coords, taus)
-            if not done:
-                centers[i] = weights[:, 0]
-            weights -= centers[i][:, None]
-            sums[i] += weights.sum(axis=1)
-            products[i] += weights @ weights.T
+        coords = sample_coords(m)
+        coords.setflags(write=False)
+        taus = np.reshape([durations.normal(time, noise.sampled_gdtau, size=m) for time in features.slot_times],
+                          (-1, m))
+        for start in range(0, m, _MC_BLOCK):
+            rows = slice(start, min(start + _MC_BLOCK, m))
+            block = features(coords[:, rows], taus[:, rows])
+            if not done and not start:
+                center[:] = block[:, 0]
+            block -= center[:, None]
+            sums += block.sum(axis=1)
+            gram += block @ block.T
     mean = sums / n
-    return centers + mean, (products / n - mean[:, :, None] * mean[:, None, :]) / n
+    return center + mean, (gram / n - np.outer(mean, mean)) / n
 
 
 # ----------------------------------------------------------------------------

@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--seed", type=_seed, default=0, help="master seed, 64-bit")
+    common.add_argument("--seed", type=_seed, default=0, help="master seed, any integer >= 0")
     common.add_argument("--g-mev", type=_coupling_mev, default=None, dest="g_mev",
                         help="report pulse times in picoseconds for this coupling (meV); cosmetic")
 

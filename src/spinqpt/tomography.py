@@ -30,16 +30,16 @@ right-hand sides reconstructs every output.  A Monte Carlo mode replaces
 every analytic sequence probability with a sampled estimate, the mean
 weight of its trajectories: a trajectory's success probability given its
 sampled gate and Evolve durations, the readout branches summed over in
-closed form.  Each trajectory passes through its own sampled gate, and one
-batch of gate draws per input is shared by its 15 sequences, as is one
-column of durations per Evolve slot, so their estimates are correlated;
-their full covariance is propagated exactly through the same two linear
-maps.  The seed spawns one child per input, and of each child's streams
-only two are built, number 15 for the gate and number 16 for the Evolve
-durations.  No trajectory state is built: the features of a sampled gate
-output are a fixed linear map of seven trigonometric functions of its two
-pulse durations, and the design's weight forms read them directly (see
-:class:`spinqpt.blockade.TrajectoryWeights`).
+closed form.  A trajectory is one realization of the noisy gate and of the
+pulse timings, shared by all 16 inputs and 15 sequences, so the 240
+estimates are correlated; their full covariance is propagated exactly
+through the same two linear maps.  The seed spawns two children, the first
+for the gate and the second for the Evolve durations.  No trajectory state
+is built: the features of a sampled gate output are a fixed linear map of
+seven trigonometric functions of its two pulse durations, every weight is
+linear in their products with the duration monomials, and only the sums
+and the Gram matrix of those products are kept (see
+:class:`spinqpt.blockade.TrajectoryFeatures`).
 
 The entanglement threshold uses that the gate output does not depend on the
 readout polarization r: the 15 probabilities of the reconstructed output
@@ -61,10 +61,11 @@ from .blockade import (
     MeasureSequence,
     Project,
     Rotate,
+    TrajectoryFeatures,
     UP,
     WeightForms,
+    _feature_moments,
     _features,
-    _weighted_estimates,
     compile_weight_forms,
     effect_polynomial,
     polynomial_value,
@@ -277,13 +278,13 @@ def _assembly_weights() -> np.ndarray:
 
 
 _WEIGHTS = _assembly_weights()
-_WEIGHTS_ABS2 = (_WEIGHTS * _WEIGHTS.conj()).real      # exact, unlike abs(.)**2 of -(1+i)/2
 
 
 def _assemble(weights: np.ndarray, outputs) -> np.ndarray:
-    """chi[:, c] = vec(sum_i weights[c, i] outputs[i]), rows laid out by CHI_PERM."""
-    vecs = np.transpose(np.reshape(outputs, (16, DIM, DIM)), (0, 2, 1)).reshape(16, DIM * DIM)
-    return (weights @ vecs)[:, CHI_PERM].T
+    """chi[..., :, c] = vec(sum_i weights[c, i] outputs[..., i, :, :]), rows laid out by CHI_PERM."""
+    outputs = np.asarray(outputs)
+    vecs = np.swapaxes(outputs, -1, -2).reshape(*outputs.shape[:-3], 16, DIM * DIM)
+    return np.swapaxes((weights @ vecs)[..., CHI_PERM], -1, -2)
 
 
 def assemble_channel_action(outputs) -> np.ndarray:
@@ -295,7 +296,7 @@ def assemble_channel_action(outputs) -> np.ndarray:
 
 
 def _mc_gate_coords(n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-    """The coordinates of n independently sampled noisy-CNOT outputs in the gate basis, shape (7, n).
+    """The coordinates of n independently sampled noisy CNOTs in every input's gate basis, shape (7, n).
 
     Durations are in units of 1/g.  Draws s1 then s2, the two isolation-pulse
     durations, each Normal(CNOT_PHASE_TIME / 2, noise.sampled_gdtau / 2), n at
@@ -374,13 +375,13 @@ def run_qpt(
                   the mean weight of mc_samples trajectories (an integer of
                   at least 1, deterministic in the seed), each weight the
                   success probability given the trajectory's sampled gate
-                  and Evolve durations.  An input's 15
-                  sequences share its gate and Evolve draws, so stderr is
-                  sqrt(diag(L Sigma L^H)): L the linear map from
-                  probabilities to chi (reconstruction, then assembly) and
-                  Sigma block-diagonal, one 15 x 15 covariance of the means
-                  per input, from the products of the weights.  That is
-                  sqrt(E|delta chi|^2) per entry.
+                  and Evolve durations.  All 240 (input, sequence) pairs
+                  share the draws, so stderr is sqrt(diag(L Sigma L^H)): L
+                  the linear map from probabilities to chi (reconstruction,
+                  then assembly) and Sigma the full covariance of the 240
+                  means, A Cov_z A^T for the weights' coefficients A on the
+                  trajectory features z.  That is sqrt(E|delta chi|^2) per
+                  entry.
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -395,25 +396,23 @@ def run_qpt(
         effects = polynomial_value(polynomial_value(design.noisy_effects, noise.dephasing ** 4), noise.r)
         probs = _probabilities(effects, outputs)
     else:
-        inputs = []
-        for i, basis in enumerate(_gate_feature_bases()):
-            # Streams 15 and 16 of input child i, SeedSequence(seed).spawn(16)[i].spawn(17)[15]
-            # and [16], built directly from their spawn keys.
-            gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, k)))
-                                      for k in (15, 16))
-            inputs.append((basis, lambda m, rng=gate_rng: _mc_gate_coords(m, noise, rng), duration_rng))
-        probs, cov = _weighted_estimates(design.weight_forms, inputs, noise, mc_samples)
-        probs = probs.T                                          # (15, 16); cov is (16, 15, 15)
+        # SeedSequence(seed).spawn(2)[0] feeds the gate and [1] the Evolve durations, built
+        # directly from their spawn keys.
+        gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                                  for k in (0, 1))
+        features = TrajectoryFeatures(design.weight_forms, noise, _gate_feature_bases())
+        mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
+                                     noise, mc_samples)
+        probs = (features.coefficients @ mean).T                 # (15, 16)
     chi = assemble_channel_action(reconstruct_state(probs, design))
     stderr = None
     if method == "monte_carlo":
-        # Output entry e = [m, n] of input i is sum_s dual[s, e] p_si plus a constant,
-        # so its variance is the quadratic form of the input's covariance; inputs are
-        # independent, so chi takes the outputs' variances with |weights|^2.
-        dual = np.tensordot(np.linalg.inv(design.design_matrix)[:, : design.n_sequences],
-                            _PAULI_STACK, axes=(0, 0)).reshape(design.n_sequences, DIM * DIM)
-        var = np.einsum("se,ise->ie", dual, cov @ dual.conj()).real
-        stderr = np.sqrt(np.maximum(_assemble(_WEIGHTS_ABS2, var), 0.0))
+        # chi is affine in the probabilities, which are linear in the mean features: chi moves by
+        # lin[f] per unit of feature f, and each entry's variance is diag(lin cov lin^H).
+        inverse = np.linalg.inv(design.design_matrix)[:, : design.n_sequences]
+        outputs = np.tensordot((inverse @ features.coefficients).T, _PAULI_STACK, axes=(1, 0))  # (f, i, 4, 4)
+        lin = _assemble(_WEIGHTS, outputs).reshape(len(cov), -1)
+        stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
     return ProcessMatrix(chi=chi, stderr=stderr)
 
 

@@ -16,7 +16,7 @@ builds the same gate for a batch of trajectories as states.
 ``replay_weights`` runs each trajectory's state through a sequence step by
 step, drawing a readout branch and collapsing and renormalizing at every
 projection; ``branch_summed_replay`` averages it over every branch pattern,
-the reference for the weight forms of ``blockade.TrajectoryWeights``, which
+the reference for the weight forms of ``blockade.TrajectoryFeatures``, which
 read a state by its ``state_features``.  ``split_cnot_channel`` averages the
 same gate a second way, through the sum and difference of its two pulse
 durations, the reference for ``noisy_cnot_channel``; ``compose`` chains its

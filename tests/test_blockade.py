@@ -15,7 +15,7 @@ from spinqpt.blockade import (
     MeasureSequence,
     Project,
     Rotate,
-    TrajectoryWeights,
+    TrajectoryFeatures,
     UP,
     blockade_map,
     branch_weights,
@@ -498,9 +498,11 @@ class TestColumnKernel:
 
 
 def form_weights(seq, psi, noise, durations):
-    """The weights of trajectories starting at the rows of psi through one sequence's form."""
-    evaluate = TrajectoryWeights(compile_weight_forms((seq,)), noise)
-    return evaluate(np.eye(16), state_features(psi), durations)[0].copy()
+    """The weights of trajectories starting at the rows of psi through one sequence's form: its
+    coefficients dotted with each trajectory's features, a state batch being one input whose basis
+    is the identity."""
+    features = TrajectoryFeatures(compile_weight_forms((seq,)), noise, np.eye(16)[None])
+    return features.coefficients[0, 0] @ features(state_features(psi), durations)
 
 
 _kernel_steps = st.lists(st.one_of(
@@ -524,7 +526,7 @@ class TestWeightedKernel:
     @example(steps=[], declared=DOWN, r=1.0, seed=0)
     def test_one_projection_weight_is_sequence_probability(self, steps, declared, r, seed):
         # Without timing noise the one projection's weight is each trajectory's exact
-        # success probability.  Row 0 has p_up = 2 * sqrt(0.5)^2, which rounds past 1.
+        # success probability, also for row 0, whose p_up = 2 * sqrt(0.5)^2 rounds past 1.
         seq = MeasureSequence(steps=(*steps, Project(declared)))
         noise = NoiseParams(r=r)
         psi = random_pure_states(np.random.default_rng(seed), 20)
@@ -534,20 +536,19 @@ class TestWeightedKernel:
         want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
         assert weights.dtype == np.float64 and weights.shape == (20,)
         np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
-        assert np.all((0.0 <= weights) & (weights <= 1.0))
 
     def test_evaluator_draws_nothing(self):
-        # The readout branches are summed over, not drawn: the evaluator takes no
-        # generator, leaves numpy's global stream as it was and repeats its weights.
-        assert list(inspect.signature(TrajectoryWeights.__call__).parameters) == [
-            "self", "basis", "coords", "durations"]
+        # The readout branches are summed over, not drawn: the features take no
+        # generator, leave numpy's global stream as it was and repeat themselves.
+        assert list(inspect.signature(TrajectoryFeatures.__call__).parameters) == [
+            "self", "coords", "durations"]
         seq = MeasureSequence(steps=(Project(UP), Evolve(TRANSFER), Project(DOWN), Project(UP)))
         psi = random_pure_states(np.random.default_rng(6), 30)
         durations = [np.random.default_rng(7).normal(TRANSFER, 0.3, size=30)]
         before = np.random.get_state()
-        evaluate = TrajectoryWeights(compile_weight_forms((seq,)), NoiseParams(r=0.7))
-        first = evaluate(np.eye(16), state_features(psi), durations).copy()
-        np.testing.assert_array_equal(evaluate(np.eye(16), state_features(psi), durations), first)
+        evaluate = TrajectoryFeatures(compile_weight_forms((seq,)), NoiseParams(r=0.7), np.eye(16)[None])
+        first = evaluate(state_features(psi), durations).copy()
+        np.testing.assert_array_equal(evaluate(state_features(psi), durations), first)
         after = np.random.get_state()
         assert after[0] == before[0] and after[2:] == before[2:]
         np.testing.assert_array_equal(after[1], before[1])

@@ -396,15 +396,8 @@ class TestRunQpt:
         # one form.  Its form keeps the two Evolve steps after the transfer pulse
         # (9 monomials at r^0 and r^1, 18 terms); the five steps before them run
         # on each trajectory's features, each projection as its blockade map at r.
-        # Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its
-        # ideal effect, and so the design, as they were.
-        sequences = list(design_sequences().sequences)
-        full = Evolve(math.pi / 2)
-        steps = sequences[0].steps
-        sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
-                                              full, full, steps[-1]))
         path = tmp_path / "design.txt"
-        path.write_text(format_sequences(sequences), encoding="utf-8")
+        path.write_text(format_sequences(long_sequence_sequences()), encoding="utf-8")
         custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
         shared, long = custom.weight_forms.groups
         assert long.members == (0,) and len(long.prefix) == 5 and len(long.monomials) == 9
@@ -418,6 +411,34 @@ class TestRunQpt:
             tracemalloc.stop()
         assert peak < 4e6
         assert_matches_replay(chi_mc, custom, noise, 5, 300)
+
+    def test_monte_carlo_chi_is_the_mean_of_realization_chis(self):
+        # Each trajectory is one realization of the gate and the pulse timings,
+        # shared by all 16 inputs and pushed through the whole tomography: chi is
+        # the mean of the chis reconstructed from each trajectory's own 15 x 16
+        # branch-summed weights, and stderr their population standard deviation
+        # over sqrt(n).  The long first sequence takes the prefix path.
+        custom = design_from_sequences(long_sequence_sequences())
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
+        seed, samples = 11, 40
+        chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=samples, seed=seed, design=custom)
+        weights = replayed_weights(custom, noise, seed, samples)
+        chis = np.array([forward_chi(weights[:, :, t].T, custom) for t in range(samples)])
+        np.testing.assert_allclose(chi_mc.chi, chis.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chi_mc.stderr, chis.std(axis=0) / math.sqrt(samples), rtol=1e-12, atol=0)
+
+    def test_monte_carlo_memory_stays_flat(self, design):
+        # One gate batch serves every input and only the features' sums and Gram
+        # matrix are kept, block by block: no weights array grows with the samples.
+        noise = NoiseParams(r=0.8, gdtau=0.1)
+        run_qpt(noise, method="monte_carlo", mc_samples=10, seed=0, design=design)
+        tracemalloc.start()
+        try:
+            run_qpt(noise, method="monte_carlo", mc_samples=50_000, seed=0, design=design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_monte_carlo_error_bars_are_weighted(self, design):
         # The weighted estimator's bars at 2,000 samples: 0.029 rms with a
@@ -462,8 +483,8 @@ class TestRunQpt:
         assert 0.93 <= np.mean(np.concatenate(covered)) <= 0.995
 
     def test_monte_carlo_gate_batch_shared_read_only(self, design, monkeypatch):
-        # One gate batch per input and chunk, read-only, and bit for bit the same
-        # after its 15 sequences ran as when it was drawn.
+        # One gate batch per chunk, shared by all 16 inputs, read-only, and bit for
+        # bit the same after their 240 weights were evaluated as when it was drawn.
         batches = []
 
         def recording_batch(*args):
@@ -475,7 +496,7 @@ class TestRunQpt:
         monkeypatch.setattr(blockade, "_MC_CHUNK", 128)
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
         run_qpt(noise, method="monte_carlo", mc_samples=300, seed=8, design=design)
-        assert [batch.shape for batch, _ in batches] == [(7, 128)] * 32 + [(7, 44)] * 16
+        assert [batch.shape for batch, _ in batches] == [(7, 128), (7, 128), (7, 44)]
         for batch, drawn in batches:
             assert not batch.flags.writeable
             np.testing.assert_array_equal(batch, drawn)
@@ -495,27 +516,26 @@ class TestRunQpt:
             assert np.max(mc.stderr) <= 1e-12
 
     def test_monte_carlo_streams_are_pinned(self, design, monkeypatch):
-        # Input i draws its gate batch from stream 15 and its Evolve durations from
-        # stream 16 of SeedSequence(seed).spawn(16)[i].spawn(17); streams 0 to 14
-        # are not built.
+        # A run draws its gate batches from SeedSequence(seed).spawn(2)[0] and its
+        # Evolve durations from [1]; both are shared by every input.
         gate_states, duration_states = [], []
 
         def recording_coords(n, noise, rng):
             gate_states.append(rng.bit_generator.state)
             return _mc_gate_coords(n, noise, rng)
 
-        estimates = tomography._weighted_estimates
+        moments = tomography._feature_moments
 
-        def recording_estimates(forms, inputs, noise, n_samples):
-            duration_states.extend(durations.bit_generator.state for *_, durations in inputs)
-            return estimates(forms, inputs, noise, n_samples)
+        def recording_moments(features, sample_coords, durations, noise, n_samples):
+            duration_states.append(durations.bit_generator.state)
+            return moments(features, sample_coords, durations, noise, n_samples)
 
         monkeypatch.setattr(tomography, "_mc_gate_coords", recording_coords)
-        monkeypatch.setattr(tomography, "_weighted_estimates", recording_estimates)
+        monkeypatch.setattr(tomography, "_feature_moments", recording_moments)
         run_qpt(NoiseParams(r=0.8, gdtau=0.2), method="monte_carlo", mc_samples=50, seed=13, design=design)
-        streams = [child.spawn(17) for child in np.random.SeedSequence(13).spawn(16)]
-        assert gate_states == [np.random.default_rng(s[15]).bit_generator.state for s in streams]
-        assert duration_states == [np.random.default_rng(s[16]).bit_generator.state for s in streams]
+        gate, durations = np.random.SeedSequence(13).spawn(2)
+        assert gate_states == [np.random.default_rng(gate).bit_generator.state]
+        assert duration_states == [np.random.default_rng(durations).bit_generator.state]
 
     @pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0)], ids=repr)
     def test_monte_carlo_rejects_non_integral_sample_count(self, samples):
@@ -568,46 +588,64 @@ def rotation_after_projection_sequences():
     return sequences
 
 
-def assert_matches_replay(chi_mc, design, noise, seed, samples):
-    """chi and stderr of a Monte Carlo run equal those of its draws replayed per input.
+def long_sequence_sequences():
+    """The shipped sequences with the first one run as five Evolve steps and three projections.
 
-    chi is affine in the 15 x 16 probability table; its linear part L is read
-    off the forward reference by pushing each unit table through it.  The
-    table is replayed from the seed layout, trajectory by trajectory, each
-    weight the average of the step-by-step replay over the readout branches
-    (forward_reference.branch_summed_replay): input i takes child i of the
-    seed; its child 15 feeds the gate batch all 15 sequences share and child
-    16 the Evolve durations they share, one column per (mean time, k-th
-    Evolve of its sequence) in order of first appearance.  Sigma, the
-    covariance of the table's entries, is one 15 x 15 block per input, built
-    from the weights.
+    Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its ideal
+    effect, and so the design, as they were.
     """
+    sequences = list(design_sequences().sequences)
+    full = Evolve(math.pi / 2)
+    steps = sequences[0].steps
+    sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
+                                          full, full, steps[-1]))
+    return sequences
+
+
+def replayed_weights(design, noise, seed, samples):
+    """The (input, sequence, trajectory) weights of a Monte Carlo run, replayed from the seed layout.
+
+    Each weight is the step-by-step replay of its trajectory averaged over the readout branches
+    (forward_reference.branch_summed_replay).  Child 0 of the seed feeds the gate batch that all 16
+    inputs and their sequences share; child 1 the Evolve durations they share, one column per
+    (mean time, k-th Evolve of its sequence) in order of first appearance.
+    """
+    gate, durations = np.random.SeedSequence(seed).spawn(2)
+    durations = np.random.default_rng(durations)
+    slots = {}
+    for seq in design.sequences:
+        for key in ((step.mean_time, k) for k, step in
+                    enumerate(step for step in seq.steps if isinstance(step, Evolve))):
+            if key not in slots:
+                slots[key] = durations.normal(key[0], noise.sampled_gdtau, size=samples)
     weights = []
-    for rho, child in zip(qpt_input_states().values(), np.random.SeedSequence(seed).spawn(16)):
-        streams = child.spawn(17)
+    for rho in qpt_input_states().values():
         state = np.linalg.eigh(hermitize(rho))[1][:, -1]
-        batch = gate_output_batch(state, samples, noise, np.random.default_rng(streams[15]))
-        durations = np.random.default_rng(streams[16])
-        taus = {}
+        batch = gate_output_batch(state, samples, noise, np.random.default_rng(gate))
         for seq in design.sequences:
             keys = [(step.mean_time, k) for k, step in
                     enumerate(step for step in seq.steps if isinstance(step, Evolve))]
-            for key in keys:
-                if key not in taus:
-                    taus[key] = durations.normal(key[0], noise.sampled_gdtau, size=samples)
-            weights.append(branch_summed_replay(batch, seq, noise, [taus[key] for key in keys]))
-    hits = np.reshape(weights, (16, 15, samples))            # (input, sequence, trajectory)
-    probs = hits.mean(axis=2)
-    dev = hits - probs[..., None]
-    blocks = dev @ dev.transpose(0, 2, 1) / samples**2       # covariance of the means
-    sigma = np.zeros((15, 16, 15, 16))                       # table entry (s, i) by (t, j)
-    for i in range(16):
-        sigma[:, i, :, i] = blocks[i]
-    sigma = sigma.reshape(240, 240)
+            weights.append(branch_summed_replay(batch, seq, noise, [slots[key] for key in keys]))
+    return np.reshape(weights, (16, 15, samples))
+
+
+def assert_matches_replay(chi_mc, design, noise, seed, samples):
+    """chi and stderr of a Monte Carlo run equal those of its draws replayed.
+
+    chi is affine in the 15 x 16 probability table; its linear part L is read
+    off the forward reference by pushing each unit table through it.  The
+    table is the mean of the replayed weights (replayed_weights).  Sigma, the
+    full 240 x 240 covariance of the table's entries, comes straight from the
+    weights: every entry shares its trajectories' draws with every other.
+    """
+    hits = replayed_weights(design, noise, seed, samples).transpose(1, 0, 2).reshape(240, samples)
+    probs = hits.mean(axis=1)
+    dev = hits - probs[:, None]
+    sigma = dev @ dev.T / samples**2                         # table entry (s, i) by (t, j)
     base = forward_chi(np.zeros((15, 16)), design)
     lin = np.stack([(forward_chi(unit.reshape(15, 16), design) - base).ravel()
                     for unit in np.eye(240)], axis=1)
-    np.testing.assert_allclose(chi_mc.chi, forward_chi(probs.T, design), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chi_mc.chi, forward_chi(probs.reshape(15, 16), design), rtol=0, atol=1e-12)
     want = np.sqrt(np.einsum("ea,ab,eb->e", lin, sigma, lin.conj()).real).reshape(16, 16)
     np.testing.assert_allclose(chi_mc.stderr, want, rtol=1e-12, atol=0)
 
