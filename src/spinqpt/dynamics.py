@@ -263,6 +263,25 @@ def exchange_coherence(mean_time: float) -> np.ndarray:
     return q * _SINGLET_TRIPLET + q.conjugate() * _TRIPLET_SINGLET
 
 
+def _cnot_gate_polynomial() -> np.ndarray:
+    """The averaged CNOT as coefficients G_b of d^b, shape (3, 16, 16): G0 + d G1 + d^2 G2.
+
+    Each isolation pulse, followed by Rz_X(pi), is F B + d F C with F = _FLIP_X, B the
+    exchange blocks and C the coherences at mean duration CNOT_PHASE_TIME / 2; the gate is
+    _EXIT (F B + d F C)^2 _ENTRY, expanded.
+    """
+    blocks = _FLIP_X @ _EXCHANGE_BLOCKS
+    coherences = _FLIP_X @ exchange_coherence(CNOT_PHASE_TIME / 2)
+    steps = (blocks @ blocks, blocks @ coherences + coherences @ blocks, coherences @ coherences)
+    gate = np.array([_EXIT @ step @ _ENTRY for step in steps])
+    gate.setflags(write=False)
+    return gate
+
+
+#: The averaged CNOT superoperator as an exact polynomial in d, built once; see _cnot_gate_polynomial.
+CNOT_GATE_POLYNOMIAL = _cnot_gate_polynomial()
+
+
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses, in units of 1/g.
 
@@ -270,13 +289,15 @@ def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     exchange pulse of mean duration CNOT_PHASE_TIME / 2 and dispersion
     gdtau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
     independent, so the average of the product is the product of the averaged
-    pulses, each _EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence.
+    pulses, each _EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence: the
+    quadratic CNOT_GATE_POLYNOMIAL in d = noise.dephasing, evaluated here.
 
     Rotations and Hadamards are ideal.  gdtau = 0 gives the ideal CNOT
-    conjugation exactly.
+    conjugation to rounding.
     """
-    step = _FLIP_X @ (_EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence(CNOT_PHASE_TIME / 2))
-    return QuantumChannel(superop=_EXIT @ step @ step @ _ENTRY)
+    g0, g1, g2 = CNOT_GATE_POLYNOMIAL
+    d = noise.dephasing
+    return QuantumChannel(superop=g0 + d * (g1 + d * g2))
 
 
 def times_in_picoseconds(g_mev: float) -> dict:

@@ -168,6 +168,11 @@ def negativity(rho: np.ndarray):
     arr = np.asarray(rho, dtype=complex)
     if np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2))) > 1e-8:
         raise ValueError("negativity requires a Hermitian input")
-    evals = np.linalg.eigvalsh(hermitize(partial_transpose(arr, "A")))
-    values = -np.sum(np.where(evals < 0, evals, 0.0), axis=-1)
+    return transpose_negativity(hermitize(partial_transpose(arr, "A")))
+
+
+def transpose_negativity(transposed: np.ndarray):
+    """Minus the sum of the negative eigenvalues of a Hermitian partial transpose, or of a stack of them."""
+    evals = np.linalg.eigvalsh(transposed)
+    values = -np.where(evals < 0, evals, 0.0).sum(axis=-1)
     return float(values) if values.ndim == 0 else values

@@ -22,11 +22,12 @@ linear-inversion outputs travel as plain arrays.
 Process tomography prepares the 16 spanning pure inputs, pushes them through
 the noisy gate and the tomography above, and assembles chi by linearity: one
 constant 16 x 16 matrix of exact weights maps the 16 reconstructed outputs
-onto chi.  The analytic route is a few array products: the 16 input vecs go
-through the gate superoperator at once, the 15 x 16 probabilities are one
-product with the noisy effects, one exact polynomial in D = exp(-8 gdtau^2)
-and r that the design carries, and one solve with 16
-right-hand sides reconstructs every output.  A Monte Carlo mode replaces
+onto chi.  The analytic route is built once per design: the averaged gate
+is an exact quadratic in d = exp(-2 gdtau^2), each noisy effect an exact
+polynomial in D = d^4 and r, and reconstruction is affine, so the design
+carries the 16 reconstructed outputs as coefficients of D^c r^j d^b.  A
+noise point evaluates that polynomial and assembles chi; it builds no gate
+channel and solves nothing.  A Monte Carlo mode replaces
 every analytic sequence probability with a sampled estimate, the mean
 weight of its trajectories: a trajectory's success probability given its
 sampled gate and Evolve durations, the readout branches summed over in
@@ -41,10 +42,10 @@ linear in their products with the duration monomials, and only the sums
 and the Gram matrix of those products are kept (see
 :class:`spinqpt.blockade.TrajectoryFeatures`).
 
-The entanglement threshold uses that the gate output does not depend on the
-readout polarization r: the 15 probabilities of the reconstructed output
-are then exact polynomials in r, read off the design's effects at gdtau, and
-each point of the search costs one small solve and one 4x4 eigenvalue problem.
+The entanglement threshold reads the same polynomial: its input is one of
+the 16 QPT inputs, so at gdtau the reconstructed output is a polynomial in r
+whose coefficients are partial-transposed once, and each point of the search
+costs one 4x4 polynomial evaluation and one 4x4 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .blockade import (
 from .dynamics import (
     CNOT_ENTRY,
     CNOT_FRAME,
+    CNOT_GATE_POLYNOMIAL,
     CNOT_PHASE_TIME,
     NoiseParams,
     SIGMA_I,
@@ -81,10 +83,10 @@ from .dynamics import (
     SIGMA_Z,
     TRANSFER_TIME,
     _positive_coupling,
-    noisy_cnot_channel,
+    dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
-from .qcore import DIM, apply_channel, hermitize, negativity, pure_state
+from .qcore import DIM, hermitize, partial_transpose, pure_state, transpose_negativity
 
 #: Pauli product basis, X factor first; index 0 is the identity.
 PAULI_BASIS = tuple(
@@ -107,14 +109,16 @@ class DesignRankError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    """Sequences, their ideal effects, the inversion matrix, the noisy effects and the Monte Carlo
-    weight forms.  noisy_effects[c, j, s] is coefficient E_cj of sequence s's effect_polynomial,
-    zero-padded to (m+1, k+1, 15, 4, 4).  Two designs compare equal when their sequences do."""
+    """Sequences, their ideal effects, the inversion matrix, the reconstructed QPT outputs and the
+    Monte Carlo weight forms.  outputs[c, j, b, i] is the coefficient of D^c r^j d^b in the
+    reconstructed output of the i-th qpt_input_states() input, shape (m+1, k+1, 3, 16, 4, 4) for
+    m the largest Evolve count and k the largest projection count of a sequence.  Two designs
+    compare equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
-    noisy_effects: np.ndarray
+    outputs: np.ndarray
     weight_forms: WeightForms
 
     def __eq__(self, other):
@@ -182,12 +186,31 @@ def design_from_sequences(sequences) -> TomographyDesign:
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
-    noisy = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
-    for s, poly in enumerate(polys):
-        noisy[: len(poly), : poly.shape[1], s] = poly
-    for array in (*effects, matrix, noisy):
+    outputs = _output_polynomial(polys, matrix)
+    for array in (*effects, matrix, outputs):
         array.setflags(write=False)
-    return TomographyDesign(sequences, effects, matrix, noisy, compile_weight_forms(sequences))
+    return TomographyDesign(sequences, effects, matrix, outputs, compile_weight_forms(sequences))
+
+
+def _output_polynomial(polys, matrix: np.ndarray) -> np.ndarray:
+    """The reconstructed outputs of the 16 QPT inputs as coefficients of D^c r^j d^b.
+
+    The gate output is CNOT_GATE_POLYNOMIAL in d, each sequence probability
+    is its effect_polynomial in (D, r) read on it, and reconstruction is one
+    solve with every monomial as a right-hand side.  It is affine: the trace
+    row's 1 goes on the constant monomial only.  Shape (m+1, k+1, 3, 16, 4, 4).
+    """
+    effects = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
+    for s, poly in enumerate(polys):
+        effects[: len(poly), : poly.shape[1], s] = poly
+    vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
+    gate_vecs = (vecs @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)).reshape(-1, DIM * DIM)
+    probs = (effects.reshape(-1, DIM * DIM) @ gate_vecs.T).real   # Tr[E rho] = E.ravel() @ vec(rho)
+    rhs = np.zeros((16, *effects.shape[:2], 3, 16))
+    rhs[:15] = np.moveaxis(probs.reshape(*effects.shape[:3], 3, 16), 2, 0)
+    rhs[15, 0, 0, 0] = 1.0
+    coeffs = np.linalg.solve(matrix, rhs.reshape(16, -1))
+    return np.tensordot(coeffs, _PAULI_STACK, axes=(0, 0)).reshape(*rhs.shape[1:], DIM, DIM)
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -350,11 +373,6 @@ def _gate_feature_bases() -> np.ndarray:
     return bases
 
 
-def _probabilities(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Re Tr[E rho] for every effect in a (..., 4, 4) stack and every state in an (m, 4, 4) one."""
-    return np.einsum("...ij,nji->...n", effects, states).real
-
-
 def run_qpt(
     noise: NoiseParams,
     method: str = "pipeline",
@@ -364,12 +382,10 @@ def run_qpt(
 ) -> ProcessMatrix:
     """Process matrix of the noisy CNOT by one of three routes.
 
-    pipeline      one linear map: the 16 inputs go through the averaged noisy
-                  gate in one superoperator product, their 15 x 16 sequence
-                  probabilities are one product with the design's noisy
-                  effects at noise.gdtau and noise.r, one solve with 16
-                  right-hand sides reconstructs them with ideal effects, and
-                  chi follows by linearity;
+    pipeline      the design's reconstructed outputs, exact polynomials in
+                  D = d^4, r and d = noise.dephasing built with the design,
+                  evaluated at the noise point; chi follows by linearity.
+                  No gate channel is built and nothing is solved;
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate,
                   the mean weight of mc_samples trajectories (an integer of
@@ -390,29 +406,24 @@ def run_qpt(
     if design is None:
         design = design_sequences()
     if method == "pipeline":
-        superop = noisy_cnot_channel(noise).superop
-        vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
-        outputs = (vecs @ superop.T).reshape(16, DIM, DIM).transpose(0, 2, 1)
-        effects = polynomial_value(polynomial_value(design.noisy_effects, noise.dephasing ** 4), noise.r)
-        probs = _probabilities(effects, outputs)
-    else:
-        # SeedSequence(seed).spawn(2)[0] feeds the gate and [1] the Evolve durations, built
-        # directly from their spawn keys.
-        gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-                                  for k in (0, 1))
-        features = TrajectoryFeatures(design.weight_forms, noise, _gate_feature_bases())
-        mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
-                                     noise, mc_samples)
-        probs = (features.coefficients @ mean).T                 # (15, 16)
+        d = noise.dephasing
+        outputs = polynomial_value(polynomial_value(polynomial_value(design.outputs, d ** 4), noise.r), d)
+        return ProcessMatrix(chi=assemble_channel_action(outputs))
+    # SeedSequence(seed).spawn(2)[0] feeds the gate and [1] the Evolve durations, built
+    # directly from their spawn keys.
+    gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                              for k in (0, 1))
+    features = TrajectoryFeatures(design.weight_forms, noise, _gate_feature_bases())
+    mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
+                                 noise, mc_samples)
+    probs = (features.coefficients @ mean).T                 # (15, 16)
     chi = assemble_channel_action(reconstruct_state(probs, design))
-    stderr = None
-    if method == "monte_carlo":
-        # chi is affine in the probabilities, which are linear in the mean features: chi moves by
-        # lin[f] per unit of feature f, and each entry's variance is diag(lin cov lin^H).
-        inverse = np.linalg.inv(design.design_matrix)[:, : design.n_sequences]
-        outputs = np.tensordot((inverse @ features.coefficients).T, _PAULI_STACK, axes=(1, 0))  # (f, i, 4, 4)
-        lin = _assemble(_WEIGHTS, outputs).reshape(len(cov), -1)
-        stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
+    # chi is affine in the probabilities, which are linear in the mean features: chi moves by
+    # lin[f] per unit of feature f, and each entry's variance is diag(lin cov lin^H).
+    inverse = np.linalg.inv(design.design_matrix)[:, : design.n_sequences]
+    outputs = np.tensordot((inverse @ features.coefficients).T, _PAULI_STACK, axes=(1, 0))  # (f, i, 4, 4)
+    lin = _assemble(_WEIGHTS, outputs).reshape(len(cov), -1)
+    stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
     return ProcessMatrix(chi=chi, stderr=stderr)
 
 
@@ -420,13 +431,17 @@ def run_qpt(
 # Entanglement creation threshold
 # ----------------------------------------------------------------------------
 
-#: Input for the entanglement experiment: (|up> + |down>)_X / sqrt2 on X, |up> on A.
-ENTANGLEMENT_INPUT = pure_state([1.0, 0.0, 1.0, 0.0])
+#: QPT input of the entanglement experiment, ("+", 0, 2): (|up> + |down>)_X / sqrt2 on X, |up> on A.
+_ENTANGLEMENT_LABEL = ("+", 0, 2)
+ENTANGLEMENT_INPUT = qpt_input_states()[_ENTANGLEMENT_LABEL]
+_ENTANGLEMENT_INDEX = list(qpt_input_states()).index(_ENTANGLEMENT_LABEL)
 
 _NEGATIVITY_EPS = 1e-10
 
-#: Intervals of the threshold's bracketing sweep over r in [0, 1].
+#: Intervals of the threshold's bracketing sweep over r in [0, 1], and the sweep's read-only grid.
 THRESHOLD_SWEEP_STEPS = 64
+_SWEEP_GRID = np.linspace(0.0, 1.0, THRESHOLD_SWEEP_STEPS + 1)
+_SWEEP_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -439,21 +454,16 @@ class ThresholdResult:
     message: str
 
 
-def _output_probability_polynomial(gdtau: float, design: TomographyDesign) -> np.ndarray:
-    """The 15 sequence probabilities of the gate output as polynomials in r, shape (k + 1, 15).
+def _transpose_polynomial(gdtau: float, design: TomographyDesign) -> np.ndarray:
+    """The hermitized partial transpose of the reconstructed gate output as coefficients of r^j,
+    shape (k + 1, 4, 4): the design's outputs of ENTANGLEMENT_INPUT evaluated at D and d.
 
-    The averaged gate does not depend on r, so its output is computed once and
-    read by the design's noisy effects at gdtau coefficient by coefficient.
+    The averaged gate does not depend on r, and the partial transpose and hermitize are linear,
+    so both are taken once per coefficient.
     """
-    noise = NoiseParams(gdtau=gdtau)
-    rho_out = apply_channel(noisy_cnot_channel(noise), ENTANGLEMENT_INPUT)
-    effects = polynomial_value(design.noisy_effects, noise.dephasing ** 4)
-    return _probabilities(effects, rho_out[None])[..., 0]
-
-
-def _reconstructed_negativity(r, poly: np.ndarray, design: TomographyDesign):
-    """Negativity of the reconstruction at polarization r, a float or an array like r."""
-    return negativity(hermitize(reconstruct_state(polynomial_value(poly, r), design)))
+    d = dephasing_factor(gdtau)
+    output = polynomial_value(design.outputs[:, :, :, _ENTANGLEMENT_INDEX], d ** 4)   # (k+1, 3, 4, 4)
+    return hermitize(partial_transpose(polynomial_value(output.swapaxes(0, 1), d), "A"))
 
 
 def reconstructed_output_negativity(
@@ -461,14 +471,15 @@ def reconstructed_output_negativity(
 ) -> float:
     """Negativity of the tomographically reconstructed gate output.
 
-    The superposition input is pushed through the averaged noisy CNOT, the 15
-    sequence probabilities are evaluated at readout polarization r, and the
-    raw linear-inversion state is tested with the partial transpose.  This is
+    The superposition input ENTANGLEMENT_INPUT goes through the averaged noisy
+    CNOT, is read by the 15 sequences at readout polarization r and
+    reconstructed by raw linear inversion; the result is tested with the
+    partial transpose.  All of that is read off the design's outputs.  This is
     one point of the polynomial :func:`entanglement_threshold` searches.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"polarization must lie in [0, 1], got {r}")
-    return _reconstructed_negativity(r, _output_probability_polynomial(gdtau, design), design)
+    return transpose_negativity(polynomial_value(_transpose_polynomial(gdtau, design), r))
 
 
 def entanglement_threshold(
@@ -478,21 +489,21 @@ def entanglement_threshold(
 ) -> ThresholdResult:
     """Smallest polarization at which the reconstructed output is entangled.
 
-    The gate output does not depend on r, so the 15 sequence probabilities
-    are built once as exact polynomials in r (degree at most the largest
-    number of projections in a sequence).  A bracketing sweep over
-    THRESHOLD_SWEEP_STEPS intervals, reconstructed in one solve and tested
-    with one batched eigenvalue call, guards against non-monotonic
+    The gate output does not depend on r, so the hermitized partial
+    transpose of the reconstructed output is taken once, as an exact
+    polynomial in r (degree the largest number of projections in a
+    sequence).  A bracketing sweep over THRESHOLD_SWEEP_STEPS intervals,
+    tested with one batched eigenvalue call, guards against non-monotonic
     pathologies before bisecting the first sign change of the negativity
     down to width tol, or to two adjacent doubles when tol is finer than
     their spacing; each bisection step is one 4x4 evaluation of the same
-    polynomial.
+    polynomial and one eigenvalue call.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    poly = _output_probability_polynomial(gdtau, design)
-    grid = np.linspace(0.0, 1.0, THRESHOLD_SWEEP_STEPS + 1)
-    values = _reconstructed_negativity(grid, poly, design).tolist()
+    poly = _transpose_polynomial(gdtau, design)
+    grid = _SWEEP_GRID
+    values = transpose_negativity(np.moveaxis(polynomial_value(poly, grid), -1, 0)).tolist()
     curve = tuple(zip(grid.tolist(), values))
     entangled = [v > _NEGATIVITY_EPS for v in values]
     history = []
@@ -508,7 +519,7 @@ def entanglement_threshold(
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:       # lo and hi are adjacent doubles: tol is below their spacing
                 break
-            if _reconstructed_negativity(mid, poly, design) > _NEGATIVITY_EPS:
+            if transpose_negativity(polynomial_value(poly, mid)) > _NEGATIVITY_EPS:
                 hi = mid
             else:
                 lo = mid

@@ -130,7 +130,7 @@ class TestDesign:
         with pytest.raises(ValueError, match="read-only"):
             design.design_matrix[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
-            design.noisy_effects[0, 0, 0, 0, 0] = 0.5
+            design.outputs[0, 0, 0, 0, 0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             design.weight_forms.groups[0].coeffs[0, 0, 0, 0] = 0.5
         assert design_sequences(1.0).effects[0][0, 0] == 1.0
@@ -145,15 +145,17 @@ class TestDesign:
         assert design != design.sequences
 
     def test_noise_points_only_evaluate_the_design(self, design, monkeypatch):
-        # The noisy effects are built with the design: a fresh gdtau needs no
-        # back-propagation and no eigenbasis.
-        def rebuilt(*args):
-            raise AssertionError("noisy effects rebuilt for a noise point")
+        # The reconstructed outputs are built with the design: a fresh (r, gdtau)
+        # needs no back-propagation, no eigenbasis, no gate channel and no solve.
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("design work redone for a noise point")
         for module, name in ((blockade, "effect_polynomial"), (tomography, "effect_polynomial"),
-                             (dynamics, "gaussian_averaged_channel")):
+                             (dynamics, "gaussian_averaged_channel"), (dynamics, "noisy_cnot_channel"),
+                             (tomography, "reconstruct_state"), (np.linalg, "solve")):
             monkeypatch.setattr(module, name, rebuilt)
         assert np.isfinite(run_qpt(NoiseParams(r=0.83, gdtau=0.0731), design=design).chi).all()
         assert entanglement_threshold(design, gdtau=0.0617).r_star is not None
+        assert reconstructed_output_negativity(0.91, 0.0419, design) > 0.0
 
     def test_custom_design_requires_fifteen_sequences(self, design):
         with pytest.raises(ValueError, match="exactly 15"):
@@ -754,6 +756,21 @@ class TestEntanglementThreshold:
         lo, hi = result.bracket_history[-1]
         assert hi - lo <= 1e-3 + 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_gdtau(self, design, bad):
+        with pytest.raises(ValueError, match="^gdtau must be finite and nonnegative"):
+            entanglement_threshold(design, gdtau=bad)
+        with pytest.raises(ValueError, match="^gdtau must be finite and nonnegative"):
+            reconstructed_output_negativity(0.5, bad, design)
+
+    def test_rejects_bad_polarization(self, design):
+        with pytest.raises(ValueError, match="^polarization must lie in"):
+            reconstructed_output_negativity(math.nan, 0.1, design)
+
+    def test_input_is_a_qpt_input(self):
+        # The threshold reads this input's slice of the design's outputs.
+        np.testing.assert_array_equal(ENTANGLEMENT_INPUT, qpt_input_states()[("+", 0, 2)])
+
     def test_rejects_bad_tolerance(self, design):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
@@ -790,6 +807,12 @@ class TestForwardReferenceEquivalence:
         np.testing.assert_allclose(result.curve, curve, rtol=0, atol=1e-12)
 
 
+def cubic_sequences(sequences):
+    """The design's sequences with #1 projected once more at its end."""
+    first = sequences[0]
+    return (type(first)(steps=first.steps + (first.steps[-1],)),) + tuple(sequences[1:])
+
+
 class TestCubicDesign:
     """The shipped design with sequence #1 read as P+, E, P+, P+: the repeated
     projection leaves the ideal effect (and rank 16) unchanged but makes the
@@ -797,8 +820,7 @@ class TestCubicDesign:
 
     @pytest.fixture(scope="class")
     def cubic(self, design, tmp_path_factory):
-        first = design.sequences[0]
-        sequences = (type(first)(steps=first.steps + (first.steps[-1],)),) + design.sequences[1:]
+        sequences = cubic_sequences(design.sequences)
         path = tmp_path_factory.mktemp("cubic") / "design.txt"
         path.write_text(format_sequences(sequences))
         return path, design_from_sequences(sequences)
@@ -832,3 +854,40 @@ class TestCubicDesign:
         assert report["r_star"] == r_star
         assert [tuple(b) for b in report["bracket_history"]] == list(history)
         np.testing.assert_allclose(report["curve"], curve, rtol=0, atol=1e-12)
+
+
+class TestDesignPolynomial:
+    """The outputs tensor against the per-point route it replaces, over random noise points."""
+
+    @pytest.fixture(scope="class")
+    def designs(self, design):
+        return {"shipped": design, "cubic": design_from_sequences(cubic_sequences(design.sequences))}
+
+    @pytest.mark.parametrize("name,r_degree", [("shipped", 2), ("cubic", 3)])
+    def test_degrees_are_the_largest_step_counts(self, designs, name, r_degree):
+        design = designs[name]
+        evolves = max(sum(isinstance(step, Evolve) for step in seq.steps) for seq in design.sequences)
+        projections = max(seq.n_projections for seq in design.sequences)
+        assert design.outputs.shape == (evolves + 1, projections + 1, 3, 16, 4, 4)
+        assert projections == r_degree and evolves == 1
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(["shipped", "cubic"]), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 2.0))
+    @example(name="cubic", r=1.0, gdtau=0.0)
+    @example(name="shipped", r=0.5, gdtau=1e300)
+    def test_noise_point_matches_the_per_point_route(self, designs, name, r, gdtau):
+        design = designs[name]
+        noise = NoiseParams(r=r, gdtau=gdtau)
+        chi = run_qpt(noise, design=design).chi
+        # Tr E(E_kl) = delta_kl: the E_mm rows come first in the ordering.
+        kronecker = np.array([1.0 if k == l else 0.0 for k, l in CHI_ORDER])
+        np.testing.assert_allclose(chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-12)
+        assert hermiticity_defect(chi) < 1e-12
+        step = dynamics._FLIP_X @ (dynamics._EXCHANGE_BLOCKS
+                                   + noise.dephasing * dynamics.exchange_coherence(dynamics.CNOT_PHASE_TIME / 2))
+        gate = noisy_cnot_channel(noise)
+        np.testing.assert_allclose(gate.superop, dynamics._EXIT @ step @ step @ dynamics._ENTRY, rtol=0, atol=1e-15)
+        rho_out = apply_channel(gate, ENTANGLEMENT_INPUT)
+        probs = [sequence_probability(seq, rho_out, noise) for seq in design.sequences]
+        expected = negativity(hermitize(reconstruct_state(probs, design)))
+        assert abs(reconstructed_output_negativity(r, gdtau, design) - expected) < 1e-15
