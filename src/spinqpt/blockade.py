@@ -23,20 +23,13 @@ adjoint of the averaged exchange pulse, affine in its damping D = exp(-8 gdtau^2
 and each projection the self-adjoint blockade map, affine in r.  The result,
 the sequence's noisy effect as an exact polynomial in D and r, serves every
 input state and every noise point.  The Monte Carlo evaluators sample a duration per
-Evolve step, giving an unbiased estimate: :func:`sequence_probability_mc` also
-draws a readout branch per projection and counts the trajectories that pass a
-Born acceptance draw, and the process-tomography driver weights each
-trajectory by its success probability given its durations, summed over the
-readout branches in closed form.
+Evolve step and weight each trajectory by its success probability given its
+durations, summed over the readout branches in closed form, giving an unbiased
+estimate: the process-tomography driver averages the weights, and
+:func:`sequence_probability_mc` thins them, counting a trajectory as alive when
+a uniform draw falls below its weight, so its errors stay binomial.
 
-The Bernoulli kernel (:func:`propagate_sequence_samples`) holds its
-trajectories as pure states in four state columns.  Each run of noise-free
-rotations is fused into one 4x4 matrix, and since the exchange coupling has
-only two levels (triplet g, singlet -3g) an Evolve step is a single relative
-phase on the singlet component; no BLAS product and no complex exponential
-is needed.
-
-The weighted estimate propagates no state and draws no branch.  A trajectory's
+No weight propagates a state or draws a branch.  A trajectory's
 weight is the Hermitian form psi† E psi of its starting state, E its
 sequence's noisy effect at the drawn durations: each projection acts as its
 blockade map, the average over its two readout branches.
@@ -266,46 +259,19 @@ class McEstimate:
 
 
 def sample_initial_states(rho, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n pure states from the eigen-mixture of rho, as an F-ordered (n, 4) array."""
-    arr = as_density_array(rho)
-    evals, evecs = np.linalg.eigh(hermitize(arr))
-    probs = np.clip(evals.real, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("cannot sample from a zero state")
-    probs = probs / total
-    idx = rng.choice(DIM, size=n, p=probs)
+    """Draw n pure states from the eigen-mixture of the density matrix rho, as an F-ordered (n, 4) array.
+
+    rho must have unit trace and no eigenvalue below 0, both within 1e-12; an eigenvalue in
+    [-1e-12, 0) counts as 0.
+    """
+    evals, evecs = np.linalg.eigh(hermitize(as_density_array(rho)))
+    trace = evals.sum()
+    if abs(trace - 1.0) > 1e-12 or evals[0] < -1e-12:
+        raise ValueError("rho must be a density matrix, of trace 1 with no negative eigenvalue (within 1e-12), "
+                         f"got trace {float(trace)!r} and least eigenvalue {float(evals[0])!r}")
+    probs = np.clip(evals, 0.0, None)
+    idx = rng.choice(DIM, size=n, p=probs / probs.sum())
     return evecs[:, idx].T.astype(complex, order="F")
-
-
-def _apply_unitary(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows psi[i] -> u psi[i] into a new F-ordered array, as column multiply-adds skipping zeros of u."""
-    out = np.empty_like(psi)
-    term = np.empty(psi.shape[0], dtype=complex)
-    for k in range(DIM):
-        col = out[:, k]
-        first, *rest = np.flatnonzero(u[k])
-        np.multiply(psi[:, first], u[k, first], out=col)
-        for j in rest:
-            col += np.multiply(psi[:, j], u[k, j], out=term)
-    return out
-
-
-def _fuse(pending: np.ndarray | None, step: Rotate) -> np.ndarray:
-    """The step's rotation u after the pending unitary, u @ pending; u alone if there is none."""
-    u = rotation_unitary(step)
-    return u if pending is None else u @ pending
-
-
-def _evolve_rotors(durations: np.ndarray) -> np.ndarray:
-    """(exp(4i tau) - 1) / 2 for each duration tau (units of 1/g): the kernel's Evolve factor."""
-    phase = np.multiply(durations, 4.0)
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    out -= 1.0
-    out *= 0.5
-    return out
 
 
 def propagate_sequence_samples(
@@ -314,66 +280,27 @@ def propagate_sequence_samples(
     noise: NoiseParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one batch of pure-state trajectories through a sequence; return the states and alive.
+    """Thin one batch of trajectories through a sequence; return their weights and alive.
 
-    psi is (n, 4), one state per row, worked on as the four contiguous
-    columns of an F-ordered complex array (updated in place if psi is a
-    writeable one, else copied before the first write).
-
-    * Each run of rotations is fused into one 4x4 matrix and applied column
-      by column.
-    * Exchange has the triplet level 1 and the singlet level -3 (units of
-      g), so an Evolve of duration tau is, up to the global phase
-      exp(-i tau), the singlet phase alone: d = (c1 - c2) rotor, c1 += d,
-      c2 -= d, with rotor = (exp(4i tau) - 1)/2 (:func:`_evolve_rotors`).
-      States are therefore equal to the exact evolution only up to a global
-      phase per trajectory.
-    * A projection reads p_up = |c0|^2 + |c1|^2, draws its readout branch
-      and a Born acceptance of that branch.  Between projections the
-      trajectory collapses onto its branch and is renormalized; after the
-      last one it is left as the projection read it.
-
-    alive marks the trajectories whose declared outcomes all occurred.  rng
-    draws, for every trajectory regardless of alive: one normal per Evolve
-    (dispersion noise.sampled_gdtau), then two uniforms per projection
-    (readout branch, Born acceptance), in step order.
+    psi is (n, 4), one starting state per row, read and never written.  rng draws one
+    Normal(mean_time, noise.sampled_gdtau) row of n durations per Evolve step, in step order, then
+    n uniforms u.  weights[k] is trajectory k's success probability given its durations, its
+    sequence's weight form at its state (:class:`TrajectoryFeatures` on a state batch, _MC_BLOCK
+    rows at a time), and alive is u < weights.  So each trajectory is alive with probability the
+    sequence's success probability, independently of the others.
     """
     n = psi.shape[0]
-    psi = np.asfortranarray(psi, dtype=complex)
-    alive = np.ones(n, dtype=bool)
-    correct_weight, _ = branch_weights(noise.r)
-    pending = None
-    last = len(seq.steps) - 1
-    for i, step in enumerate(seq.steps):
-        if isinstance(step, Rotate):
-            pending = _fuse(pending, step)
-            continue
-        if pending is not None:
-            psi = _apply_unitary(psi, pending)
-            pending = None
-        elif not psi.flags.writeable:
-            psi = psi.copy(order="F")
-        c0, c1, c2, c3 = (psi[:, k] for k in range(DIM))
-        if isinstance(step, Evolve):
-            d = c1 - c2
-            d *= _evolve_rotors(rng.normal(step.mean_time, noise.sampled_gdtau, size=n))
-            c1 += d
-            c2 -= d
-            continue
-        p_up = c0.real ** 2 + c0.imag ** 2 + c1.real ** 2 + c1.imag ** 2
-        correct = rng.random(n) < correct_weight
-        want_up = correct if step.declared == UP else ~correct
-        p_phys = np.where(want_up, p_up, 1.0 - p_up)
-        alive &= rng.random(n) < p_phys
-        if i < last:
-            scale = 1.0 / np.sqrt(np.maximum(p_phys, 1e-300))
-            up_scale = np.where(want_up, scale, 0.0)
-            down_scale = scale - up_scale
-            c0 *= up_scale
-            c1 *= up_scale
-            c2 *= down_scale
-            c3 *= down_scale
-    return psi, alive
+    durations = np.reshape([rng.normal(step.mean_time, noise.sampled_gdtau, size=n)
+                            for step in seq.steps if isinstance(step, Evolve)], (-1, n))
+    u = rng.random(n)
+    features = TrajectoryFeatures(compile_weight_forms((seq,)), noise, np.eye(16)[None])
+    weights = np.empty(n)
+    for start in range(0, n, _MC_BLOCK):
+        rows = slice(start, min(start + _MC_BLOCK, n))
+        states = psi[rows]
+        weights[rows] = features.coefficients[0, 0] @ features(
+            _features(states[:, :, None] * states[:, None].conj()).T, durations[:, rows])
+    return weights, u < weights
 
 
 def _sample_count(n_samples) -> int:
@@ -394,13 +321,14 @@ def sequence_probability_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> McEstimate:
-    """Unbiased Monte Carlo estimate of :func:`sequence_probability`.
+    """Unbiased Monte Carlo estimate of :func:`sequence_probability` for a density matrix rho.
 
-    Each trajectory draws a Gaussian duration per Evolve step, a Bernoulli
-    readout branch per projection, and a Born-rule acceptance for the branch
-    projector (:func:`propagate_sequence_samples`); the estimate is the
-    surviving fraction, so its error is binomial.  Per chunk of _MC_CHUNK
-    trajectories, rng draws the starting states, then the sequence's own draws.
+    Each trajectory starts at a pure state drawn from rho's eigen-mixture, draws a Gaussian
+    duration per Evolve step and is alive with probability its weight, its success probability
+    given those durations (:func:`propagate_sequence_samples`).  Trajectories are alive
+    independently, each with the sequence's success probability, so the estimate is the alive
+    fraction and its error is binomial.  Per chunk of _MC_CHUNK trajectories, rng draws the
+    starting states, then one duration row per Evolve step, then one uniform per trajectory.
     """
     n = _sample_count(n_samples)
     hits = 0

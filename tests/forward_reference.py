@@ -17,7 +17,9 @@ builds the same gate for a batch of trajectories as states.
 step, drawing a readout branch and collapsing and renormalizing at every
 projection; ``branch_summed_replay`` averages it over every branch pattern,
 the reference for the weight forms of ``blockade.TrajectoryFeatures``, which
-read a state by its ``state_features``.  ``split_cnot_channel`` averages the
+read a state by its ``state_features``, and for the weights that
+``blockade.propagate_sequence_samples`` thins; ``long_sequence_sequences`` is a
+design whose first sequence has a form with a prefix.  ``split_cnot_channel`` averages the
 same gate a second way, through the sum and difference of its two pulse
 durations, the reference for ``noisy_cnot_channel``; ``compose`` chains its
 channels.
@@ -33,7 +35,15 @@ import math
 
 import numpy as np
 
-from spinqpt.blockade import UP, Evolve, Project, blockade_map, branch_weights, rotation_unitary
+from spinqpt.blockade import (
+    UP,
+    Evolve,
+    MeasureSequence,
+    Project,
+    blockade_map,
+    branch_weights,
+    rotation_unitary,
+)
 from spinqpt.dynamics import (
     CNOT_ENTRY,
     CNOT_FRAME,
@@ -49,7 +59,13 @@ from spinqpt.dynamics import (
 )
 from spinqpt.process_matrix import CHI_ORDER, CHI_PERM
 from spinqpt.qcore import QuantumChannel, apply_channel, as_density_array, hermitize, negativity, vec
-from spinqpt.tomography import ENTANGLEMENT_INPUT, PAULI_BASIS, qpt_input_states
+from spinqpt.tomography import (
+    ENTANGLEMENT_INPUT,
+    PAULI_BASIS,
+    TRANSFER_TIME,
+    design_sequences,
+    qpt_input_states,
+)
 
 
 def forward_sequence_probability(seq, rho, noise, g=1.0):
@@ -223,6 +239,22 @@ def branch_summed_replay(psi, seq, noise, durations, g=1.0):
         probability = math.prod(correct if keep else error for keep in kept)
         total += probability * replay_weights(psi, seq, noise, _Branches(kept), durations, g)
     return total
+
+
+def long_sequence_sequences():
+    """The shipped sequences with the first one run as five Evolve steps and three projections.
+
+    Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its ideal
+    effect, and so the design, as they were.  Its weight form stops after three
+    of the Evolve steps, taken from the last, and its first five steps run on
+    each trajectory's features: it exercises a prefix group of the weight forms.
+    """
+    sequences = list(design_sequences().sequences)
+    full = Evolve(math.pi / 2)
+    steps = sequences[0].steps
+    sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
+                                          full, full, steps[-1]))
+    return sequences
 
 
 def split_cnot_channel(noise, g=1.0):

@@ -60,9 +60,10 @@ def test_workloads_reference_stderr_still_runs():
 
 
 def test_traced_monte_carlo_counts_every_trajectory(tmp_path):
-    # A Monte Carlo QPT evaluates its weights as forms and makes no kernel call;
-    # sequence_probability_mc does, and the tracer counts the rows of the kernel's
-    # first argument, the (rows, 4) batch of one call: n over one estimate.
+    # A Monte Carlo QPT averages its weight forms and makes no kernel call;
+    # sequence_probability_mc thins the same forms through propagate_sequence_samples,
+    # and the tracer counts the rows of its first argument, the (rows, 4) batch of
+    # starting states of one call: n over one estimate.
     tracer_module = load_perfbench("tracer")
     shapes = []
 

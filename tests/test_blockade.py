@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinqpt.blockade import (
+    _MC_BLOCK,
     _MC_CHUNK,
     DOWN,
     Evolve,
@@ -27,15 +28,19 @@ from spinqpt.blockade import (
     parse_sequence,
     parse_sequences,
     propagate_sequence_samples,
-    rotation_unitary,
     sample_initial_states,
     sequence_probability,
     sequence_probability_mc,
 )
-from spinqpt.dynamics import CNOT_FRAME, NoiseParams, evolve_unitary, exchange_hamiltonian
+from spinqpt.dynamics import NoiseParams
 from spinqpt.qcore import basis_state, hermitize, pure_state
 
-from forward_reference import branch_summed_replay, forward_sequence_probability, state_features
+from forward_reference import (
+    branch_summed_replay,
+    forward_sequence_probability,
+    long_sequence_sequences,
+    state_features,
+)
 
 TRANSFER = math.pi / 4.0
 
@@ -72,6 +77,10 @@ def random_sequence(rng):
             steps.append(Rotate(scope=scope, axis=axis, theta=float(rng.uniform(-3, 3))))
     steps.append(Project(UP if rng.random() < 0.5 else DOWN))
     return MeasureSequence(steps=tuple(steps))
+
+
+#: A mixed input with three eigenstates.
+MIXED_RHO = 0.5 * basis_state(0) + 0.3 * basis_state(1) + 0.2 * pure_state([0, 0, 1, 1])
 
 
 def random_density(rng):
@@ -294,12 +303,29 @@ class TestMonteCarlo:
 
     def test_mixed_state_input(self):
         noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.05)
-        rho = 0.5 * basis_state(0) + 0.3 * basis_state(1) + 0.2 * pure_state([0, 0, 1, 1])
-        p = sequence_probability(POPULATION_SEQ, rho, noise)
+        p = sequence_probability(POPULATION_SEQ, MIXED_RHO, noise)
         est = sequence_probability_mc(
-            POPULATION_SEQ, rho, noise, 400_000, np.random.default_rng(7)
+            POPULATION_SEQ, MIXED_RHO, noise, 400_000, np.random.default_rng(7)
         )
         assert abs(est.estimate - p) <= 3.5 * est.stderr
+
+    @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (0.6, 0.3), (1.0, 0.0)])
+    def test_mixed_state_input_prefix_group(self, r, gdtau):
+        # Five Evolve steps and three projections: the weight form stops, and its
+        # first steps run on each trajectory's features.
+        seq = long_sequence_sequences()[0]
+        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+        p = sequence_probability(seq, MIXED_RHO, noise)
+        est = sequence_probability_mc(seq, MIXED_RHO, noise, 200_000, np.random.default_rng(7))
+        assert abs(est.estimate - p) <= 3.5 * est.stderr
+
+    @pytest.mark.parametrize("rho", [2.0 * basis_state(0), np.diag([1.2, 0.0, 0.0, -0.2]), np.zeros((4, 4))],
+                             ids=["trace-2", "negative-eigenvalue", "zero"])
+    def test_rejects_non_density_matrix(self, rho):
+        # Renormalizing or clipping rho would estimate another state's probability.
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        with pytest.raises(ValueError, match="rho must be a density matrix"):
+            sequence_probability_mc(POPULATION_SEQ, rho, noise, 1000, np.random.default_rng(0))
 
     def test_error_shrinks_as_inverse_sqrt_n(self):
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
@@ -364,137 +390,29 @@ class TestMonteCarlo:
         assert a == b and type(a.n_samples) is int
 
     @pytest.mark.parametrize("seq,rho,r,gdtau,seed,n,estimate", [
-        (POPULATION_SEQ, pure_state([1, 0, 1, 0]), 0.8, 0.1, 11, 1000, 0.445),
+        (POPULATION_SEQ, pure_state([1, 0, 1, 0]), 0.8, 0.1, 11, 1000, 0.441),
         (MeasureSequence(steps=(Rotate("X", "y", math.pi / 2), Project(UP), Evolve(TRANSFER),
                                 Project(UP))),
-         pure_state([1, 1j, 0, 0]), 0.6, 0.3, 2024, 20_000, 0.27795),
+         pure_state([1, 1j, 0, 0]), 0.6, 0.3, 2024, 20_000, 0.2778),
         (MeasureSequence(steps=(Evolve(TRANSFER), Project(UP))), basis_state(0), 0.9, 1.0, 7,
-         _MC_CHUNK + 1234, 0.950341116250189),
+         _MC_CHUNK + 1234, 0.9503769394269884),
     ], ids=["population", "rotated-pair", "two-chunks"])
     def test_stream_is_pinned(self, seq, rho, r, gdtau, seed, n, estimate):
-        # Recorded values: per chunk, rng draws the starting states and then the
-        # sequence's own draws.  The last case runs two chunks.
+        # Recorded values: per chunk, rng draws the starting states, one duration row
+        # per Evolve step and one uniform per trajectory.  The last case runs two chunks.
         noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
         est = sequence_probability_mc(seq, rho, noise, n, np.random.default_rng(seed))
         assert est.estimate == estimate and est.n_samples == n
 
     def test_initial_states_are_f_ordered(self):
-        # The kernel works on F-ordered columns; a C-ordered batch is copied once more.
+        # test_benchmark_contract pins this layout of the kernel's first argument.
         psi = sample_initial_states(np.diag([0.5, 0.3, 0.2, 0.0]), 7, np.random.default_rng(0))
         assert psi.shape == (7, 4) and psi.dtype == complex and psi.flags.f_contiguous
-
-
-def reference_propagate(psi, alive, seq, noise, rng, g):
-    """The eigenbasis trajectory kernel: a BLAS product per rotation and per
-    Evolve, a complex exp(outer(...)) per Evolve, a collapse after every
-    projection.  Kept as the reference for the column kernel, in absolute
-    time at coupling g: durations mean_time / g, dispersion noise.gdtau / g."""
-    n = psi.shape[0]
-    hexch = exchange_hamiltonian(g)
-    energies, v = np.linalg.eigh(hermitize(hexch))
-    correct_weight, _ = branch_weights(noise.r)
-    for step in seq.steps:
-        if isinstance(step, Rotate):
-            psi = psi @ rotation_unitary(step).T
-        elif isinstance(step, Evolve):
-            taus = rng.normal(step.mean_time / g, noise.gdtau / g, size=n)
-            amp = psi @ v.conj()
-            amp *= np.exp(-1j * np.outer(taus, energies))
-            psi = amp @ v.T
-        else:
-            correct = rng.random(n) < correct_weight
-            want_up = correct if step.declared == UP else ~correct
-            p_up = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-            p_phys = np.where(want_up, p_up, 1.0 - p_up)
-            alive &= rng.random(n) < p_phys
-            block = np.where(want_up[:, None], [[1.0, 1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 1.0]])
-            psi = psi * block
-            norms = np.sqrt(np.maximum(p_phys, 1e-300))
-            psi = psi / norms[:, None]
-    return psi, alive
 
 
 def random_pure_states(rng, n):
     psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def kernel_sequence(rng, n_evolve):
-    """Evolve steps, rotations of every scope and projections of both
-    declarations in random order, ending with a projection."""
-    kinds = ["E"] * n_evolve + ["R"] * int(rng.integers(1, 4)) + ["P"] * int(rng.integers(0, 3))
-    rng.shuffle(kinds)
-    steps = []
-    for kind in kinds + ["P"]:
-        if kind == "E":
-            steps.append(Evolve(float(rng.uniform(0.1, 2.0))))
-        elif kind == "R":
-            scope = ("X", "A", "global")[rng.integers(0, 3)]
-            steps.append(Rotate(scope, "xyz"[rng.integers(0, 3)], float(rng.uniform(-3, 3))))
-        else:
-            steps.append(Project(UP if rng.random() < 0.5 else DOWN))
-    return MeasureSequence(steps=tuple(steps))
-
-
-def assert_rows_equal_up_to_phase(actual, expected, atol):
-    overlap = np.sum(actual.conj() * expected, axis=1)
-    phase = overlap / np.abs(overlap)
-    assert np.max(np.abs(expected - phase[:, None] * actual), initial=0.0) < atol
-
-
-class TestColumnKernel:
-    @pytest.mark.parametrize("lead", [None, CNOT_FRAME], ids=["no-lead", "cnot-frame"])
-    @pytest.mark.parametrize("n_evolve", [0, 1, 2])
-    def test_matches_eigenbasis_reference(self, n_evolve, lead):
-        rng = np.random.default_rng(100 + n_evolve)
-        compared = 0
-        for trial in range(12):
-            seq = kernel_sequence(rng, n_evolve)
-            g = float(rng.uniform(0.5, 2.0))
-            noise = NoiseParams(gdtau=g * float(rng.uniform(0.0, 0.2)), r=float(rng.uniform(0.2, 1.0)))
-            psi = random_pure_states(rng, 300)
-            start = psi if lead is None else psi @ lead.T
-            ref_psi, ref_alive = reference_propagate(start, np.ones(300, bool), seq, noise,
-                                                     np.random.default_rng(trial), g)
-            new_psi, new_alive = propagate_sequence_samples(start, seq, noise, np.random.default_rng(trial))
-            np.testing.assert_array_equal(new_alive, ref_alive)
-            # The column kernel leaves the last projection's collapse out; apply
-            # it onto the branch the reference kept.  Dead trajectories carry no
-            # information (their states may be renormalized roundoff), so only
-            # the surviving ones are compared.
-            ref, new = ref_psi[ref_alive], new_psi[ref_alive]
-            kept_up = np.sum(np.abs(ref[:, :2]) ** 2, axis=1) > 0.5
-            new = new * np.where(kept_up[:, None], [1, 1, 0, 0], [0, 0, 1, 1])
-            new /= np.linalg.norm(new, axis=1, keepdims=True)
-            assert_rows_equal_up_to_phase(new, ref, atol=1e-12)
-            compared += len(ref)
-        assert compared > 500
-
-    @settings(max_examples=60)
-    @given(g=st.floats(0.05, 20.0), tau=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
-    def test_singlet_phase_evolve_is_exchange_unitary(self, g, tau, seed):
-        # Without timing noise the duration is exact (Evolve takes it in units
-        # of 1/g), and the last projection leaves the states as Evolve made them.
-        psi = random_pure_states(np.random.default_rng(seed), 6)
-        seq = MeasureSequence(steps=(Evolve(tau * g), Project(UP)))
-        out, _ = propagate_sequence_samples(psi, seq, NoiseParams(), np.random.default_rng(seed))
-        expected = psi @ evolve_unitary(exchange_hamiltonian(g), tau * g / g).T
-        assert_rows_equal_up_to_phase(out, expected, atol=1e-11)
-
-    def test_read_only_states_are_copied_not_written(self):
-        # Evolve first, no lead: a writeable F-ordered batch is updated in place,
-        # a read-only one is copied and comes out of the run bit for bit as it went in.
-        noise = NoiseParams.from_dimensionless(r=0.7, gdtau=0.2)
-        seq = MeasureSequence(steps=(Evolve(TRANSFER), Project(UP), Evolve(TRANSFER), Project(UP)))
-        psi = np.asfortranarray(random_pure_states(np.random.default_rng(4), 200))
-        frozen = psi.copy(order="F")
-        frozen.setflags(write=False)
-        out, alive = propagate_sequence_samples(frozen, seq, noise, np.random.default_rng(9))
-        np.testing.assert_array_equal(frozen, psi)
-        want, want_alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(9))
-        assert want is psi
-        np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(alive, want_alive)
 
 
 def form_weights(seq, psi, noise, durations):
@@ -596,6 +514,42 @@ class TestWeightedKernel:
         durations = [np.full(10, step.mean_time) for step in steps if isinstance(step, Evolve)]
         want = [sequence_probability(seq, np.outer(row, row.conj()), noise) for row in psi]
         np.testing.assert_allclose(form_weights(seq, psi, noise, durations), want, rtol=0, atol=1e-12)
+
+
+def replayed_draws(seq, noise, n, seed):
+    """The kernel's draws, replayed from its documented stream layout: one duration row per Evolve
+    step, in step order, then one uniform per trajectory."""
+    rng = np.random.default_rng(seed)
+    durations = [rng.normal(step.mean_time, noise.sampled_gdtau, size=n)
+                 for step in seq.steps if isinstance(step, Evolve)]
+    return durations, rng.random(n)
+
+
+class TestThinningKernel:
+    @staticmethod
+    def check_against_replay(seq, noise, n, seed):
+        # The weights are the branch-summed replay of each trajectory on the kernel's own
+        # durations, alive is u < weights on its own uniforms, and the states are only read.
+        psi = np.asfortranarray(random_pure_states(np.random.default_rng(seed), n))
+        start = psi.copy(order="F")
+        weights, alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(seed + 1))
+        durations, u = replayed_draws(seq, noise, n, seed + 1)
+        np.testing.assert_array_equal(psi, start)
+        np.testing.assert_allclose(weights, branch_summed_replay(start, seq, noise, durations), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(alive, u < weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_weighted_steps, declared=st.sampled_from([UP, DOWN]), r=st.floats(0.0, 1.0),
+           gdtau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 2))
+    def test_matches_branch_summed_replay(self, steps, declared, r, gdtau, seed):
+        self.check_against_replay(MeasureSequence(steps=(*steps, Project(declared))),
+                                  NoiseParams(r=r, gdtau=gdtau), 50, seed)
+
+    def test_prefix_group_over_two_blocks(self):
+        # Five Evolve steps and three projections put the first five steps on each
+        # trajectory's features; one row more than a block takes a second block.
+        self.check_against_replay(long_sequence_sequences()[0], NoiseParams(r=0.7, gdtau=0.3),
+                                  _MC_BLOCK + 1, 5)
 
 
 class TestSerialization:

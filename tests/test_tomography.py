@@ -55,6 +55,7 @@ from forward_reference import (
     forward_threshold,
     branch_summed_replay,
     gate_output_batch,
+    long_sequence_sequences,
     sample_cnot_unitary,
     state_features,
 )
@@ -587,20 +588,6 @@ def rotation_after_projection_sequences():
         steps = sequences[s].steps
         after = steps.index(Project(UP)) + 1
         sequences[s] = MeasureSequence(steps=(*steps[:after], rotation, *steps[after:]))
-    return sequences
-
-
-def long_sequence_sequences():
-    """The shipped sequences with the first one run as five Evolve steps and three projections.
-
-    Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its ideal
-    effect, and so the design, as they were.
-    """
-    sequences = list(design_sequences().sequences)
-    full = Evolve(math.pi / 2)
-    steps = sequences[0].steps
-    sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
-                                          full, full, steps[-1]))
     return sequences
 
 
