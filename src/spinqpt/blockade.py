@@ -17,12 +17,15 @@ rule.
 
 The module works in units of 1/g: Evolve durations are g*t and the timing
 noise is the dimensionless gdtau, so serialized sequences are coupling
-independent.  The analytic evaluator back-propagates the identity
-through the sequence once (Heisenberg picture): each Evolve step applies the
-adjoint of the averaged exchange pulse, affine in its damping D = exp(-8 gdtau^2),
-and each projection the self-adjoint blockade map, affine in r.  The result,
-the sequence's noisy effect as an exact polynomial in D and r, serves every
-input state and every noise point.  The Monte Carlo evaluators sample a duration per
+independent.  Each step is written once, as superoperator parts
+(:func:`_step_parts`): a rotation's conjugation, a projection's blockade map at
+r^0 and r^1, an Evolve step's exchange pulse at 1, cos 4 tau and sin 4 tau.  The
+analytic evaluator back-propagates the identity through the sequence once
+(Heisenberg picture) by their adjoints, an Evolve step's cos and sin parts read
+at its mean time and damped by D = exp(-8 gdtau^2).  The result, the sequence's
+noisy effect as an exact polynomial in D and r, serves every input state and
+every noise point; the Monte Carlo forms read the same parts on the features of
+psi psi† (:func:`_step_maps`).  The Monte Carlo evaluators sample a duration per
 Evolve step and weight each trajectory by its success probability given its
 durations, summed over the readout branches in closed form, giving an unbiased
 estimate: the process-tomography driver averages the weights, and
@@ -52,16 +55,8 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import (
-    _EXCHANGE_BLOCKS,
-    _SINGLET,
-    _TRIPLET,
-    NoiseParams,
-    exchange_coherence,
-    global_rotation,
-    local_rotation,
-)
-from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize
+from .dynamics import EXCHANGE_PARTS, NoiseParams, global_rotation, local_rotation
+from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize, kraus_to_superop, unvec, vec
 
 UP = "up"
 DOWN = "down"
@@ -167,11 +162,24 @@ def blockade_map(rho: np.ndarray, declared: str, r: float) -> np.ndarray:
     return correct * keep @ arr @ keep + error * flip @ arr @ flip
 
 
-# Blockade map split by powers of r: M_r(X) = M0(X) +/- r M1(X) with
-# M0(X) = (PXP + QXQ)/2 and M1(X) = (PXP - QXQ)/2 for P, Q the edge up and
-# down projectors; + when "up" is declared.  Both are entrywise masks.
-_SAME_EDGE = 0.5 * np.kron(np.eye(2), np.ones((2, 2)))
-_EDGE_SIGN = 0.5 * np.kron(np.diag([1.0, -1.0]), np.ones((2, 2)))
+@functools.lru_cache(maxsize=256)
+def _step_parts(step) -> np.ndarray:
+    """A step as superoperator parts, shape (K, 16, 16), read-only and built once per distinct step.
+
+    A rotation u has one, rho -> u rho u†.  A projection has two, the r^0 and r^1 coefficients of
+    its :func:`blockade_map`.  An Evolve step of duration tau has EXCHANGE_PARTS, at 1, cos 4 tau
+    and sin 4 tau.
+    """
+    if isinstance(step, Evolve):
+        return EXCHANGE_PARTS
+    if isinstance(step, Rotate):
+        parts = np.array([kraus_to_superop([rotation_unitary(step)])])
+    else:       # column j of a superoperator is vec of the image of unvec(e_j)
+        even, full = (vec(np.array([blockade_map(unit, step.declared, r) for unit in unvec(np.eye(DIM * DIM))])).T
+                      for r in (0.0, 1.0))
+        parts = np.array([even, full - even])
+    parts.setflags(write=False)
+    return parts
 
 
 def effect_polynomial(seq: MeasureSequence) -> np.ndarray:
@@ -180,28 +188,25 @@ def effect_polynomial(seq: MeasureSequence) -> np.ndarray:
     m counts the Evolve steps and k = seq.n_projections.  Tr[(sum D^c r^j E_cj) rho]
     is the success probability at polarization r and timing noise gdtau (units of 1/g),
     D = exp(-8 gdtau^2); polynomial_value at D, then at r, evaluates it.  Built by one
-    Heisenberg back-propagation of the identity: walking the steps in reverse, a
-    projection maps E_cj -> M0(E_cj) +/- M1(E_c,j-1), an Evolve step keeps the exchange
-    blocks of E_cj at D^c and adds the adjoint of its coherences at D^(c+1), and a
-    rotation u maps E -> u† E u.  Each coefficient is Hermitian.
+    Heisenberg back-propagation of the identity through the adjoints of the steps'
+    :func:`_step_parts`: a projection's r^1 part, and an Evolve step's cos and sin parts at its
+    mean time, move a coefficient up one power of r or of D.  Each coefficient is Hermitian.
     """
     n_evolves = sum(isinstance(s, Evolve) for s in seq.steps)
     coeffs = np.zeros((n_evolves + 1, seq.n_projections + 1, DIM, DIM), dtype=complex)
     coeffs[0, 0] = np.eye(DIM)
     for step in reversed(seq.steps):
+        parts = _step_parts(step)
+        if isinstance(step, Evolve):
+            phase = 4.0 * step.mean_time
+            parts = np.array([parts[0], math.cos(phase) * parts[1] + math.sin(phase) * parts[2]])
+        # Tr[E S(rho)] = Tr[S†(E) rho] and vec(S†(E)) = S^H vec(E): a row vec(E)^T conj(S) per coefficient.
+        images = unvec(vec(coeffs).reshape(-1, DIM * DIM) @ parts.conj()).reshape(len(parts), *coeffs.shape)
+        coeffs = images[0]
         if isinstance(step, Project):
-            odd = coeffs[:, :-1] * (_EDGE_SIGN if step.declared == UP else -_EDGE_SIGN)
-            coeffs *= _SAME_EDGE
-            coeffs[:, 1:] += odd
+            coeffs[:, 1:] += images[1, :, :-1]      # images[1, :, -1] is zero: k projections reach r^k
         elif isinstance(step, Evolve):
-            # vec(E) of each coefficient is row n*4+m of E.T; apply S† to it.
-            rows = coeffs.swapaxes(-1, -2).reshape(-1, DIM * DIM)
-            coeffs, coherences = ((rows @ superop.conj()).reshape(coeffs.shape).swapaxes(-1, -2)
-                                  for superop in (_EXCHANGE_BLOCKS, exchange_coherence(step.mean_time)))
-            coeffs[1:] += coherences[:-1]       # coherences[-1] is zero: m Evolves reach D^m
-        else:
-            u = rotation_unitary(step)
-            coeffs = u.conj().T @ coeffs @ u
+            coeffs[1:] += images[1, :-1]            # images[1, -1] is zero: m Evolve steps reach D^m
     return coeffs
 
 
@@ -376,28 +381,11 @@ _DUAL = _dual_basis()
 
 @functools.lru_cache(maxsize=256)
 def _step_maps(step) -> np.ndarray:
-    """A step's action on unnormalized trajectory states as maps S_k on features, shape (K, 16, 16).
-
-    A rotation u has one, rho -> u rho u†.  A projection has two, the r^0 and r^1 parts of its
-    blockade map, (P rho P + Q rho Q)/2 and (P rho P - Q rho Q)/2 for P the projector onto the
-    declared edge state and Q the other one.  An Evolve step of duration tau is rho -> V rho V†
-    with V = P_T + exp(4i tau) P_S up to a global phase; its three parts, at 1, cos 4 tau and
-    sin 4 tau, are P_T rho P_T + P_S rho P_S, P_T rho P_S + P_S rho P_T and
-    i (P_S rho P_T - P_T rho P_S).  On the coefficients c of an effect, Tr[E rho] = c . features(rho),
-    S_k acts as c -> c @ S_k.  Read-only, built once per distinct step.
-    """
-    if isinstance(step, Rotate):
-        u = rotation_unitary(step)
-        images = [u @ _DUAL @ u.conj().T]
-    elif isinstance(step, Project):
-        keep, flip = (PROJ_UP, PROJ_DOWN) if step.declared == UP else (PROJ_DOWN, PROJ_UP)
-        kept, flipped = keep @ _DUAL @ keep, flip @ _DUAL @ flip
-        images = [(kept + flipped) / 2.0, (kept - flipped) / 2.0]
-    else:
-        triplet_singlet, singlet_triplet = _TRIPLET @ _DUAL @ _SINGLET, _SINGLET @ _DUAL @ _TRIPLET
-        images = [_TRIPLET @ _DUAL @ _TRIPLET + _SINGLET @ _DUAL @ _SINGLET,
-                  triplet_singlet + singlet_triplet, 1j * (singlet_triplet - triplet_singlet)]
-    maps = np.array([_features(image).T for image in images])
+    """A step's :func:`_step_parts` on the 16 features, shape (K, 16, 16): features(S_k(X)) =
+    maps[k] @ features(X), so on the coefficients c of an effect, Tr[E rho] = c . features(rho),
+    part k acts as c -> c @ maps[k].  Read-only, built once per distinct step."""
+    images = unvec(vec(_DUAL) @ _step_parts(step).swapaxes(-1, -2))      # [k, j] = S_k(H_j)
+    maps = np.ascontiguousarray(_features(images).swapaxes(-1, -2))
     maps.setflags(write=False)
     return maps
 

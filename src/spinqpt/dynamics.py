@@ -23,9 +23,13 @@ calibration makes every observable depend on the single dimensionless number
 g*delta_tau through d = exp(-2 (g delta_tau)^2): the flip-flop leakage of the
 noisy CNOT carries (1 - d^2)/8 weights while a free-evolution pulse damps
 singlet-triplet coherences by D = d^4.  Only ensemble averages are physical.
-With one singlet and one triplet level, a pulse of mean t averaged over a
-dispersion sigma is _EXCHANGE_BLOCKS + exp(-8 sigma^2) exchange_coherence(t).
 Local rotations and Hadamards are treated as noise free.
+
+With one singlet and one triplet level, a pulse of duration tau is
+EXCHANGE_PARTS weighted by (1, cos 4 tau, sin 4 tau), so no eigenbasis of
+exchange is computed.  The noisy CNOT's program expands once over its two
+durations (_GATE_TERMS): its average is CNOT_GATE_POLYNOMIAL and a sampled
+gate is CNOT_GATE_COORDS weighted by seven trigonometric coordinates.
 
 The noisy engine (NoiseParams, exchange_coherence, noisy_cnot_channel) works in
 units of 1/g and sees the dispersion only as gdtau; the Hamiltonians, the gate
@@ -130,6 +134,18 @@ _EXCHANGE_UNIT = _FLIPFLOP_UNIT + _ZZ_UNIT
 _ZZ_UNIT.setflags(write=False)
 _FLIPFLOP_UNIT.setflags(write=False)
 _EXCHANGE_UNIT.setflags(write=False)
+#: Projectors P_S onto the exchange singlet (level -3 in units of g) and P_T onto the triplet (level 1).
+_SINGLET = (np.eye(4) - _EXCHANGE_UNIT) / 4
+_TRIPLET = np.eye(4) - _SINGLET
+#: rho -> P_S rho P_T and rho -> P_T rho P_S (both projectors are real and symmetric).
+_SINGLET_TRIPLET = np.kron(_TRIPLET, _SINGLET)
+_TRIPLET_SINGLET = np.kron(_SINGLET, _TRIPLET)
+#: The exchange pulse of duration tau (units of 1/g), rho -> V rho V† with V = P_T + exp(4i tau) P_S up
+#: to a global phase, as superoperator parts at 1, cos 4 tau and sin 4 tau: P_T rho P_T + P_S rho P_S,
+#: P_S rho P_T + P_T rho P_S and i (P_S rho P_T - P_T rho P_S).  Read-only, shape (3, 16, 16).
+EXCHANGE_PARTS = np.array([np.kron(_TRIPLET, _TRIPLET) + np.kron(_SINGLET, _SINGLET),
+                           _SINGLET_TRIPLET + _TRIPLET_SINGLET, 1j * (_SINGLET_TRIPLET - _TRIPLET_SINGLET)])
+EXCHANGE_PARTS.setflags(write=False)
 
 
 def _positive_coupling(g: float) -> float:
@@ -195,10 +211,12 @@ def term_isolation_unitary(g: float, t: float) -> np.ndarray:
 
     Equals exp(-i g t sz sz) up to a global phase for every t: conjugating the
     exchange generator by sz on X flips the sign of its transverse part, so
-    the two half pulses cancel it while the sz sz parts add.
+    the two half pulses cancel it while the sz sz parts add.  Each half pulse
+    is exp(-i g t/2) P_T + exp(3i g t/2) P_S, no eigensolver needed.
     """
+    phase = 0.5 * _positive_coupling(g) * t
     rz = local_rotation("X", "z", math.pi)
-    half = evolve_unitary(exchange_hamiltonian(g), t / 2.0)
+    half = np.exp(-1j * phase) * _TRIPLET + np.exp(3j * phase) * _SINGLET
     return rz @ half @ rz @ half
 
 
@@ -213,26 +231,16 @@ CNOT_FRAME.setflags(write=False)
 #: Superoperators of the noise-free entry and exit of the noisy CNOT and of its Rz_X(pi) between pulses.
 _ENTRY, _EXIT, _FLIP_X = (QuantumChannel.from_unitary(u).superop
                           for u in (CNOT_ENTRY, CNOT_FRAME, local_rotation("X", "z", math.pi)))
-#: Projectors P_S onto the exchange singlet (level -3 in units of g) and P_T onto the triplet (level 1).
-_SINGLET = (np.eye(4) - _EXCHANGE_UNIT) / 4
-_TRIPLET = np.eye(4) - _SINGLET
-#: rho -> P_T rho P_T + P_S rho P_S, the part of an averaged exchange pulse that no phase reaches.
-_EXCHANGE_BLOCKS = QuantumChannel.from_kraus([_TRIPLET, _SINGLET]).superop
-#: rho -> P_S rho P_T and rho -> P_T rho P_S (both projectors are real and symmetric).
-_SINGLET_TRIPLET = np.kron(_TRIPLET, _SINGLET)
-_TRIPLET_SINGLET = np.kron(_SINGLET, _TRIPLET)
-_SINGLET_TRIPLET.setflags(write=False)
-_TRIPLET_SINGLET.setflags(write=False)
 
 
 def cnot_unitary(g: float) -> np.ndarray:
     """CNOT compiled from the isolated sz sz exponent and local gates.
 
     CNOT_FRAME exp(-i (3pi/4) sz sz) H_A, equal to CNOT_TARGET up to a global
-    phase.
+    phase; the exponent is diagonal, one phase per basis state.
     """
-    g = _positive_coupling(g)
-    zz_exp = evolve_unitary(zz_hamiltonian(g), CNOT_PHASE_TIME / g)
+    _positive_coupling(g)
+    zz_exp = np.diag(np.exp(-1j * CNOT_PHASE_TIME * np.diag(_ZZ_UNIT)))
     return CNOT_FRAME @ zz_exp @ CNOT_ENTRY
 
 
@@ -241,10 +249,12 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
 
     Computed exactly: in the eigenbasis of H, the (j, k) coherence between
     levels split by dE = E_j - E_k acquires exp(-i dE tau0) exp(-(dE delta_tau)^2 / 2).
-    delta_tau = 0 reduces to plain unitary conjugation.
+    delta_tau = 0 reduces to plain unitary conjugation.  Both times must be finite.
     """
-    if delta_tau < 0:
-        raise ValueError("time dispersion must be nonnegative")
+    if not 0.0 <= delta_tau < math.inf:
+        raise ValueError(f"time dispersion must be finite and nonnegative, got {delta_tau}")
+    if not math.isfinite(tau0):
+        raise ValueError(f"mean time must be finite, got {tau0}")
     energies, v = _hermitian_eigh(hamiltonian, "gaussian_averaged_channel")
     gaps = energies[:, None] - energies[None, :]
     with np.errstate(over="ignore"):     # an infinite spread is the exact 0 of full dephasing
@@ -258,22 +268,30 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
 
 def exchange_coherence(mean_time: float) -> np.ndarray:
     """rho -> q P_S rho P_T + conj(q) P_T rho P_S, q = exp(4i mean_time): the singlet-triplet
-    coherences of an exchange pulse of mean duration mean_time (units of 1/g), as a superoperator."""
-    q = np.exp(4j * mean_time)
-    return q * _SINGLET_TRIPLET + q.conjugate() * _TRIPLET_SINGLET
+    coherences of an exchange pulse of mean duration mean_time (units of 1/g), as a superoperator,
+    cos 4 mean_time times EXCHANGE_PARTS[1] plus sin 4 mean_time times EXCHANGE_PARTS[2]."""
+    phase = 4.0 * mean_time
+    return math.cos(phase) * EXCHANGE_PARTS[1] + math.sin(phase) * EXCHANGE_PARTS[2]
+
+
+#: The noisy CNOT's pulse program _EXIT F P(s2) F P(s1) _ENTRY, F = _FLIP_X and P(s) the exchange
+#: pulse of duration s, expanded over both durations: the gate is sum_jk p_j(s1) p_k(s2) _GATE_TERMS[j, k]
+#: for p(s) = (1, cos 4s, sin 4s), the weights of EXCHANGE_PARTS.  Read-only, shape (3, 3, 16, 16).
+_GATE_TERMS = (_EXIT @ _FLIP_X @ EXCHANGE_PARTS)[None] @ (_FLIP_X @ EXCHANGE_PARTS @ _ENTRY)[:, None]
+_GATE_TERMS.setflags(write=False)
 
 
 def _cnot_gate_polynomial() -> np.ndarray:
     """The averaged CNOT as coefficients G_b of d^b, shape (3, 16, 16): G0 + d G1 + d^2 G2.
 
-    Each isolation pulse, followed by Rz_X(pi), is F B + d F C with F = _FLIP_X, B the
-    exchange blocks and C the coherences at mean duration CNOT_PHASE_TIME / 2; the gate is
-    _EXIT (F B + d F C)^2 _ENTRY, expanded.
+    Each pulse's duration is Normal(m, gdtau/2) with m = CNOT_PHASE_TIME / 2, independently, so
+    its (1, cos 4s, sin 4s) averages to (1, d cos 4m, d sin 4m) and the gate to _GATE_TERMS read at
+    those means, expanded in d.
     """
-    blocks = _FLIP_X @ _EXCHANGE_BLOCKS
-    coherences = _FLIP_X @ exchange_coherence(CNOT_PHASE_TIME / 2)
-    steps = (blocks @ blocks, blocks @ coherences + coherences @ blocks, coherences @ coherences)
-    gate = np.array([_EXIT @ step @ _ENTRY for step in steps])
+    phase = 2.0 * CNOT_PHASE_TIME
+    mean = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(phase), math.sin(phase)]])   # at d^0, d^1
+    terms = np.einsum("aj,bk,jkxy->abxy", mean, mean, _GATE_TERMS)
+    gate = np.array([terms[0, 0], terms[0, 1] + terms[1, 0], terms[1, 1]])
     gate.setflags(write=False)
     return gate
 
@@ -281,15 +299,21 @@ def _cnot_gate_polynomial() -> np.ndarray:
 #: The averaged CNOT superoperator as an exact polynomial in d, built once; see _cnot_gate_polynomial.
 CNOT_GATE_POLYNOMIAL = _cnot_gate_polynomial()
 
+#: A sampled noisy CNOT as superoperators weighted by its seven coordinates, with a_k = 4 s_k for the
+#: pulse durations s_1, s_2: 1, cos a1, sin a1, cos a2, sin a2, cos(a1 - a2) and sin(a1 - a2).
+#: cos(a1 + a2) and sin(a1 + a2) would carry _GATE_TERMS[1, 1] - _GATE_TERMS[2, 2] and
+#: _GATE_TERMS[2, 1] + _GATE_TERMS[1, 2], both zero.  Read-only, shape (7, 16, 16).
+CNOT_GATE_COORDS = np.array([_GATE_TERMS[0, 0], _GATE_TERMS[1, 0], _GATE_TERMS[2, 0], _GATE_TERMS[0, 1],
+                             _GATE_TERMS[0, 2], (_GATE_TERMS[1, 1] + _GATE_TERMS[2, 2]) / 2,
+                             (_GATE_TERMS[2, 1] - _GATE_TERMS[1, 2]) / 2])
+CNOT_GATE_COORDS.setflags(write=False)
+
 
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses, in units of 1/g.
 
-    The gate's pulse program averaged step by step: CNOT_ENTRY, then twice an
-    exchange pulse of mean duration CNOT_PHASE_TIME / 2 and dispersion
-    gdtau/2 followed by Rz_X(pi), then CNOT_FRAME.  The two durations are
-    independent, so the average of the product is the product of the averaged
-    pulses, each _EXCHANGE_BLOCKS + noise.dephasing * exchange_coherence: the
+    The gate's pulse program (_GATE_TERMS) averaged over its two independent
+    durations, each of mean CNOT_PHASE_TIME / 2 and dispersion gdtau/2: the
     quadratic CNOT_GATE_POLYNOMIAL in d = noise.dephasing, evaluated here.
 
     Rotations and Hadamards are ideal.  gdtau = 0 gives the ideal CNOT

@@ -29,15 +29,16 @@ PROJ_DOWN.setflags(write=False)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(mat).reshape(-1, order="F")
+    """Column-stack a matrix into a vector; a (..., d, d) stack gives (..., d*d)."""
+    mat = np.asarray(mat)
+    return np.swapaxes(mat, -1, -2).reshape(*mat.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
+    """Inverse of :func:`vec` for square matrices; a (..., d*d) stack gives (..., d, d)."""
     v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    return v.reshape((d, d), order="F")
+    d = int(round(np.sqrt(v.shape[-1])))
+    return np.swapaxes(v.reshape(*v.shape[:-1], d, d), -1, -2)
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -128,8 +129,8 @@ def choi_matrix(channel: QuantumChannel) -> np.ndarray:
 
 def is_cptp(channel: QuantumChannel, tol: float) -> bool:
     """True iff the Choi eigenvalues are >= -tol and trace preservation holds within tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     choi = choi_matrix(channel)
     if np.linalg.eigvalsh(hermitize(choi)).min() < -tol:
         return False

@@ -36,8 +36,9 @@ pulse timings, shared by all 16 inputs and 15 sequences, so the 240
 estimates are correlated; their full covariance is propagated exactly
 through the same two linear maps.  The seed spawns two children, the first
 for the gate and the second for the Evolve durations.  No trajectory state
-is built: the features of a sampled gate output are a fixed linear map of
-seven trigonometric functions of its two pulse durations, every weight is
+is built: the features of a sampled gate output are dynamics.CNOT_GATE_COORDS
+applied to its input, weighted by seven trigonometric functions of the two
+pulse durations (:func:`_mc_gate_coords`), every weight is
 linear in their products with the duration monomials, and only the sums
 and the Gram matrix of those products are kept (see
 :class:`spinqpt.blockade.TrajectoryFeatures`).
@@ -72,8 +73,7 @@ from .blockade import (
     polynomial_value,
 )
 from .dynamics import (
-    CNOT_ENTRY,
-    CNOT_FRAME,
+    CNOT_GATE_COORDS,
     CNOT_GATE_POLYNOMIAL,
     CNOT_PHASE_TIME,
     NoiseParams,
@@ -86,7 +86,7 @@ from .dynamics import (
     dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
-from .qcore import DIM, hermitize, partial_transpose, pure_state, transpose_negativity
+from .qcore import DIM, hermitize, partial_transpose, pure_state, transpose_negativity, unvec, vec
 
 #: Pauli product basis, X factor first; index 0 is the identity.
 PAULI_BASIS = tuple(
@@ -203,8 +203,7 @@ def _output_polynomial(polys, matrix: np.ndarray) -> np.ndarray:
     effects = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
     for s, poly in enumerate(polys):
         effects[: len(poly), : poly.shape[1], s] = poly
-    vecs = _INPUT_STATES.transpose(0, 2, 1).reshape(16, DIM * DIM)   # row i is vec(rho_i)
-    gate_vecs = (vecs @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)).reshape(-1, DIM * DIM)
+    gate_vecs = (vec(_INPUT_STATES) @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)).reshape(-1, DIM * DIM)
     probs = (effects.reshape(-1, DIM * DIM) @ gate_vecs.T).real   # Tr[E rho] = E.ravel() @ vec(rho)
     rhs = np.zeros((16, *effects.shape[:2], 3, 16))
     rhs[:15] = np.moveaxis(probs.reshape(*effects.shape[:3], 3, 16), 2, 0)
@@ -277,10 +276,6 @@ def qpt_input_states() -> dict:
 _INPUT_STATES = np.array(list(qpt_input_states().values()))
 _INPUT_STATES.setflags(write=False)
 
-#: Their state vectors as eigh returns them, the starting points of the Monte Carlo gate draws.
-_INPUT_VECTORS = np.array([np.linalg.eigh(hermitize(rho))[1][:, -1] for rho in _INPUT_STATES])
-_INPUT_VECTORS.setflags(write=False)
-
 #: Trajectories per sequence probability of a Monte Carlo QPT unless told otherwise.
 DEFAULT_MC_SAMPLES = 20_000
 
@@ -305,9 +300,7 @@ _WEIGHTS = _assembly_weights()
 
 def _assemble(weights: np.ndarray, outputs) -> np.ndarray:
     """chi[..., :, c] = vec(sum_i weights[c, i] outputs[..., i, :, :]), rows laid out by CHI_PERM."""
-    outputs = np.asarray(outputs)
-    vecs = np.swapaxes(outputs, -1, -2).reshape(*outputs.shape[:-3], 16, DIM * DIM)
-    return np.swapaxes((weights @ vecs)[..., CHI_PERM], -1, -2)
+    return np.swapaxes((weights @ vec(outputs))[..., CHI_PERM], -1, -2)
 
 
 def assemble_channel_action(outputs) -> np.ndarray:
@@ -319,58 +312,36 @@ def assemble_channel_action(outputs) -> np.ndarray:
 
 
 def _mc_gate_coords(n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-    """The coordinates of n independently sampled noisy CNOTs in every input's gate basis, shape (7, n).
+    """The coordinates of n independently sampled noisy CNOTs on CNOT_GATE_COORDS, shape (7, n).
 
     Durations are in units of 1/g.  Draws s1 then s2, the two isolation-pulse
     durations, each Normal(CNOT_PHASE_TIME / 2, noise.sampled_gdtau / 2), n at
-    a time.  With O = -2 (s1 + s2) and A = 2 (s1 - s2), the coordinates are
-    1, cos 2A, sin 2A, cos O cos A, sin O cos A, cos O sin A and sin O sin A
-    (see :func:`_gate_feature_basis`).
+    a time.  With a_k = 4 s_k, the coordinates are 1, cos a1, sin a1, cos a2,
+    sin a2, cos(a1 - a2) and sin(a1 - a2), the last two formed from the first four.
     """
-    s1, s2 = rng.normal(CNOT_PHASE_TIME / 2.0, noise.sampled_gdtau / 2.0, size=(2, n))
-    outer, angle = -2.0 * (s1 + s2), 2.0 * (s1 - s2)
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    phases = 4.0 * rng.normal(CNOT_PHASE_TIME / 2.0, noise.sampled_gdtau / 2.0, size=(2, n))
     coords = np.empty((7, n))
     coords[0] = 1.0
-    np.subtract(cos_a * cos_a, sin_a * sin_a, out=coords[1])
-    np.multiply(2.0 * cos_a, sin_a, out=coords[2])
-    cos_o, sin_o = np.cos(outer, out=coords[3]), np.sin(outer, out=coords[4])
-    np.multiply(cos_o, sin_a, out=coords[5])
-    np.multiply(sin_o, sin_a, out=coords[6])
-    cos_o *= cos_a
-    sin_o *= cos_a
+    trig = coords[1:5].reshape(2, 2, n)          # cos and sin of each pulse's phase
+    np.cos(phases, out=trig[:, 0])
+    np.sin(phases, out=trig[:, 1])
+    (cos1, sin1), (cos2, sin2) = trig
+    np.multiply(cos1, cos2, out=coords[5])
+    coords[5] += sin1 * sin2
+    np.multiply(sin1, cos2, out=coords[6])
+    coords[6] -= cos1 * sin2
     return coords
 
 
-def _gate_feature_basis(state: np.ndarray) -> np.ndarray:
-    """The (16, 7) basis with features(psi psi†) = basis @ coords for every sampled gate output psi.
+def _gate_feature_basis(rho: np.ndarray) -> np.ndarray:
+    """The (..., 16, 7) basis with features(G rho G†) = basis @ coords for every sampled noisy CNOT G,
+    coords its column of :func:`_mc_gate_coords`: CNOT_GATE_COORDS applied to each rho of a (..., 4, 4) stack."""
+    images = unvec(np.einsum("qab,...b->...qa", CNOT_GATE_COORDS, vec(rho)))
+    return np.swapaxes(_features(images), -1, -2)
 
-    The pulses act as exp(-i (s1+s2) sz sz) times a flip-flop rotation by 2 (s1-s2) within
-    {|ud>, |du>}.  Taking out the global phase exp(i (s1+s2)), the output of a = H_A |state>
-    before the frame is psi = exp(iO) v1 + cos A v2 + sin A v3 with v1 = a_0|uu> + a_3|dd>,
-    v2 = a_1|ud> + a_2|du> and v3 = -i (a_2|ud> + a_1|du>); that is Rz_X(pi) U(s2) Rz_X(pi) U(s1)
-    H_A |state> up to a global phase per trajectory.  CNOT_FRAME maps each v_k.  psi psi† is then
-    linear in the coordinates of :func:`_mc_gate_coords`, with cos^2 A = (1 + cos 2A)/2,
-    sin^2 A = (1 - cos 2A)/2 and cos A sin A = sin 2A / 2.
-    """
-    a = CNOT_ENTRY @ state
-    v1, v2, v3 = (CNOT_FRAME @ np.array([[a[0], 0, 0, a[3]], [0, a[1], a[2], 0], [0, -1j * a[2], -1j * a[1], 0]]).T).T
-    outer = np.outer
-
-    def both(x, y):
-        return outer(x, y.conj()) + outer(y, x.conj()), 1j * (outer(x, y.conj()) - outer(y, x.conj()))
-
-    parts = [outer(v1, v1.conj()) + (outer(v2, v2.conj()) + outer(v3, v3.conj())) / 2,
-             (outer(v2, v2.conj()) - outer(v3, v3.conj())) / 2, both(v2, v3)[0] / 2, *both(v1, v2), *both(v1, v3)]
-    return _features(np.array(parts)).T
-
-
-@functools.cache
-def _gate_feature_bases() -> np.ndarray:
-    """The gate basis of each input of _INPUT_VECTORS, a read-only (16, 16, 7) stack built once."""
-    bases = np.array([_gate_feature_basis(state) for state in _INPUT_VECTORS])
-    bases.setflags(write=False)
-    return bases
+#: The gate basis of each input of _INPUT_STATES, a read-only (16, 16, 7) stack.
+_GATE_BASES = np.ascontiguousarray(_gate_feature_basis(_INPUT_STATES))
+_GATE_BASES.setflags(write=False)
 
 
 def run_qpt(
@@ -413,7 +384,7 @@ def run_qpt(
     # directly from their spawn keys.
     gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
                               for k in (0, 1))
-    features = TrajectoryFeatures(design.weight_forms, noise, _gate_feature_bases())
+    features = TrajectoryFeatures(design.weight_forms, noise, _GATE_BASES)
     mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
                                  noise, mc_samples)
     probs = (features.coefficients @ mean).T                 # (15, 16)

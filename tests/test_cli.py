@@ -111,6 +111,15 @@ class TestIdealCheck:
         report = json.loads(out.read_text())
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("samples", [1, 20])
+    def test_only_the_reference_side_solves_eigenproblems(self, tmp_path, monkeypatch, samples):
+        # The gate constructors are written in closed form; the eigh-based
+        # evolve_unitary reference runs once per sample.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+        assert run_cli("ideal-check", "--samples", str(samples), "--out", str(tmp_path / "check.json")) == 0
+        assert len(calls) == samples
+
 
 class TestQptCommand:
     def test_closed_form_matches_module(self, tmp_path):

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spinqpt import dynamics
 from spinqpt.dynamics import (
+    CNOT_GATE_COORDS,
+    CNOT_GATE_POLYNOMIAL,
     CNOT_PHASE_TIME,
     CNOT_TARGET,
     FULL_DEPHASING_GDTAU,
     NoiseParams,
     TRANSFER_TIME,
     cnot_unitary,
+    EXCHANGE_PARTS,
     dephasing_factor,
-    _EXCHANGE_BLOCKS,
     evolve_unitary,
     exchange_coherence,
     exchange_hamiltonian,
@@ -213,6 +216,13 @@ class TestCnotUnitary:
 
 
 class TestGaussianAveragedChannel:
+    @pytest.mark.parametrize("tau0,dtau", [(0.3, -0.1), (0.3, math.nan), (0.3, math.inf),
+                                           (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.0)], ids=repr)
+    def test_rejects_non_finite_or_negative_times(self, tau0, dtau):
+        # NaN or infinite times used to give an all-NaN superoperator.
+        with pytest.raises(ValueError, match="must be finite"):
+            gaussian_averaged_channel(exchange_hamiltonian(1.0), tau0, dtau)
+
     def test_zero_dispersion_is_unitary_conjugation(self):
         h = exchange_hamiltonian(1.0)
         ch = gaussian_averaged_channel(h, 0.77, 0.0)
@@ -259,7 +269,7 @@ class TestGaussianAveragedChannel:
     @example(t=3 * math.pi / 8, gdtau=1e300)
     def test_equals_closed_form_pulse(self, t, gdtau):
         # Blocks plus the coherences damped by D = d^4 = exp(-8 gdtau^2), no eigenbasis.
-        pulse = _EXCHANGE_BLOCKS + dephasing_factor(gdtau) ** 4 * exchange_coherence(t)
+        pulse = EXCHANGE_PARTS[0] + dephasing_factor(gdtau) ** 4 * exchange_coherence(t)
         reference = gaussian_averaged_channel(exchange_hamiltonian(1.0), t, gdtau).superop
         np.testing.assert_allclose(pulse, reference, rtol=0, atol=1e-14)
 
@@ -345,6 +355,23 @@ class TestNoisyCnotChannel:
         ch = noisy_cnot_channel(NoiseParams.from_dimensionless(r=1.0, gdtau=gdtau))
         out = apply_channel(ch, basis_state(0))
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_gate_depends_on_the_duration_difference_only(self):
+        # cos 4 (s1 + s2) and sin 4 (s1 + s2) carry no weight, which is why a
+        # sampled gate has seven coordinates and not nine.
+        terms = dynamics._GATE_TERMS
+        assert np.max(np.abs(terms[1, 1] - terms[2, 2])) < 1e-15
+        assert np.max(np.abs(terms[2, 1] + terms[1, 2])) < 1e-15
+
+    @pytest.mark.parametrize("d", [0.0, 0.3, 0.81, 1.0])
+    def test_mean_coordinates_give_the_gate_polynomial(self, d):
+        # Each pulse's (cos, sin) 4s averages to d (cos, sin)(3pi/2), and
+        # cos 4 (s1 - s2) to d^2: the exact first moments of the seven coordinates.
+        c, s = d * math.cos(1.5 * math.pi), d * math.sin(1.5 * math.pi)
+        mean = np.array([1.0, c, s, c, s, d * d, 0.0])
+        g0, g1, g2 = CNOT_GATE_POLYNOMIAL
+        np.testing.assert_allclose(np.tensordot(mean, CNOT_GATE_COORDS, axes=1), g0 + d * (g1 + d * g2),
+                                   rtol=0, atol=1e-15)
 
     def test_strong_noise_limit(self):
         # d -> 0: populations {3/8, 3/8, 1/8, 1/8} with 1/8 coherences.

@@ -1,5 +1,7 @@
 """Tests for the dense two-qubit primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,10 @@ class TestVecConventions:
         rng = np.random.default_rng(1)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         np.testing.assert_array_equal(unvec(vec(m)), m)
+        # A stack is vectorized matrix by matrix.
+        stack = rng.normal(size=(2, 3, 4, 4))
+        np.testing.assert_array_equal(vec(stack)[1, 2], vec(stack[1, 2]))
+        np.testing.assert_array_equal(unvec(vec(stack)), stack)
 
 
 class TestApplyChannel:
@@ -135,8 +141,10 @@ class TestIsCptp:
         assert is_cptp(ch, 1e-9)
 
     def test_requires_positive_tolerance(self):
-        with pytest.raises(ValueError):
-            is_cptp(QuantumChannel.identity(), 0.0)
+        # A NaN tolerance used to answer False and an infinite one to pass any channel.
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+                is_cptp(QuantumChannel.identity(), tol)
 
 
 class TestPartialTranspose:

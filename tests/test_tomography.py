@@ -660,7 +660,7 @@ class TestMonteCarloGateBatch:
         rng = np.random.default_rng(seed)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         state /= np.linalg.norm(state)
-        basis = _gate_feature_basis(state)
+        basis = _gate_feature_basis(np.outer(state, state.conj()))
         # One trajectory draws s1 then s2 exactly as sample_cnot_unitary does.
         out = basis @ _mc_gate_coords(1, noise, np.random.default_rng(seed))
         expected = sample_cnot_unitary(noise, np.random.default_rng(seed), g) @ state
@@ -870,7 +870,7 @@ class TestDesignPolynomial:
         kronecker = np.array([1.0 if k == l else 0.0 for k, l in CHI_ORDER])
         np.testing.assert_allclose(chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-12)
         assert hermiticity_defect(chi) < 1e-12
-        step = dynamics._FLIP_X @ (dynamics._EXCHANGE_BLOCKS
+        step = dynamics._FLIP_X @ (dynamics.EXCHANGE_PARTS[0]
                                    + noise.dephasing * dynamics.exchange_coherence(dynamics.CNOT_PHASE_TIME / 2))
         gate = noisy_cnot_channel(noise)
         np.testing.assert_allclose(gate.superop, dynamics._EXIT @ step @ step @ dynamics._ENTRY, rtol=0, atol=1e-15)
