@@ -40,8 +40,9 @@ blockade map, the average over its two readout branches.
 the 16 real features of psi psi† for each power of r and each product of
 cos 4 tau and sin 4 tau of its Evolve steps.  Every weight is then linear in
 the products of those monomials with the trajectory's coordinates
-(:class:`TrajectoryFeatures`), so the estimator keeps only their sums and
-Gram matrix (:func:`_feature_moments`).
+(:class:`TrajectoryFeatures`), with coefficients that are a polynomial in r
+built once per design (:func:`feature_coefficients`), so the estimator keeps
+only their sums and Gram matrix (:func:`_feature_moments`).
 """
 
 from __future__ import annotations
@@ -290,32 +291,35 @@ def propagate_sequence_samples(
     psi is (n, 4), one starting state per row, read and never written.  rng draws one
     Normal(mean_time, noise.sampled_gdtau) row of n durations per Evolve step, in step order, then
     n uniforms u.  weights[k] is trajectory k's success probability given its durations, its
-    sequence's weight form at its state (:class:`TrajectoryFeatures` on a state batch, _MC_BLOCK
-    rows at a time), and alive is u < weights.  So each trajectory is alive with probability the
-    sequence's success probability, independently of the others.
+    sequence's weight form at its state (:class:`TrajectoryFeatures` and
+    :func:`feature_coefficients` on a state batch, _MC_BLOCK rows at a time), and alive is
+    u < weights.  So each trajectory is alive with probability the sequence's success
+    probability, independently of the others.
     """
     n = psi.shape[0]
     durations = np.reshape([rng.normal(step.mean_time, noise.sampled_gdtau, size=n)
                             for step in seq.steps if isinstance(step, Evolve)], (-1, n))
     u = rng.random(n)
-    features = TrajectoryFeatures(compile_weight_forms((seq,)), noise, np.eye(16)[None])
+    forms = compile_weight_forms((seq,))
+    features = TrajectoryFeatures(forms, noise, _STATE_BASIS)
+    coefficients = polynomial_value(feature_coefficients(forms, _STATE_BASIS)[:, 0, 0], noise.r)
     weights = np.empty(n)
     for start in range(0, n, _MC_BLOCK):
         rows = slice(start, min(start + _MC_BLOCK, n))
         states = psi[rows]
-        weights[rows] = features.coefficients[0, 0] @ features(
+        weights[rows] = coefficients @ features(
             _features(states[:, :, None] * states[:, None].conj()).T, durations[:, rows])
     return weights, u < weights
 
 
-def _sample_count(n_samples) -> int:
-    """n_samples as an int; anything but an integer of at least 1, True included, is rejected."""
+def _whole_number(value, name: str, least: int) -> int:
+    """value as an int; anything but an integer >= least, True included, raises a ValueError naming name."""
     try:
-        n = operator.index(n_samples)
+        n = operator.index(value)
     except TypeError:
-        n = 0
-    if isinstance(n_samples, bool) or n < 1:
-        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+        n = least - 1
+    if isinstance(value, bool) or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return n
 
 
@@ -335,7 +339,7 @@ def sequence_probability_mc(
     fraction and its error is binomial.  Per chunk of _MC_CHUNK trajectories, rng draws the
     starting states, then one duration row per Evolve step, then one uniform per trajectory.
     """
-    n = _sample_count(n_samples)
+    n = _whole_number(n_samples, "n_samples", 1)
     hits = 0
     for done in range(0, n, _MC_CHUNK):
         m = min(n - done, _MC_CHUNK)
@@ -496,44 +500,62 @@ def _form_group(members, forms, sequences, seq_slots) -> _FormGroup:
     return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs)
 
 
+#: The basis of a state batch: one input whose coordinates are the states' own 16 features.
+_STATE_BASIS = np.eye(16)[None]
+_STATE_BASIS.setflags(write=False)
+
+
+def feature_coefficients(forms: WeightForms, bases: np.ndarray) -> np.ndarray:
+    """The coefficients of the Monte Carlo weights on the trajectory features, as a polynomial in r.
+
+    Shape (k + 1, inputs, sequences, n_features), k the largest power of r of a form: a trajectory
+    with feature vector f (:class:`TrajectoryFeatures` on the same forms and bases) weighs
+    (sum_j r^j A[j, i, s]) @ f in sequence s of input i.  A group without a prefix gives its
+    coefficients with the input's basis folded in, exact in r as they are linear in its coeffs[j];
+    a group with a prefix gives its members a unit coefficient on their own row at r^0.  Built once
+    per design and bases.
+    """
+    n_inputs, _, width = bases.shape
+    n_powers = max(len(group.coeffs) for group in forms.groups)
+    blocks = []
+    for group in forms.groups:
+        if group.prefix:
+            block = np.zeros((n_powers, n_inputs, forms.n_sequences, n_inputs))
+            block[0, range(n_inputs), group.members[0], range(n_inputs)] = 1.0
+        else:                                            # c . (basis @ x) = (basis^T c) . x
+            block = np.zeros((n_powers, n_inputs, forms.n_sequences, len(group.monomials) * width))
+            terms = np.einsum("pmjc,ijk->picmk", group.coeffs, bases)
+            block[: len(terms), :, list(group.members)] = terms.reshape(*terms.shape[:3], -1)
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)
+
+
 class TrajectoryFeatures:
-    """The Monte Carlo weights of trajectories under compiled forms, at one noise point, as linear
-    functions of one real feature vector per trajectory.
+    """The trajectory features of compiled forms at one noise point: one real vector per trajectory,
+    on which every Monte Carlo weight is linear with the coefficients :func:`feature_coefficients`.
 
     bases is (inputs, 16, K): a trajectory with coordinates x (K reals) starts input i at the state
     whose features are bases[i] @ x (a state batch psi is one input with basis the identity and
     coords its features; a gate batch has seven coordinates per trajectory, shared by every input).
-    The trajectory's weight in sequence s of input i, the probability that every projection of s
-    reports its declaration given the trajectory's gate and Evolve durations, is
-    coefficients[i, s] @ f for its feature vector f.
 
     A call takes the (K, n) coordinates of n trajectories and one row of n Evolve durations (units
     of 1/g) per slot of the forms, draws nothing and returns their (n_features, n) features, an
     array the next call reuses.  A group without a prefix gives its monomials of the durations
-    times the coordinates, monomial-major, with its coefficients at r, the input's basis folded in.
-    A group with a prefix runs it on each input's features and gives one row per input, that
-    input's weight, with a unit coefficient.
+    times the coordinates, monomial-major.  A group with a prefix runs it on each input's features,
+    its projections' maps and its coefficients evaluated at r once per noise point, and gives one
+    row per input, that input's weight.
     """
 
     def __init__(self, forms: WeightForms, noise: NoiseParams, bases: np.ndarray):
         self.slot_times = forms.slot_times
         self._bases = bases
-        n_inputs, _, width = bases.shape
-        self._groups = [(group.monomials, polynomial_value(group.coeffs, noise.r),
+        self._groups = [(group.monomials,
+                         polynomial_value(group.coeffs[..., 0], noise.r) if group.prefix else None,
                          [(polynomial_value(maps, noise.r) if slot is None else maps, slot)
                           for maps, slot in group.prefix])
                         for group in forms.groups]
-        blocks = [np.zeros((n_inputs, forms.n_sequences, n_inputs if prefix else len(monomials) * width))
-                  for monomials, _, prefix in self._groups]
-        for group, (_, coeffs, prefix), block in zip(forms.groups, self._groups, blocks):
-            if prefix:
-                block[range(n_inputs), group.members[0], range(n_inputs)] = 1.0
-            else:                                        # c . (basis @ x) = (basis^T c) . x
-                block[:, list(group.members)] = np.einsum("mjc,ijk->icmk", coeffs, bases).reshape(
-                    n_inputs, len(group.members), -1)
-        self.coefficients = np.concatenate(blocks, axis=-1)
-        self.coefficients.setflags(write=False)
-        self.n_features = self.coefficients.shape[-1]
+        self.n_features = sum(len(bases) if group.prefix else len(group.monomials) * bases.shape[-1]
+                              for group in forms.groups)
         self._buffer = np.empty(0)
 
     def __call__(self, coords: np.ndarray, durations) -> np.ndarray:
@@ -562,7 +584,7 @@ class TrajectoryFeatures:
                         images = maps @ x
                         cos, sin = trig[slot]
                         x = images[0] + cos * images[1] + sin * images[2]
-                np.einsum("mt,mt->t", rows, coeffs[..., 0] @ x, out=features[start])
+                np.einsum("mt,mt->t", rows, coeffs @ x, out=features[start])
                 start += 1
         return features
 
@@ -582,7 +604,7 @@ def _feature_moments(features: TrajectoryFeatures, sample_coords, durations, noi
     that never moves.  Sums and products accumulate block by block in a fixed order, so reruns
     are byte-identical.
     """
-    n = _sample_count(n_samples)
+    n = _whole_number(n_samples, "n_samples", 1)
     center, sums = np.zeros((2, features.n_features))
     gram = np.zeros((features.n_features, features.n_features))
     for done in range(0, n, _MC_CHUNK):

@@ -31,7 +31,7 @@ exchange is computed.  The noisy CNOT's program expands once over its two
 durations (_GATE_TERMS): its average is CNOT_GATE_POLYNOMIAL and a sampled
 gate is CNOT_GATE_COORDS weighted by seven trigonometric coordinates.
 
-The noisy engine (NoiseParams, exchange_coherence, noisy_cnot_channel) works in
+The noisy engine (NoiseParams, EXCHANGE_PARTS, noisy_cnot_channel) works in
 units of 1/g and sees the dispersion only as gdtau; the Hamiltonians, the gate
 constructors and gaussian_averaged_channel take g or absolute times.
 """
@@ -264,14 +264,6 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
     weight = np.diag(damp.reshape(-1, order="F"))
     from_eigen = np.kron(v.conj(), v)            # rho -> V rho V†
     return QuantumChannel(superop=from_eigen @ weight @ to_eigen)
-
-
-def exchange_coherence(mean_time: float) -> np.ndarray:
-    """rho -> q P_S rho P_T + conj(q) P_T rho P_S, q = exp(4i mean_time): the singlet-triplet
-    coherences of an exchange pulse of mean duration mean_time (units of 1/g), as a superoperator,
-    cos 4 mean_time times EXCHANGE_PARTS[1] plus sin 4 mean_time times EXCHANGE_PARTS[2]."""
-    phase = 4.0 * mean_time
-    return math.cos(phase) * EXCHANGE_PARTS[1] + math.sin(phase) * EXCHANGE_PARTS[2]
 
 
 #: The noisy CNOT's pulse program _EXIT F P(s2) F P(s1) _ENTRY, F = _FLIP_X and P(s) the exchange

@@ -41,7 +41,11 @@ applied to its input, weighted by seven trigonometric functions of the two
 pulse durations (:func:`_mc_gate_coords`), every weight is
 linear in their products with the duration monomials, and only the sums
 and the Gram matrix of those products are kept (see
-:class:`spinqpt.blockade.TrajectoryFeatures`).
+:class:`spinqpt.blockade.TrajectoryFeatures`).  Their coefficients, the
+reconstruction and the assembly do not depend on the draws, so the design
+carries chi per unit of each product as a polynomial in r, built on first
+use (TomographyDesign.monte_carlo_map): a run draws, accumulates and
+evaluates it.
 
 The entanglement threshold reads the same polynomial: its input is one of
 the 16 QPT inputs, so at gdtau the reconstructed output is a polynomial in r
@@ -68,8 +72,10 @@ from .blockade import (
     WeightForms,
     _feature_moments,
     _features,
+    _whole_number,
     compile_weight_forms,
     effect_polynomial,
+    feature_coefficients,
     polynomial_value,
 )
 from .dynamics import (
@@ -130,6 +136,27 @@ class TomographyDesign:
     @property
     def n_sequences(self) -> int:
         return len(self.sequences)
+
+    @functools.cached_property
+    def monte_carlo_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, chi0), read-only, built on first use: a Monte Carlo QPT whose trajectory features
+        (:class:`spinqpt.blockade.TrajectoryFeatures` on the gate bases) have mean z gives the
+        raveled chi0 + z @ L(r).  L is raveled chi per unit of each feature as coefficients of r^j,
+        shape (k+1, n_features, 256), and chi0, shape (256,), is what the trace row reconstructs.
+
+        The 240 probabilities are A(r) z, A the :func:`spinqpt.blockade.feature_coefficients`, and
+        chi is affine in them: reconstruction by the inverse design matrix, then assembly.  A is
+        exact in r, so is L.
+        """
+        inverse = np.linalg.inv(self.design_matrix)
+        coeffs = inverse[:, :-1] @ feature_coefficients(self.weight_forms, _GATE_BASES)   # (k+1, input, pauli, f)
+        outputs = np.moveaxis(np.tensordot(coeffs, _PAULI_STACK, axes=(2, 0)), 2, 1)      # (k+1, f, input, 4, 4)
+        constant = np.tensordot(inverse[:, -1], _PAULI_STACK, axes=1)    # each input's output at zero probabilities
+        maps = (assemble_channel_action(outputs).reshape(len(coeffs), -1, DIM**4),
+                assemble_channel_action(np.broadcast_to(constant, _INPUT_STATES.shape)).ravel())
+        for array in maps:
+            array.setflags(write=False)
+        return maps
 
 
 def _axis_prerotation(scope: str, axis: str) -> tuple:
@@ -298,17 +325,14 @@ def _assembly_weights() -> np.ndarray:
 _WEIGHTS = _assembly_weights()
 
 
-def _assemble(weights: np.ndarray, outputs) -> np.ndarray:
-    """chi[..., :, c] = vec(sum_i weights[c, i] outputs[..., i, :, :]), rows laid out by CHI_PERM."""
-    return np.swapaxes((weights @ vec(outputs))[..., CHI_PERM], -1, -2)
-
-
 def assemble_channel_action(outputs) -> np.ndarray:
-    """The 16x16 chi from a (16, 4, 4) stack of outputs of the qpt_input_states() inputs.
+    """The 16x16 chi from a (16, 4, 4) stack of outputs of the qpt_input_states() inputs, or a
+    (..., 16, 16) stack of them from a (..., 16, 4, 4) one.
 
-    Column (k, l) is the channel action on E_kl by linearity, row (m, n) its [m, n] entry.
+    Column (k, l) is the channel action on E_kl by linearity, sum_i _WEIGHTS[c, i] outputs[i],
+    row (m, n) its [m, n] entry, laid out by CHI_PERM.
     """
-    return _assemble(_WEIGHTS, outputs)
+    return np.swapaxes((_WEIGHTS @ vec(outputs))[..., CHI_PERM], -1, -2)
 
 
 def _mc_gate_coords(n: int, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
@@ -360,15 +384,17 @@ def run_qpt(
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate,
                   the mean weight of mc_samples trajectories (an integer of
-                  at least 1, deterministic in the seed), each weight the
-                  success probability given the trajectory's sampled gate
-                  and Evolve durations.  All 240 (input, sequence) pairs
-                  share the draws, so stderr is sqrt(diag(L Sigma L^H)): L
-                  the linear map from probabilities to chi (reconstruction,
-                  then assembly) and Sigma the full covariance of the 240
-                  means, A Cov_z A^T for the weights' coefficients A on the
-                  trajectory features z.  That is sqrt(E|delta chi|^2) per
-                  entry.
+                  at least 1) drawn from seed (an integer of at least 0),
+                  both checked before any draw.  A weight is the success
+                  probability given the trajectory's sampled gate and
+                  Evolve durations, linear in the trajectory's features z.
+                  All 240 (input, sequence) pairs share the draws, so chi
+                  is affine in mean(z): chi0 + mean(z) @ L(r), from the
+                  design's monte_carlo_map (the weights' coefficients,
+                  reconstruction and assembly, built once per design), and
+                  stderr is sqrt(diag(L(r)^H Cov_z L(r))), that is
+                  sqrt(E|delta chi|^2) per entry.  Nothing is inverted,
+                  solved or assembled per call.
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -380,6 +406,7 @@ def run_qpt(
         d = noise.dephasing
         outputs = polynomial_value(polynomial_value(polynomial_value(design.outputs, d ** 4), noise.r), d)
         return ProcessMatrix(chi=assemble_channel_action(outputs))
+    seed = _whole_number(seed, "seed", 0)
     # SeedSequence(seed).spawn(2)[0] feeds the gate and [1] the Evolve durations, built
     # directly from their spawn keys.
     gate_rng, duration_rng = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
@@ -387,13 +414,10 @@ def run_qpt(
     features = TrajectoryFeatures(design.weight_forms, noise, _GATE_BASES)
     mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
                                  noise, mc_samples)
-    probs = (features.coefficients @ mean).T                 # (15, 16)
-    chi = assemble_channel_action(reconstruct_state(probs, design))
-    # chi is affine in the probabilities, which are linear in the mean features: chi moves by
-    # lin[f] per unit of feature f, and each entry's variance is diag(lin cov lin^H).
-    inverse = np.linalg.inv(design.design_matrix)[:, : design.n_sequences]
-    outputs = np.tensordot((inverse @ features.coefficients).T, _PAULI_STACK, axes=(1, 0))  # (f, i, 4, 4)
-    lin = _assemble(_WEIGHTS, outputs).reshape(len(cov), -1)
+    # chi moves by lin[f] per unit of feature f, and each entry's variance is diag(lin^H cov lin).
+    mc_map, chi0 = design.monte_carlo_map
+    lin = polynomial_value(mc_map, noise.r)
+    chi = (chi0 + mean @ lin).reshape(16, 16)
     stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
     return ProcessMatrix(chi=chi, stderr=stderr)
 

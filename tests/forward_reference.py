@@ -19,10 +19,16 @@ projection; ``branch_summed_replay`` averages it over every branch pattern,
 the reference for the weight forms of ``blockade.TrajectoryFeatures``, which
 read a state by its ``state_features``, and for the weights that
 ``blockade.propagate_sequence_samples`` thins; ``long_sequence_sequences`` is a
-design whose first sequence has a form with a prefix.  ``split_cnot_channel`` averages the
-same gate a second way, through the sum and difference of its two pulse
-durations, the reference for ``noisy_cnot_channel``; ``compose`` chains its
-channels.
+design whose first sequence has a form with a prefix.
+``weight_coefficients`` folds the input bases into the weight forms at one
+``r`` and ``mean_trajectory_features`` gives the exact mean of the
+trajectory features, so the Monte Carlo map ``TomographyDesign.monte_carlo_map`` can
+be checked against ``forward_chi`` without sampling.
+``exchange_coherence`` is the singlet-triplet part of an averaged exchange
+pulse at its mean time, the part ``EXCHANGE_PARTS`` weights by cos and sin
+of the phase.  ``split_cnot_channel`` averages the same gate a second way,
+through the sum and difference of its two pulse durations, the reference
+for ``noisy_cnot_channel``; ``compose`` chains its channels.
 
 The engine works in units of 1/g; these references do not.  Each takes the
 coupling g explicitly (default 1) and runs at the exchange Hamiltonian of
@@ -48,6 +54,7 @@ from spinqpt.dynamics import (
     CNOT_ENTRY,
     CNOT_FRAME,
     CNOT_PHASE_TIME,
+    EXCHANGE_PARTS,
     NoiseParams,
     evolve_unitary,
     exchange_hamiltonian,
@@ -255,6 +262,63 @@ def long_sequence_sequences():
     sequences[0] = MeasureSequence(steps=(steps[0], full, full, Project(UP), Evolve(TRANSFER_TIME),
                                           full, full, steps[-1]))
     return sequences
+
+
+def weight_coefficients(forms, r, bases):
+    """A[i, s, f] at polarization r: the weight of a trajectory with features z (the layout of
+    ``blockade.TrajectoryFeatures``) in sequence s of input i is A[i, s] @ z.
+
+    Each group's coefficients are evaluated at r first, by explicit powers, and the input's basis is
+    folded in after; a group with a prefix computes its members' weights in its features, so each
+    input's row there has a unit coefficient.
+    """
+    n_inputs, _, width = bases.shape
+    blocks = []
+    for group in forms.groups:
+        at_r = sum(r**j * coeffs for j, coeffs in enumerate(group.coeffs))        # (monomial, 16, member)
+        block = np.zeros((n_inputs, forms.n_sequences, n_inputs if group.prefix else at_r.shape[0] * width))
+        for i, basis in enumerate(bases):
+            if group.prefix:
+                block[i, group.members[0], i] = 1.0
+                continue
+            for col, s in enumerate(group.members):
+                block[i, s] = (at_r[:, :, col] @ basis).ravel()                  # c . (basis x) = (c basis) . x
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)
+
+
+def mean_trajectory_features(forms, noise):
+    """E[z], the exact mean of the trajectory features of forms without a prefix group, on the gate.
+
+    A feature is a monomial of the Evolve slots' cos 4 tau and sin 4 tau times one of the seven gate
+    coordinates, and the slots and the two gate pulses are drawn independently.  For a slot of mean
+    time t, tau ~ Normal(t, sigma) gives E[cos 4 tau] = cos(4 t) exp(-8 sigma^2) and the same for sin.
+    The pulse phases a_k = 4 s_k ~ Normal(3 pi / 2, 2 sigma) give the coordinates' mean
+    (1, 0, -d, 0, -d, d^2, 0), d = exp(-2 sigma^2).  sigma is noise.sampled_gdtau.  A prefix group's
+    features are not linear in these monomials; the replay tests cover it.
+    """
+    sigma = noise.sampled_gdtau
+    d = math.exp(-2.0 * sigma**2)
+    gate = np.array([1.0, 0.0, -d, 0.0, -d, d * d, 0.0])
+    means = []
+    for group in forms.groups:
+        if group.prefix:
+            raise ValueError("a prefix group's feature mean has no closed form here")
+        for monomial in group.monomials:
+            value = 1.0
+            for slot, kind in monomial:
+                phase = 4.0 * forms.slot_times[slot]
+                value *= math.exp(-8.0 * sigma**2) * (math.cos(phase) if kind == 1 else math.sin(phase))
+            means.append(value * gate)
+    return np.concatenate(means)
+
+
+def exchange_coherence(mean_time):
+    """rho -> q P_S rho P_T + conj(q) P_T rho P_S, q = exp(4i mean_time): the singlet-triplet
+    coherences of an exchange pulse of mean duration mean_time (units of 1/g), as a superoperator,
+    cos 4 mean_time times EXCHANGE_PARTS[1] plus sin 4 mean_time times EXCHANGE_PARTS[2]."""
+    phase = 4.0 * mean_time
+    return math.cos(phase) * EXCHANGE_PARTS[1] + math.sin(phase) * EXCHANGE_PARTS[2]
 
 
 def split_cnot_channel(noise, g=1.0):

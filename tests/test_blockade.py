@@ -22,11 +22,13 @@ from spinqpt.blockade import (
     branch_weights,
     compile_weight_forms,
     effect_polynomial,
+    feature_coefficients,
     format_sequence,
     format_sequences,
     ideal_effect_operator,
     parse_sequence,
     parse_sequences,
+    polynomial_value,
     propagate_sequence_samples,
     sample_initial_states,
     sequence_probability,
@@ -417,10 +419,11 @@ def random_pure_states(rng, n):
 
 def form_weights(seq, psi, noise, durations):
     """The weights of trajectories starting at the rows of psi through one sequence's form: its
-    coefficients dotted with each trajectory's features, a state batch being one input whose basis
-    is the identity."""
-    features = TrajectoryFeatures(compile_weight_forms((seq,)), noise, np.eye(16)[None])
-    return features.coefficients[0, 0] @ features(state_features(psi), durations)
+    coefficients at r dotted with each trajectory's features, a state batch being one input whose
+    basis is the identity."""
+    forms, basis = compile_weight_forms((seq,)), np.eye(16)[None]
+    coefficients = polynomial_value(feature_coefficients(forms, basis)[:, 0, 0], noise.r)
+    return coefficients @ TrajectoryFeatures(forms, noise, basis)(state_features(psi), durations)
 
 
 _kernel_steps = st.lists(st.one_of(

@@ -20,7 +20,6 @@ from spinqpt.dynamics import (
     EXCHANGE_PARTS,
     dephasing_factor,
     evolve_unitary,
-    exchange_coherence,
     exchange_hamiltonian,
     flipflop_hamiltonian,
     gaussian_averaged_channel,
@@ -41,7 +40,7 @@ from spinqpt.qcore import (
     negativity,
 )
 
-from forward_reference import compose, sample_cnot_unitary, split_cnot_channel
+from forward_reference import compose, exchange_coherence, sample_cnot_unitary, split_cnot_channel
 
 
 def phase_invariant_overlap(u, v):

@@ -49,6 +49,7 @@ from spinqpt.tomography import (
 )
 
 from forward_reference import (
+    exchange_coherence,
     forward_chi,
     forward_output_negativity,
     forward_pipeline_chi,
@@ -56,8 +57,10 @@ from forward_reference import (
     branch_summed_replay,
     gate_output_batch,
     long_sequence_sequences,
+    mean_trajectory_features,
     sample_cnot_unitary,
     state_features,
+    weight_coefficients,
 )
 from test_process_matrix import _random_kraus_channel
 
@@ -546,6 +549,22 @@ class TestRunQpt:
         with pytest.raises(ValueError, match="integer of at least 1"):
             run_qpt(noise, method="monte_carlo", mc_samples=samples)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, -1, np.float64(2.0), "3"], ids=repr)
+    def test_monte_carlo_rejects_invalid_seed(self, design, seed, monkeypatch):
+        # Checked before any draw, as the sample count is; numpy would take True as 1.
+        def drawn(*args):
+            raise AssertionError("drew before checking the seed")
+        monkeypatch.setattr(tomography, "_feature_moments", drawn)
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        with pytest.raises(ValueError, match=r"^seed must be an integer of at least 0, got "):
+            run_qpt(noise, method="monte_carlo", mc_samples=10, seed=seed, design=design)
+
+    def test_monte_carlo_accepts_numpy_integer_seed(self, design):
+        noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.1)
+        a = run_qpt(noise, method="monte_carlo", mc_samples=30, seed=np.int64(4), design=design)
+        b = run_qpt(noise, method="monte_carlo", mc_samples=30, seed=4, design=design)
+        np.testing.assert_array_equal(a.chi, b.chi)
+
     @pytest.mark.filterwarnings("error")
     def test_monte_carlo_at_full_dephasing_without_overflow(self, design):
         # gdtau = 1.7e308 draws its durations at the full-dephasing cut, where the
@@ -871,10 +890,75 @@ class TestDesignPolynomial:
         np.testing.assert_allclose(chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-12)
         assert hermiticity_defect(chi) < 1e-12
         step = dynamics._FLIP_X @ (dynamics.EXCHANGE_PARTS[0]
-                                   + noise.dephasing * dynamics.exchange_coherence(dynamics.CNOT_PHASE_TIME / 2))
+                                   + noise.dephasing * exchange_coherence(dynamics.CNOT_PHASE_TIME / 2))
         gate = noisy_cnot_channel(noise)
         np.testing.assert_allclose(gate.superop, dynamics._EXIT @ step @ step @ dynamics._ENTRY, rtol=0, atol=1e-15)
         rho_out = apply_channel(gate, ENTANGLEMENT_INPUT)
         probs = [sequence_probability(seq, rho_out, noise) for seq in design.sequences]
         expected = negativity(hermitize(reconstruct_state(probs, design)))
         assert abs(reconstructed_output_negativity(r, gdtau, design) - expected) < 1e-15
+
+
+class TestMonteCarloMap:
+    """The design's Monte Carlo map (L, chi0): chi = chi0 + mean(z) @ L(r), L as coefficients of r^j."""
+
+    @pytest.fixture(scope="class")
+    def designs(self, design):
+        return {"shipped": design, "cubic": design_from_sequences(cubic_sequences(design.sequences)),
+                "long": design_from_sequences(long_sequence_sequences())}
+
+    @pytest.mark.parametrize("name,degree", [("shipped", 2), ("cubic", 3), ("long", 2)])
+    def test_equals_reconstruction_of_the_weight_coefficients(self, designs, name, degree):
+        # Per unit of each feature, the probability table its coefficients give, reconstructed and
+        # assembled by the forward reference; chi0 is the table of zeros.  The long sequence's
+        # projections run in its prefix, at r, so that design's map stays quadratic.
+        design = designs[name]
+        mc_map, chi0 = design.monte_carlo_map
+        assert design.monte_carlo_map[0] is mc_map and mc_map.shape[0] == degree + 1
+        assert not mc_map.flags.writeable and not chi0.flags.writeable
+        zero = forward_chi(np.zeros((15, 16)), design)
+        np.testing.assert_allclose(chi0, zero.ravel(), rtol=0, atol=1e-14)
+        for r in (0.0, 0.37, 0.8, 1.0):
+            coefficients = weight_coefficients(design.weight_forms, r, tomography._GATE_BASES)
+            want = [(forward_chi(table.T, design) - zero).ravel() for table in np.moveaxis(coefficients, -1, 0)]
+            np.testing.assert_allclose(blockade.polynomial_value(mc_map, r), want, rtol=0, atol=1e-14)
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(["shipped", "cubic"]), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 2.0))
+    @example(name="shipped", r=0.8, gdtau=0.0)
+    @example(name="cubic", r=0.5, gdtau=1e300)
+    def test_exact_feature_mean_gives_the_pipeline(self, designs, name, r, gdtau):
+        # E[chi_MC] is chi of E[z], and the closed-form E[z] reproduces the pipeline.  The
+        # designs have no prefix group, whose features are not linear in the draws: the
+        # replay tests cover those.
+        design = designs[name]
+        noise = NoiseParams(r=r, gdtau=gdtau)
+        mean = mean_trajectory_features(design.weight_forms, noise)
+        mc_map, chi0 = design.monte_carlo_map
+        chi = chi0 + mean @ blockade.polynomial_value(mc_map, r)
+        pipeline = run_qpt(noise, method="pipeline", design=design).chi
+        np.testing.assert_allclose(chi.reshape(16, 16), pipeline, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["shipped", "long"])
+    def test_a_run_inverts_solves_and_assembles_nothing(self, designs, name, monkeypatch):
+        # Once the design's map exists, a Monte Carlo QPT draws, accumulates the feature moments
+        # and evaluates that polynomial; only a prefix group runs an einsum, per block.
+        design = designs[name]
+        design.monte_carlo_map                      # built before the counting starts
+        calls = []
+
+        def counted(module, fname):
+            original = getattr(module, fname)
+
+            def wrapper(*args, **kwargs):
+                calls.append(fname)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, fname, wrapper)
+        for module, fname in ((np.linalg, "inv"), (np.linalg, "solve"), (np, "einsum"), (np, "tensordot"),
+                              (tomography, "reconstruct_state"), (tomography, "assemble_channel_action")):
+            counted(module, fname)
+        noise = NoiseParams(r=0.8, gdtau=0.2)
+        result = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=5, design=design)
+        assert np.isfinite(result.chi).all()
+        assert [c for c in calls if c != "einsum"] == []
+        assert calls.count("einsum") == (0 if name == "shipped" else 16)
