@@ -179,17 +179,32 @@ def _hermitian_eigh(hamiltonian: np.ndarray, caller: str) -> tuple[np.ndarray, n
     return np.linalg.eigh(hermitize(h))
 
 
-def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) through the eigendecomposition of a Hermitian H."""
+def _finite(value, name: str) -> np.ndarray:
+    """value as a float array; a NaN or an infinity anywhere in it is rejected."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
+def evolve_unitary(hamiltonian: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) through the eigendecomposition of a Hermitian H.
+
+    t is a finite time or an array of them; the result has shape
+    t.shape + H.shape, element k the propagator for t[k].  One call makes one
+    eigendecomposition, whatever the number of times.
+    """
+    t = _finite(t, "evolution time")
     energies, vectors = _hermitian_eigh(hamiltonian, "evolve_unitary")
-    phases = np.exp(-1j * energies * t)
-    return (vectors * phases) @ vectors.conj().T
+    phases = np.exp(-1j * energies * t[..., None])
+    return (vectors * phases[..., None, :]) @ vectors.conj().T
 
 
 def local_rotation(qubit: str, axis: str, theta: float) -> np.ndarray:
     """exp(-i theta sigma_axis / 2) on one qubit, identity on the other."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    _finite(theta, "rotation angle")
     half = theta / 2.0
     u2 = math.cos(half) * SIGMA_I - 1j * math.sin(half) * _PAULI[axis]
     return _on_qubit(u2, qubit)
@@ -206,18 +221,23 @@ def hadamard(qubit: str) -> np.ndarray:
     return _on_qubit(h2, qubit)
 
 
-def term_isolation_unitary(g: float, t: float) -> np.ndarray:
+#: Rz_X(pi), the edge qubit's flip between the two exchange pulses of term isolation; built once.
+_RZ_X_PI = local_rotation("X", "z", math.pi)
+_RZ_X_PI.setflags(write=False)
+
+
+def term_isolation_unitary(g: float, t) -> np.ndarray:
     """The isolation pulse sequence Rz_X(pi) e^{-iHt/2} Rz_X(pi) e^{-iHt/2}.
 
     Equals exp(-i g t sz sz) up to a global phase for every t: conjugating the
     exchange generator by sz on X flips the sign of its transverse part, so
     the two half pulses cancel it while the sz sz parts add.  Each half pulse
-    is exp(-i g t/2) P_T + exp(3i g t/2) P_S, no eigensolver needed.
+    is exp(-i g t/2) P_T + exp(3i g t/2) P_S, no eigensolver needed.  t is a
+    finite time or an array of them; the result has shape t.shape + (4, 4).
     """
-    phase = 0.5 * _positive_coupling(g) * t
-    rz = local_rotation("X", "z", math.pi)
+    phase = 0.5 * _positive_coupling(g) * _finite(t, "evolution time")[..., None, None]
     half = np.exp(-1j * phase) * _TRIPLET + np.exp(3j * phase) * _SINGLET
-    return rz @ half @ rz @ half
+    return _RZ_X_PI @ half @ _RZ_X_PI @ half
 
 
 #: Noise-free gate applied before the controlled-phase exponent, H_A.
@@ -230,7 +250,7 @@ CNOT_FRAME.setflags(write=False)
 
 #: Superoperators of the noise-free entry and exit of the noisy CNOT and of its Rz_X(pi) between pulses.
 _ENTRY, _EXIT, _FLIP_X = (QuantumChannel.from_unitary(u).superop
-                          for u in (CNOT_ENTRY, CNOT_FRAME, local_rotation("X", "z", math.pi)))
+                          for u in (CNOT_ENTRY, CNOT_FRAME, _RZ_X_PI))
 
 
 def cnot_unitary(g: float) -> np.ndarray:

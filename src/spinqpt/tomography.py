@@ -393,8 +393,9 @@ def run_qpt(
                   design's monte_carlo_map (the weights' coefficients,
                   reconstruction and assembly, built once per design), and
                   stderr is sqrt(diag(L(r)^H Cov_z L(r))), that is
-                  sqrt(E|delta chi|^2) per entry.  Nothing is inverted,
-                  solved or assembled per call.
+                  sqrt(E|delta chi|^2) per entry, exactly 0 when nothing
+                  is sampled (noise.sampled_gdtau == 0).  Nothing is
+                  inverted, solved or assembled per call.
     """
     if method == "closed_form":
         return closed_form.chi_closed_form(noise.r, noise.gdtau)
@@ -418,6 +419,9 @@ def run_qpt(
     mc_map, chi0 = design.monte_carlo_map
     lin = polynomial_value(mc_map, noise.r)
     chi = (chi0 + mean @ lin).reshape(16, 16)
+    if not noise.sampled_gdtau:
+        # Every trajectory is the same; a prefix row's rounding still varies across them.
+        return ProcessMatrix(chi=chi, stderr=np.zeros((16, 16)))
     stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
     return ProcessMatrix(chi=chi, stderr=stderr)
 

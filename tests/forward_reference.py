@@ -29,6 +29,9 @@ pulse at its mean time, the part ``EXCHANGE_PARTS`` weights by cos and sin
 of the phase.  ``split_cnot_channel`` averages the same gate a second way,
 through the sum and difference of its two pulse durations, the reference
 for ``noisy_cnot_channel``; ``compose`` chains its channels.
+``ideal_check_deviations`` is ``ideal-check``'s check written one sample at a
+time: one scalar draw, one eigendecomposition and four 4x4 products per
+sample, the reference for the batched command.
 
 The engine works in units of 1/g; these references do not.  Each takes the
 coupling g explicitly (default 1) and runs at the exchange Hamiltonian of
@@ -54,14 +57,17 @@ from spinqpt.dynamics import (
     CNOT_ENTRY,
     CNOT_FRAME,
     CNOT_PHASE_TIME,
+    CNOT_TARGET,
     EXCHANGE_PARTS,
     NoiseParams,
+    cnot_unitary,
     evolve_unitary,
     exchange_hamiltonian,
     flipflop_hamiltonian,
     gaussian_averaged_channel,
     local_rotation,
     noisy_cnot_channel,
+    term_isolation_unitary,
     zz_hamiltonian,
 )
 from spinqpt.process_matrix import CHI_ORDER, CHI_PERM
@@ -367,3 +373,29 @@ def forward_threshold(design, gdtau, tol=1e-4, sweep_steps=64, eps=1e-10):
             lo = mid
         history.append((lo, hi))
     return hi, tuple(history), curve
+
+
+def ideal_check_deviations(seed, samples, inject):
+    """The ``checks`` and ``max_deviation`` of an ``ideal-check`` report, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    g = 1.0
+    built = cnot_unitary(g)
+    if inject:
+        # Rz_X commutes with H_A, so this perturbs the frame's Rz_X(pi/2) angle.
+        built = local_rotation("X", "z", 1e-3) @ built
+    cnot_dev = abs(1.0 - abs(np.trace(built.conj().T @ CNOT_TARGET)) / 4.0)
+    iso_devs = []
+    for _ in range(samples):
+        t = rng.uniform(0.05, 2.0 * math.pi) / g
+        v = term_isolation_unitary(g, t)
+        w = evolve_unitary(zz_hamiltonian(g), t)
+        iso_devs.append(abs(1.0 - abs(np.trace(v.conj().T @ w)) / 4.0))
+    checks = [
+        {"name": "cnot_synthesis_vs_target", "deviation": float(cnot_dev)},
+        {
+            "name": "term_isolation_identity",
+            "max_deviation": float(max(iso_devs)),
+            "samples": samples,
+        },
+    ]
+    return checks, float(max(cnot_dev, max(iso_devs)))

@@ -32,7 +32,7 @@ _SWEEP_GDTAUS = "0,0.05,0.1,0.37,1,2,1e300"
 
 #: Every report family: the three qpt routes and all of them together, Monte
 #: Carlo below and above the full-dephasing cut, JSON and CSV sweeps, the
-#: threshold and both ideal-check outcomes.
+#: threshold and both ideal-check outcomes, one of them over several sample blocks.
 ARGVS = (
     ("qpt",),
     ("qpt", "--method", "pipeline"),
@@ -57,6 +57,7 @@ ARGVS = (
     ("entanglement-threshold", "--gdtau", "1.7e308", "--tol", "1e-3"),
     ("ideal-check",),
     ("ideal-check", "--inject-angle-error", "--seed", "5"),
+    ("ideal-check", "--samples", "5000", "--seed", "3"),
 )
 
 

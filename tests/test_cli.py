@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import canonical_json_reference as reference
+from forward_reference import ideal_check_deviations
 from spinqpt import cli
 from spinqpt.blockade import format_sequences
 from spinqpt.cli import canonical_json, main
@@ -114,11 +116,31 @@ class TestIdealCheck:
     @pytest.mark.parametrize("samples", [1, 20])
     def test_only_the_reference_side_solves_eigenproblems(self, tmp_path, monkeypatch, samples):
         # The gate constructors are written in closed form; the eigh-based
-        # evolve_unitary reference runs once per sample.
+        # evolve_unitary reference runs once per block of samples.
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
         assert run_cli("ideal-check", "--samples", str(samples), "--out", str(tmp_path / "check.json")) == 0
-        assert len(calls) == samples
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("samples", [1, 20, cli.IDEAL_CHECK_BLOCK, cli.IDEAL_CHECK_BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_batched_check_equals_the_per_sample_loop(self, tmp_path, seed, samples):
+        for inject in (False, True):
+            out = tmp_path / "check.json"
+            argv = ["ideal-check", "--seed", str(seed), "--samples", str(samples), "--out", str(out)]
+            run_cli(*argv, *(["--inject-angle-error"] if inject else []))
+            report = json.loads(out.read_text())
+            assert (report["checks"], report["max_deviation"]) == ideal_check_deviations(seed, samples, inject)
+
+    def test_memory_stays_bounded_at_many_samples(self, tmp_path):
+        # Stacking 200k samples would take about 51 MB per (n, 4, 4) complex array.
+        tracemalloc.start()
+        try:
+            assert run_cli("ideal-check", "--samples", "200000", "--out", str(tmp_path / "check.json")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestQptCommand:

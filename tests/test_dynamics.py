@@ -118,6 +118,50 @@ class TestEvolveUnitary:
             evolve_unitary(m, 1.0)
 
 
+_couplings = st.floats(0.0, 5.0, exclude_min=True)
+_times = st.floats(-20.0, 20.0)
+_time_arrays = st.one_of(_times.map(np.array), st.lists(_times, min_size=1, max_size=8).map(np.array))
+
+
+class TestArrayTimes:
+    @settings(max_examples=100, deadline=None)
+    @given(g=_couplings, t=_time_arrays)
+    def test_each_element_is_the_scalar_call(self, g, t):
+        v = term_isolation_unitary(g, t)
+        w = evolve_unitary(zz_hamiltonian(g), t)
+        assert v.shape == w.shape == t.shape + (4, 4)
+        for k in np.ndindex(t.shape):
+            np.testing.assert_array_equal(v[k], term_isolation_unitary(g, float(t[k])))
+            np.testing.assert_array_equal(w[k], evolve_unitary(zz_hamiltonian(g), float(t[k])))
+            assert phase_invariant_overlap(v[k], w[k]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+        assert evolve_unitary(exchange_hamiltonian(1.0), np.linspace(0.0, 3.0, 50)).shape == (50, 4, 4)
+        assert len(calls) == 1
+
+
+class TestNonFiniteInputs:
+    _BAD = [math.nan, math.inf, -math.inf, np.array([0.3, math.nan, 1.0])]
+    _IDS = ["nan", "inf", "-inf", "array-with-nan"]
+
+    @pytest.mark.parametrize("t", _BAD, ids=_IDS)
+    def test_evolve_unitary_rejects(self, t):
+        with pytest.raises(ValueError, match="^evolution time must be finite$"):
+            evolve_unitary(zz_hamiltonian(1.0), t)
+
+    @pytest.mark.parametrize("t", _BAD, ids=_IDS)
+    def test_term_isolation_unitary_rejects(self, t):
+        with pytest.raises(ValueError, match="^evolution time must be finite$"):
+            term_isolation_unitary(1.0, t)
+
+    @pytest.mark.parametrize("theta", _BAD, ids=_IDS)
+    def test_local_rotation_rejects(self, theta):
+        with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+            local_rotation("X", "z", theta)
+
+
 class TestRotationsAndHadamard:
     def test_zero_angle_is_identity(self):
         np.testing.assert_allclose(local_rotation("X", "z", 0.0), np.eye(4), atol=1e-14)

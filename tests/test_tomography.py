@@ -301,6 +301,18 @@ class TestRunQpt:
         chi_cf = chi_closed_form(r, 0.0)
         assert np.max(np.abs(chi_pipe.chi - chi_cf.chi)) < 1e-10
 
+    @pytest.mark.parametrize("seed", (1, 4))
+    @pytest.mark.parametrize("r", (0.0, 0.37, 0.6, 0.93, 1.0))
+    def test_prefix_design_monte_carlo_is_exact_without_timing_noise(self, r, seed):
+        # Nothing is sampled at gdtau = 0, so no error bar may show, although the
+        # prefix rows of the features round differently across identical trajectories.
+        custom = design_from_sequences(long_sequence_sequences())
+        noise = NoiseParams(r=r, gdtau=0.0)
+        chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=seed, design=custom)
+        assert (chi_mc.stderr == 0.0).all()
+        chi_pipe = run_qpt(noise, method="pipeline", design=custom)
+        np.testing.assert_allclose(chi_mc.chi, chi_pipe.chi, rtol=0, atol=1e-12)
+
     def test_pipeline_deviates_from_closed_form_under_timing_noise(self, design):
         # Known sequence-design dependence: off-diagonal sectors differ once
         # gdtau > 0.  The leading diagonal element still agrees (checked above);
