@@ -17,27 +17,30 @@ rule.
 
 The module works in units of 1/g: Evolve durations are g*t and the timing
 noise is the dimensionless gdtau, so serialized sequences are coupling
-independent.  Each step is written once, as superoperator parts
-(:func:`_step_parts`): a rotation's conjugation, a projection's blockade map at
-r^0 and r^1, an Evolve step's exchange pulse at 1, cos 4 tau and sin 4 tau.  The
-analytic evaluator back-propagates the identity through the sequence once
-(Heisenberg picture) by their adjoints, an Evolve step's cos and sin parts read
-at its mean time and damped by D = exp(-8 gdtau^2).  The result, the sequence's
-noisy effect as an exact polynomial in D and r, serves every input state and
-every noise point; the Monte Carlo forms read the same parts on the features of
-psi psi† (:func:`_step_maps`).  The Monte Carlo evaluators sample a duration per
-Evolve step and weight each trajectory by its success probability given its
-durations, summed over the readout branches in closed form, giving an unbiased
-estimate: the process-tomography driver averages the weights, and
-:func:`sequence_probability_mc` thins them, counting a trajectory as alive when
-a uniform draw falls below its weight, so its errors stay binomial.
+independent.  An operator X is read by its 16 real features Tr[P_b X] over
+PAULI_BASIS (:func:`_features`), so X = sum_b features(X)_b P_b / 4 and the
+effect with Tr[E rho] = c . features(rho) is E = sum_b c_b P_b.  Each step is
+written once, as maps on the features (:func:`_step_maps`): a rotation's
+conjugation, a projection's blockade map at r^0 and r^1, an Evolve step's
+exchange pulse at 1, cos 4 tau and sin 4 tau.  The analytic evaluator
+back-propagates the identity's coefficients through the sequence once
+(Heisenberg picture), an Evolve step's cos and sin parts read at its mean time
+and damped by D = exp(-8 gdtau^2).  The result, the sequence's noisy effect as
+an exact polynomial in D and r, serves every input state and every noise point;
+the Monte Carlo forms back-propagate through the same maps.  The Monte Carlo
+evaluators sample a duration per Evolve step and weight each trajectory by its
+success probability given its durations, summed over the readout branches in
+closed form, giving an unbiased estimate: the process-tomography driver
+averages the weights, and :func:`sequence_probability_mc` thins them, counting
+a trajectory as alive when a uniform draw falls below its weight, so its errors
+stay binomial.
 
 No weight propagates a state or draws a branch.  A trajectory's
 weight is the Hermitian form psi† E psi of its starting state, E its
 sequence's noisy effect at the drawn durations: each projection acts as its
 blockade map, the average over its two readout branches.
 :func:`compile_weight_forms` writes each E once per design, as coefficients of
-the 16 real features of psi psi† for each power of r and each product of
+the 16 features of psi psi† for each power of r and each product of
 cos 4 tau and sin 4 tau of its Evolve steps.  Every weight is then linear in
 the products of those monomials with the trajectory's coordinates
 (:class:`TrajectoryFeatures`), with coefficients that are a polynomial in r
@@ -56,8 +59,9 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import EXCHANGE_PARTS, NoiseParams, global_rotation, local_rotation
-from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize, kraus_to_superop, unvec, vec
+from .dynamics import (EXCHANGE_PARTS, SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, NoiseParams, global_rotation,
+                       local_rotation)
+from .qcore import DIM, PROJ_DOWN, PROJ_UP, as_density_array, hermitize, unvec, vec
 
 UP = "up"
 DOWN = "down"
@@ -132,17 +136,6 @@ class MeasureSequence:
         return sum(isinstance(s, Project) for s in self.steps)
 
 
-@functools.lru_cache(maxsize=256)
-def rotation_unitary(step: Rotate) -> np.ndarray:
-    """The ideal unitary of a rotation step, read-only and built once per distinct step."""
-    if step.scope == "global":
-        u = global_rotation(step.axis, step.theta)
-    else:
-        u = local_rotation(step.scope, step.axis, step.theta)
-    u.setflags(write=False)
-    return u
-
-
 def branch_weights(r: float) -> tuple[float, float]:
     """(correct, error) readout branch probabilities, (1+r)/2 and (1-r)/2."""
     if not 0.0 <= r <= 1.0:
@@ -163,24 +156,44 @@ def blockade_map(rho: np.ndarray, declared: str, r: float) -> np.ndarray:
     return correct * keep @ arr @ keep + error * flip @ arr @ flip
 
 
-@functools.lru_cache(maxsize=256)
-def _step_parts(step) -> np.ndarray:
-    """A step as superoperator parts, shape (K, 16, 16), read-only and built once per distinct step.
+#: Pauli product basis P_b, X factor first, a read-only (16, 4, 4) stack; index 0 is the identity.
+PAULI_BASIS = np.array([np.kron(p, q) for p in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
+                        for q in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)])
+PAULI_BASIS.setflags(write=False)
+#: Column b is P_b transposed and raveled, so X.ravel() @ column b is Tr[P_b X].
+_PAULI_READ = PAULI_BASIS.swapaxes(-1, -2).reshape(16, 16).T.copy()
 
-    A rotation u has one, rho -> u rho u†.  A projection has two, the r^0 and r^1 coefficients of
+
+def _features(ops: np.ndarray) -> np.ndarray:
+    """The 16 real features Tr[P_b X] of each Hermitian X of a (..., 4, 4) stack, so that
+    X = sum_b features(X)_b P_b / 4 and an effect E = sum_b c_b P_b has Tr[E X] = c . features(X).
+    For X = psi psi† they read psi† P_b psi."""
+    return (np.reshape(ops, (*np.shape(ops)[:-2], 16)) @ _PAULI_READ).real
+
+
+@functools.lru_cache(maxsize=256)
+def _step_maps(step) -> np.ndarray:
+    """A step as parts S_k on the 16 features, shape (K, 16, 16): features(S_k(X)) = maps[k] @
+    features(X), so on the coefficients c of an effect, Tr[E rho] = c . features(rho), part k acts
+    as c -> c @ maps[k].  Read-only, built once per distinct step.
+
+    A rotation u has one part, X -> u X u†.  A projection has two, the r^0 and r^1 coefficients of
     its :func:`blockade_map`.  An Evolve step of duration tau has EXCHANGE_PARTS, at 1, cos 4 tau
     and sin 4 tau.
     """
+    duals = PAULI_BASIS / 4                          # X = sum_j features(X)_j duals[j]
     if isinstance(step, Evolve):
-        return EXCHANGE_PARTS
-    if isinstance(step, Rotate):
-        parts = np.array([kraus_to_superop([rotation_unitary(step)])])
-    else:       # column j of a superoperator is vec of the image of unvec(e_j)
-        even, full = (vec(np.array([blockade_map(unit, step.declared, r) for unit in unvec(np.eye(DIM * DIM))])).T
-                      for r in (0.0, 1.0))
-        parts = np.array([even, full - even])
-    parts.setflags(write=False)
-    return parts
+        images = unvec(vec(duals) @ EXCHANGE_PARTS.swapaxes(-1, -2))      # [k, j] = S_k(duals[j])
+    elif isinstance(step, Rotate):
+        u = (global_rotation(step.axis, step.theta) if step.scope == "global"
+             else local_rotation(step.scope, step.axis, step.theta))
+        images = (u @ duals @ u.conj().T)[None]
+    else:
+        even, full = (np.array([blockade_map(dual, step.declared, r) for dual in duals]) for r in (0.0, 1.0))
+        images = np.array([even, full - even])
+    maps = np.ascontiguousarray(_features(images).swapaxes(-1, -2))
+    maps.setflags(write=False)
+    return maps
 
 
 def effect_polynomial(seq: MeasureSequence) -> np.ndarray:
@@ -189,26 +202,26 @@ def effect_polynomial(seq: MeasureSequence) -> np.ndarray:
     m counts the Evolve steps and k = seq.n_projections.  Tr[(sum D^c r^j E_cj) rho]
     is the success probability at polarization r and timing noise gdtau (units of 1/g),
     D = exp(-8 gdtau^2); polynomial_value at D, then at r, evaluates it.  Built by one
-    Heisenberg back-propagation of the identity through the adjoints of the steps'
-    :func:`_step_parts`: a projection's r^1 part, and an Evolve step's cos and sin parts at its
-    mean time, move a coefficient up one power of r or of D.  Each coefficient is Hermitian.
+    Heisenberg back-propagation of the identity's features through the steps' :func:`_step_maps`:
+    a projection's r^1 part, and an Evolve step's cos and sin parts at its mean time, move a
+    coefficient up one power of r or of D.  Each coefficient is real on PAULI_BASIS, so each
+    E_cj is exactly Hermitian.
     """
     n_evolves = sum(isinstance(s, Evolve) for s in seq.steps)
-    coeffs = np.zeros((n_evolves + 1, seq.n_projections + 1, DIM, DIM), dtype=complex)
-    coeffs[0, 0] = np.eye(DIM)
+    coeffs = np.zeros((n_evolves + 1, seq.n_projections + 1, 16))
+    coeffs[0, 0, 0] = 1.0                           # Tr[1 rho] = features(rho)_0
     for step in reversed(seq.steps):
-        parts = _step_parts(step)
+        maps = _step_maps(step)
         if isinstance(step, Evolve):
             phase = 4.0 * step.mean_time
-            parts = np.array([parts[0], math.cos(phase) * parts[1] + math.sin(phase) * parts[2]])
-        # Tr[E S(rho)] = Tr[S†(E) rho] and vec(S†(E)) = S^H vec(E): a row vec(E)^T conj(S) per coefficient.
-        images = unvec(vec(coeffs).reshape(-1, DIM * DIM) @ parts.conj()).reshape(len(parts), *coeffs.shape)
+            maps = np.array([maps[0], math.cos(phase) * maps[1] + math.sin(phase) * maps[2]])
+        images = coeffs @ maps[:, None]
         coeffs = images[0]
         if isinstance(step, Project):
             coeffs[:, 1:] += images[1, :, :-1]      # images[1, :, -1] is zero: k projections reach r^k
         elif isinstance(step, Evolve):
             coeffs[1:] += images[1, :-1]            # images[1, -1] is zero: m Evolve steps reach D^m
-    return coeffs
+    return np.tensordot(coeffs, PAULI_BASIS, axes=1)
 
 
 def polynomial_value(coeffs: np.ndarray, r):
@@ -236,10 +249,10 @@ def sequence_probability(seq: MeasureSequence, rho, noise: NoiseParams) -> float
 def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
     """Hermitian effect E with Tr[E rho] = success probability at r = 1, gdtau = 0.
 
-    The value of :func:`effect_polynomial` at r = D = 1, hermitized;
-    satisfies 0 <= E <= 1.
+    The value of :func:`effect_polynomial` at r = D = 1, exactly Hermitian
+    as each coefficient is; satisfies 0 <= E <= 1.
     """
-    return hermitize(effect_polynomial(seq).sum(axis=(0, 1)))
+    return effect_polynomial(seq).sum(axis=(0, 1))
 
 
 # ----------------------------------------------------------------------------
@@ -358,42 +371,6 @@ def sequence_probability_mc(
 # effect at the drawn durations: a polynomial in r, and in (1, cos 4 tau, sin 4 tau) for each Evolve
 # duration tau.  Written over the 16 real features of psi psi†, every weight is one dot product.
 
-#: The pairs a < b of the off-diagonal features.
-_PAIR_A, _PAIR_B = np.triu_indices(DIM, 1)
-
-
-def _features(ops: np.ndarray) -> np.ndarray:
-    """The 16 real features of each Hermitian X of a (..., 4, 4) stack: Re X_aa, then Re X_ba and
-    Im X_ba for each pair a < b.  For X = psi psi† they read |psi_a|^2 and conj(psi_a) psi_b."""
-    pairs = ops[..., _PAIR_B, _PAIR_A]
-    parts = np.stack([pairs.real, pairs.imag], axis=-1).reshape(*pairs.shape[:-1], -1)
-    return np.concatenate([np.diagonal(ops, axis1=-2, axis2=-1).real, parts], axis=-1)
-
-
-def _dual_basis() -> np.ndarray:
-    """H_j with X = sum_j features(X)_j H_j for Hermitian X, so Tr[E X] = sum_j Tr[E H_j] features(X)_j."""
-    basis = np.zeros((16, DIM, DIM), dtype=complex)
-    basis[range(DIM), range(DIM), range(DIM)] = 1.0
-    for p, (a, b) in enumerate(zip(_PAIR_A, _PAIR_B)):
-        basis[DIM + 2 * p, [a, b], [b, a]] = 1.0
-        basis[DIM + 2 * p + 1, [b, a], [a, b]] = 1j, -1j
-    return basis
-
-
-_DUAL = _dual_basis()
-
-
-@functools.lru_cache(maxsize=256)
-def _step_maps(step) -> np.ndarray:
-    """A step's :func:`_step_parts` on the 16 features, shape (K, 16, 16): features(S_k(X)) =
-    maps[k] @ features(X), so on the coefficients c of an effect, Tr[E rho] = c . features(rho),
-    part k acts as c -> c @ maps[k].  Read-only, built once per distinct step."""
-    images = unvec(vec(_DUAL) @ _step_parts(step).swapaxes(-1, -2))      # [k, j] = S_k(H_j)
-    maps = np.ascontiguousarray(_features(images).swapaxes(-1, -2))
-    maps.setflags(write=False)
-    return maps
-
-
 def _evolve_slots(sequences) -> tuple[list, list]:
     """The distinct Evolve slots and, per sequence, the slot of each of its Evolve steps.
 
@@ -417,7 +394,7 @@ def _weight_form(seq: MeasureSequence, slots: list) -> tuple[int, dict]:
     cos 4 tau and (slot, 2) for sin 4 tau, () for 1.  Equal keys merge, so k projections and m
     Evolve steps make at most (k + 1) 3^m terms.
     """
-    terms = {(0, ()): np.trace(_DUAL, axis1=1, axis2=2).real}          # c_k = Tr[1 H_k]
+    terms = {(0, ()): np.eye(16)[0]}                  # Tr[1 rho] = features(rho)_0
     n_evolves = len(slots)
     for i in range(len(seq.steps) - 1, -1, -1):
         step = seq.steps[i]

@@ -149,9 +149,9 @@ EXCHANGE_PARTS.setflags(write=False)
 
 
 def _positive_coupling(g: float) -> float:
-    """g itself; zero, a negative coupling and NaN are rejected."""
-    if not g > 0:
-        raise ValueError("coupling must be positive")
+    """g itself; zero, a negative coupling, an infinite one and NaN are rejected."""
+    if not 0 < g < math.inf:
+        raise ValueError("coupling must be positive and finite")
     return g
 
 

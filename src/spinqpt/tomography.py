@@ -13,11 +13,14 @@ normalization constraint:
 * three single-projection sequences reading the edge-qubit axes directly;
 * three sequences reading the inner-qubit axes after one transfer pulse.
 
-Reconstruction solves the linear system built from the IDEAL effect
-operators.  Readout noise is deliberately not inverted, so reconstructed
-states and the process matrix inherit the (r, gdtau) degradation; at r = 1,
-gdtau = 0 reconstruction is exact.  No positivity repair is applied, raw
-linear-inversion outputs travel as plain arrays.
+Reconstruction is linear inversion with the IDEAL effect operators.  The
+design matrix holds their features over blockade.PAULI_BASIS, plus the trace
+row, and is inverted once, when the design is built; that inverse on the
+Pauli products (TomographyDesign.reconstruction) maps 15 probabilities and
+the trace onto a state.  Readout noise is deliberately not inverted, so
+reconstructed states and the process matrix inherit the (r, gdtau)
+degradation; at r = 1, gdtau = 0 reconstruction is exact.  No positivity
+repair is applied, raw linear-inversion outputs travel as plain arrays.
 
 Process tomography prepares the 16 spanning pure inputs, pushes them through
 the noisy gate and the tomography above, and assembles chi by linearity: one
@@ -63,6 +66,7 @@ import numpy as np
 
 from . import closed_form
 from .blockade import (
+    PAULI_BASIS,
     Evolve,
     MeasureSequence,
     Project,
@@ -83,24 +87,12 @@ from .dynamics import (
     CNOT_GATE_POLYNOMIAL,
     CNOT_PHASE_TIME,
     NoiseParams,
-    SIGMA_I,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     TRANSFER_TIME,
     _positive_coupling,
     dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
 from .qcore import DIM, hermitize, partial_transpose, pure_state, transpose_negativity, unvec, vec
-
-#: Pauli product basis, X factor first; index 0 is the identity.
-PAULI_BASIS = tuple(
-    np.kron(p, q)
-    for p in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
-    for q in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
-)
-_PAULI_STACK = np.array(PAULI_BASIS)
 
 _AXES = ("z", "x", "y")
 
@@ -115,15 +107,18 @@ class DesignRankError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    """Sequences, their ideal effects, the inversion matrix, the reconstructed QPT outputs and the
-    Monte Carlo weight forms.  outputs[c, j, b, i] is the coefficient of D^c r^j d^b in the
-    reconstructed output of the i-th qpt_input_states() input, shape (m+1, k+1, 3, 16, 4, 4) for
-    m the largest Evolve count and k the largest projection count of a sequence.  Two designs
-    compare equal when their sequences do."""
+    """Sequences, their ideal effects, the design matrix, the reconstruction, the reconstructed QPT
+    outputs and the Monte Carlo weight forms.  design_matrix[s, b] is Tr[P_b E_s], row 15 the
+    identity's, and reconstruction[s] = sum_b inv(design_matrix)[b, s] P_b, so 15 probabilities p
+    and the trace 1 reconstruct sum_s p_s reconstruction[s].  outputs[c, j, b, i] is the
+    coefficient of D^c r^j d^b in the reconstructed output of the i-th qpt_input_states() input,
+    shape (m+1, k+1, 3, 16, 4, 4) for m the largest Evolve count and k the largest projection
+    count of a sequence.  Two designs compare equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
+    reconstruction: np.ndarray
     outputs: np.ndarray
     weight_forms: WeightForms
 
@@ -145,13 +140,11 @@ class TomographyDesign:
         shape (k+1, n_features, 256), and chi0, shape (256,), is what the trace row reconstructs.
 
         The 240 probabilities are A(r) z, A the :func:`spinqpt.blockade.feature_coefficients`, and
-        chi is affine in them: reconstruction by the inverse design matrix, then assembly.  A is
-        exact in r, so is L.
+        chi is affine in them: the design's reconstruction, then assembly.  A is exact in r, so is L.
         """
-        inverse = np.linalg.inv(self.design_matrix)
-        coeffs = inverse[:, :-1] @ feature_coefficients(self.weight_forms, _GATE_BASES)   # (k+1, input, pauli, f)
-        outputs = np.moveaxis(np.tensordot(coeffs, _PAULI_STACK, axes=(2, 0)), 2, 1)      # (k+1, f, input, 4, 4)
-        constant = np.tensordot(inverse[:, -1], _PAULI_STACK, axes=1)    # each input's output at zero probabilities
+        coeffs = feature_coefficients(self.weight_forms, _GATE_BASES)        # (k+1, input, seq, f)
+        outputs = np.moveaxis(np.tensordot(coeffs, self.reconstruction[:-1], axes=(2, 0)), 2, 1)
+        constant = self.reconstruction[-1]              # each input's output at zero probabilities
         maps = (assemble_channel_action(outputs).reshape(len(coeffs), -1, DIM**4),
                 assemble_channel_action(np.broadcast_to(constant, _INPUT_STATES.shape)).ravel())
         for array in maps:
@@ -192,9 +185,8 @@ def _inner_sequence(axis: str) -> MeasureSequence:
 
 
 def design_matrix_rows(effects) -> np.ndarray:
-    """Effect operators expanded over the Pauli basis, plus the trace row."""
-    ops = np.concatenate([np.reshape(effects, (-1, DIM, DIM)), [np.eye(DIM)]])
-    return np.einsum("sij,bji->sb", ops, _PAULI_STACK).real.copy()
+    """The features Tr[P_b E] of each effect operator E, plus the trace row, those of the identity."""
+    return _features(np.concatenate([np.reshape(effects, (-1, DIM, DIM)), [np.eye(DIM)]]))
 
 
 def design_from_sequences(sequences) -> TomographyDesign:
@@ -202,30 +194,32 @@ def design_from_sequences(sequences) -> TomographyDesign:
 
     Exactly 15 sequences are required (the trace constraint supplies the 16th
     row), and their ideal effects together with the identity must span the
-    full operator space.  A sequence's ideal effect is its noisy one at r = D = 1, hermitized.
+    full operator space.  A sequence's ideal effect is its noisy one at r = D = 1.
     """
     sequences = tuple(sequences)
     if len(sequences) != 15:
         raise ValueError(f"a design needs exactly 15 sequences, got {len(sequences)}")
     polys = [effect_polynomial(seq) for seq in sequences]
-    effects = tuple(hermitize(poly.sum(axis=(0, 1))) for poly in polys)
+    effects = tuple(poly.sum(axis=(0, 1)) for poly in polys)
     matrix = design_matrix_rows(effects)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
-    outputs = _output_polynomial(polys, matrix)
-    for array in (*effects, matrix, outputs):
+    reconstruction = np.tensordot(np.linalg.inv(matrix), PAULI_BASIS, axes=(0, 0))
+    outputs = _output_polynomial(polys, reconstruction)
+    for array in (*effects, matrix, reconstruction, outputs):
         array.setflags(write=False)
-    return TomographyDesign(sequences, effects, matrix, outputs, compile_weight_forms(sequences))
+    return TomographyDesign(sequences, effects, matrix, reconstruction, outputs, compile_weight_forms(sequences))
 
 
-def _output_polynomial(polys, matrix: np.ndarray) -> np.ndarray:
+def _output_polynomial(polys, reconstruction: np.ndarray) -> np.ndarray:
     """The reconstructed outputs of the 16 QPT inputs as coefficients of D^c r^j d^b.
 
     The gate output is CNOT_GATE_POLYNOMIAL in d, each sequence probability
     is its effect_polynomial in (D, r) read on it, and reconstruction is one
-    solve with every monomial as a right-hand side.  It is affine: the trace
-    row's 1 goes on the constant monomial only.  Shape (m+1, k+1, 3, 16, 4, 4).
+    product with the design's reconstruction, every monomial a column.  It is
+    affine: the trace row's 1 goes on the constant monomial only.  Shape
+    (m+1, k+1, 3, 16, 4, 4).
     """
     effects = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
     for s, poly in enumerate(polys):
@@ -235,8 +229,7 @@ def _output_polynomial(polys, matrix: np.ndarray) -> np.ndarray:
     rhs = np.zeros((16, *effects.shape[:2], 3, 16))
     rhs[:15] = np.moveaxis(probs.reshape(*effects.shape[:3], 3, 16), 2, 0)
     rhs[15, 0, 0, 0] = 1.0
-    coeffs = np.linalg.solve(matrix, rhs.reshape(16, -1))
-    return np.tensordot(coeffs, _PAULI_STACK, axes=(0, 0)).reshape(*rhs.shape[1:], DIM, DIM)
+    return np.tensordot(rhs, reconstruction, axes=(0, 0))
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -267,7 +260,8 @@ def _shipped_design() -> TomographyDesign:
 
 
 def reconstruct_state(probabilities, design: TomographyDesign) -> np.ndarray:
-    """Linear inversion with ideal effects; returns the raw Hermitian solution.
+    """Linear inversion with ideal effects, one product with design.reconstruction; returns the
+    raw Hermitian solution.
 
     probabilities holds one probability per sequence, shape (15,), or a
     column of them per state, shape (15, m); the result is one 4x4 operator
@@ -281,11 +275,7 @@ def reconstruct_state(probabilities, design: TomographyDesign) -> np.ndarray:
             f"expected {design.n_sequences} probabilities per state, got shape {probs.shape}"
         )
     rhs = np.concatenate([probs, np.ones((1,) + probs.shape[1:])])
-    try:
-        coeffs = np.linalg.solve(design.design_matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DesignRankError(int(np.linalg.matrix_rank(design.design_matrix))) from exc
-    return np.tensordot(coeffs, _PAULI_STACK, axes=(0, 0))
+    return np.tensordot(rhs, design.reconstruction, axes=(0, 0))
 
 
 def qpt_input_states() -> dict:

@@ -51,7 +51,6 @@ from spinqpt.blockade import (
     Project,
     blockade_map,
     branch_weights,
-    rotation_unitary,
 )
 from spinqpt.dynamics import (
     CNOT_ENTRY,
@@ -65,6 +64,7 @@ from spinqpt.dynamics import (
     exchange_hamiltonian,
     flipflop_hamiltonian,
     gaussian_averaged_channel,
+    global_rotation,
     local_rotation,
     noisy_cnot_channel,
     term_isolation_unitary,
@@ -79,6 +79,13 @@ from spinqpt.tomography import (
     design_sequences,
     qpt_input_states,
 )
+
+
+def rotation_unitary(step):
+    """The ideal unitary of a rotation step."""
+    if step.scope == "global":
+        return global_rotation(step.axis, step.theta)
+    return local_rotation(step.scope, step.axis, step.theta)
 
 
 def forward_sequence_probability(seq, rho, noise, g=1.0):
@@ -184,12 +191,10 @@ def gate_output_batch(state, n, noise, rng, g=1.0):
 
 
 def state_features(psi):
-    """The 16 real features of psi psi† for each row of psi, one column per row: |psi_a|^2,
-    then the real and the imaginary part of conj(psi_a) psi_b for each pair a < b."""
+    """The 16 real features Tr[P_b psi psi†] = psi† P_b psi of each row of psi, P_b the Pauli
+    products of PAULI_BASIS, one column per row."""
     psi = np.asarray(psi)
-    a, b = np.triu_indices(4, 1)
-    pairs = psi[:, a].conj() * psi[:, b]
-    return np.vstack([np.abs(psi.T) ** 2, np.stack([pairs.real.T, pairs.imag.T], axis=1).reshape(12, -1)])
+    return np.array([np.sum(psi.conj() * (psi @ pauli.T), axis=1).real for pauli in PAULI_BASIS])
 
 
 def replay_weights(psi, seq, noise, rng, durations, g=1.0):

@@ -12,12 +12,15 @@ from spinqpt.blockade import (
     _MC_BLOCK,
     _MC_CHUNK,
     DOWN,
+    PAULI_BASIS,
     Evolve,
     MeasureSequence,
     Project,
     Rotate,
     TrajectoryFeatures,
     UP,
+    _features,
+    _step_maps,
     blockade_map,
     branch_weights,
     compile_weight_forms,
@@ -270,11 +273,12 @@ class TestEffectPolynomial:
         assert abs(np.trace(effect @ rho).real - expected) < 1e-12
         assert abs(sequence_probability(seq, rho, noise) - expected) < 1e-12
 
-    def test_coefficients_are_hermitian(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            coeffs = effect_polynomial(random_sequence(rng))
-            np.testing.assert_allclose(coeffs, coeffs.conj().swapaxes(-1, -2), atol=1e-14)
+    @settings(max_examples=200)
+    @given(seq=sequences())
+    def test_coefficients_are_hermitian(self, seq):
+        # Real coefficients on the Pauli products: exactly Hermitian, == entrywise (0.0 == -0.0).
+        coeffs = effect_polynomial(seq)
+        np.testing.assert_array_equal(coeffs, coeffs.conj().swapaxes(-1, -2))
 
     def test_cubic_in_r_for_three_projections(self):
         # P+ P+ reads the same block twice: the ideal effect is unchanged but
@@ -284,6 +288,34 @@ class TestEffectPolynomial:
         assert coeffs.shape == (2, 4, 4, 4) and np.abs(coeffs[:, 3]).max() > 0.1
         np.testing.assert_allclose(ideal_effect_operator(seq),
                                    ideal_effect_operator(POPULATION_SEQ), atol=1e-14)
+
+
+class TestPauliFeatures:
+    """The one operator basis: features(X)_b = Tr[P_b X], so X = sum_b features(X)_b P_b / 4."""
+
+    def test_basis_reads_four_times_the_identity(self):
+        assert np.array_equal(_features(PAULI_BASIS), 4.0 * np.eye(16))
+
+    @staticmethod
+    def assert_orthogonal_and_unital(step_map):
+        # A unitary channel is orthogonal on the features; it is unital and trace preserving,
+        # so it fixes the identity's row and column.
+        np.testing.assert_allclose(step_map @ step_map.T, np.eye(16), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step_map[0], np.eye(16)[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step_map[:, 0], np.eye(16)[0], rtol=0, atol=1e-14)
+
+    @settings(max_examples=100)
+    @given(step=rotations)
+    def test_rotation_map_is_orthogonal_and_unital(self, step):
+        (step_map,) = _step_maps(step)
+        self.assert_orthogonal_and_unital(step_map)
+
+    @settings(max_examples=100)
+    @given(step=evolves)
+    def test_evolve_map_at_its_mean_time_is_orthogonal_and_unital(self, step):
+        m0, m1, m2 = _step_maps(step)
+        phase = 4.0 * step.mean_time
+        self.assert_orthogonal_and_unital(m0 + math.cos(phase) * m1 + math.sin(phase) * m2)
 
 
 class TestMonteCarlo:

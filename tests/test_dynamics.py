@@ -53,6 +53,10 @@ def zz_exponential(g, t):
     return np.diag(np.exp(-1j * g * t * np.array([1.0, -1.0, -1.0, 1.0])))
 
 
+def term_isolation_at_unit_time(g):
+    return term_isolation_unitary(g, 1.0)
+
+
 class TestExchangeHamiltonian:
     def test_matrix_entries(self):
         g = 0.8
@@ -76,11 +80,13 @@ class TestExchangeHamiltonian:
         with pytest.raises(ValueError):
             exchange_hamiltonian(0.0)
 
-    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan], ids=repr)
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf], ids=repr)
     @pytest.mark.parametrize("build", [exchange_hamiltonian, zz_hamiltonian, flipflop_hamiltonian,
-                                       cnot_unitary], ids=lambda f: f.__name__)
+                                       cnot_unitary, term_isolation_at_unit_time, times_in_picoseconds],
+                             ids=lambda f: f.__name__)
     def test_every_coupling_constructor_rejects_nonpositive_g(self, build, g):
-        with pytest.raises(ValueError, match="^coupling must be positive$"):
+        # An infinite g used to pass: a RuntimeWarning from inf * 0, or a CNOT and 0 ps.
+        with pytest.raises(ValueError, match="^coupling must be positive and finite$"):
             build(g)
 
 

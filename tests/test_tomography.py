@@ -53,6 +53,7 @@ from forward_reference import (
     forward_chi,
     forward_output_negativity,
     forward_pipeline_chi,
+    forward_reconstruct,
     forward_threshold,
     branch_summed_replay,
     gate_output_batch,
@@ -68,6 +69,13 @@ from test_process_matrix import _random_kraus_channel
 @pytest.fixture(scope="module")
 def design():
     return design_sequences()
+
+
+@pytest.fixture(scope="module")
+def designs(design):
+    """The shipped design, one whose noisy effects are cubic in r and one with a prefix group."""
+    return {"shipped": design, "cubic": design_from_sequences(cubic_sequences(design.sequences)),
+            "long": design_from_sequences(long_sequence_sequences())}
 
 
 def random_density(rng):
@@ -123,8 +131,8 @@ class TestDesign:
         # Evolve durations are in units of 1/g, so g is only checked.
         assert design_sequences(2.0) is design_sequences(1) is design_sequences()
         assert not hasattr(design_sequences(), "g")
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="^coupling must be positive$"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^coupling must be positive and finite$"):
                 design_sequences(bad)
 
     def test_cached_design_is_read_only(self):
@@ -210,6 +218,50 @@ class TestReconstruction:
         for k in range(5):
             np.testing.assert_allclose(stack[k], reconstruct_state(probs[:, k], design),
                                        rtol=0, atol=1e-14)
+
+
+class TestOneInverse:
+    """A design is inverted once, when it is built; reconstruct_state, the pipeline outputs and the
+    Monte Carlo map all read its reconstruction."""
+
+    @pytest.mark.parametrize("name", ["shipped", "cubic", "long"])
+    def test_reconstruction_and_outputs_are_exactly_hermitian(self, designs, name):
+        # Real coefficients on the Pauli products: == holds entrywise (0.0 == -0.0).
+        design = designs[name]
+        for array in (design.reconstruction, design.outputs, np.array(design.effects)):
+            np.testing.assert_array_equal(array, array.conj().swapaxes(-1, -2))
+        assert design.reconstruction.shape == (16, 4, 4) and not design.reconstruction.flags.writeable
+
+    def test_design_inverts_once_and_runs_invert_nothing(self, design, monkeypatch):
+        calls = []
+
+        def counted(fname):
+            original = getattr(np.linalg, fname)
+
+            def wrapper(*args, **kwargs):
+                calls.append(fname)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, fname, wrapper)
+        counted("inv")
+        counted("solve")
+        fresh = design_from_sequences(design.sequences)
+        assert calls == ["inv"]
+        calls.clear()
+        noise = NoiseParams(r=0.8, gdtau=0.1)
+        reconstruct_state(np.full(15, 0.5), fresh)
+        reconstruct_state(np.full((15, 3), 0.5), fresh)
+        run_qpt(noise, design=fresh)
+        run_qpt(noise, method="monte_carlo", mc_samples=50, seed=1, design=fresh)    # builds the map as well
+        assert calls == []
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
+    def test_equals_the_solve_based_reconstruction(self, designs, seed, columns):
+        probs = np.random.default_rng(seed).uniform(0.0, 1.0, size=(15, columns))
+        for design in designs.values():
+            stack = reconstruct_state(probs, design)
+            for k in range(columns):
+                np.testing.assert_allclose(stack[k], forward_reconstruct(probs[:, k], design), rtol=0, atol=1e-12)
 
 
 def channel_outputs(channel):
@@ -913,11 +965,6 @@ class TestDesignPolynomial:
 
 class TestMonteCarloMap:
     """The design's Monte Carlo map (L, chi0): chi = chi0 + mean(z) @ L(r), L as coefficients of r^j."""
-
-    @pytest.fixture(scope="class")
-    def designs(self, design):
-        return {"shipped": design, "cubic": design_from_sequences(cubic_sequences(design.sequences)),
-                "long": design_from_sequences(long_sequence_sequences())}
 
     @pytest.mark.parametrize("name,degree", [("shipped", 2), ("cubic", 3), ("long", 2)])
     def test_equals_reconstruction_of_the_weight_coefficients(self, designs, name, degree):
