@@ -28,8 +28,9 @@ Local rotations and Hadamards are treated as noise free.
 With one singlet and one triplet level, a pulse of duration tau is
 EXCHANGE_PARTS weighted by (1, cos 4 tau, sin 4 tau), so no eigenbasis of
 exchange is computed.  The noisy CNOT's program expands once over its two
-durations (_GATE_TERMS): its average is CNOT_GATE_POLYNOMIAL and a sampled
-gate is CNOT_GATE_COORDS weighted by seven trigonometric coordinates.
+durations (_GATE_TERMS): a sampled gate is CNOT_GATE_COORDS weighted by seven
+trigonometric coordinates, and its average, CNOT_GATE_POLYNOMIAL, the same
+weighted by their mean CNOT_COORD_MEAN, a quadratic in d.
 
 The noisy engine (NoiseParams, EXCHANGE_PARTS, noisy_cnot_channel) works in
 units of 1/g and sees the dispersion only as gdtau; the Hamiltonians, the gate
@@ -61,8 +62,8 @@ CNOT_TARGET = np.array(
 )
 CNOT_TARGET.setflags(write=False)
 
-# Reduced Planck constant in eV s, used only by the picosecond reporting helper.
-_HBAR_EV_S = 6.582119569e-16
+# Reduced Planck constant in meV ps, used only by the picosecond reporting helper.
+_HBAR_MEV_PS = 0.6582119569
 
 
 #: From this g*delta_tau on the timing noise dephases fully: d and every damping factor are 0.
@@ -292,25 +293,6 @@ def gaussian_averaged_channel(hamiltonian: np.ndarray, tau0: float, delta_tau: f
 _GATE_TERMS = (_EXIT @ _FLIP_X @ EXCHANGE_PARTS)[None] @ (_FLIP_X @ EXCHANGE_PARTS @ _ENTRY)[:, None]
 _GATE_TERMS.setflags(write=False)
 
-
-def _cnot_gate_polynomial() -> np.ndarray:
-    """The averaged CNOT as coefficients G_b of d^b, shape (3, 16, 16): G0 + d G1 + d^2 G2.
-
-    Each pulse's duration is Normal(m, gdtau/2) with m = CNOT_PHASE_TIME / 2, independently, so
-    its (1, cos 4s, sin 4s) averages to (1, d cos 4m, d sin 4m) and the gate to _GATE_TERMS read at
-    those means, expanded in d.
-    """
-    phase = 2.0 * CNOT_PHASE_TIME
-    mean = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(phase), math.sin(phase)]])   # at d^0, d^1
-    terms = np.einsum("aj,bk,jkxy->abxy", mean, mean, _GATE_TERMS)
-    gate = np.array([terms[0, 0], terms[0, 1] + terms[1, 0], terms[1, 1]])
-    gate.setflags(write=False)
-    return gate
-
-
-#: The averaged CNOT superoperator as an exact polynomial in d, built once; see _cnot_gate_polynomial.
-CNOT_GATE_POLYNOMIAL = _cnot_gate_polynomial()
-
 #: A sampled noisy CNOT as superoperators weighted by its seven coordinates, with a_k = 4 s_k for the
 #: pulse durations s_1, s_2: 1, cos a1, sin a1, cos a2, sin a2, cos(a1 - a2) and sin(a1 - a2).
 #: cos(a1 + a2) and sin(a1 + a2) would carry _GATE_TERMS[1, 1] - _GATE_TERMS[2, 2] and
@@ -320,13 +302,27 @@ CNOT_GATE_COORDS = np.array([_GATE_TERMS[0, 0], _GATE_TERMS[1, 0], _GATE_TERMS[2
                              (_GATE_TERMS[2, 1] - _GATE_TERMS[1, 2]) / 2])
 CNOT_GATE_COORDS.setflags(write=False)
 
+#: The mean of a sampled gate's seven coordinates as coefficients of d^b, shape (3, 7): each pulse's
+#: phase a_k = 4 s_k is Normal(2 CNOT_PHASE_TIME, 2 gdtau), so cos a_k and sin a_k average to d times
+#: their value at the mean, cos(a1 - a2) to d^2 and sin(a1 - a2) to 0.
+CNOT_COORD_MEAN = np.zeros((3, 7))
+CNOT_COORD_MEAN[0, 0] = CNOT_COORD_MEAN[2, 5] = 1.0
+CNOT_COORD_MEAN[1, 1:5] = 2 * [math.cos(2.0 * CNOT_PHASE_TIME), math.sin(2.0 * CNOT_PHASE_TIME)]
+CNOT_COORD_MEAN.setflags(write=False)
+
+#: The averaged CNOT superoperator G0 + d G1 + d^2 G2 as coefficients of d^b, shape (3, 16, 16): the
+#: sampled gate at its mean coordinates.  Read-only.
+CNOT_GATE_POLYNOMIAL = np.tensordot(CNOT_COORD_MEAN, CNOT_GATE_COORDS, axes=1)
+CNOT_GATE_POLYNOMIAL.setflags(write=False)
+
 
 def noisy_cnot_channel(noise: NoiseParams) -> QuantumChannel:
     """Averaged CNOT under Gaussian timing noise of the exchange pulses, in units of 1/g.
 
     The gate's pulse program (_GATE_TERMS) averaged over its two independent
     durations, each of mean CNOT_PHASE_TIME / 2 and dispersion gdtau/2: the
-    quadratic CNOT_GATE_POLYNOMIAL in d = noise.dephasing, evaluated here.
+    sampled gate at its mean coordinates, the quadratic CNOT_GATE_POLYNOMIAL
+    in d = noise.dephasing, evaluated here.
 
     Rotations and Hadamards are ideal.  gdtau = 0 gives the ideal CNOT
     conjugation to rounding.
@@ -342,8 +338,7 @@ def times_in_picoseconds(g_mev: float) -> dict:
     Purely cosmetic (the engine works in units of 1/g); a 1 meV coupling puts
     the full spin-transfer time pi/4g near half a picosecond.
     """
-    inv_g_seconds = _HBAR_EV_S / (_positive_coupling(g_mev) * 1e-3)
-    ps = inv_g_seconds * 1e12
+    ps = _HBAR_MEV_PS / _positive_coupling(g_mev)        # 1/g; inf for a subnormal coupling
     return {
         "tau0_cnot_ps": CNOT_PHASE_TIME * ps,
         "tau0_tomo_ps": TRANSFER_TIME * ps,

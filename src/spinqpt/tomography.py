@@ -25,35 +25,39 @@ repair is applied, raw linear-inversion outputs travel as plain arrays.
 Process tomography prepares the 16 spanning pure inputs, pushes them through
 the noisy gate and the tomography above, and assembles chi by linearity: one
 constant 16 x 16 matrix of exact weights maps the 16 reconstructed outputs
-onto chi.  The analytic route is built once per design: the averaged gate
-is an exact quadratic in d = exp(-2 gdtau^2), each noisy effect an exact
-polynomial in D = d^4 and r, and reconstruction is affine, so the design
-carries the 16 reconstructed outputs as coefficients of D^c r^j d^b.  A
-noise point evaluates that polynomial and assembles chi; it builds no gate
-channel and solves nothing.  A Monte Carlo mode replaces
-every analytic sequence probability with a sampled estimate, the mean
-weight of its trajectories: a trajectory's success probability given its
-sampled gate and Evolve durations, the readout branches summed over in
-closed form.  A trajectory is one realization of the noisy gate and of the
-pulse timings, shared by all 16 inputs and 15 sequences, so the 240
-estimates are correlated; their full covariance is propagated exactly
-through the same two linear maps.  The seed spawns two children, the first
-for the gate and the second for the Evolve durations.  No trajectory state
-is built: the features of a sampled gate output are dynamics.CNOT_GATE_COORDS
-applied to its input, weighted by seven trigonometric functions of the two
-pulse durations (:func:`_mc_gate_coords`), every weight is
-linear in their products with the duration monomials, and only the sums
-and the Gram matrix of those products are kept (see
-:class:`spinqpt.blockade.TrajectoryFeatures`).  Their coefficients, the
-reconstruction and the assembly do not depend on the draws, so the design
-carries chi per unit of each product as a polynomial in r, built on first
-use (TomographyDesign.monte_carlo_map): a run draws, accumulates and
-evaluates it.
+onto chi.  Reconstruction is affine in the 16 x 15 probabilities, so chi is
+the design's chi0, what the trace row reconstructs, plus one linear map of
+them, reconstruction then assembly, applied once per design to a table of
+probabilities (:func:`_chi_map`).  The analytic route reads it on the exact
+probabilities: the averaged gate is an exact quadratic in
+d = exp(-2 gdtau^2) and each noisy effect an exact polynomial in D = d^4 and
+r, so the design carries chi's share of them as coefficients of D^c r^j d^b
+(TomographyDesign.pipeline_map).  A noise point evaluates that polynomial
+and adds chi0; it builds no gate channel, solves and assembles nothing.  A
+Monte Carlo mode replaces every analytic sequence probability with a sampled
+estimate, the mean weight of its trajectories: a trajectory's success
+probability given its sampled gate and Evolve durations, the readout
+branches summed over in closed form.  A trajectory is one realization of the
+noisy gate and of the pulse timings, shared by all 16 inputs and 15
+sequences, so the 240 estimates are correlated; their full covariance is
+propagated exactly through the same two linear maps.  The seed spawns two
+children, the first for the gate and the second for the Evolve durations.
+No trajectory state is built: the features of a sampled gate output are
+dynamics.CNOT_GATE_COORDS applied to its input, weighted by seven
+trigonometric functions of the two pulse durations
+(:func:`_mc_gate_coords`), every weight is linear in their products with the
+duration monomials, and only the sums and the Gram matrix of those products
+are kept (see :class:`spinqpt.blockade.TrajectoryFeatures`).  Their
+coefficients do not depend on the draws, so the same map applied to them
+gives chi per unit of each product as a polynomial in r, built on first use
+(TomographyDesign.monte_carlo_map): a run draws, accumulates and evaluates
+it, and adds chi0.
 
-The entanglement threshold reads the same polynomial: its input is one of
-the 16 QPT inputs, so at gdtau the reconstructed output is a polynomial in r
-whose coefficients are partial-transposed once, and each point of the search
-costs one 4x4 polynomial evaluation and one 4x4 eigenvalue problem.
+The entanglement threshold reads the pipeline map too: its input is one of
+the 16 QPT inputs, so at gdtau chi applied to it is the reconstructed
+output, a polynomial in r whose coefficients are partial-transposed once,
+and each point of the search costs one 4x4 polynomial evaluation and one
+4x4 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ from .dynamics import (
     _positive_coupling,
     dephasing_factor,
 )
-from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix
-from .qcore import DIM, hermitize, partial_transpose, pure_state, transpose_negativity, unvec, vec
+from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix, chi_index
+from .qcore import DIM, hermitize, pure_state, transpose_negativity, unvec, vec
 
 _AXES = ("z", "x", "y")
 
@@ -107,19 +111,21 @@ class DesignRankError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    """Sequences, their ideal effects, the design matrix, the reconstruction, the reconstructed QPT
-    outputs and the Monte Carlo weight forms.  design_matrix[s, b] is Tr[P_b E_s], row 15 the
-    identity's, and reconstruction[s] = sum_b inv(design_matrix)[b, s] P_b, so 15 probabilities p
-    and the trace 1 reconstruct sum_s p_s reconstruction[s].  outputs[c, j, b, i] is the
-    coefficient of D^c r^j d^b in the reconstructed output of the i-th qpt_input_states() input,
-    shape (m+1, k+1, 3, 16, 4, 4) for m the largest Evolve count and k the largest projection
-    count of a sequence.  Two designs compare equal when their sequences do."""
+    """Sequences, their ideal effects, the design matrix, the reconstruction, the maps to chi and the
+    Monte Carlo weight forms.  design_matrix[s, b] is Tr[P_b E_s], row 15 the identity's, and
+    reconstruction[s] = sum_b inv(design_matrix)[b, s] P_b, so 15 probabilities p and the trace 1
+    reconstruct sum_s p_s reconstruction[s].  A QPT's raveled chi is chi0, the trace row's share,
+    plus :func:`_chi_map` of its 16 x 15 probabilities: pipeline_map[c, j, b] is the coefficient of
+    D^c r^j d^b of that share for the analytic probabilities, shape (m+1, k+1, 3, 256) for m the
+    largest Evolve count and k the largest projection count of a sequence, and monte_carlo_map the
+    share of the trajectory features.  Two designs compare equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
     design_matrix: np.ndarray
     reconstruction: np.ndarray
-    outputs: np.ndarray
+    chi0: np.ndarray
+    pipeline_map: np.ndarray
     weight_forms: WeightForms
 
     def __eq__(self, other):
@@ -133,23 +139,15 @@ class TomographyDesign:
         return len(self.sequences)
 
     @functools.cached_property
-    def monte_carlo_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, chi0), read-only, built on first use: a Monte Carlo QPT whose trajectory features
+    def monte_carlo_map(self) -> np.ndarray:
+        """L, read-only, built on first use: a Monte Carlo QPT whose trajectory features
         (:class:`spinqpt.blockade.TrajectoryFeatures` on the gate bases) have mean z gives the
         raveled chi0 + z @ L(r).  L is raveled chi per unit of each feature as coefficients of r^j,
-        shape (k+1, n_features, 256), and chi0, shape (256,), is what the trace row reconstructs.
-
-        The 240 probabilities are A(r) z, A the :func:`spinqpt.blockade.feature_coefficients`, and
-        chi is affine in them: the design's reconstruction, then assembly.  A is exact in r, so is L.
+        shape (k+1, n_features, 256): the probabilities are A(r) z, A the
+        :func:`spinqpt.blockade.feature_coefficients`, exact in r, and so is L.
         """
         coeffs = feature_coefficients(self.weight_forms, _GATE_BASES)        # (k+1, input, seq, f)
-        outputs = np.moveaxis(np.tensordot(coeffs, self.reconstruction[:-1], axes=(2, 0)), 2, 1)
-        constant = self.reconstruction[-1]              # each input's output at zero probabilities
-        maps = (assemble_channel_action(outputs).reshape(len(coeffs), -1, DIM**4),
-                assemble_channel_action(np.broadcast_to(constant, _INPUT_STATES.shape)).ravel())
-        for array in maps:
-            array.setflags(write=False)
-        return maps
+        return _chi_map(np.moveaxis(coeffs, -1, 1), self.reconstruction)
 
 
 def _axis_prerotation(scope: str, axis: str) -> tuple:
@@ -206,30 +204,27 @@ def design_from_sequences(sequences) -> TomographyDesign:
     if rank != 16:
         raise DesignRankError(rank)
     reconstruction = np.tensordot(np.linalg.inv(matrix), PAULI_BASIS, axes=(0, 0))
-    outputs = _output_polynomial(polys, reconstruction)
-    for array in (*effects, matrix, reconstruction, outputs):
-        array.setflags(write=False)
-    return TomographyDesign(sequences, effects, matrix, reconstruction, outputs, compile_weight_forms(sequences))
-
-
-def _output_polynomial(polys, reconstruction: np.ndarray) -> np.ndarray:
-    """The reconstructed outputs of the 16 QPT inputs as coefficients of D^c r^j d^b.
-
-    The gate output is CNOT_GATE_POLYNOMIAL in d, each sequence probability
-    is its effect_polynomial in (D, r) read on it, and reconstruction is one
-    product with the design's reconstruction, every monomial a column.  It is
-    affine: the trace row's 1 goes on the constant monomial only.  Shape
-    (m+1, k+1, 3, 16, 4, 4).
-    """
-    effects = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM, DIM), dtype=complex)
+    # chi0 assembles each input's output at zero probabilities; the table reads each effect on the gate.
+    chi0 = assemble_channel_action(np.broadcast_to(reconstruction[15], _INPUT_STATES.shape)).ravel()
+    reads = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM * DIM), dtype=complex)
     for s, poly in enumerate(polys):
-        effects[: len(poly), : poly.shape[1], s] = poly
-    gate_vecs = (vec(_INPUT_STATES) @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)).reshape(-1, DIM * DIM)
-    probs = (effects.reshape(-1, DIM * DIM) @ gate_vecs.T).real   # Tr[E rho] = E.ravel() @ vec(rho)
-    rhs = np.zeros((16, *effects.shape[:2], 3, 16))
-    rhs[:15] = np.moveaxis(probs.reshape(*effects.shape[:3], 3, 16), 2, 0)
-    rhs[15, 0, 0, 0] = 1.0
-    return np.tensordot(rhs, reconstruction, axes=(0, 0))
+        reads[: len(poly), : poly.shape[1], s] = poly.reshape(*poly.shape[:2], -1)
+    gate_vecs = vec(_INPUT_STATES) @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)          # (3, input, 16)
+    table = (gate_vecs @ reads[:, :, None].swapaxes(-1, -2)).real      # Tr[E rho] = E.ravel() @ vec(rho)
+    for array in (*effects, matrix, reconstruction, chi0):
+        array.setflags(write=False)
+    return TomographyDesign(sequences, effects, matrix, reconstruction, chi0,
+                            _chi_map(table, reconstruction), compile_weight_forms(sequences))
+
+
+def _chi_map(table, reconstruction: np.ndarray) -> np.ndarray:
+    """The raveled chi of the probabilities of a (..., 16 inputs, 15 sequences) table, read-only, shape
+    (..., 256): each input's 15 probabilities reconstructed, without the trace row's share (chi0), and
+    the 16 outputs assembled.  Linear, so a table of coefficients gives chi's coefficients."""
+    chi = assemble_channel_action(np.tensordot(table, reconstruction[:15], axes=1))
+    chi = chi.reshape(*chi.shape[:-2], DIM**4)
+    chi.setflags(write=False)
+    return chi
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -367,10 +362,10 @@ def run_qpt(
 ) -> ProcessMatrix:
     """Process matrix of the noisy CNOT by one of three routes.
 
-    pipeline      the design's reconstructed outputs, exact polynomials in
-                  D = d^4, r and d = noise.dephasing built with the design,
-                  evaluated at the noise point; chi follows by linearity.
-                  No gate channel is built and nothing is solved;
+    pipeline      chi0 plus the design's pipeline_map, an exact polynomial
+                  in D = d^4, r and d = noise.dephasing built with the
+                  design, evaluated at the noise point.  No gate channel is
+                  built and nothing is solved or assembled;
     closed_form   evaluate the explicit block expressions directly;
     monte_carlo   like pipeline but every probability is a sampled estimate,
                   the mean weight of mc_samples trajectories (an integer of
@@ -395,8 +390,8 @@ def run_qpt(
         design = design_sequences()
     if method == "pipeline":
         d = noise.dephasing
-        outputs = polynomial_value(polynomial_value(polynomial_value(design.outputs, d ** 4), noise.r), d)
-        return ProcessMatrix(chi=assemble_channel_action(outputs))
+        share = polynomial_value(polynomial_value(polynomial_value(design.pipeline_map, d ** 4), noise.r), d)
+        return ProcessMatrix(chi=(design.chi0 + share).reshape(16, 16))
     seed = _whole_number(seed, "seed", 0)
     # SeedSequence(seed).spawn(2)[0] feeds the gate and [1] the Evolve durations, built
     # directly from their spawn keys.
@@ -406,9 +401,8 @@ def run_qpt(
     mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
                                  noise, mc_samples)
     # chi moves by lin[f] per unit of feature f, and each entry's variance is diag(lin^H cov lin).
-    mc_map, chi0 = design.monte_carlo_map
-    lin = polynomial_value(mc_map, noise.r)
-    chi = (chi0 + mean @ lin).reshape(16, 16)
+    lin = polynomial_value(design.monte_carlo_map, noise.r)
+    chi = (design.chi0 + mean @ lin).reshape(16, 16)
     if not noise.sampled_gdtau:
         # Every trajectory is the same; a prefix row's rounding still varies across them.
         return ProcessMatrix(chi=chi, stderr=np.zeros((16, 16)))
@@ -423,7 +417,11 @@ def run_qpt(
 #: QPT input of the entanglement experiment, ("+", 0, 2): (|up> + |down>)_X / sqrt2 on X, |up> on A.
 _ENTANGLEMENT_LABEL = ("+", 0, 2)
 ENTANGLEMENT_INPUT = qpt_input_states()[_ENTANGLEMENT_LABEL]
-_ENTANGLEMENT_INDEX = list(qpt_input_states()).index(_ENTANGLEMENT_LABEL)
+#: Its entries in CHI_ORDER, which chi's columns weigh; and the position in CHI_ORDER of the entry
+#: (x a', x' a) that the partial transpose on A puts at (m, n) = (x a, x' a'), m = 2x + a, n = 2x' + a'.
+_ENTANGLEMENT_CHI = vec(ENTANGLEMENT_INPUT)[CHI_PERM]
+_TRANSPOSE_GRID = np.array([[chi_index(m - m % 2 + n % 2, n - n % 2 + m % 2) for n in range(DIM)]
+                            for m in range(DIM)])
 
 _NEGATIVITY_EPS = 1e-10
 
@@ -445,14 +443,18 @@ class ThresholdResult:
 
 def _transpose_polynomial(gdtau: float, design: TomographyDesign) -> np.ndarray:
     """The hermitized partial transpose of the reconstructed gate output as coefficients of r^j,
-    shape (k + 1, 4, 4): the design's outputs of ENTANGLEMENT_INPUT evaluated at D and d.
+    shape (k + 1, 4, 4): the design's pipeline chi applied to ENTANGLEMENT_INPUT, evaluated at D and d.
 
     The averaged gate does not depend on r, and the partial transpose and hermitize are linear,
     so both are taken once per coefficient.
     """
     d = dephasing_factor(gdtau)
-    output = polynomial_value(design.outputs[:, :, :, _ENTANGLEMENT_INDEX], d ** 4)   # (k+1, 3, 4, 4)
-    return hermitize(partial_transpose(polynomial_value(output.swapaxes(0, 1), d), "A"))
+    pipeline_map = design.pipeline_map
+    rows = pipeline_map.reshape(*pipeline_map.shape[:-1], 16, 16) @ _ENTANGLEMENT_CHI     # (m+1, k+1, 3, 16)
+    rows = polynomial_value(polynomial_value(rows, d ** 4).swapaxes(0, 1), d)
+    rows[0] += design.chi0.reshape(16, 16) @ _ENTANGLEMENT_CHI
+    # take, unlike rows[:, _TRANSPOSE_GRID], returns C order, which every evaluation in the search reads faster.
+    return hermitize(np.take(rows, _TRANSPOSE_GRID, axis=-1))
 
 
 def reconstructed_output_negativity(
@@ -463,7 +465,7 @@ def reconstructed_output_negativity(
     The superposition input ENTANGLEMENT_INPUT goes through the averaged noisy
     CNOT, is read by the 15 sequences at readout polarization r and
     reconstructed by raw linear inversion; the result is tested with the
-    partial transpose.  All of that is read off the design's outputs.  This is
+    partial transpose.  All of that is read off the design's pipeline map.  This is
     one point of the polynomial :func:`entanglement_threshold` searches.
     """
     if not 0.0 <= r <= 1.0:

@@ -354,6 +354,7 @@ class TestUsageErrors:
         ("bogus-command",),
         ("qpt", "--g-mev", "1e-310"),           # pulse times overflow to inf
         ("ideal-check", "--g-mev", "1e-320"),
+        ("qpt", "--g-mev", "5e-324"),            # subnormal: its pulse times overflow too
         ("qpt", "--method", "exact"),
         ("qpt", "--samples", "1e3"),
         ("qpt", "--seed", "1.5"),

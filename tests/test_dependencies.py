@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency, and its eigensolvers run at four pinned sites.
+"""numpy is the package's only runtime dependency, its eigensolvers run at four pinned sites, and
+the design's inverse and the assembly of chi run only where a design's maps are built.
 
 sympy and scipy may produce committed test data, but src/ imports nothing
 outside the standard library except numpy.
@@ -56,3 +57,38 @@ def test_eigensolvers_run_only_where_no_closed_form_exists():
     sites = sorted(site for path in SRC.glob("*.py") for site in eigensolver_sites(path))
     assert sites == ["blockade.sample_initial_states", "dynamics._hermitian_eigh", "qcore.is_cptp",
                      "qcore.transpose_negativity"]
+
+
+#: The design's inverse, the assembly of chi from the 16 QPT outputs, and the one tail through both.
+_TAIL_NAMES = ("inv", "assemble_channel_action", "_chi_map")
+
+
+def tail_sites(path):
+    """(module.[Class.]function, name) for every call of a _TAIL_NAMES function in a source file."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _TAIL_NAMES:
+                    sites.append((scope, name))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_chi_is_assembled_only_where_a_design_map_is_built():
+    # The design build inverts the design matrix, assembles chi0 and builds the pipeline map; the
+    # Monte Carlo map's first build runs the same tail.  No QPT run, threshold or CLI path does.
+    sites = sorted(site for path in SRC.glob("*.py") for site in tail_sites(path))
+    assert sites == [("tomography.TomographyDesign.monte_carlo_map", "_chi_map"),
+                     ("tomography._chi_map", "assemble_channel_action"),
+                     ("tomography.design_from_sequences", "_chi_map"),
+                     ("tomography.design_from_sequences", "assemble_channel_action"),
+                     ("tomography.design_from_sequences", "inv")]

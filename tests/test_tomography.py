@@ -64,6 +64,7 @@ from forward_reference import (
     weight_coefficients,
 )
 from test_process_matrix import _random_kraus_channel
+import exact_tables
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,9 @@ class TestDesign:
         with pytest.raises(ValueError, match="read-only"):
             design.design_matrix[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
-            design.outputs[0, 0, 0, 0, 0, 0] = 0.5
+            design.pipeline_map[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            design.chi0[0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             design.weight_forms.groups[0].coeffs[0, 0, 0, 0] = 0.5
         assert design_sequences(1.0).effects[0][0, 0] == 1.0
@@ -221,16 +224,20 @@ class TestReconstruction:
 
 
 class TestOneInverse:
-    """A design is inverted once, when it is built; reconstruct_state, the pipeline outputs and the
+    """A design is inverted once, when it is built; reconstruct_state, chi0, the pipeline map and the
     Monte Carlo map all read its reconstruction."""
 
     @pytest.mark.parametrize("name", ["shipped", "cubic", "long"])
     def test_reconstruction_and_outputs_are_exactly_hermitian(self, designs, name):
-        # Real coefficients on the Pauli products: == holds entrywise (0.0 == -0.0).
+        # Real coefficients on the Pauli products: == holds entrywise (0.0 == -0.0).  Each map to chi
+        # assembles them with conjugate weights, so every coefficient is an exactly Hermitian chi.
         design = designs[name]
-        for array in (design.reconstruction, design.outputs, np.array(design.effects)):
+        for array in (design.reconstruction, np.array(design.effects)):
             np.testing.assert_array_equal(array, array.conj().swapaxes(-1, -2))
         assert design.reconstruction.shape == (16, 4, 4) and not design.reconstruction.flags.writeable
+        for chi_map in (design.chi0, design.pipeline_map, design.monte_carlo_map):
+            defects = [hermiticity_defect(chi) for chi in chi_map.reshape(-1, 16, 16)]
+            assert defects == [0.0] * len(defects)
 
     def test_design_inverts_once_and_runs_invert_nothing(self, design, monkeypatch):
         calls = []
@@ -927,7 +934,7 @@ class TestCubicDesign:
 
 
 class TestDesignPolynomial:
-    """The outputs tensor against the per-point route it replaces, over random noise points."""
+    """The pipeline map against the per-point route it replaces, over random noise points."""
 
     @pytest.fixture(scope="class")
     def designs(self, design):
@@ -938,7 +945,7 @@ class TestDesignPolynomial:
         design = designs[name]
         evolves = max(sum(isinstance(step, Evolve) for step in seq.steps) for seq in design.sequences)
         projections = max(seq.n_projections for seq in design.sequences)
-        assert design.outputs.shape == (evolves + 1, projections + 1, 3, 16, 4, 4)
+        assert design.pipeline_map.shape == (evolves + 1, projections + 1, 3, 256)
         assert projections == r_degree and evolves == 1
 
     @settings(max_examples=40)
@@ -963,8 +970,44 @@ class TestDesignPolynomial:
         assert abs(reconstructed_output_negativity(r, gdtau, design) - expected) < 1e-15
 
 
+class TestExactTables:
+    """The shipped design's tensors are integers over 16 (tests/exact_tables.py writes the tables)."""
+
+    @pytest.mark.parametrize("name", ["pipeline_map", "chi0", "reconstruction", "cnot_gate_polynomial"])
+    def test_engine_arrays_are_the_integer_tables(self, name):
+        array, table = exact_tables.engine_arrays()[name], exact_tables.load()[name]
+        assert np.array_equal(table, np.round(table))
+        np.testing.assert_allclose(array, table / exact_tables.SCALE, rtol=0, atol=1e-15)
+
+
+def paper_fidelity(r, gdtau):
+    """The pipeline's process fidelity as a polynomial with dyadic coefficients in r, d and D = d^4."""
+    d = math.exp(-2.0 * gdtau**2)
+    return (1 / 16 + r * (1 / 32 + 3 * d / 16 + d * d / 16) + r * r * (1 / 8 + d / 8 + d * d / 32)
+            + d**4 * (r * (1 / 32 + d / 16) + r * r * (1 / 8 + d / 8 + d * d / 32)))
+
+
+class TestPaperFidelity:
+    """The fidelity of the pipeline's chi to the ideal CNOT, the quantity of the paper's headline."""
+
+    @settings(max_examples=200)
+    @given(r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 3.0))
+    @example(r=1.0, gdtau=0.0)
+    def test_pipeline_fidelity_is_the_polynomial(self, design, r, gdtau):
+        fidelity = process_fidelity(run_qpt(NoiseParams(r=r, gdtau=gdtau), "pipeline", design=design),
+                                    ideal_cnot_chi())
+        assert abs(fidelity - paper_fidelity(r, gdtau)) <= 1e-15
+
+    @pytest.mark.parametrize("r,paper", [(0.6, 0.49), (0.8, 0.7225)])
+    def test_paper_values_without_timing_noise(self, design, r, paper):
+        # At gdtau = 0 the polynomial is ((1 + 3r) / 4)^2; the paper quotes 0.49 and 0.72.
+        assert abs(paper_fidelity(r, 0.0) - paper) <= 1e-15
+        fidelity = process_fidelity(run_qpt(NoiseParams(r=r), "pipeline", design=design), ideal_cnot_chi())
+        assert abs(fidelity - paper) <= 1e-15
+
+
 class TestMonteCarloMap:
-    """The design's Monte Carlo map (L, chi0): chi = chi0 + mean(z) @ L(r), L as coefficients of r^j."""
+    """The design's Monte Carlo map L: chi = chi0 + mean(z) @ L(r), L as coefficients of r^j."""
 
     @pytest.mark.parametrize("name,degree", [("shipped", 2), ("cubic", 3), ("long", 2)])
     def test_equals_reconstruction_of_the_weight_coefficients(self, designs, name, degree):
@@ -972,8 +1015,8 @@ class TestMonteCarloMap:
         # assembled by the forward reference; chi0 is the table of zeros.  The long sequence's
         # projections run in its prefix, at r, so that design's map stays quadratic.
         design = designs[name]
-        mc_map, chi0 = design.monte_carlo_map
-        assert design.monte_carlo_map[0] is mc_map and mc_map.shape[0] == degree + 1
+        mc_map, chi0 = design.monte_carlo_map, design.chi0
+        assert design.monte_carlo_map is mc_map and mc_map.shape[0] == degree + 1
         assert not mc_map.flags.writeable and not chi0.flags.writeable
         zero = forward_chi(np.zeros((15, 16)), design)
         np.testing.assert_allclose(chi0, zero.ravel(), rtol=0, atol=1e-14)
@@ -993,15 +1036,15 @@ class TestMonteCarloMap:
         design = designs[name]
         noise = NoiseParams(r=r, gdtau=gdtau)
         mean = mean_trajectory_features(design.weight_forms, noise)
-        mc_map, chi0 = design.monte_carlo_map
-        chi = chi0 + mean @ blockade.polynomial_value(mc_map, r)
+        chi = design.chi0 + mean @ blockade.polynomial_value(design.monte_carlo_map, r)
         pipeline = run_qpt(noise, method="pipeline", design=design).chi
         np.testing.assert_allclose(chi.reshape(16, 16), pipeline, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["shipped", "long"])
     def test_a_run_inverts_solves_and_assembles_nothing(self, designs, name, monkeypatch):
         # Once the design's map exists, a Monte Carlo QPT draws, accumulates the feature moments
-        # and evaluates that polynomial; only a prefix group runs an einsum, per block.
+        # and evaluates that polynomial; only a prefix group runs an einsum, per block.  A pipeline
+        # QPT only evaluates the pipeline map.
         design = designs[name]
         design.monte_carlo_map                      # built before the counting starts
         calls = []
@@ -1017,6 +1060,8 @@ class TestMonteCarloMap:
                               (tomography, "reconstruct_state"), (tomography, "assemble_channel_action")):
             counted(module, fname)
         noise = NoiseParams(r=0.8, gdtau=0.2)
+        assert np.isfinite(run_qpt(noise, method="pipeline", design=design).chi).all()
+        assert calls == []
         result = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=5, design=design)
         assert np.isfinite(result.chi).all()
         assert [c for c in calls if c != "einsum"] == []
