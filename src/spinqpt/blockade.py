@@ -302,18 +302,18 @@ def propagate_sequence_samples(
     """Thin one batch of trajectories through a sequence; return their weights and alive.
 
     psi is (n, 4), one starting state per row, read and never written.  rng draws one
-    Normal(mean_time, noise.sampled_gdtau) row of n durations per Evolve step, in step order, then
-    n uniforms u.  weights[k] is trajectory k's success probability given its durations, its
-    sequence's weight form at its state (:class:`TrajectoryFeatures` and
-    :func:`feature_coefficients` on a state batch, _MC_BLOCK rows at a time), and alive is
-    u < weights.  So each trajectory is alive with probability the sequence's success
-    probability, independently of the others.
+    Normal(mean_time, noise.sampled_gdtau) row of n durations per Evolve slot of the sequence's
+    forms, in slot order (for one sequence, its Evolve steps in step order), then n uniforms u.
+    weights[k] is trajectory k's success probability given its durations, its sequence's weight
+    form at its state (:class:`TrajectoryFeatures` and :func:`feature_coefficients` on a state
+    batch, _MC_BLOCK rows at a time), and alive is u < weights.  So each trajectory is alive with
+    probability the sequence's success probability, independently of the others.
     """
     n = psi.shape[0]
-    durations = np.reshape([rng.normal(step.mean_time, noise.sampled_gdtau, size=n)
-                            for step in seq.steps if isinstance(step, Evolve)], (-1, n))
-    u = rng.random(n)
     forms = compile_weight_forms((seq,))
+    durations = np.reshape([rng.normal(time, noise.sampled_gdtau, size=n) for time in forms.slot_times],
+                           (-1, n))
+    u = rng.random(n)
     features = TrajectoryFeatures(forms, noise, _STATE_BASIS)
     coefficients = polynomial_value(feature_coefficients(forms, _STATE_BASIS)[:, 0, 0], noise.r)
     weights = np.empty(n)

@@ -83,9 +83,9 @@ def _float_table(table: np.ndarray, inner: str) -> str:
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
-    A 2-D float64 array and a list of equal-width rows of floats are written
-    as a table by one format; other arrays are refused and everything else
-    recurses value by value.
+    A 2-D float64 array, the one table type, is written by one format; other
+    arrays are refused and everything else, lists of rows included, recurses
+    value by value.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -106,11 +106,6 @@ def canonical_json(value, indent: int = 0) -> str:
         for key in sorted(value):
             items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)) and value:
-        width = len(value[0]) if isinstance(value[0], (list, tuple)) else 0
-        if width and all(isinstance(row, (list, tuple)) and len(row) == width
-                         and all(type(x) is float for x in row) for row in value):
-            value = np.array(value)
     if isinstance(value, np.ndarray):
         if value.ndim != 2 or value.dtype != np.float64:
             raise TypeError(f"cannot serialize a {value.ndim}-D {value.dtype} array")
@@ -214,7 +209,7 @@ def _load_design(args) -> "tomography.TomographyDesign | None":
     if args.design_file is None:
         return None
     try:
-        with open(args.design_file, encoding="utf-8") as fh:
+        with open(args.design_file, encoding="utf-8-sig") as fh:
             return tomography.design_from_sequences(parse_sequences(fh.read()))
     except ValueError as exc:       # also a file that is not UTF-8 text
         _usage_error(f"{args.design_file}: {exc}")
@@ -310,7 +305,7 @@ def cmd_entanglement_threshold(args) -> int:
         "r_star": result.r_star,
         "bracket_history": result.bracket_history,
         "curve": result.curve,
-        "endpoints": {"r0": result.curve[0][1], "r1": result.curve[-1][1]},
+        "endpoints": {"r0": float(result.curve[0, 1]), "r1": float(result.curve[-1, 1])},
         "message": result.message,
         "seed": args.seed,
         "method": "pipeline",

@@ -431,13 +431,13 @@ _SWEEP_GRID = np.linspace(0.0, 1.0, THRESHOLD_SWEEP_STEPS + 1)
 _SWEEP_GRID.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdResult:
-    """Outcome of the polarization threshold search."""
+    """Outcome of the polarization threshold search; curve and bracket_history are read-only float64."""
 
     r_star: float | None
-    bracket_history: tuple
-    curve: tuple                 # sampled (r, negativity) pairs, r from 0 to 1
+    bracket_history: np.ndarray  # (steps, 2): the bisection's (lo, hi) brackets, (0, 2) if none
+    curve: np.ndarray            # (65, 2): the sweep's (r, negativity) rows, r from 0 to 1
     message: str
 
 
@@ -493,18 +493,17 @@ def entanglement_threshold(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     poly = _transpose_polynomial(gdtau, design)
-    grid = _SWEEP_GRID
-    values = transpose_negativity(np.moveaxis(polynomial_value(poly, grid), -1, 0)).tolist()
-    curve = tuple(zip(grid.tolist(), values))
-    entangled = [v > _NEGATIVITY_EPS for v in values]
+    negativities = transpose_negativity(np.moveaxis(polynomial_value(poly, _SWEEP_GRID), -1, 0))
+    curve = np.column_stack((_SWEEP_GRID, negativities))
+    entangled = negativities > _NEGATIVITY_EPS
     history = []
     if entangled[0]:
         r_star, message = 0.0, "entangled over the whole polarization range"
-    elif not any(entangled):
+    elif not entangled.any():
         r_star, message = None, "no threshold: reconstructed output never entangled"
     else:
-        first = entangled.index(True)
-        lo, hi = float(grid[first - 1]), float(grid[first])
+        first = int(entangled.argmax())
+        lo, hi = float(_SWEEP_GRID[first - 1]), float(_SWEEP_GRID[first])
         history.append((lo, hi))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -516,5 +515,6 @@ def entanglement_threshold(
                 lo = mid
             history.append((lo, hi))
         r_star, message = hi, "threshold located"
-    return ThresholdResult(r_star=r_star, bracket_history=tuple(history), curve=curve,
-                           message=message)
+    history = np.reshape(history, (-1, 2))
+    curve.flags.writeable = history.flags.writeable = False
+    return ThresholdResult(r_star=r_star, bracket_history=history, curve=curve, message=message)

@@ -1,9 +1,9 @@
 """Reference serializer: the value-by-value recursive ``canonical_json``.
 
-``spinqpt.cli.canonical_json`` writes each table of floats (a 2-D float64
-array, a list of equal-width rows of floats, or one row) with a single ``%``
-format; this is the plain recursion it replaced, kept verbatim so the tests
-can check that both write the same text.
+``spinqpt.cli.canonical_json`` writes a 2-D float64 array, its one table
+type, with a single ``%`` format and recurses through everything else; this
+is the plain recursion it replaced, kept verbatim so the tests can check
+that both write the same text, for arrays and lists of rows alike.
 """
 
 import json

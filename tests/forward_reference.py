@@ -23,7 +23,11 @@ design whose first sequence has a form with a prefix.
 ``weight_coefficients`` folds the input bases into the weight forms at one
 ``r`` and ``mean_trajectory_features`` gives the exact mean of the
 trajectory features, so the Monte Carlo map ``TomographyDesign.monte_carlo_map`` can
-be checked against ``forward_chi`` without sampling.
+be checked against ``forward_chi`` without sampling.  ``trajectory_feature_series``
+writes the same features as finite Fourier series in their Gaussian phases, so
+``trajectory_feature_covariance`` gives their covariance and
+``quadratic_form_moments`` the fourth moments behind the spread of a reported
+Monte Carlo variance exactly, the oracle for ``stderr``.
 ``exchange_coherence`` is the singlet-triplet part of an averaged exchange
 pulse at its mean time, the part ``EXCHANGE_PARTS`` weights by cos and sin
 of the phase.  ``split_cnot_channel`` averages the same gate a second way,
@@ -39,6 +43,7 @@ that g, with durations mean_time / g and dispersion noise.gdtau / g, so
 comparing them with the engine at g != 1 tests that only g*delta_tau matters.
 """
 
+import functools
 import itertools
 import math
 
@@ -322,6 +327,119 @@ def mean_trajectory_features(forms, noise):
                 value *= math.exp(-8.0 * sigma**2) * (math.cos(phase) if kind == 1 else math.sin(phase))
             means.append(value * gate)
     return np.concatenate(means)
+
+
+# A trigonometric series over v variables is a complex coefficient array whose last v axes run over
+# the frequencies -K..K of each variable, the middle index frequency 0.  1, cos x and sin x of one
+# variable, over the frequencies -1, 0, 1:
+_ONE = np.array([0.0, 1.0, 0.0], dtype=complex)
+_COS = np.array([0.5, 0.0, 0.5], dtype=complex)           # (e^{-ix} + e^{ix}) / 2
+_SIN = np.array([0.5j, 0.0, -0.5j], dtype=complex)        # (e^{ix} - e^{-ix}) / 2i
+
+
+def series_product(f, g, nvars):
+    """The product of two series over nvars variables: the convolution of their last nvars axes,
+    the leading axes broadcast."""
+    f_box, g_box = f.shape[f.ndim - nvars:], g.shape[g.ndim - nvars:]
+    batch = np.broadcast_shapes(f.shape[:f.ndim - nvars], g.shape[:g.ndim - nvars])
+    out = np.zeros(batch + tuple(a + b - 1 for a, b in zip(f_box, g_box)), dtype=complex)
+    for index in np.ndindex(*g_box):
+        window = tuple(slice(i, i + n) for i, n in zip(index, f_box))
+        out[(Ellipsis, *window)] += f * g[(Ellipsis, *index)].reshape(g.shape[:g.ndim - nvars] + (1,) * nvars)
+    return out
+
+
+def gaussian_mean(series, means, widths):
+    """E[series] for independent variables x_j ~ Normal(means[j], widths[j]), one per trailing axis:
+    each term c_k e^{i k.x} has the mean c_k e^{i k.mu - sum_j k_j^2 widths_j^2 / 2}."""
+    weights = np.ones((), dtype=complex)
+    for size, mean, width in zip(series.shape[series.ndim - len(means):], means, widths):
+        k = np.arange(size) - size // 2
+        weights = np.multiply.outer(weights, np.exp(1j * k * mean - 0.5 * (k * width) ** 2))
+    return np.tensordot(series, weights, axes=len(means))
+
+
+def feature_variables(forms, noise):
+    """(means, widths) of the variables the trajectory features are series in: the phase 4 tau of
+    each Evolve slot, tau ~ Normal(slot time, sigma), then a1 and a2, a_k = 4 s_k with the pulse
+    duration s_k ~ Normal(CNOT_PHASE_TIME / 2, sigma / 2); sigma is noise.sampled_gdtau."""
+    sigma = noise.sampled_gdtau
+    means = [4.0 * time for time in forms.slot_times] + [2.0 * CNOT_PHASE_TIME] * 2
+    return means, [4.0 * sigma] * len(forms.slot_times) + [2.0 * sigma] * 2
+
+
+def _monomial_series(forms):
+    """The duration monomials of forms without a prefix group, group by group, as series over the
+    slot phases: a monomial holds at most one factor cos or sin per slot, so each is an outer product."""
+    rows = []
+    for group in forms.groups:
+        if group.prefix:
+            raise ValueError("a prefix group's features are not linear in the duration monomials")
+        for monomial in group.monomials:
+            factors = [_ONE] * len(forms.slot_times)
+            for slot, kind in monomial:
+                factors[slot] = _COS if kind == 1 else _SIN
+            rows.append(functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex)))
+    return np.array(rows)
+
+
+def _gate_coordinate_series():
+    """The seven gate coordinates 1, cos a1, sin a1, cos a2, sin a2, cos(a1 - a2), sin(a1 - a2)
+    as series over (a1, a2), shape (7, 3, 3)."""
+    difference = np.zeros((2, 3, 3), dtype=complex)          # cos and sin of a1 - a2
+    difference[:, 2, 0] = 0.5, -0.5j                # at e^{i(a1 - a2)}: a1 at frequency 1, a2 at -1
+    difference[:, 0, 2] = 0.5, 0.5j                 # at e^{-i(a1 - a2)}
+    single = [np.multiply.outer(_ONE, _ONE), np.multiply.outer(_COS, _ONE), np.multiply.outer(_SIN, _ONE),
+              np.multiply.outer(_ONE, _COS), np.multiply.outer(_ONE, _SIN)]
+    return np.concatenate([single, difference])
+
+
+def trajectory_feature_series(forms):
+    """The trajectory features z of forms without a prefix group on the gate bases, as series over
+    the variables of :func:`feature_variables`: a duration monomial times a gate coordinate,
+    monomial-major, so z = monomials (x) coordinates.  Shape (n_features, 3, ..., 3)."""
+    return np.concatenate([[np.multiply.outer(m, c) for c in _gate_coordinate_series()]
+                           for m in _monomial_series(forms)])
+
+
+def trajectory_feature_covariance(forms, noise):
+    """Cov z, the exact covariance of one trajectory's features for forms without a prefix group.
+
+    The durations and the gate pulses are drawn independently, so with z = m (x) c, monomials m
+    and gate coordinates c, E[z z^T] = E[m m^T] (x) E[c c^T] and E[z] = E[m] (x) E[c].  Each
+    product of two series is a finite series, whose mean :func:`gaussian_mean` gives exactly.
+    """
+    means, widths = feature_variables(forms, noise)
+    k = len(forms.slot_times)
+
+    def moments(series, nvars, var_means, var_widths):
+        second = series_product(series[:, None], series[None], nvars)
+        return (gaussian_mean(series, var_means, var_widths).real,
+                gaussian_mean(second, var_means, var_widths).real)
+
+    m_mean, m_second = moments(_monomial_series(forms), k, means[:k], widths[:k])
+    c_mean, c_second = moments(_gate_coordinate_series(), 2, means[k:], widths[k:])
+    mean = np.kron(m_mean, c_mean)
+    return np.kron(m_second, c_second) - np.outer(mean, mean)
+
+
+def quadratic_form_moments(forms, noise, weights):
+    """E[Q] and E[Q^2] of Q = sum_k |(z - E z) @ weights[:, j, k]|^2 for each j, z the trajectory
+    features of forms without a prefix group and weights complex, shape (n_features, J, K).
+
+    Each y = z @ w is a series, and so are its deviation x = y - E y, |x|^2 = x conj(x) (conj(x)
+    has the conjugate coefficients at the negated frequencies) and Q^2: four factors of the
+    features, whose means are exact.  E[Q] is w^H Cov z w summed over k.
+    """
+    means, widths = feature_variables(forms, noise)
+    nvars = len(means)
+    deviations = np.tensordot(np.moveaxis(weights, 0, -1), trajectory_feature_series(forms), axes=1)
+    center = (Ellipsis,) + (1,) * nvars
+    deviations[center] -= gaussian_mean(deviations, means, widths)
+    flipped = deviations.conj()[(Ellipsis,) + (slice(None, None, -1),) * nvars]
+    squares = series_product(deviations, flipped, nvars).sum(axis=1)
+    return (gaussian_mean(squares, means, widths).real,
+            gaussian_mean(series_product(squares, squares, nvars), means, widths).real)
 
 
 def exchange_coherence(mean_time):

@@ -328,6 +328,24 @@ class TestEntanglementThreshold:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestDesignFileEncoding:
+    @pytest.mark.parametrize("argv", [
+        ("qpt", "--method", "pipeline", "--r", "0.8", "--gdtau", "0.1"),
+        ("entanglement-threshold", "--gdtau", "0.1"),
+    ], ids=["qpt", "entanglement-threshold"])
+    def test_byte_order_mark_is_read_as_the_plain_file(self, tmp_path, argv):
+        # A UTF-8 byte-order mark, as some editors save one, is not part of the first line.
+        text = format_sequences(design_sequences(1.0).sequences)
+        reports = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            design, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            design.write_text(text, encoding=encoding)
+            assert run_cli(*argv, "--design-file", str(design), "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert (tmp_path / "bom.txt").read_bytes() == b"\xef\xbb\xbf" + (tmp_path / "plain.txt").read_bytes()
+        assert reports[0] == reports[1]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("fidelity-sweep", "--gdtau-values", "nan"),

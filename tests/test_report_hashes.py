@@ -1,10 +1,12 @@
-"""Every report of report_hashes.ARGVS is byte-identical to the golden file."""
+"""Every report of report_hashes.ARGVS is byte-identical to the golden file, and writes its
+tables, 2-D float64 arrays, through the serializer's one table path."""
 
 import json
 
 import pytest
 
 import report_hashes
+from spinqpt import cli
 
 GOLDEN = json.loads(report_hashes.GOLDEN.read_text(encoding="utf-8"))
 
@@ -16,3 +18,19 @@ def test_golden_file_covers_the_argv_list():
 @pytest.mark.parametrize("argv", report_hashes.ARGVS, ids=report_hashes.key)
 def test_report_bytes_unchanged(tmp_path, argv):
     assert report_hashes.report_sha256(argv, tmp_path) == GOLDEN[report_hashes.key(argv)]
+
+
+#: Most floats a report may format one at a time through cli._fmt_float: its scalars.  A table of
+#: floats handed to the serializer as anything but a 2-D float64 array would go through it value by
+#: value, the threshold's 65-row curve alone through 130 calls.
+MAX_SCALAR_FLOATS = 16
+
+
+@pytest.mark.parametrize("argv", report_hashes.ARGVS, ids=report_hashes.key)
+def test_tables_take_the_array_path(tmp_path, monkeypatch, argv):
+    calls = []
+    fmt_float = cli._fmt_float
+    monkeypatch.setattr(cli, "_fmt_float", lambda x: calls.append(x) or fmt_float(x))
+    report_hashes.report_sha256(argv, tmp_path)
+    csv = argv[0] == "fidelity-sweep" and "json" not in argv        # CSV rows never reach it
+    assert len(calls) == 0 if csv else 0 < len(calls) <= MAX_SCALAR_FLOATS

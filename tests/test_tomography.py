@@ -15,8 +15,11 @@ from spinqpt.blockade import (
     Project,
     Rotate,
     UP,
+    PAULI_BASIS,
+    effect_polynomial,
     format_sequences,
     parse_sequences,
+    polynomial_value,
     sequence_probability,
 )
 from spinqpt.closed_form import chi_closed_form, chi_element_1111
@@ -32,6 +35,7 @@ from spinqpt.process_matrix import (
 from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, hermitize, negativity, pure_state
 from spinqpt.cli import main
 from spinqpt.tomography import (
+    DEFAULT_MC_SAMPLES,
     DesignRankError,
     ENTANGLEMENT_INPUT,
     TRANSFER_TIME,
@@ -54,13 +58,19 @@ from forward_reference import (
     forward_output_negativity,
     forward_pipeline_chi,
     forward_reconstruct,
+    forward_sequence_probability,
     forward_threshold,
     branch_summed_replay,
+    feature_variables,
     gate_output_batch,
+    gaussian_mean,
     long_sequence_sequences,
     mean_trajectory_features,
+    quadratic_form_moments,
     sample_cnot_unitary,
     state_features,
+    trajectory_feature_covariance,
+    trajectory_feature_series,
     weight_coefficients,
 )
 from test_process_matrix import _random_kraus_channel
@@ -794,7 +804,7 @@ class TestEntanglementThreshold:
         assert result.r_star is not None
         assert abs(result.r_star - 1.0 / math.sqrt(3.0)) < 1e-3
         assert 0.557 <= result.r_star <= 0.597
-        assert result.bracket_history
+        assert len(result.bracket_history)
 
     def test_full_polarization_gives_bell_negativity(self, design):
         assert reconstructed_output_negativity(1.0, 0.0, design) == pytest.approx(0.5, abs=1e-10)
@@ -880,8 +890,16 @@ class TestForwardReferenceEquivalence:
         result = entanglement_threshold(design, gdtau=gdtau, tol=1e-3)
         r_star, history, curve = forward_threshold(design, gdtau, tol=1e-3)
         assert result.r_star == r_star
-        assert result.bracket_history == history
+        assert np.array_equal(result.bracket_history, history)
         np.testing.assert_allclose(result.curve, curve, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gdtau", [0.0, 0.1, 1.7e308])
+    def test_threshold_tables_are_read_only_float64_arrays(self, design, gdtau):
+        # The sweep's bracket and the 8 halvings that take its width 1/64 below tol = 1e-4.
+        result = entanglement_threshold(design, gdtau=gdtau, tol=1e-4)
+        for table, shape in ((result.curve, (65, 2)), (result.bracket_history, (1 + 8, 2))):
+            assert table.shape == shape and table.dtype == np.float64
+            assert not table.flags.writeable
 
 
 def cubic_sequences(sequences):
@@ -1006,6 +1024,30 @@ class TestPaperFidelity:
         assert abs(fidelity - paper) <= 1e-15
 
 
+class TestReadoutCorrectedReconstruction:
+    """Reconstruction with the noisy effects' design matrix M(r, D) in place of the ideal one: the
+    readout and Evolve noise cancel and the gate's own chi is left.  M comes from effect_polynomial,
+    the probabilities from the forward reference, so the identity ties effect_polynomial, the
+    design and the averaged gate together."""
+
+    @settings(max_examples=30)
+    @given(name=st.sampled_from(["shipped", "cubic", "long"]), r=st.floats(0.05, 1.0),
+           gdtau=st.floats(0.0, 3.0))
+    @example(name="shipped", r=0.05, gdtau=1.0)         # cond(M) ~ 1.1e4: r = 0.05 is the worst conditioned
+    def test_noisy_inverse_gives_the_gate_chi(self, designs, name, r, gdtau):
+        design = designs[name]
+        noise = NoiseParams(r=r, gdtau=gdtau)
+        effects = [polynomial_value(polynomial_value(effect_polynomial(seq), noise.dephasing ** 4), r)
+                   for seq in design.sequences]
+        channel = noisy_cnot_channel(noise)
+        outputs = [apply_channel(channel, rho) for rho in qpt_input_states().values()]
+        probs = [[forward_sequence_probability(seq, rho, noise) for rho in outputs] for seq in design.sequences]
+        # Column i holds the Pauli coefficients of output i: M @ coefficients = (probabilities, trace).
+        coefficients = np.linalg.inv(design_matrix_rows(effects)) @ np.vstack([probs, np.ones(16)])
+        chi = assemble_channel_action(np.tensordot(coefficients.T, PAULI_BASIS, axes=1))
+        assert np.max(np.abs(chi - chi_of_channel(channel).chi)) < 1e-12
+
+
 class TestMonteCarloMap:
     """The design's Monte Carlo map L: chi = chi0 + mean(z) @ L(r), L as coefficients of r^j."""
 
@@ -1066,3 +1108,48 @@ class TestMonteCarloMap:
         assert np.isfinite(result.chi).all()
         assert [c for c in calls if c != "einsum"] == []
         assert calls.count("einsum") == (0 if name == "shipped" else 16)
+
+
+class TestExactMonteCarloCovariance:
+    """The Monte Carlo stderr against the exact covariance of the trajectory features, a finite
+    Fourier expansion (forward_reference.trajectory_feature_covariance).  The designs have no
+    prefix group, whose features are not linear in the duration monomials: the replay tests cover it."""
+
+    #: Standard deviations of its estimator by which a reported variance may miss its exact mean.
+    #: The estimator averages n = 20,000 independent bounded trajectories, so it is close to normal:
+    #: 5 of them leave a two-sided tail of 5.7e-7 per check, under 4.4e-4 over the 3 x 257 below.
+    BAND = 5.0
+
+    @pytest.mark.parametrize("name", ["shipped", "cubic"])
+    @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (0.5, 1.0), (1.0, 1e300)])
+    def test_expansion_mean_is_the_closed_form_mean(self, designs, name, r, gdtau):
+        forms = designs[name].weight_forms
+        noise = NoiseParams(r=r, gdtau=gdtau)
+        mean = gaussian_mean(trajectory_feature_series(forms), *feature_variables(forms, noise))
+        np.testing.assert_allclose(mean, mean_trajectory_features(forms, noise), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["shipped", "cubic"])
+    @pytest.mark.parametrize("r", [0.3, 1.0])
+    def test_no_timing_noise_no_covariance(self, designs, name, r):
+        cov = trajectory_feature_covariance(designs[name].weight_forms, NoiseParams(r=r))
+        assert np.max(np.abs(cov)) < 1e-15
+
+    @pytest.mark.parametrize("r,gdtau,rms", [(0.8, 0.1, 3.9830e-4), (1.0, 0.3, 1.2586e-3), (0.8, 1.0, 1.2944e-3)])
+    def test_reported_stderr_within_the_spread_of_its_estimator(self, design, r, gdtau, rms):
+        noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
+        n, forms = DEFAULT_MC_SAMPLES, design.weight_forms
+        lin = polynomial_value(design.monte_carlo_map, r)                  # chi per unit of each feature
+        cov = trajectory_feature_covariance(forms, noise)
+        variance = np.sum((cov @ lin) * lin.conj(), axis=0).real          # of one trajectory's chi, per entry
+        # The exact rms stderr; a 60-point Gauss-Hermite quadrature of the covariance gives the same.
+        assert math.sqrt(variance.mean() / n) == pytest.approx(rms, rel=1e-4)
+        # Q = |(z - E z) . l|^2 for each entry's column l, and summed over the entries.
+        (q, q2), (total, total2) = (quadratic_form_moments(forms, noise, weights)
+                                    for weights in (lin[:, :, None], lin[:, None, :]))
+        np.testing.assert_allclose(q, variance, rtol=0, atol=1e-14)
+        reported = run_qpt(noise, method="monte_carlo", mc_samples=n, seed=0, design=design).stderr.ravel() ** 2
+        # A reported variance is mean(|y - mean(y)|^2) / n over the n draws of y = z . l: its mean
+        # is (n - 1) E[Q] / n^2 and its variance (E[Q^2] - E[Q]^2) / n^3 up to a relative O(1/n).
+        for got, mean_q, mean_q2 in ((reported, q, q2), (reported.sum(), total, total2)):
+            spread = np.sqrt((mean_q2 - mean_q**2) / n**3)
+            assert np.all(np.abs(got - (n - 1) * mean_q / n**2) < self.BAND * spread)
