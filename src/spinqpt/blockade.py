@@ -41,11 +41,12 @@ sequence's noisy effect at the drawn durations: each projection acts as its
 blockade map, the average over its two readout branches.
 :func:`compile_weight_forms` writes each E once per design, as coefficients of
 the 16 features of psi psi† for each power of r and each product of
-cos 4 tau and sin 4 tau of its Evolve steps.  Every weight is then linear in
-the products of those monomials with the trajectory's coordinates
-(:class:`TrajectoryFeatures`), with coefficients that are a polynomial in r
-built once per design (:func:`feature_coefficients`), so the estimator keeps
-only their sums and Gram matrix (:func:`_feature_moments`).
+cos 4 tau and sin 4 tau of its Evolve steps, or past two Evolve steps as a step
+group, which each trajectory back-propagates through all of its steps.  Every
+weight is then linear in the trajectory's features (:class:`TrajectoryFeatures`),
+with coefficients that are a polynomial in r built once per design
+(:func:`feature_coefficients`), so the estimator keeps only their sums and Gram
+matrix (:func:`_feature_moments`).
 """
 
 from __future__ import annotations
@@ -263,9 +264,9 @@ _MC_CHUNK = 250_000
 #: Trajectories of a chunk whose features are evaluated and summed together; bounds the (features, rows) array.
 _MC_BLOCK = 4096
 #: Most monomials a weight form keeps, the 16 reals of one effect (r is folded in before a form is
-#: evaluated, so a form costs its monomials); the steps before an Evolve step that would exceed it
-#: run on each trajectory's features instead.
+#: evaluated, so a form costs its monomials); m Evolve steps make 3^m, at most _FORM_EVOLVES keep one.
 _FORM_TERMS = 16
+_FORM_EVOLVES = max(m for m in range(_FORM_TERMS) if 3 ** m <= _FORM_TERMS)
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ def propagate_sequence_samples(
     n = psi.shape[0]
     forms = compile_weight_forms((seq,))
     durations = np.reshape([rng.normal(time, noise.sampled_gdtau, size=n) for time in forms.slot_times],
-                           (-1, n))
+                           (len(forms.slot_times), n))
     u = rng.random(n)
     features = TrajectoryFeatures(forms, noise, _STATE_BASIS)
     coefficients = polynomial_value(feature_coefficients(forms, _STATE_BASIS)[:, 0, 0], noise.r)
@@ -372,7 +373,8 @@ def sequence_probability_mc(
 # duration tau.  Written over the 16 real features of psi psi†, every weight is one dot product.
 
 def _evolve_slots(sequences) -> tuple[list, list]:
-    """The distinct Evolve slots and, per sequence, the slot of each of its Evolve steps.
+    """The distinct Evolve slots and, per sequence, the slot of each of its steps, None for a step
+    that is not an Evolve step.
 
     A slot is (mean_time, k) for the k-th Evolve step of a sequence; slots are listed in
     order of first appearance.  Two steps of one sequence never share a slot.
@@ -380,54 +382,54 @@ def _evolve_slots(sequences) -> tuple[list, list]:
     slots: dict = {}
     members = []
     for seq in sequences:
-        times = [step.mean_time for step in seq.steps if isinstance(step, Evolve)]
-        members.append([slots.setdefault(key, len(slots)) for key in zip(times, itertools.count())])
+        evolves = itertools.count()
+        members.append([slots.setdefault((step.mean_time, next(evolves)), len(slots)) if isinstance(step, Evolve)
+                        else None for step in seq.steps])
     return [time for time, _ in slots], members
 
 
-def _weight_form(seq: MeasureSequence, slots: list) -> tuple[int, dict]:
-    """(cut, terms): the sequence's weight as a form of the trajectory state after steps[:cut].
+def _weight_form(seq: MeasureSequence, slots: list) -> dict:
+    """The sequence's weight as a form of the trajectory state, for at most _FORM_EVOLVES Evolve steps.
 
-    Back-propagates the identity through the steps, the last first, until the next Evolve step would
-    give the form more than _FORM_TERMS monomials; cut is 0 if none does.  terms maps (power,
+    Back-propagates the identity through the steps, the last first.  The result maps (power,
     monomial) to the 16 coefficients of r^power times the monomial, a sorted tuple of (slot, 1) for
     cos 4 tau and (slot, 2) for sin 4 tau, () for 1.  Equal keys merge, so k projections and m
     Evolve steps make at most (k + 1) 3^m terms.
     """
     terms = {(0, ()): np.eye(16)[0]}                  # Tr[1 rho] = features(rho)_0
-    n_evolves = len(slots)
-    for i in range(len(seq.steps) - 1, -1, -1):
-        step = seq.steps[i]
-        if isinstance(step, Evolve):
-            if 3 * len({monomial for _, monomial in terms}) > _FORM_TERMS:
-                return i + 1, terms
-            n_evolves -= 1
+    for step, slot in zip(reversed(seq.steps), reversed(slots)):
         split: dict = {}
         for (power, monomial), coeffs in terms.items():
             for k, step_map in enumerate(_step_maps(step)):
                 if isinstance(step, Project):
                     key = (power + k, monomial)
                 else:
-                    key = (power, tuple(sorted(monomial + ((slots[n_evolves], k),))) if k else monomial)
+                    key = (power, tuple(sorted(monomial + ((slot, k),))) if k else monomial)
                 split[key] = split.get(key, 0.0) + coeffs @ step_map
         terms = split
-    return 0, terms
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
 class _FormGroup:
-    """Sequences whose weights share one set of monomials.
+    """Sequences whose weights share one set of monomials, each of at most _FORM_EVOLVES Evolve steps.
 
-    coeffs[j, m, :, col] holds the coefficients of r^j times monomial m of member col.  A group with
-    a prefix has one member and runs the prefix's steps on the trajectory features first, each as
-    (maps, slot): slot None for a rotation (one map) or a projection (the r^0 and r^1 parts of its
-    map), the Evolve slot for an Evolve step (its three maps).
+    coeffs[j, m, :, col] holds the coefficients of r^j times monomial m of member col.
     """
 
     members: tuple
-    prefix: tuple
     monomials: tuple
     coeffs: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _StepGroup:
+    """One sequence of more than _FORM_EVOLVES Evolve steps, each step in order as (maps, slot): its
+    :func:`_step_maps`, and slot None for a rotation or a projection, the Evolve slot for an Evolve step.
+    """
+
+    members: tuple
+    steps: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,33 +450,29 @@ class WeightForms:
 def compile_weight_forms(sequences) -> WeightForms:
     """The weight forms of the sequences, built with a design and shared by all its runs.
 
-    The sequences whose forms start at the trajectory state make one group, the first, over the
+    The sequences of at most _FORM_EVOLVES Evolve steps make one form group, the first, over the
     union of their monomials (the shipped design's 15, over 1, cos 4 tau and sin 4 tau).  Each
-    sequence whose form starts later is a group of its own.
+    longer sequence is a step group of its own.
     """
-    slot_times, seq_slots = _evolve_slots(sequences)
-    forms = [_weight_form(seq, slots) for seq, slots in zip(sequences, seq_slots)]
-    shared = [s for s, (cut, _) in enumerate(forms) if not cut]
-    groups = [shared] + [[s] for s, (cut, _) in enumerate(forms) if cut]
-    return WeightForms(tuple(slot_times),
-                       tuple(_form_group(members, forms, sequences, seq_slots) for members in groups if members))
+    slot_times, step_slots = _evolve_slots(sequences)
+    shared = [s for s, slots in enumerate(step_slots) if len(slots) - slots.count(None) <= _FORM_EVOLVES]
+    groups = [_form_group(shared, [_weight_form(sequences[s], step_slots[s]) for s in shared])] if shared else []
+    groups += [_StepGroup((s,), tuple(zip(map(_step_maps, sequences[s].steps), slots)))
+               for s, slots in enumerate(step_slots) if s not in shared]
+    return WeightForms(tuple(slot_times), tuple(groups))
 
 
-def _form_group(members, forms, sequences, seq_slots) -> _FormGroup:
-    """The group of the given sequences over the union of their monomials, from their (cut, terms) forms."""
-    monomials = sorted({monomial for s in members for _, monomial in forms[s][1]}, key=lambda m: (len(m), m))
+def _form_group(members, forms) -> _FormGroup:
+    """The form group of the given sequences over the union of their monomials, from their forms."""
+    monomials = sorted({monomial for form in forms for _, monomial in form}, key=lambda m: (len(m), m))
     index = {monomial: m for m, monomial in enumerate(monomials)}
-    n_powers = 1 + max(power for s in members for power, _ in forms[s][1])
+    n_powers = 1 + max(power for form in forms for power, _ in form)
     coeffs = np.zeros((n_powers, len(monomials), 16, len(members)))
-    for col, s in enumerate(members):
-        for (power, monomial), column in forms[s][1].items():
+    for col, form in enumerate(forms):
+        for (power, monomial), column in form.items():
             coeffs[power, index[monomial], :, col] = column
     coeffs.setflags(write=False)
-    cut = forms[members[0]][0]
-    slots = iter(seq_slots[members[0]])
-    prefix = tuple((_step_maps(step), next(slots) if isinstance(step, Evolve) else None)
-                   for step in sequences[members[0]].steps[:cut])
-    return _FormGroup(tuple(members), prefix, tuple(monomials), coeffs)
+    return _FormGroup(tuple(members), tuple(monomials), coeffs)
 
 
 #: The basis of a state batch: one input whose coordinates are the states' own 16 features.
@@ -487,16 +485,15 @@ def feature_coefficients(forms: WeightForms, bases: np.ndarray) -> np.ndarray:
 
     Shape (k + 1, inputs, sequences, n_features), k the largest power of r of a form: a trajectory
     with feature vector f (:class:`TrajectoryFeatures` on the same forms and bases) weighs
-    (sum_j r^j A[j, i, s]) @ f in sequence s of input i.  A group without a prefix gives its
-    coefficients with the input's basis folded in, exact in r as they are linear in its coeffs[j];
-    a group with a prefix gives its members a unit coefficient on their own row at r^0.  Built once
-    per design and bases.
+    (sum_j r^j A[j, i, s]) @ f in sequence s of input i.  A form group gives its coefficients with
+    the input's basis folded in, exact in r as they are linear in its coeffs[j]; a step group gives
+    its member a unit coefficient on each input's own row at r^0.  Built once per design and bases.
     """
     n_inputs, _, width = bases.shape
-    n_powers = max(len(group.coeffs) for group in forms.groups)
+    n_powers = max((len(group.coeffs) for group in forms.groups if isinstance(group, _FormGroup)), default=1)
     blocks = []
     for group in forms.groups:
-        if group.prefix:
+        if isinstance(group, _StepGroup):
             block = np.zeros((n_powers, n_inputs, forms.n_sequences, n_inputs))
             block[0, range(n_inputs), group.members[0], range(n_inputs)] = 1.0
         else:                                            # c . (basis @ x) = (basis^T c) . x
@@ -517,51 +514,48 @@ class TrajectoryFeatures:
 
     A call takes the (K, n) coordinates of n trajectories and one row of n Evolve durations (units
     of 1/g) per slot of the forms, draws nothing and returns their (n_features, n) features, an
-    array the next call reuses.  A group without a prefix gives its monomials of the durations
-    times the coordinates, monomial-major.  A group with a prefix runs it on each input's features,
-    its projections' maps and its coefficients evaluated at r once per noise point, and gives one
-    row per input, that input's weight.
+    array the next call reuses.  A form group gives its monomials of the durations times the
+    coordinates, monomial-major.  A step group back-propagates the identity's coefficients through
+    its steps, the last first, each Evolve step at each trajectory's own duration and the other
+    steps' maps at r, evaluated once per noise point; that effect gives one row per input, its weight.
     """
 
     def __init__(self, forms: WeightForms, noise: NoiseParams, bases: np.ndarray):
         self.slot_times = forms.slot_times
         self._bases = bases
-        self._groups = [(group.monomials,
-                         polynomial_value(group.coeffs[..., 0], noise.r) if group.prefix else None,
-                         [(polynomial_value(maps, noise.r) if slot is None else maps, slot)
-                          for maps, slot in group.prefix])
+        self._groups = [(group.monomials, None) if isinstance(group, _FormGroup) else
+                        (None, [(polynomial_value(maps, noise.r) if slot is None else maps, slot)
+                                for maps, slot in reversed(group.steps)])
                         for group in forms.groups]
-        self.n_features = sum(len(bases) if group.prefix else len(group.monomials) * bases.shape[-1]
-                              for group in forms.groups)
+        self.n_features = sum(len(bases) if steps else len(monomials) * bases.shape[-1]
+                              for monomials, steps in self._groups)
         self._buffer = np.empty(0)
 
     def __call__(self, coords: np.ndarray, durations) -> np.ndarray:
         n = coords.shape[1]
-        phases = 4.0 * np.reshape(durations, (-1, n))
+        phases = 4.0 * np.reshape(durations, (len(self.slot_times), n))
         trig = np.stack([np.cos(phases), np.sin(phases)], axis=1)          # cos, sin of 4 tau per slot
         if self._buffer.size < self.n_features * n:       # reused: a fresh one costs its page faults
             self._buffer = np.empty(self.n_features * n)
         features = self._buffer[: self.n_features * n].reshape(self.n_features, n)
         start = 0
-        for monomials, coeffs, prefix in self._groups:
-            rows = np.array([math.prod((trig[slot, kind - 1] for slot, kind in monomial), start=np.ones(n))
-                             for monomial in monomials])
-            if not prefix:
+        for monomials, steps in self._groups:
+            if steps is None:
+                rows = np.array([math.prod((trig[slot, kind - 1] for slot, kind in monomial), start=np.ones(n))
+                                 for monomial in monomials])
                 size = len(monomials) * len(coords)
-                out = features[start:start + size].reshape(len(monomials), -1, n)
+                out = features[start:start + size].reshape(len(monomials), len(coords), n)
                 np.multiply(rows[:, None], coords, out=out)
                 start += size
                 continue
-            for basis in self._bases:
-                x = basis @ coords
-                for maps, slot in prefix:
-                    if slot is None:
-                        x = maps @ x
-                    else:
-                        images = maps @ x
-                        cos, sin = trig[slot]
-                        x = images[0] + cos * images[1] + sin * images[2]
-                np.einsum("mt,mt->t", rows, coeffs @ x, out=features[start])
+            effect = np.eye(16)[0]                         # Tr[1 rho] = features(rho)_0
+            for maps, slot in steps:
+                effect = effect @ maps
+                if slot is not None:
+                    cos, sin = trig[slot, :, :, None]
+                    effect = effect[0] + cos * effect[1] + sin * effect[2]
+            for basis in self._bases:                      # effect . (basis @ x) = (effect @ basis) . x
+                np.einsum("tk,kt->t", effect @ basis, coords, out=features[start])
                 start += 1
         return features
 
@@ -589,7 +583,7 @@ def _feature_moments(features: TrajectoryFeatures, sample_coords, durations, noi
         coords = sample_coords(m)
         coords.setflags(write=False)
         taus = np.reshape([durations.normal(time, noise.sampled_gdtau, size=m) for time in features.slot_times],
-                          (-1, m))
+                          (len(features.slot_times), m))
         for start in range(0, m, _MC_BLOCK):
             rows = slice(start, min(start + _MC_BLOCK, m))
             block = features(coords[:, rows], taus[:, rows])

@@ -330,16 +330,18 @@ def _usage_error(message: str):
 
 
 def _number(kind, check, requirement: str):
-    """argparse type: a kind() value passing check; NaN fails every check."""
+    """argparse type: a kind() value passing check; NaN fails every check.  -0 reads as 0, so no
+    report carries a negative zero."""
     def convert(text: str):
         value = kind(text)
         if not check(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
-        return value
+        return value + kind(0)
     convert.__name__ = kind.__name__     # argparse names it in "invalid float value"
     return convert
 
 
+_real = _number(float, lambda x: True, "a number")         # the sweep checks its grid as a whole
 _polarization = _number(float, lambda x: 0.0 <= x <= 1.0, "a polarization in [0, 1]")
 _gdtau = _number(float, lambda x: 0.0 <= x < math.inf, "a finite gdtau >= 0")
 _tolerance = _number(float, lambda x: 0.0 < x < math.inf, "a finite tolerance > 0")
@@ -390,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fidelity-sweep", parents=[common],
                        help="closed-form process fidelity over a polarization grid")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=1.0)
+    p.add_argument("--r-min", type=_real, default=0.0)
+    p.add_argument("--r-max", type=_real, default=1.0)
     p.add_argument("--r-steps", type=_r_steps, default=21)
     p.add_argument("--gdtau-values", type=_gdtau_list, default="0,0.1",
                    help="comma-separated gdtau values, one sweep per value")

@@ -404,7 +404,7 @@ def run_qpt(
     lin = polynomial_value(design.monte_carlo_map, noise.r)
     chi = (design.chi0 + mean @ lin).reshape(16, 16)
     if not noise.sampled_gdtau:
-        # Every trajectory is the same; a prefix row's rounding still varies across them.
+        # Every trajectory is the same; a step-group row's rounding may still vary across them.
         return ProcessMatrix(chi=chi, stderr=np.zeros((16, 16)))
     stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
     return ProcessMatrix(chi=chi, stderr=stderr)

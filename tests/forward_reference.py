@@ -19,12 +19,13 @@ projection; ``branch_summed_replay`` averages it over every branch pattern,
 the reference for the weight forms of ``blockade.TrajectoryFeatures``, which
 read a state by its ``state_features``, and for the weights that
 ``blockade.propagate_sequence_samples`` thins; ``long_sequence_sequences`` is a
-design whose first sequence has a form with a prefix.
+design whose first sequence is too long for a weight form and makes a step group.
 ``weight_coefficients`` folds the input bases into the weight forms at one
 ``r`` and ``mean_trajectory_features`` gives the exact mean of the
-trajectory features, so the Monte Carlo map ``TomographyDesign.monte_carlo_map`` can
-be checked against ``forward_chi`` without sampling.  ``trajectory_feature_series``
-writes the same features as finite Fourier series in their Gaussian phases, so
+trajectory features, step groups included, so the Monte Carlo map
+``TomographyDesign.monte_carlo_map`` can be checked against ``forward_chi``
+without sampling.  ``trajectory_feature_series`` writes the same features as
+finite Fourier series in their Gaussian phases, so
 ``trajectory_feature_covariance`` gives their covariance and
 ``quadratic_form_moments`` the fourth moments behind the spread of a reported
 Monte Carlo variance exactly, the oracle for ``stderr``.
@@ -54,6 +55,7 @@ from spinqpt.blockade import (
     Evolve,
     MeasureSequence,
     Project,
+    _StepGroup,
     blockade_map,
     branch_weights,
 )
@@ -268,9 +270,9 @@ def long_sequence_sequences():
     """The shipped sequences with the first one run as five Evolve steps and three projections.
 
     Identity pulses (4 * pi/2 = 2 pi) and a repeated projection leave its ideal
-    effect, and so the design, as they were.  Its weight form stops after three
-    of the Evolve steps, taken from the last, and its first five steps run on
-    each trajectory's features: it exercises a prefix group of the weight forms.
+    effect, and so the design, as they were.  As one form it would hold
+    (3 + 1) * 3^5 = 972 terms, so it makes a step group of the weight forms,
+    whose effect each trajectory back-propagates through all eight steps.
     """
     sequences = list(design_sequences().sequences)
     full = Evolve(math.pi / 2)
@@ -284,42 +286,49 @@ def weight_coefficients(forms, r, bases):
     """A[i, s, f] at polarization r: the weight of a trajectory with features z (the layout of
     ``blockade.TrajectoryFeatures``) in sequence s of input i is A[i, s] @ z.
 
-    Each group's coefficients are evaluated at r first, by explicit powers, and the input's basis is
-    folded in after; a group with a prefix computes its members' weights in its features, so each
+    Each form group's coefficients are evaluated at r first, by explicit powers, and the input's
+    basis is folded in after; a step group computes its member's weights in its features, so each
     input's row there has a unit coefficient.
     """
     n_inputs, _, width = bases.shape
     blocks = []
     for group in forms.groups:
-        at_r = sum(r**j * coeffs for j, coeffs in enumerate(group.coeffs))        # (monomial, 16, member)
-        block = np.zeros((n_inputs, forms.n_sequences, n_inputs if group.prefix else at_r.shape[0] * width))
-        for i, basis in enumerate(bases):
-            if group.prefix:
-                block[i, group.members[0], i] = 1.0
-                continue
-            for col, s in enumerate(group.members):
-                block[i, s] = (at_r[:, :, col] @ basis).ravel()                  # c . (basis x) = (c basis) . x
+        if isinstance(group, _StepGroup):
+            block = np.zeros((n_inputs, forms.n_sequences, n_inputs))
+            block[range(n_inputs), group.members[0], range(n_inputs)] = 1.0
+        else:
+            at_r = sum(r**j * coeffs for j, coeffs in enumerate(group.coeffs))    # (monomial, 16, member)
+            block = np.zeros((n_inputs, forms.n_sequences, at_r.shape[0] * width))
+            for i, basis in enumerate(bases):
+                for col, s in enumerate(group.members):
+                    block[i, s] = (at_r[:, :, col] @ basis).ravel()              # c . (basis x) = (c basis) . x
         blocks.append(block)
     return np.concatenate(blocks, axis=-1)
 
 
-def mean_trajectory_features(forms, noise):
-    """E[z], the exact mean of the trajectory features of forms without a prefix group, on the gate.
+def mean_trajectory_features(forms, noise, sequences):
+    """E[z], the exact mean of the trajectory features of the forms of sequences, on the gate.
 
-    A feature is a monomial of the Evolve slots' cos 4 tau and sin 4 tau times one of the seven gate
-    coordinates, and the slots and the two gate pulses are drawn independently.  For a slot of mean
-    time t, tau ~ Normal(t, sigma) gives E[cos 4 tau] = cos(4 t) exp(-8 sigma^2) and the same for sin.
-    The pulse phases a_k = 4 s_k ~ Normal(3 pi / 2, 2 sigma) give the coordinates' mean
-    (1, 0, -d, 0, -d, d^2, 0), d = exp(-2 sigma^2).  sigma is noise.sampled_gdtau.  A prefix group's
-    features are not linear in these monomials; the replay tests cover it.
+    A form group's feature is a monomial of the Evolve slots' cos 4 tau and sin 4 tau times one of
+    the seven gate coordinates, and the slots and the two gate pulses are drawn independently.  For
+    a slot of mean time t, tau ~ Normal(t, sigma) gives E[cos 4 tau] = cos(4 t) exp(-8 sigma^2) and
+    the same for sin.  The pulse phases a_k = 4 s_k ~ Normal(3 pi / 2, 2 sigma) give the
+    coordinates' mean (1, 0, -d, 0, -d, d^2, 0), d = exp(-2 sigma^2).  sigma is
+    noise.sampled_gdtau.  A step group's row for input i is that input's weight, linear in the
+    gate and in each of its steps' independent draws: its mean is the success probability of the
+    averaged gate's output through the sequence's averaged steps.
     """
     sigma = noise.sampled_gdtau
     d = math.exp(-2.0 * sigma**2)
     gate = np.array([1.0, 0.0, -d, 0.0, -d, d * d, 0.0])
+    channel = noisy_cnot_channel(noise)
     means = []
     for group in forms.groups:
-        if group.prefix:
-            raise ValueError("a prefix group's feature mean has no closed form here")
+        if isinstance(group, _StepGroup):
+            seq = sequences[group.members[0]]
+            means.append([forward_sequence_probability(seq, apply_channel(channel, rho), noise)
+                          for rho in qpt_input_states().values()])
+            continue
         for monomial in group.monomials:
             value = 1.0
             for slot, kind in monomial:
@@ -369,12 +378,12 @@ def feature_variables(forms, noise):
 
 
 def _monomial_series(forms):
-    """The duration monomials of forms without a prefix group, group by group, as series over the
+    """The duration monomials of forms without a step group, group by group, as series over the
     slot phases: a monomial holds at most one factor cos or sin per slot, so each is an outer product."""
     rows = []
     for group in forms.groups:
-        if group.prefix:
-            raise ValueError("a prefix group's features are not linear in the duration monomials")
+        if isinstance(group, _StepGroup):
+            raise ValueError("a step group's features are not linear in the duration monomials")
         for monomial in group.monomials:
             factors = [_ONE] * len(forms.slot_times)
             for slot, kind in monomial:
@@ -395,7 +404,7 @@ def _gate_coordinate_series():
 
 
 def trajectory_feature_series(forms):
-    """The trajectory features z of forms without a prefix group on the gate bases, as series over
+    """The trajectory features z of forms without a step group on the gate bases, as series over
     the variables of :func:`feature_variables`: a duration monomial times a gate coordinate,
     monomial-major, so z = monomials (x) coordinates.  Shape (n_features, 3, ..., 3)."""
     return np.concatenate([[np.multiply.outer(m, c) for c in _gate_coordinate_series()]
@@ -403,7 +412,7 @@ def trajectory_feature_series(forms):
 
 
 def trajectory_feature_covariance(forms, noise):
-    """Cov z, the exact covariance of one trajectory's features for forms without a prefix group.
+    """Cov z, the exact covariance of one trajectory's features for forms without a step group.
 
     The durations and the gate pulses are drawn independently, so with z = m (x) c, monomials m
     and gate coordinates c, E[z z^T] = E[m m^T] (x) E[c c^T] and E[z] = E[m] (x) E[c].  Each
@@ -425,7 +434,7 @@ def trajectory_feature_covariance(forms, noise):
 
 def quadratic_form_moments(forms, noise, weights):
     """E[Q] and E[Q^2] of Q = sum_k |(z - E z) @ weights[:, j, k]|^2 for each j, z the trajectory
-    features of forms without a prefix group and weights complex, shape (n_features, J, K).
+    features of forms without a step group and weights complex, shape (n_features, J, K).
 
     Each y = z @ w is a series, and so are its deviation x = y - E y, |x|^2 = x conj(x) (conj(x)
     has the conjugate coefficients at the negated frequencies) and Q^2: four factors of the

@@ -26,13 +26,18 @@ import pathlib
 import sys
 import tempfile
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "report_sha256.json"
+TESTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = TESTS / "data" / "report_sha256.json"
+#: A design file of ``forward_reference.long_sequence_sequences``, one sequence a step group.  Named
+#: relative to this directory in ARGVS and the golden keys; reports do not echo the path.
+LONG_DESIGN = "data/long_design.txt"
 
 _SWEEP_GDTAUS = "0,0.05,0.1,0.37,1,2,1e300"
 
 #: Every report family: the three qpt routes and all of them together, Monte
 #: Carlo below and above the full-dephasing cut, JSON and CSV sweeps, the
-#: threshold and both ideal-check outcomes, one of them over several sample blocks.
+#: threshold and both ideal-check outcomes, one of them over several sample blocks,
+#: and a qpt and a threshold on a design file.
 ARGVS = (
     ("qpt",),
     ("qpt", "--method", "pipeline"),
@@ -58,6 +63,9 @@ ARGVS = (
     ("ideal-check",),
     ("ideal-check", "--inject-angle-error", "--seed", "5"),
     ("ideal-check", "--samples", "5000", "--seed", "3"),
+    ("qpt", "--method", "all", "--samples", "300", "--seed", "4", "--r", "0.8", "--gdtau", "0.3",
+     "--design-file", LONG_DESIGN),
+    ("entanglement-threshold", "--gdtau", "0.1", "--design-file", LONG_DESIGN),
 )
 
 
@@ -71,7 +79,7 @@ def report_sha256(argv, directory) -> str:
 
     out = pathlib.Path(directory) / "report"
     with contextlib.redirect_stderr(io.StringIO()):
-        main([*argv, "--out", str(out)])
+        main([str(TESTS / arg) if arg == LONG_DESIGN else arg for arg in argv] + ["--out", str(out)])
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 

@@ -344,9 +344,9 @@ class TestMonteCarlo:
         assert abs(est.estimate - p) <= 3.5 * est.stderr
 
     @pytest.mark.parametrize("r,gdtau", [(0.8, 0.1), (0.6, 0.3), (1.0, 0.0)])
-    def test_mixed_state_input_prefix_group(self, r, gdtau):
-        # Five Evolve steps and three projections: the weight form stops, and its
-        # first steps run on each trajectory's features.
+    def test_mixed_state_input_step_group(self, r, gdtau):
+        # Five Evolve steps and three projections: no weight form, each trajectory
+        # back-propagates the sequence's effect through all of its steps.
         seq = long_sequence_sequences()[0]
         noise = NoiseParams.from_dimensionless(r=r, gdtau=gdtau)
         p = sequence_probability(seq, MIXED_RHO, noise)
@@ -467,7 +467,7 @@ _weighted_steps = st.lists(st.one_of(
     st.floats(0.1, 2.0).map(Evolve),
     st.builds(Rotate, st.sampled_from(["X", "A", "global"]), st.sampled_from("xyz"), st.floats(-3.0, 3.0)),
     st.sampled_from([UP, DOWN]).map(Project),
-), max_size=9).filter(lambda steps: sum(isinstance(step, Evolve) for step in steps) <= 3
+), max_size=11).filter(lambda steps: sum(isinstance(step, Evolve) for step in steps) <= 5
                       and sum(isinstance(step, Project) for step in steps) <= 2)
 
 
@@ -525,9 +525,10 @@ class TestWeightedKernel:
     @given(steps=_weighted_steps, declared=st.sampled_from([UP, DOWN]), r=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_form_weight_equals_state_replay(self, steps, declared, r, seed):
-        # Random pure states, rotations anywhere, up to three projections and three
-        # Evolve steps and random durations: the Hermitian form gives the weight
-        # the trajectory's step-by-step replay gives, averaged over its branches.
+        # Random pure states, rotations anywhere, up to three projections and five
+        # Evolve steps and random durations: the Hermitian form, or past two Evolve
+        # steps the step group, gives the weight the trajectory's step-by-step replay
+        # gives, averaged over its branches.
         seq = MeasureSequence(steps=(*steps, Project(declared)))
         noise = NoiseParams(r=r)
         rng = np.random.default_rng(seed)
@@ -580,11 +581,23 @@ class TestThinningKernel:
         self.check_against_replay(MeasureSequence(steps=(*steps, Project(declared))),
                                   NoiseParams(r=r, gdtau=gdtau), 50, seed)
 
-    def test_prefix_group_over_two_blocks(self):
-        # Five Evolve steps and three projections put the first five steps on each
-        # trajectory's features; one row more than a block takes a second block.
+    def test_step_group_over_two_blocks(self):
+        # Five Evolve steps and three projections make a step group; one row more than
+        # a block takes a second block.
         self.check_against_replay(long_sequence_sequences()[0], NoiseParams(r=0.7, gdtau=0.3),
                                   _MC_BLOCK + 1, 5)
+
+    @pytest.mark.parametrize("seq", [POPULATION_SEQ, MeasureSequence(steps=(Rotate("X", "y", 0.9), Project(UP))),
+                                     long_sequence_sequences()[0]], ids=["form", "no-evolve", "step-group"])
+    def test_empty_batch(self, seq):
+        # No trajectory gives no weight and no alive flag, and features with no column.
+        noise = NoiseParams(r=0.7, gdtau=0.3)
+        psi = sample_initial_states(np.eye(4) / 4, 0, np.random.default_rng(0))
+        weights, alive = propagate_sequence_samples(psi, seq, noise, np.random.default_rng(1))
+        assert weights.shape == alive.shape == (0,) and alive.dtype == bool
+        forms = compile_weight_forms((seq,))
+        features = TrajectoryFeatures(forms, noise, np.eye(16)[None])
+        assert features(np.zeros((16, 0)), np.zeros((len(forms.slot_times), 0))).shape == (features.n_features, 0)
 
 
 class TestSerialization:

@@ -481,3 +481,25 @@ class TestHugeGdtau:
         canonical_json(json.loads(out.read_text()))     # raises on a non-finite number
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 and lines[0].startswith(progress) and lines[1].startswith("(")
+
+
+class TestNegativeZero:
+    """A -0 option value reads as 0: its report is the 0 argv's, byte for byte."""
+
+    @pytest.mark.parametrize("template", [
+        ("qpt", "--method", "closed-form", "--r", "{}", "--gdtau", "0.1"),
+        ("qpt", "--method", "closed-form", "--r", "0.8", "--gdtau", "{}"),
+        ("qpt", "--method", "pipeline", "--r", "{}", "--gdtau", "0.1"),
+        ("qpt", "--method", "montecarlo", "--samples", "300", "--r", "{}", "--gdtau", "0.1"),
+        ("qpt", "--method", "all", "--samples", "300", "--r", "{}", "--gdtau", "{}"),
+        ("entanglement-threshold", "--gdtau", "{}"),
+        ("fidelity-sweep", "--gdtau-values={},0.1", "--r-min", "{}", "--r-steps", "5"),
+        ("fidelity-sweep", "--format", "json", "--gdtau-values={},0.1", "--r-min", "{}", "--r-steps", "5"),
+    ], ids=" ".join)
+    def test_same_report_as_zero(self, tmp_path, template):
+        reports = []
+        for zero in ("0", "-0"):
+            out = tmp_path / f"report{zero}"
+            assert run_cli(*(arg.format(zero) for arg in template), "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

@@ -6,7 +6,9 @@ import json
 import pytest
 
 import report_hashes
+from forward_reference import long_sequence_sequences
 from spinqpt import cli
+from spinqpt.blockade import parse_sequences
 
 GOLDEN = json.loads(report_hashes.GOLDEN.read_text(encoding="utf-8"))
 
@@ -34,3 +36,8 @@ def test_tables_take_the_array_path(tmp_path, monkeypatch, argv):
     report_hashes.report_sha256(argv, tmp_path)
     csv = argv[0] == "fidelity-sweep" and "json" not in argv        # CSV rows never reach it
     assert len(calls) == 0 if csv else 0 < len(calls) <= MAX_SCALAR_FLOATS
+
+
+def test_long_design_file_is_the_long_sequences():
+    text = (report_hashes.TESTS / report_hashes.LONG_DESIGN).read_text(encoding="utf-8")
+    assert parse_sequences(text) == tuple(long_sequence_sequences())

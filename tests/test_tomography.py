@@ -84,7 +84,7 @@ def design():
 
 @pytest.fixture(scope="module")
 def designs(design):
-    """The shipped design, one whose noisy effects are cubic in r and one with a prefix group."""
+    """The shipped design, one whose noisy effects are cubic in r and one with a step group."""
     return {"shipped": design, "cubic": design_from_sequences(cubic_sequences(design.sequences)),
             "long": design_from_sequences(long_sequence_sequences())}
 
@@ -372,9 +372,9 @@ class TestRunQpt:
 
     @pytest.mark.parametrize("seed", (1, 4))
     @pytest.mark.parametrize("r", (0.0, 0.37, 0.6, 0.93, 1.0))
-    def test_prefix_design_monte_carlo_is_exact_without_timing_noise(self, r, seed):
-        # Nothing is sampled at gdtau = 0, so no error bar may show, although the
-        # prefix rows of the features round differently across identical trajectories.
+    def test_step_group_design_monte_carlo_is_exact_without_timing_noise(self, r, seed):
+        # Nothing is sampled at gdtau = 0, so no error bar may show, although the step
+        # group's rows of the features may round differently across identical trajectories.
         custom = design_from_sequences(long_sequence_sequences())
         noise = NoiseParams(r=r, gdtau=0.0)
         chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=300, seed=seed, design=custom)
@@ -480,15 +480,15 @@ class TestRunQpt:
     def test_monte_carlo_long_sequence_matches_replay(self, tmp_path):
         # A design file whose first transfer sequence runs five Evolve steps and
         # three projections: (3 + 1) * 3^5 = 972 (power of r, monomial) terms as
-        # one form.  Its form keeps the two Evolve steps after the transfer pulse
-        # (9 monomials at r^0 and r^1, 18 terms); the five steps before them run
-        # on each trajectory's features, each projection as its blockade map at r.
+        # one form.  It makes a step group instead: each trajectory back-propagates
+        # its effect through all eight steps, each projection as its blockade map at r.
         path = tmp_path / "design.txt"
         path.write_text(format_sequences(long_sequence_sequences()), encoding="utf-8")
         custom = design_from_sequences(parse_sequences(path.read_text(encoding="utf-8")))
         shared, long = custom.weight_forms.groups
-        assert long.members == (0,) and len(long.prefix) == 5 and len(long.monomials) == 9
-        assert long.coeffs.shape == (2, 9, 16, 1) and shared.coeffs.shape == (3, 3, 16, 14)
+        assert isinstance(long, blockade._StepGroup) and long.members == (0,) and len(long.steps) == 8
+        assert [slot for _, slot in long.steps] == [None, 0, 1, None, 2, 3, 4, None]
+        assert shared.coeffs.shape == (3, 3, 16, 14)
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
         tracemalloc.start()
         try:
@@ -499,12 +499,31 @@ class TestRunQpt:
         assert peak < 4e6
         assert_matches_replay(chi_mc, custom, noise, 5, 300)
 
+    def test_forty_evolve_steps_make_one_step_group(self):
+        # The long first sequence padded with identity pulses to 40 Evolve steps, which
+        # as one form would hold 4 * 3^40 terms.  It builds as a step group, each form
+        # group within _FORM_TERMS monomials, and its Monte Carlo QPT meets the pipeline.
+        sequences = long_sequence_sequences()
+        steps = sequences[0].steps
+        sequences[0] = MeasureSequence(steps=(steps[0], *(Evolve(math.pi / 2),) * 35, *steps[1:]))
+        custom = design_from_sequences(sequences)
+        forms = [group for group in custom.weight_forms.groups if isinstance(group, blockade._FormGroup)]
+        assert forms and all(len(group.monomials) <= blockade._FORM_TERMS for group in forms)
+        (long,) = [group for group in custom.weight_forms.groups if isinstance(group, blockade._StepGroup)]
+        assert long.members == (0,) and sum(slot is not None for _, slot in long.steps) == 40
+        noise = NoiseParams(r=0.8, gdtau=0.1)
+        chi_pipe = run_qpt(noise, method="pipeline", design=custom)
+        chi_mc = run_qpt(noise, method="monte_carlo", mc_samples=2000, seed=3, design=custom)
+        sampled = chi_mc.stderr > 1e-12
+        z = np.abs(chi_mc.chi - chi_pipe.chi)[sampled] / chi_mc.stderr[sampled]
+        assert np.max(z) < 5.0
+
     def test_monte_carlo_chi_is_the_mean_of_realization_chis(self):
         # Each trajectory is one realization of the gate and the pulse timings,
         # shared by all 16 inputs and pushed through the whole tomography: chi is
         # the mean of the chis reconstructed from each trajectory's own 15 x 16
         # branch-summed weights, and stderr their population standard deviation
-        # over sqrt(n).  The long first sequence takes the prefix path.
+        # over sqrt(n).  The long first sequence takes the step-group path.
         custom = design_from_sequences(long_sequence_sequences())
         noise = NoiseParams.from_dimensionless(r=0.8, gdtau=0.3)
         seed, samples = 11, 40
@@ -1055,7 +1074,7 @@ class TestMonteCarloMap:
     def test_equals_reconstruction_of_the_weight_coefficients(self, designs, name, degree):
         # Per unit of each feature, the probability table its coefficients give, reconstructed and
         # assembled by the forward reference; chi0 is the table of zeros.  The long sequence's
-        # projections run in its prefix, at r, so that design's map stays quadratic.
+        # projections run in its step group, at r, so that design's map stays quadratic.
         design = designs[name]
         mc_map, chi0 = design.monte_carlo_map, design.chi0
         assert design.monte_carlo_map is mc_map and mc_map.shape[0] == degree + 1
@@ -1068,16 +1087,17 @@ class TestMonteCarloMap:
             np.testing.assert_allclose(blockade.polynomial_value(mc_map, r), want, rtol=0, atol=1e-14)
 
     @settings(max_examples=40)
-    @given(name=st.sampled_from(["shipped", "cubic"]), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 2.0))
+    @given(name=st.sampled_from(["shipped", "cubic", "long"]), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 2.0))
     @example(name="shipped", r=0.8, gdtau=0.0)
     @example(name="cubic", r=0.5, gdtau=1e300)
+    @example(name="long", r=0.9, gdtau=2.5)
+    @example(name="long", r=0.5, gdtau=1e300)
     def test_exact_feature_mean_gives_the_pipeline(self, designs, name, r, gdtau):
-        # E[chi_MC] is chi of E[z], and the closed-form E[z] reproduces the pipeline.  The
-        # designs have no prefix group, whose features are not linear in the draws: the
-        # replay tests cover those.
+        # E[chi_MC] is chi of E[z], and the exact E[z] reproduces the pipeline: in closed form
+        # for a form group, by forward evaluation through the averaged gate for a step group.
         design = designs[name]
         noise = NoiseParams(r=r, gdtau=gdtau)
-        mean = mean_trajectory_features(design.weight_forms, noise)
+        mean = mean_trajectory_features(design.weight_forms, noise, design.sequences)
         chi = design.chi0 + mean @ blockade.polynomial_value(design.monte_carlo_map, r)
         pipeline = run_qpt(noise, method="pipeline", design=design).chi
         np.testing.assert_allclose(chi.reshape(16, 16), pipeline, rtol=0, atol=1e-12)
@@ -1085,7 +1105,7 @@ class TestMonteCarloMap:
     @pytest.mark.parametrize("name", ["shipped", "long"])
     def test_a_run_inverts_solves_and_assembles_nothing(self, designs, name, monkeypatch):
         # Once the design's map exists, a Monte Carlo QPT draws, accumulates the feature moments
-        # and evaluates that polynomial; only a prefix group runs an einsum, per block.  A pipeline
+        # and evaluates that polynomial; only a step group runs an einsum, per input and block.  A pipeline
         # QPT only evaluates the pipeline map.
         design = designs[name]
         design.monte_carlo_map                      # built before the counting starts
@@ -1113,7 +1133,7 @@ class TestMonteCarloMap:
 class TestExactMonteCarloCovariance:
     """The Monte Carlo stderr against the exact covariance of the trajectory features, a finite
     Fourier expansion (forward_reference.trajectory_feature_covariance).  The designs have no
-    prefix group, whose features are not linear in the duration monomials: the replay tests cover it."""
+    step group, whose features are not linear in the duration monomials: the replay tests cover it."""
 
     #: Standard deviations of its estimator by which a reported variance may miss its exact mean.
     #: The estimator averages n = 20,000 independent bounded trajectories, so it is close to normal:
@@ -1126,7 +1146,8 @@ class TestExactMonteCarloCovariance:
         forms = designs[name].weight_forms
         noise = NoiseParams(r=r, gdtau=gdtau)
         mean = gaussian_mean(trajectory_feature_series(forms), *feature_variables(forms, noise))
-        np.testing.assert_allclose(mean, mean_trajectory_features(forms, noise), rtol=0, atol=1e-15)
+        want = mean_trajectory_features(forms, noise, designs[name].sequences)
+        np.testing.assert_allclose(mean, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["shipped", "cubic"])
     @pytest.mark.parametrize("r", [0.3, 1.0])
