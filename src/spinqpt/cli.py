@@ -15,6 +15,11 @@ a tolerance violated, 2 on a usage error (bad option value, sweep grid, path
 or ``--design-file`` contents: one ``error:`` line, no report).
 ``fidelity-sweep --jobs`` is echoed, not used.
 
+``fidelity-sweep`` hands its rows to the writer as their grid
+(``SweepGrid``: the r values, the gdtau values and the F table), not as a
+materialized table: each r and each gdtau is formatted once, and one writer
+gives the JSON and the CSV rows.
+
 The argument parser is built once per process; ``main`` dispatches on the
 subcommand to the ``cmd_*`` function of this module.  ``ideal-check`` runs
 its random times in blocks of ``IDEAL_CHECK_BLOCK``: one draw, one
@@ -24,9 +29,11 @@ eigendecomposition and one batch of gate products per block.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import time
 
@@ -62,17 +69,28 @@ def _fmt_float(x: float) -> str:
     return out
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("reports must not contain non-finite numbers")
+
+
+def _bare_integers(values: np.ndarray) -> np.ndarray:
+    """Where .17g would print a float64 array's values as bare integers: its finite integral values
+    below 1e17 in size, which "%.1f" writes with the same digits and _fmt_float's ".0" marker.
+
+    A non-finite value is refused.
+    """
+    _check_finite(values)
+    return (values == np.trunc(values)) & (np.abs(values) < 1e17)
+
+
 def _float_table(table: np.ndarray, inner: str) -> str:
     """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
 
-    One "%" format writes the whole table with _fmt_float's bytes: "%.17g",
-    except where .17g would print a bare integer (a finite integral value
-    below 1e17 in size), which takes "%.1f", the same digits with the ".0"
-    marker.  Rows with the same pattern of such values share a row format.
+    One "%" format writes the whole table with _fmt_float's bytes.  Rows with
+    the same pattern of bare integers share a row format.
     """
-    if not np.isfinite(table).all():
-        raise ValueError("reports must not contain non-finite numbers")
-    bare = (table == np.trunc(table)) & (np.abs(table) < 1e17)
+    bare = _bare_integers(table)
     packed = np.ascontiguousarray(np.packbits(bare, axis=1))
     patterns = packed.view(f"V{packed.shape[1]}").ravel().tolist()
     row_format = {p: "[" + ", ".join(["%.1f" if b else "%.17g" for b in mask]) + "]"
@@ -80,12 +98,67 @@ def _float_table(table: np.ndarray, inner: str) -> str:
     return (",\n" + inner).join([row_format[p] for p in patterns]) % tuple(table.ravel().tolist())
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class SweepGrid:
+    """The rows (r, gdtau, F) of a fidelity sweep, kept as their grid.
+
+    ``f`` has shape ``(len(gdtau), len(r))``; row ``k * len(r) + i`` of the
+    table is ``(r[i], gdtau[k], f[k, i])``, one block of rows per gdtau.
+    """
+
+    r: np.ndarray
+    gdtau: np.ndarray
+    f: np.ndarray
+
+
+#: _fmt_float's "%" format of a value, indexed by whether it is a bare integer.
+_JSON_FORMATS = np.array(["%.17g", "%.1f"], dtype=object)
+#: A sweep row's opening, cell separator and closing, by report format.
+_ROW_LAYOUTS = {"json": ("[", ", ", "]"), "csv": ("", ",", "")}
+
+
+def _cell_formats(values: np.ndarray, fmt: str) -> list:
+    """The "%" format of each value of a 1-D float64 array in report format fmt: _fmt_float's
+    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both."""
+    if fmt == "csv":
+        _check_finite(values)
+        return ["%.12g"] * values.size
+    return _JSON_FORMATS[_bare_integers(values).view(np.uint8)].tolist()
+
+
+def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
+    """The sweep's rows in report format fmt, joined by sep: the bytes of formatting its
+    materialized ``(len(gdtau) * len(r), 3)`` table value by value.
+
+    Each r and each gdtau is formatted once and baked into one row template
+    per gdtau block, which one "%" over the block's F values fills, so F is
+    the only column formatted row by row.
+    """
+    start, comma, end = _ROW_LAYOUTS[fmt]
+    n, k = grid.r.size, grid.gdtau.size
+    values = np.concatenate([grid.r, grid.gdtau, grid.f.ravel()])    # one check for the whole grid
+    formats = _cell_formats(values, fmt)
+    cells = ("\n".join(formats[:n + k]) % tuple(values[:n + k].tolist())).split("\n")
+    # A block's template text: start, then (r cell, tail) per row, rows parted by sep + start.
+    parts = [sep + start] * (3 * n)
+    parts[0] = start
+    parts[1::3] = cells[:n]
+    blocks = []
+    for lo, g_cell in zip(range(n + k, values.size, n), cells[n:]):
+        block_formats = formats[lo:lo + n]
+        tails = {spec: comma + g_cell + comma + spec + end for spec in set(block_formats)}
+        parts[2::3] = map(tails.__getitem__, block_formats)
+        blocks.append("".join(parts) % tuple(values[lo:lo + n].tolist()))
+    del values, formats, cells, parts       # hold only the blocks while they are joined
+    return sep.join(blocks)
+
+
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys.
 
-    A 2-D float64 array, the one table type, is written by one format; other
-    arrays are refused and everything else, lists of rows included, recurses
-    value by value.
+    The table types, a 2-D float64 array and a ``SweepGrid``, are written by
+    one format each; other arrays are refused and everything else, lists of
+    rows included, recurses value by value.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -106,6 +179,8 @@ def canonical_json(value, indent: int = 0) -> str:
         for key in sorted(value):
             items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, SweepGrid):
+        return "[\n" + inner + _grid_rows(value, "json", ",\n" + inner) + f"\n{pad}]"
     if isinstance(value, np.ndarray):
         if value.ndim != 2 or value.dtype != np.float64:
             raise TypeError(f"cannot serialize a {value.ndim}-D {value.dtype} array")
@@ -123,14 +198,16 @@ def canonical_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def write_report(report: dict, path: str | None, fmt: str, csv_rows=None, csv_header=None) -> None:
+def write_report(report: dict, path: str | None, fmt: str) -> None:
+    """Write the report as JSON, or as CSV: the header of its ``columns`` over
+    the rows of its ``SweepGrid``, which only a sweep has."""
     if fmt == "json":
         payload = canonical_json(report) + "\n"
     elif fmt == "csv":
-        if csv_rows is None:
+        grid = report.get("rows")
+        if not isinstance(grid, SweepGrid):
             raise ValueError("this subcommand has no CSV form")
-        table_format = "\n".join([",".join(["%.12g"] * csv_rows.shape[1])] * len(csv_rows))
-        payload = f"{csv_header}\n{table_format % tuple(csv_rows.ravel().tolist())}\n"
+        payload = ",".join(report["columns"]) + "\n" + _grid_rows(grid, "csv", "\n") + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
@@ -274,22 +351,20 @@ def cmd_fidelity_sweep(args) -> int:
         _usage_error("invalid sweep grid: need 0 <= --r-min < --r-max <= 1")
     gdtaus = args.gdtau_values
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
-    rows = np.concatenate([
-        np.column_stack((rs, np.full_like(rs, gdtau), closed_form.fidelity_closed_form(rs, gdtau)))
-        for gdtau in gdtaus
-    ])
+    grid = SweepGrid(rs, np.array(gdtaus, dtype=float),
+                     np.array([closed_form.fidelity_closed_form(rs, gdtau) for gdtau in gdtaus]))
     report = {
         "params": _base_params(args, {
             "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,
             "gdtau_values": gdtaus, "jobs": args.jobs,
         }),
         "columns": ["r", "gdtau", "F"],
-        "rows": rows,
+        "rows": grid,
         "seed": args.seed,
         "method": "closed-form",
     }
-    write_report(report, args.out, args.format, csv_rows=rows, csv_header="r,gdtau,F")
-    print(f"fidelity-sweep: {len(rows)} rows over gdtau in {gdtaus}", file=sys.stderr)
+    write_report(report, args.out, args.format)
+    print(f"fidelity-sweep: {grid.f.size} rows over gdtau in {gdtaus}", file=sys.stderr)
     return 0
 
 
@@ -331,13 +406,15 @@ def _usage_error(message: str):
 
 def _number(kind, check, requirement: str):
     """argparse type: a kind() value passing check; NaN fails every check.  -0 reads as 0, so no
-    report carries a negative zero."""
+    report carries a negative zero.  A text that is not a number fails like one out of range."""
     def convert(text: str):
-        value = kind(text)
-        if not check(value):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not check(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
         return value + kind(0)
-    convert.__name__ = kind.__name__     # argparse names it in "invalid float value"
     return convert
 
 

@@ -1,9 +1,10 @@
 """Reference serializer: the value-by-value recursive ``canonical_json``.
 
-``spinqpt.cli.canonical_json`` writes a 2-D float64 array, its one table
-type, with a single ``%`` format and recurses through everything else; this
-is the plain recursion it replaced, kept verbatim so the tests can check
-that both write the same text, for arrays and lists of rows alike.
+``spinqpt.cli.canonical_json`` writes its table types, a 2-D float64 array
+and a sweep's ``SweepGrid``, with ``%`` formats and recurses through
+everything else; this is the plain recursion it replaced, kept verbatim so
+the tests can check that both write the same text, for arrays, grids and
+lists of rows alike.
 """
 
 import json

@@ -1,7 +1,10 @@
 """Tests for the command-line interface and report serialization."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +98,58 @@ class TestCanonicalJson:
     def test_rejects_other_arrays(self, array):
         with pytest.raises(TypeError):
             canonical_json({"v": array})
+
+
+_grid_r = st.lists(st.one_of(_floats, st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1e-05, 0.6, 0.8])),
+                  min_size=2, max_size=40)
+_grid_gdtau = st.lists(st.one_of(st.sampled_from([0.0, 0.1, 1.0, 1e300]), st.floats(0.0, 1e300)),
+                       min_size=1, max_size=8)
+_sweep_grids = st.tuples(_grid_r, _grid_gdtau).flatmap(
+    lambda rg: st.lists(_floats, min_size=len(rg[0]) * len(rg[1]), max_size=len(rg[0]) * len(rg[1]))
+    .map(lambda f: cli.SweepGrid(np.array(rg[0]), np.array(rg[1]), np.array(f).reshape(len(rg[1]), -1))))
+
+
+def _materialized_rows(grid):
+    """The (len(gdtau) * len(r), 3) table the grid stands for, one column_stack per gdtau block."""
+    return np.concatenate([np.column_stack((grid.r, np.full_like(grid.r, g), f))
+                           for g, f in zip(grid.gdtau, grid.f)])
+
+
+def _reference_csv(rows):
+    """The CSV payload as one "%.12g" format over the whole materialized table."""
+    table_format = "\n".join([",".join(["%.12g"] * rows.shape[1])] * len(rows))
+    return f"r,gdtau,F\n{table_format % tuple(rows.ravel().tolist())}\n"
+
+
+def _csv_payload(grid):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_report({"columns": ["r", "gdtau", "F"], "rows": grid}, None, "csv")
+    return out.getvalue()
+
+
+class TestSweepGrid:
+    """The sweep's rows are written from their grid with the bytes of the materialized table."""
+
+    @given(_sweep_grids)
+    def test_json_same_text_as_the_materialized_rows(self, grid):
+        rows = _materialized_rows(grid).tolist()
+        assert canonical_json(grid) == reference.canonical_json(rows)
+        assert canonical_json({"rows": grid}) == reference.canonical_json({"rows": rows})
+
+    @given(_sweep_grids)
+    def test_csv_same_text_as_one_format_over_the_table(self, grid):
+        assert _csv_payload(grid) == _reference_csv(_materialized_rows(grid))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [(0, 0), (1, 2), (1, 4)])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rejects_non_finite_f(self, bad, position, fmt):
+        f = np.full((2, 5), 0.5)
+        f[position] = bad
+        grid = cli.SweepGrid(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1]), f)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.write_report({"columns": ["r", "gdtau", "F"], "rows": grid}, None, fmt)
 
 
 class TestIdealCheck:
@@ -298,6 +353,19 @@ class TestFidelitySweep:
         assert len(rows) == 404
         assert all(f == fidelity_closed_form(r, gdtau) for r, gdtau, f in rows)
 
+    # The bounds are the traced peaks of this call before the rows were written from their grid.
+    @pytest.mark.parametrize("fmt,parent_peak", [("json", 4_550_000), ("csv", 3_400_000)])
+    def test_benchmark_sized_sweep_peak(self, tmp_path, fmt, parent_peak):
+        argv = ["fidelity-sweep", "--r-steps", "10001", "--gdtau-values", "0,0.123456", "--format", fmt]
+        assert run_cli(*argv, "--out", str(tmp_path / "warm")) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--out", str(tmp_path / "sweep")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
+
 
 class TestEntanglementThreshold:
     def test_threshold_report(self, tmp_path):
@@ -405,6 +473,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error:" in err.splitlines()[-1]
+        assert re.search(r"(^|\W)_\w", err.splitlines()[-1]) is None         # no private name
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values,item", [("", "''"), ("0,,0.1", "''"), ("0,x", "'x'")])
+    def test_bad_gdtau_item_is_named(self, tmp_path, capsys, values, item):
+        out = tmp_path / "report"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fidelity-sweep", "--gdtau-values", values, "--out", str(out))
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.endswith(f"error: argument --gdtau-values: {item} is not a finite gdtau >= 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["qpt", "entanglement-threshold"])

@@ -1,5 +1,5 @@
 """Every report of report_hashes.ARGVS is byte-identical to the golden file, and writes its
-tables, 2-D float64 arrays, through the serializer's one table path."""
+tables, 2-D float64 arrays and the sweep's grid, through the serializer's table paths."""
 
 import json
 
@@ -23,8 +23,8 @@ def test_report_bytes_unchanged(tmp_path, argv):
 
 
 #: Most floats a report may format one at a time through cli._fmt_float: its scalars.  A table of
-#: floats handed to the serializer as anything but a 2-D float64 array would go through it value by
-#: value, the threshold's 65-row curve alone through 130 calls.
+#: floats handed to the serializer as anything but a 2-D float64 array or a cli.SweepGrid would go
+#: through it value by value, the threshold's 65-row curve alone through 130 calls.
 MAX_SCALAR_FLOATS = 16
 
 
