@@ -48,7 +48,6 @@ from .blockade import (
     effect_polynomial,
     format_sequence,
     format_sequences,
-    ideal_effect_operator,
     parse_sequence,
     parse_sequences,
     sequence_probability,

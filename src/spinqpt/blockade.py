@@ -247,15 +247,6 @@ def sequence_probability(seq: MeasureSequence, rho, noise: NoiseParams) -> float
     return float(np.sum(effect * as_density_array(rho).T).real)
 
 
-def ideal_effect_operator(seq: MeasureSequence) -> np.ndarray:
-    """Hermitian effect E with Tr[E rho] = success probability at r = 1, gdtau = 0.
-
-    The value of :func:`effect_polynomial` at r = D = 1, exactly Hermitian
-    as each coefficient is; satisfies 0 <= E <= 1.
-    """
-    return effect_polynomial(seq).sum(axis=(0, 1))
-
-
 # ----------------------------------------------------------------------------
 # Monte Carlo evaluation
 # ----------------------------------------------------------------------------

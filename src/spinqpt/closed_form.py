@@ -37,55 +37,66 @@ def _validated_dephasing(r, gdtau: float) -> float:
     return dephasing_factor(gdtau)
 
 
+#: The families that depend on r, each as its expression in r, r2 = r * r and the families in d
+#: alone (f).  For the two-subscript alpha families the first sign picks the sign of the r-linear
+#: term and the second selects the +/- member of the beta or a family it multiplies.
+_R_FAMILIES = {
+    "alpha1_pp": lambda f, r, r2: 1.0 + 2.0 * f.beta1_plus * r + f.beta3_plus * r2,
+    "alpha1_pm": lambda f, r, r2: 1.0 + 2.0 * f.beta1_minus * r + f.beta3_minus * r2,
+    "alpha1_mp": lambda f, r, r2: 1.0 - 2.0 * f.beta1_plus * r + f.beta3_plus * r2,
+    "alpha1_mm": lambda f, r, r2: 1.0 - 2.0 * f.beta1_minus * r + f.beta3_minus * r2,
+    "alpha2_pp": lambda f, r, r2: 1.0 + 2.0 * f.beta2_plus * r - f.beta3_minus * r2,
+    "alpha2_pm": lambda f, r, r2: 1.0 + 2.0 * f.beta2_minus * r - f.beta3_plus * r2,
+    "alpha2_mp": lambda f, r, r2: 1.0 - 2.0 * f.beta2_plus * r - f.beta3_minus * r2,
+    "alpha2_mm": lambda f, r, r2: 1.0 - 2.0 * f.beta2_minus * r - f.beta3_plus * r2,
+    "alpha3_pp": lambda f, r, r2: f.a_plus * (f.a_plus + r),
+    "alpha3_pm": lambda f, r, r2: f.a_minus * (f.a_minus + r),
+    "alpha3_mp": lambda f, r, r2: f.a_plus * (f.a_plus - r),
+    "alpha3_mm": lambda f, r, r2: f.a_minus * (f.a_minus - r),
+    "alpha4_plus": lambda f, r, r2: 2.0 * f.d + (1.0 + f.b_plus) * r,
+    "alpha4_minus": lambda f, r, r2: 2.0 * f.d - (1.0 + f.b_plus) * r,
+    "alpha6_plus": lambda f, r, r2: 2.0 * (1.0 + 1j) * f.d * f.b_plus + f.c_plus * r,
+    "alpha6_minus": lambda f, r, r2: 2.0 * (1.0 + 1j) * f.d * f.b_plus - f.c_plus * r,
+}
+
+#: The r-dependent families that the fidelity reads.
+_FIDELITY_FAMILIES = ("alpha1_pp", "alpha2_pp", "alpha3_pp", "alpha4_plus")
+
+
 def coefficients(r, gdtau: float) -> SimpleNamespace:
     """Evaluate every coefficient family at the given noise point.
 
     r may be a float or a numpy array: the families in d alone (a, b, c, beta,
     alpha5) stay Python floats and the other alphas take the shape of r,
     elementwise the exact floats of a scalar call (same operations, same order).
-
-    For the two-subscript alpha families the first sign picks the sign of the
-    r-linear term and the second selects the +/- member of the beta or a
-    family it multiplies.
     """
+    return _families(r, gdtau, _R_FAMILIES)
+
+
+def _families(r, gdtau: float, names) -> SimpleNamespace:
+    """The families in d alone and the named ones of _R_FAMILIES at the noise point."""
     d = _validated_dephasing(r, gdtau)
     a_p, a_m = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
     b_p, b_m = 0.5 * (1.0 + d ** 2), 0.5 * (1.0 - d ** 2)
     c_p, c_m = 0.5 * (1.0 + d ** 4), 0.5 * (1.0 - d ** 4)
-    beta1_p = a_p ** 2 + c_m * a_m ** 2
-    beta1_m = a_m ** 2 + c_m * a_p ** 2
-    beta2_p = c_p * a_p ** 2
-    beta2_m = c_p * a_m ** 2
-    beta3_p = a_p - d ** 4 * a_m
-    beta3_m = a_m - d ** 4 * a_p
-    r2 = r * r
-    return SimpleNamespace(
+    families = SimpleNamespace(
         r=r, gdtau=gdtau, d=d,
         a_plus=a_p, a_minus=a_m,
         b_plus=b_p, b_minus=b_m,
         c_plus=c_p, c_minus=c_m,
-        beta1_plus=beta1_p, beta1_minus=beta1_m,
-        beta2_plus=beta2_p, beta2_minus=beta2_m,
-        beta3_plus=beta3_p, beta3_minus=beta3_m,
-        alpha1_pp=1.0 + 2.0 * beta1_p * r + beta3_p * r2,
-        alpha1_pm=1.0 + 2.0 * beta1_m * r + beta3_m * r2,
-        alpha1_mp=1.0 - 2.0 * beta1_p * r + beta3_p * r2,
-        alpha1_mm=1.0 - 2.0 * beta1_m * r + beta3_m * r2,
-        alpha2_pp=1.0 + 2.0 * beta2_p * r - beta3_m * r2,
-        alpha2_pm=1.0 + 2.0 * beta2_m * r - beta3_p * r2,
-        alpha2_mp=1.0 - 2.0 * beta2_p * r - beta3_m * r2,
-        alpha2_mm=1.0 - 2.0 * beta2_m * r - beta3_p * r2,
-        alpha3_pp=a_p * (a_p + r),
-        alpha3_pm=a_m * (a_m + r),
-        alpha3_mp=a_p * (a_p - r),
-        alpha3_mm=a_m * (a_m - r),
-        alpha4_plus=2.0 * d + (1.0 + b_p) * r,
-        alpha4_minus=2.0 * d - (1.0 + b_p) * r,
+        beta1_plus=a_p ** 2 + c_m * a_m ** 2,
+        beta1_minus=a_m ** 2 + c_m * a_p ** 2,
+        beta2_plus=c_p * a_p ** 2,
+        beta2_minus=c_p * a_m ** 2,
+        beta3_plus=a_p - d ** 4 * a_m,
+        beta3_minus=a_m - d ** 4 * a_p,
         alpha5_plus=2.0 * a_p * (1.0 + a_p),
         alpha5_minus=-2.0 * a_m * (1.0 + a_m),
-        alpha6_plus=2.0 * (1.0 + 1j) * d * b_p + c_p * r,
-        alpha6_minus=2.0 * (1.0 + 1j) * d * b_p - c_p * r,
     )
+    r2 = r * r
+    for name in names:
+        setattr(families, name, _R_FAMILIES[name](families, r, r2))
+    return families
 
 
 def _blocks(c: SimpleNamespace) -> dict:
@@ -226,7 +237,7 @@ def fidelity_closed_form(r, gdtau: float):
     At gdtau = 0 this reduces to (1 + 3r)^2 / 16; at r = 1 the loss from
     timing noise alone stays below about five percent for gdtau <= 0.1.
     """
-    c = coefficients(r, gdtau)
+    c = _families(r, gdtau, _FIDELITY_FAMILIES)
     cp = c.c_plus
     cross = 2.0 * cp * r * c.alpha3_pp + cp ** 2 * r * c.alpha4_plus + cp * r * r * c.alpha5_plus
     return (c.alpha1_pp + c.alpha2_pp + 2.0 * cross) / 32.0

@@ -9,12 +9,20 @@ one) and the second is the inner qubit A.  Superoperators act on
 column-stacked operators, vec(A @ P @ B) = (B.T kron A) @ vec(P), and are
 stored as 16x16 arrays.
 
+A 4x4 matrix polynomial in r gets the coefficients of its characteristic
+polynomial as exact polynomials in r, with their rounding bounds
+(:func:`_characteristic_coefficients`), so whether it is positive
+semidefinite at some r needs no eigensolver.
+
 Everything in this module is a pure function of immutable inputs; arrays held
 by the value types are marked read-only after construction.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +114,7 @@ class QuantumChannel:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "QuantumChannel":
-        return cls(superop=kraus_to_superop([u]))
-
-    @classmethod
-    def identity(cls) -> "QuantumChannel":
-        return cls.from_unitary(np.eye(DIM, dtype=complex))
+        return cls.from_kraus([u])
 
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -177,3 +181,95 @@ def transpose_negativity(transposed: np.ndarray):
     evals = np.linalg.eigvalsh(transposed)
     values = -np.where(evals < 0, evals, 0.0).sum(axis=-1)
     return float(values) if values.ndim == 0 else values
+
+
+#: The index pairs (i, j), i < j, of a 4x4 matrix in lexicographic order: pair 5 - p is the complement
+#: of pair p.
+_PAIRS = tuple(itertools.combinations(range(DIM), 2))
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _products(terms: list) -> tuple:
+    """A sum-of-products stage from its terms (key, a, b, negative): output s is the sum, over the
+    terms of the s-th key in sorted order, of +-values[a] * values[b].  Returns the (2, n) a and b
+    indices, the (2, n) signs (the signed row, then a row of ones that sums magnitudes), the
+    offsets of the keys' runs and the longest run."""
+    terms = sorted(terms, key=lambda term: term[0])
+    keys = [term[0] for term in terms]
+    starts = [n for n, key in enumerate(keys) if n == 0 or key != keys[n - 1]]
+    a, b, negative = (np.array(column) for column in list(zip(*terms))[1:])
+    signs = np.stack([np.where(negative, -1.0, 1.0), np.ones(len(terms))])
+    return np.stack([a, b]), signs, np.array(starts), int(np.diff(starts + [len(terms)]).max())
+
+
+def _stage(values: np.ndarray, stage: tuple, out=None) -> np.ndarray:
+    """One :func:`_products` stage applied to both rows of values, into out if given."""
+    factors, signs, starts, _ = stage
+    pairs = np.take(values, factors, axis=1)
+    return np.add.reduceat(pairs[:, 0] * pairs[:, 1] * signs, starts, axis=1, out=out)
+
+
+@functools.cache
+def _characteristic_plan(k: int) -> tuple:
+    """The two stages of :func:`_characteristic_coefficients` for a polynomial of degree k.
+
+    Stage 1 reads the coefficients P[a, b]_i at 16i + 4a + b, then a 1, and gives the 2x2 minors
+    that stage 2 reads, on the rows of pair p and the columns of pair q, 2k+1 coefficients each.
+    Stage 2 reads the same values followed by the minors' coefficients, and gives e_1 ... e_4: the
+    diagonal, the principal minors, the principal 3x3 minors expanded along their first rows and
+    Laplace's expansion along rows 0 and 1."""
+    width, span, last = k + 1, 2 * k + 1, len(_PAIRS) - 1
+    one = DIM * DIM * width
+    minors = {}                                        # (p, q): the minor's place in stage 1
+
+    def entry(a, b, i):
+        return DIM * DIM * i + DIM * a + b
+
+    def minor(p, q, m):
+        return one + 1 + span * minors.setdefault((p, q), len(minors)) + m
+
+    second = [((1, i), entry(a, a, i), one, False) for a in range(DIM) for i in range(width)]
+    second += [((2, m), minor(p, p, m), one, False) for p in range(len(_PAIRS)) for m in range(span)]
+    for triple in itertools.combinations(range(DIM), 3):
+        below = _PAIRS.index(triple[1:])
+        for n, col in enumerate(triple):
+            others = _PAIRS.index(tuple(x for x in triple if x != col))
+            second += [((3, i + m), entry(triple[0], col, i), minor(below, others, m), n == 1)
+                       for i in range(width) for m in range(span)]
+    second += [((4, x + y), minor(0, q, x), minor(last, last - q, y), q in (1, 4))
+               for q in range(len(_PAIRS)) for x in range(span) for y in range(span)]
+    first = []
+    for (p, q), place in minors.items():
+        (a, b), (c, d) = _PAIRS[p], _PAIRS[q]
+        for i, j in itertools.product(range(width), repeat=2):
+            first += [((place, i + j), entry(a, c, i), entry(b, d, j), False),
+                      ((place, i + j), entry(a, d, i), entry(b, c, j), True)]
+    return _products(first), _products(second)
+
+
+def _characteristic_coefficients(poly: np.ndarray) -> tuple:
+    """(e, bounds) for a polynomial P(r) in r with (k+1, 4, 4) Hermitian coefficients.
+
+    e[j-1] is e_j, the sum of the principal j x j minors of P(r): a real polynomial of degree jk,
+    the list of its coefficients from r^0 up, from exact polynomial products in two stages
+    (:func:`_characteristic_plan`).  bounds[j-1] bounds the rounding of e_j(r), r in [0, 1], from
+    those coefficients by Horner's rule: gamma_n times the same sum of products of |coefficients|
+    with every sign + (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), at r = 1
+    where it is largest.  n counts the most roundings on one path from a coefficient of P to
+    e_j(r): per stage a complex product (3) and the sum of its run, then Horner's 2 per degree;
+    doubled for the rounding of the bound itself."""
+    k = len(poly) - 1
+    first, second = _characteristic_plan(k)
+    # Both rows: P's coefficients (signed) or their magnitudes, a 1, then stage 1's minors.
+    coefficients = poly.reshape(-1)
+    one = coefficients.size
+    values = np.ones((2, one + 1 + len(first[2])), dtype=complex)
+    values[0, :one] = coefficients
+    np.abs(coefficients, out=values[1, :one])
+    _stage(values, first, out=values[:, one + 1:])
+    ends = list(itertools.accumulate((j * k + 1 for j in range(1, DIM + 1)), initial=0))
+    signed, magnitudes = ([row[lo:hi] for lo, hi in zip(ends, ends[1:])]
+                          for row in _stage(values, second).real.tolist())
+    n = 2 * (6 + first[-1] + second[-1] + 2 * DIM * k)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return signed, [gamma * math.fsum(magnitude) for magnitude in magnitudes]

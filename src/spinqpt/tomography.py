@@ -54,10 +54,12 @@ gives chi per unit of each product as a polynomial in r, built on first use
 it, and adds chi0.
 
 The entanglement threshold reads the pipeline map too: its input is one of
-the 16 QPT inputs, so at gdtau chi applied to it is the reconstructed
-output, a polynomial in r whose coefficients are partial-transposed once,
-and each point of the search costs one 4x4 polynomial evaluation and one
-4x4 eigenvalue problem.
+the 16 QPT inputs, so chi applied to it is the reconstructed output, and its
+partial transpose is one more table per design (TomographyDesign.transpose_map).
+At gdtau that table is a 4x4 polynomial in r.  Its 65-point sweep is one
+batched eigenvalue call; each bisection step after it evaluates the
+characteristic coefficients of the same polynomial, built once per search
+with exact polynomial arithmetic, and solves no eigenproblem.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ from .dynamics import (
     dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix, chi_index
-from .qcore import DIM, hermitize, pure_state, transpose_negativity, unvec, vec
+from .qcore import (DIM, _characteristic_coefficients, hermitize, pure_state, transpose_negativity, unvec,
+                    vec)
 
 _AXES = ("z", "x", "y")
 
@@ -117,8 +120,9 @@ class TomographyDesign:
     reconstruct sum_s p_s reconstruction[s].  A QPT's raveled chi is chi0, the trace row's share,
     plus :func:`_chi_map` of its 16 x 15 probabilities: pipeline_map[c, j, b] is the coefficient of
     D^c r^j d^b of that share for the analytic probabilities, shape (m+1, k+1, 3, 256) for m the
-    largest Evolve count and k the largest projection count of a sequence, and monte_carlo_map the
-    share of the trajectory features.  Two designs compare equal when their sequences do."""
+    largest Evolve count and k the largest projection count of a sequence, monte_carlo_map the
+    share of the trajectory features and transpose_map the threshold's partial transpose.  Two
+    designs compare equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
@@ -148,6 +152,20 @@ class TomographyDesign:
         """
         coeffs = feature_coefficients(self.weight_forms, _GATE_BASES)        # (k+1, input, seq, f)
         return _chi_map(np.moveaxis(coeffs, -1, 1), self.reconstruction)
+
+    @functools.cached_property
+    def transpose_map(self) -> tuple:
+        """(T, T0), read-only, built on first use: the partial transpose on A of the reconstructed
+        output of ENTANGLEMENT_INPUT, before it is hermitized, is T0 plus the polynomial T with
+        coefficients of D^c r^j d^b, shape (m+1, k+1, 3, 4, 4); T0, shape (4, 4), is chi0's share.
+        The pipeline map applied to that input, then the gather of the partial transpose."""
+        rows = self.pipeline_map.reshape(*self.pipeline_map.shape[:-1], 16, 16) @ _ENTANGLEMENT_CHI
+        # take, unlike rows[..., _TRANSPOSE_GRID], returns C order, which every evaluation reads faster.
+        tables = tuple(np.take(table, _TRANSPOSE_GRID, axis=-1)
+                       for table in (rows, self.chi0.reshape(16, 16) @ _ENTANGLEMENT_CHI))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
 
 def _axis_prerotation(scope: str, axis: str) -> tuple:
@@ -401,13 +419,16 @@ def run_qpt(
     mean, cov = _feature_moments(features, lambda m: _mc_gate_coords(m, noise, gate_rng), duration_rng,
                                  noise, mc_samples)
     # chi moves by lin[f] per unit of feature f, and each entry's variance is diag(lin^H cov lin).
+    # Both are real products on the parts of lin: complex matrix products on a threaded BLAS can
+    # stall a process at tens of milliseconds a call.
     lin = polynomial_value(design.monte_carlo_map, noise.r)
-    chi = (design.chi0 + mean @ lin).reshape(16, 16)
+    parts = lin.real, lin.imag
+    chi = (design.chi0 + (mean @ parts[0] + 1j * (mean @ parts[1]))).reshape(16, 16)
     if not noise.sampled_gdtau:
         # Every trajectory is the same; a step-group row's rounding may still vary across them.
         return ProcessMatrix(chi=chi, stderr=np.zeros((16, 16)))
-    stderr = np.sqrt(np.maximum(np.sum((cov @ lin) * lin.conj(), axis=0).real, 0.0)).reshape(16, 16)
-    return ProcessMatrix(chi=chi, stderr=stderr)
+    variance = sum(np.sum((cov @ part) * part, axis=0) for part in parts)
+    return ProcessMatrix(chi=chi, stderr=np.sqrt(np.maximum(variance, 0.0)).reshape(16, 16))
 
 
 # ----------------------------------------------------------------------------
@@ -443,18 +464,56 @@ class ThresholdResult:
 
 def _transpose_polynomial(gdtau: float, design: TomographyDesign) -> np.ndarray:
     """The hermitized partial transpose of the reconstructed gate output as coefficients of r^j,
-    shape (k + 1, 4, 4): the design's pipeline chi applied to ENTANGLEMENT_INPUT, evaluated at D and d.
+    shape (k + 1, 4, 4): the design's transpose_map evaluated at D and d.
 
     The averaged gate does not depend on r, and the partial transpose and hermitize are linear,
     so both are taken once per coefficient.
     """
     d = dephasing_factor(gdtau)
-    pipeline_map = design.pipeline_map
-    rows = pipeline_map.reshape(*pipeline_map.shape[:-1], 16, 16) @ _ENTANGLEMENT_CHI     # (m+1, k+1, 3, 16)
-    rows = polynomial_value(polynomial_value(rows, d ** 4).swapaxes(0, 1), d)
-    rows[0] += design.chi0.reshape(16, 16) @ _ENTANGLEMENT_CHI
-    # take, unlike rows[:, _TRANSPOSE_GRID], returns C order, which every evaluation in the search reads faster.
-    return hermitize(np.take(rows, _TRANSPOSE_GRID, axis=-1))
+    table, constant = design.transpose_map
+    poly = polynomial_value(polynomial_value(table, d ** 4).swapaxes(0, 1), d)
+    poly[0] += constant
+    return hermitize(poly)
+
+
+def _bisect(poly: np.ndarray, lo: float, hi: float, tol: float) -> list:
+    """The (lo, hi) brackets of a bisection of [lo, hi], within [0, 1], down to width tol or to two
+    adjacent doubles, for the first r at which the Hermitian polynomial poly(r), shape (k+1, 4, 4),
+    has a negative eigenvalue; hi is taken to have one.
+
+    A Hermitian matrix is positive semidefinite iff every coefficient e_j of its characteristic
+    polynomial is >= 0 (Descartes' rule of signs), so two eigenvalues that cross 0 together are
+    found as well as one.  The e_j are built once as exact polynomials in r
+    (:func:`spinqpt.qcore._characteristic_coefficients`);
+    a step evaluates them by Horner's rule and finds a negative eigenvalue where one lies below
+    minus its rounding bound, so rounding noise, such as that of an identically singular poly(r),
+    decides nothing.  No step solves an eigenproblem.
+    """
+    signed, bounds = _characteristic_coefficients(poly)
+    # The determinant first: it is the one that usually changes sign.
+    tests = [(e[::-1], -bound) for e, bound in zip(signed[::-1], bounds[::-1])]
+    history = [(lo, hi)]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:           # lo and hi are adjacent doubles: tol is below their spacing
+            break
+        if _any_below(tests, mid):
+            hi = mid
+        else:
+            lo = mid
+        history.append((lo, hi))
+    return history
+
+
+def _any_below(tests: list, r: float) -> bool:
+    """Whether some polynomial, its coefficients from the highest power down, is below its floor at r."""
+    for coefficients, floor in tests:
+        value = 0.0
+        for c in coefficients:
+            value = value * r + c
+        if value < floor:
+            return True
+    return False
 
 
 def reconstructed_output_negativity(
@@ -486,9 +545,10 @@ def entanglement_threshold(
     sequence).  A bracketing sweep over THRESHOLD_SWEEP_STEPS intervals,
     tested with one batched eigenvalue call, guards against non-monotonic
     pathologies before bisecting the first sign change of the negativity
-    down to width tol, or to two adjacent doubles when tol is finer than
-    their spacing; each bisection step is one 4x4 evaluation of the same
-    polynomial and one eigenvalue call.
+    (above _NEGATIVITY_EPS) down to width tol, or to two adjacent doubles
+    when tol is finer than their spacing.  Each bisection step evaluates
+    the characteristic coefficients of the same polynomial, so a search
+    makes one eigenvalue call and r_star converges to the root itself.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -503,18 +563,8 @@ def entanglement_threshold(
         r_star, message = None, "no threshold: reconstructed output never entangled"
     else:
         first = int(entangled.argmax())
-        lo, hi = float(_SWEEP_GRID[first - 1]), float(_SWEEP_GRID[first])
-        history.append((lo, hi))
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:       # lo and hi are adjacent doubles: tol is below their spacing
-                break
-            if transpose_negativity(polynomial_value(poly, mid)) > _NEGATIVITY_EPS:
-                hi = mid
-            else:
-                lo = mid
-            history.append((lo, hi))
-        r_star, message = hi, "threshold located"
+        history = _bisect(poly, float(_SWEEP_GRID[first - 1]), float(_SWEEP_GRID[first]), tol)
+        r_star, message = history[-1][1], "threshold located"
     history = np.reshape(history, (-1, 2))
     curve.flags.writeable = history.flags.writeable = False
     return ThresholdResult(r_star=r_star, bracket_history=history, curve=curve, message=message)

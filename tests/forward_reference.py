@@ -29,6 +29,9 @@ finite Fourier series in their Gaussian phases, so
 ``trajectory_feature_covariance`` gives their covariance and
 ``quadratic_form_moments`` the fourth moments behind the spread of a reported
 Monte Carlo variance exactly, the oracle for ``stderr``.
+``ideal_effect_operator`` is ``effect_polynomial`` at ``r = D = 1``, the
+effect that ``tomography.design_from_sequences`` takes for each sequence, and
+``identity_channel`` the channel of the 4x4 identity.
 ``exchange_coherence`` is the singlet-triplet part of an averaged exchange
 pulse at its mean time, the part ``EXCHANGE_PARTS`` weights by cos and sin
 of the phase.  ``split_cnot_channel`` averages the same gate a second way,
@@ -58,6 +61,7 @@ from spinqpt.blockade import (
     _StepGroup,
     blockade_map,
     branch_weights,
+    effect_polynomial,
 )
 from spinqpt.dynamics import (
     CNOT_ENTRY,
@@ -449,6 +453,17 @@ def quadratic_form_moments(forms, noise, weights):
     squares = series_product(deviations, flipped, nvars).sum(axis=1)
     return (gaussian_mean(squares, means, widths).real,
             gaussian_mean(series_product(squares, squares, nvars), means, widths).real)
+
+
+def ideal_effect_operator(seq):
+    """Hermitian effect E with Tr[E rho] = success probability at r = 1, gdtau = 0: the value of
+    effect_polynomial at r = D = 1, exactly Hermitian as each coefficient is; 0 <= E <= 1."""
+    return effect_polynomial(seq).sum(axis=(0, 1))
+
+
+def identity_channel():
+    """The identity channel on 4x4 operators."""
+    return QuantumChannel.from_unitary(np.eye(4, dtype=complex))
 
 
 def exchange_coherence(mean_time):

@@ -28,7 +28,6 @@ from spinqpt.blockade import (
     feature_coefficients,
     format_sequence,
     format_sequences,
-    ideal_effect_operator,
     parse_sequence,
     parse_sequences,
     polynomial_value,
@@ -43,6 +42,7 @@ from spinqpt.qcore import basis_state, hermitize, pure_state
 from forward_reference import (
     branch_summed_replay,
     forward_sequence_probability,
+    ideal_effect_operator,
     long_sequence_sequences,
     state_features,
 )

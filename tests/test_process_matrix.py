@@ -19,6 +19,8 @@ from spinqpt.process_matrix import (
 from spinqpt.qcore import QuantumChannel, apply_channel
 from spinqpt.tomography import run_qpt
 
+from forward_reference import identity_channel
+
 
 def test_ordering_labels():
     assert CHI_LABELS[:8] == ("E11", "E22", "E33", "E44", "E12", "E21", "E34", "E43")
@@ -34,7 +36,7 @@ def test_ideal_chi_is_sparse_permutation():
 
 
 def test_identity_channel_chi():
-    chi = chi_of_channel(QuantumChannel.identity()).chi
+    chi = chi_of_channel(identity_channel()).chi
     np.testing.assert_allclose(chi, np.eye(16), atol=1e-14)
 
 

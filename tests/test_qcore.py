@@ -23,6 +23,8 @@ from spinqpt.qcore import (
 )
 from spinqpt.dynamics import CNOT_TARGET, NoiseParams, noisy_cnot_channel
 
+from forward_reference import identity_channel
+
 
 def random_density(rng):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -65,7 +67,7 @@ class TestApplyChannel:
     def test_identity_channel(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng)
-        out = apply_channel(QuantumChannel.identity(), rho)
+        out = apply_channel(identity_channel(), rho)
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_ideal_cnot_flips_target_when_control_down(self):
@@ -95,12 +97,12 @@ class TestApplyChannel:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            apply_channel(QuantumChannel.identity(), np.eye(3))
+            apply_channel(identity_channel(), np.eye(3))
 
 
 class TestChoiMatrix:
     def test_identity_channel_choi(self):
-        choi = choi_matrix(QuantumChannel.identity())
+        choi = choi_matrix(identity_channel())
         # rank-1 projector onto the maximally entangled vector, trace 4
         evals = np.linalg.eigvalsh(hermitize(choi))
         assert abs(np.trace(choi).real - 4.0) < 1e-12
@@ -129,7 +131,7 @@ class TestChoiMatrix:
 
 class TestIsCptp:
     def test_identity_true(self):
-        assert is_cptp(QuantumChannel.identity(), 1e-9)
+        assert is_cptp(identity_channel(), 1e-9)
 
     def test_bare_projection_not_trace_preserving(self):
         ch = QuantumChannel(superop=kraus_to_superop([PROJ_UP]))
@@ -144,7 +146,7 @@ class TestIsCptp:
         # A NaN tolerance used to answer False and an infinite one to pass any channel.
         for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
-                is_cptp(QuantumChannel.identity(), tol)
+                is_cptp(identity_channel(), tol)
 
 
 class TestPartialTranspose:

@@ -1,5 +1,6 @@
 """Tests for the tomography design, reconstruction, QPT, and threshold search."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -32,7 +33,8 @@ from spinqpt.process_matrix import (
     ideal_cnot_chi,
     process_fidelity,
 )
-from spinqpt.qcore import QuantumChannel, apply_channel, basis_state, hermitize, negativity, pure_state
+from spinqpt.qcore import (QuantumChannel, _characteristic_coefficients, apply_channel, basis_state, hermitize,
+                           negativity, pure_state, transpose_negativity)
 from spinqpt.cli import main
 from spinqpt.tomography import (
     DEFAULT_MC_SAMPLES,
@@ -888,6 +890,28 @@ class TestEntanglementThreshold:
         assert hi == np.nextafter(lo, 1.0) and result.r_star == hi
         assert len(result.bracket_history) < 64
 
+    def test_threshold_is_inverse_sqrt_three_to_the_root(self, design):
+        # Beside acceptance criterion 9: the bisection's steps read the exact characteristic
+        # coefficients, so at the finest tol r_star is the root itself, not the root plus the
+        # 1.2e-10 that negativity > 1e-10 would leave.
+        result = entanglement_threshold(design, gdtau=0.0, tol=1e-300)
+        assert abs(result.r_star - 1.0 / math.sqrt(3.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["shipped", "long"])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-300])
+    def test_a_search_makes_one_eigensolve(self, designs, name, tol, monkeypatch):
+        # The 65-point sweep is one batched call; no bisection step solves an eigenproblem.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        result = entanglement_threshold(designs[name], gdtau=0.1, tol=tol)
+        assert result.r_star is not None and len(result.bracket_history) > 8
+        assert len(calls) == 1
+
 
 class TestForwardReferenceEquivalence:
     @settings(max_examples=15)
@@ -919,6 +943,89 @@ class TestForwardReferenceEquivalence:
         for table, shape in ((result.curve, (65, 2)), (result.bracket_history, (1 + 8, 2))):
             assert table.shape == shape and table.dtype == np.float64
             assert not table.flags.writeable
+
+
+def elementary_symmetric(values, j):
+    """e_j of the values: the sum of the products of each j of them."""
+    return sum(math.prod(chosen) for chosen in itertools.combinations(values, j))
+
+
+def transpose_at(design, gdtau, r):
+    """The hermitized partial transpose of the reconstructed output at (r, gdtau)."""
+    return polynomial_value(tomography._transpose_polynomial(gdtau, design), r)
+
+
+def eigenvalue_bisection(poly, lo, hi, tol):
+    """The final bracket of a bisection that tests negativity > 1e-10 at each step, with eigvalsh."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if transpose_negativity(polynomial_value(poly, mid)) > 1e-10:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def random_unitary(rng):
+    q, upper = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(upper) / np.abs(np.diag(upper)))
+
+
+class TestCharacteristicSearch:
+    """The bisection's steps test the characteristic coefficients e_1 ... e_4 of the transpose
+    polynomial, built once per search from its coefficients, against their rounding bounds."""
+
+    #: e_j from the coefficients against e_j of eigvalsh's eigenvalues.  The eigenvalues here lie in
+    #: [-1, 1]; eigvalsh is backward stable, so each is within about 4 * 4 eps of the exact one, and
+    #: e_j's C(4, j) products of j of them move by at most 12 * 16 eps ~ 4e-14 in all; the Horner value
+    #: of the exact-product coefficients adds a few eps.  1e-13 covers both.
+    ESYM_BOUND = 1e-13
+
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(["shipped", "cubic", "long"]), r=st.floats(0.0, 1.0), gdtau=st.floats(0.0, 0.5))
+    @example(name="shipped", r=1.0 / math.sqrt(3.0), gdtau=0.0)
+    def test_coefficients_are_the_symmetric_functions_of_the_eigenvalues(self, designs, name, r, gdtau):
+        poly = tomography._transpose_polynomial(gdtau, designs[name])
+        signed, bounds = _characteristic_coefficients(poly)
+        k = len(poly) - 1
+        assert [len(e) for e in signed] == [j * k + 1 for j in range(1, 5)]
+        assert all(0.0 < bound < self.ESYM_BOUND for bound in bounds)
+        evals = np.linalg.eigvalsh(polynomial_value(poly, r))
+        for j, e in enumerate(signed, start=1):
+            assert abs(np.polynomial.polynomial.polyval(r, e) - elementary_symmetric(evals, j)) <= self.ESYM_BOUND
+
+    @settings(max_examples=12)
+    @given(name=st.sampled_from(["shipped", "cubic", "long"]), gdtau=st.floats(0.0, 0.5))
+    @example(name="long", gdtau=0.5)
+    def test_threshold_agrees_with_the_forward_search(self, designs, name, gdtau):
+        design, tol = designs[name], 1e-3
+        result = entanglement_threshold(design, gdtau=gdtau, tol=tol)
+        assert abs(result.r_star - forward_threshold(design, gdtau, tol=tol)[0]) <= tol
+        # The last bracket straddles the crossing: a negative eigenvalue at hi, none at lo.
+        lo, hi = result.bracket_history[-1]
+        assert np.linalg.eigvalsh(transpose_at(design, gdtau, hi)).min() < 0.0
+        assert np.linalg.eigvalsh(transpose_at(design, gdtau, lo)).min() >= -1e-12
+
+    @pytest.mark.parametrize("diagonal", ["two crossing together", "one identically zero"])
+    def test_synthetic_crossings(self, diagonal):
+        # P(r) = U diag(lambda(r)) U^dagger, quadratic in r, with lambda(r) = (r0 - r)(1 + r) in two
+        # entries (the determinant keeps its sign through r0) or in one, beside an eigenvalue that is
+        # 0 for every r (the determinant is rounding noise, of either sign: several U show both).
+        r0, tol = 1.0 / math.pi, 1e-9
+        crossing = np.array([r0, r0 - 1.0, -1.0])               # (r0 - r)(1 + r) from r^0 up
+        diagonals = np.zeros((3, 4))
+        diagonals[0, 2:] = (1.0, 2.0)
+        if diagonal == "two crossing together":
+            diagonals[:, 0] = diagonals[:, 1] = crossing
+        else:
+            diagonals[:, 1] = crossing
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            u = random_unitary(rng)
+            poly = hermitize(np.einsum("ab,jb,cb->jac", u, diagonals, u.conj()))
+            lo, hi = tomography._bisect(poly, 0.0, 1.0, tol)[-1]
+            assert hi - lo <= tol and lo <= r0 <= hi
+            assert abs(hi - eigenvalue_bisection(poly, 0.0, 1.0, tol)[1]) <= tol
 
 
 def cubic_sequences(sequences):
