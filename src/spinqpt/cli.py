@@ -74,30 +74,6 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("reports must not contain non-finite numbers")
 
 
-def _bare_integers(values: np.ndarray) -> np.ndarray:
-    """Where .17g would print a float64 array's values as bare integers: its finite integral values
-    below 1e17 in size, which "%.1f" writes with the same digits and _fmt_float's ".0" marker.
-
-    A non-finite value is refused.
-    """
-    _check_finite(values)
-    return (values == np.trunc(values)) & (np.abs(values) < 1e17)
-
-
-def _float_table(table: np.ndarray, inner: str) -> str:
-    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
-
-    One "%" format writes the whole table with _fmt_float's bytes.  Rows with
-    the same pattern of bare integers share a row format.
-    """
-    bare = _bare_integers(table)
-    packed = np.ascontiguousarray(np.packbits(bare, axis=1))
-    patterns = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-    row_format = {p: "[" + ", ".join(["%.1f" if b else "%.17g" for b in mask]) + "]"
-                  for p, mask in dict(zip(patterns, bare.tolist())).items()}
-    return (",\n" + inner).join([row_format[p] for p in patterns]) % tuple(table.ravel().tolist())
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SweepGrid:
     """The rows (r, gdtau, F) of a fidelity sweep, kept as their grid.
@@ -119,11 +95,27 @@ _ROW_LAYOUTS = {"json": ("[", ", ", "]"), "csv": ("", ",", "")}
 
 def _cell_formats(values: np.ndarray, fmt: str) -> list:
     """The "%" format of each value of a 1-D float64 array in report format fmt: _fmt_float's
-    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both."""
+    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both.
+
+    .17g prints the finite integral values below 1e17 in size as bare integers, which "%.1f" writes
+    with the same digits and _fmt_float's ".0" marker.
+    """
+    _check_finite(values)
     if fmt == "csv":
-        _check_finite(values)
         return ["%.12g"] * values.size
-    return _JSON_FORMATS[_bare_integers(values).view(np.uint8)].tolist()
+    bare = (values == np.trunc(values)) & (np.abs(values) < 1e17)
+    return _JSON_FORMATS[bare.view(np.uint8)].tolist()
+
+
+def _float_table(table: np.ndarray, inner: str) -> str:
+    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
+
+    Each row's template is built from its cells' formats, and one "%" fills
+    them all with _fmt_float's bytes.
+    """
+    values = table.ravel()
+    rows = zip(*[iter(_cell_formats(values, "json"))] * table.shape[1])     # the cells, row by row
+    return ("[" + ("],\n" + inner + "[").join(map(", ".join, rows)) + "]") % tuple(values.tolist())
 
 
 def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:

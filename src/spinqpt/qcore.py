@@ -9,10 +9,11 @@ one) and the second is the inner qubit A.  Superoperators act on
 column-stacked operators, vec(A @ P @ B) = (B.T kron A) @ vec(P), and are
 stored as 16x16 arrays.
 
-A 4x4 matrix polynomial in r gets the coefficients of its characteristic
-polynomial as exact polynomials in r, with their rounding bounds
-(:func:`_characteristic_coefficients`), so whether it is positive
-semidefinite at some r needs no eigensolver.
+A 4x4 Hermitian matrix polynomial in r gets the coefficients of its
+characteristic polynomial as exact polynomials in r, with their rounding
+bounds (:func:`_characteristic_coefficients`, both stages from one Laplace
+rule), and :func:`_negative_eigenvalue_test` reads them by Horner's rule, so
+whether it is positive semidefinite at some r needs no eigensolver.
 
 Everything in this module is a pure function of immutable inputs; arrays held
 by the value types are marked read-only after construction.
@@ -183,9 +184,6 @@ def transpose_negativity(transposed: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-#: The index pairs (i, j), i < j, of a 4x4 matrix in lexicographic order: pair 5 - p is the complement
-#: of pair p.
-_PAIRS = tuple(itertools.combinations(range(DIM), 2))
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -213,37 +211,35 @@ def _stage(values: np.ndarray, stage: tuple, out=None) -> np.ndarray:
 def _characteristic_plan(k: int) -> tuple:
     """The two stages of :func:`_characteristic_coefficients` for a polynomial of degree k.
 
-    Stage 1 reads the coefficients P[a, b]_i at 16i + 4a + b, then a 1, and gives the 2x2 minors
-    that stage 2 reads, on the rows of pair p and the columns of pair q, 2k+1 coefficients each.
-    Stage 2 reads the same values followed by the minors' coefficients, and gives e_1 ... e_4: the
-    diagonal, the principal minors, the principal 3x3 minors expanded along their first rows and
-    Laplace's expansion along rows 0 and 1."""
-    width, span, last = k + 1, 2 * k + 1, len(_PAIRS) - 1
+    Stage 1 reads the coefficients P[a, b]_i at 16i + 4a + b, then a 1, and gives the 2x2 minors that
+    stage 2 reads, 2k+1 coefficients each; stage 2 reads the same values and the minors and gives
+    e_1 ... e_4.  Both follow one rule, Laplace's expansion of det P[rows, cols] along its first split
+    rows: the sum over the column sets q of +-det P[head, q] * det P[tail, cols - q], with the sign
+    (-1)^(sum of q's positions in cols + len(q) // 2).  A determinant of 0 rows is the 1, of 1 row an
+    entry, of 2 rows a minor.  Stage 2 expands each principal minor along 2 rows, stage 1 each minor along 1."""
+    width, span = k + 1, 2 * k + 1
     one = DIM * DIM * width
-    minors = {}                                        # (p, q): the minor's place in stage 1
+    minors = {}                                        # (rows, cols): the minor's place in stage 1
 
-    def entry(a, b, i):
-        return DIM * DIM * i + DIM * a + b
+    def det(rows, cols):
+        if len(rows) < 2:
+            return [DIM * DIM * i + DIM * rows[0] + cols[0] for i in range(width)] if rows else [one]
+        start = one + 1 + span * minors.setdefault((rows, cols), len(minors))
+        return range(start, start + span)
 
-    def minor(p, q, m):
-        return one + 1 + span * minors.setdefault((p, q), len(minors)) + m
+    def laplace(key, rows, cols, split):
+        head, tail = rows[:split], rows[split:]
+        terms = []
+        for q in itertools.combinations(range(len(cols)), len(head)):
+            heads = det(head, tuple(cols[n] for n in q))
+            tails = det(tail, tuple(c for n, c in enumerate(cols) if n not in q))
+            terms += [((key, x + y), a, b, (sum(q) + len(q) // 2) % 2 == 1)
+                      for x, a in enumerate(heads) for y, b in enumerate(tails)]
+        return terms
 
-    second = [((1, i), entry(a, a, i), one, False) for a in range(DIM) for i in range(width)]
-    second += [((2, m), minor(p, p, m), one, False) for p in range(len(_PAIRS)) for m in range(span)]
-    for triple in itertools.combinations(range(DIM), 3):
-        below = _PAIRS.index(triple[1:])
-        for n, col in enumerate(triple):
-            others = _PAIRS.index(tuple(x for x in triple if x != col))
-            second += [((3, i + m), entry(triple[0], col, i), minor(below, others, m), n == 1)
-                       for i in range(width) for m in range(span)]
-    second += [((4, x + y), minor(0, q, x), minor(last, last - q, y), q in (1, 4))
-               for q in range(len(_PAIRS)) for x in range(span) for y in range(span)]
-    first = []
-    for (p, q), place in minors.items():
-        (a, b), (c, d) = _PAIRS[p], _PAIRS[q]
-        for i, j in itertools.product(range(width), repeat=2):
-            first += [((place, i + j), entry(a, c, i), entry(b, d, j), False),
-                      ((place, i + j), entry(a, d, i), entry(b, c, j), True)]
+    second = [term for j in range(1, DIM + 1) for s in itertools.combinations(range(DIM), j)
+              for term in laplace(j, s, s, 2)]
+    first = [term for (rows, cols), place in minors.items() for term in laplace(place, rows, cols, 1)]
     return _products(first), _products(second)
 
 
@@ -256,8 +252,8 @@ def _characteristic_coefficients(poly: np.ndarray) -> tuple:
     those coefficients by Horner's rule: gamma_n times the same sum of products of |coefficients|
     with every sign + (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), at r = 1
     where it is largest.  n counts the most roundings on one path from a coefficient of P to
-    e_j(r): per stage a complex product (3) and the sum of its run, then Horner's 2 per degree;
-    doubled for the rounding of the bound itself."""
+    e_j(r): per stage a complex product (3) and the sum of its run, then Horner's 2 per degree in
+    :func:`_negative_eigenvalue_test`; doubled for the rounding of the bound itself."""
     k = len(poly) - 1
     first, second = _characteristic_plan(k)
     # Both rows: P's coefficients (signed) or their magnitudes, a 1, then stage 1's minors.
@@ -273,3 +269,24 @@ def _characteristic_coefficients(poly: np.ndarray) -> tuple:
     n = 2 * (6 + first[-1] + second[-1] + 2 * DIM * k)
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     return signed, [gamma * math.fsum(magnitude) for magnitude in magnitudes]
+
+
+def _negative_eigenvalue_test(poly: np.ndarray):
+    """A function of r in [0, 1] that tells whether the Hermitian poly(r), shape (k+1, 4, 4), has a
+    negative eigenvalue: whether some e_j of :func:`_characteristic_coefficients`, by Horner's rule,
+    lies below minus its rounding bound.  A Hermitian matrix is positive semidefinite iff every e_j
+    is >= 0 (Descartes' rule of signs), so eigenvalues that cross 0 together are found as well as
+    one, and rounding noise, such as that of an identically singular poly(r), decides nothing."""
+    signed, bounds = _characteristic_coefficients(poly)
+    # The determinant first: it is the one that usually changes sign.  Coefficients from r^jk down.
+    tests = [(e[::-1], -bound) for e, bound in zip(signed[::-1], bounds[::-1])]
+
+    def negative_at(r: float) -> bool:
+        for coefficients, floor in tests:
+            value = 0.0
+            for c in coefficients:
+                value = value * r + c
+            if value < floor:
+                return True
+        return False
+    return negative_at

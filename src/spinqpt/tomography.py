@@ -98,8 +98,7 @@ from .dynamics import (
     dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix, chi_index
-from .qcore import (DIM, _characteristic_coefficients, hermitize, pure_state, transpose_negativity, unvec,
-                    vec)
+from .qcore import DIM, _negative_eigenvalue_test, hermitize, pure_state, transpose_negativity, unvec, vec
 
 _AXES = ("z", "x", "y")
 
@@ -481,39 +480,23 @@ def _bisect(poly: np.ndarray, lo: float, hi: float, tol: float) -> list:
     adjacent doubles, for the first r at which the Hermitian polynomial poly(r), shape (k+1, 4, 4),
     has a negative eigenvalue; hi is taken to have one.
 
-    A Hermitian matrix is positive semidefinite iff every coefficient e_j of its characteristic
-    polynomial is >= 0 (Descartes' rule of signs), so two eigenvalues that cross 0 together are
-    found as well as one.  The e_j are built once as exact polynomials in r
-    (:func:`spinqpt.qcore._characteristic_coefficients`);
-    a step evaluates them by Horner's rule and finds a negative eigenvalue where one lies below
-    minus its rounding bound, so rounding noise, such as that of an identically singular poly(r),
-    decides nothing.  No step solves an eigenproblem.
+    Each step is :func:`spinqpt.qcore._negative_eigenvalue_test` at the midpoint, a test of the
+    characteristic coefficients against their rounding bounds, built once per search.  At a fine
+    tol the last hi lies within one rounding band above the root: the r where the first e_j to
+    change sign crosses minus its bound.
     """
-    signed, bounds = _characteristic_coefficients(poly)
-    # The determinant first: it is the one that usually changes sign.
-    tests = [(e[::-1], -bound) for e, bound in zip(signed[::-1], bounds[::-1])]
+    negative_at = _negative_eigenvalue_test(poly)
     history = [(lo, hi)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:           # lo and hi are adjacent doubles: tol is below their spacing
             break
-        if _any_below(tests, mid):
+        if negative_at(mid):
             hi = mid
         else:
             lo = mid
         history.append((lo, hi))
     return history
-
-
-def _any_below(tests: list, r: float) -> bool:
-    """Whether some polynomial, its coefficients from the highest power down, is below its floor at r."""
-    for coefficients, floor in tests:
-        value = 0.0
-        for c in coefficients:
-            value = value * r + c
-        if value < floor:
-            return True
-    return False
 
 
 def reconstructed_output_negativity(

@@ -40,6 +40,9 @@ for ``noisy_cnot_channel``; ``compose`` chains its channels.
 ``ideal_check_deviations`` is ``ideal-check``'s check written one sample at a
 time: one scalar draw, one eigendecomposition and four 4x4 products per
 sample, the reference for the batched command.
+``exact_characteristic_coefficients`` expands the characteristic coefficients
+of a Hermitian matrix polynomial in rational arithmetic, the oracle for the
+rounding bounds of the threshold search's test.
 
 The engine works in units of 1/g; these references do not.  Each takes the
 coupling g explicitly (default 1) and runs at the exchange Hamiltonian of
@@ -50,6 +53,7 @@ comparing them with the engine at g != 1 tests that only g*delta_tau matters.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -520,6 +524,50 @@ def forward_threshold(design, gdtau, tol=1e-4, sweep_steps=64, eps=1e-10):
             lo = mid
         history.append((lo, hi))
     return hi, tuple(history), curve
+
+
+def _exact_product(f, g):
+    """The product of two polynomials whose coefficients are complex (real, imaginary) Fraction pairs."""
+    out = [(Fraction(0), Fraction(0))] * (len(f) + len(g) - 1)
+    for i, (a, b) in enumerate(f):
+        for j, (c, d) in enumerate(g):
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+    return out
+
+
+def exact_characteristic_coefficients(poly):
+    """e_1 ... e_4 of the Hermitian polynomial poly(r), shape (k+1, 4, 4), in exact arithmetic: its
+    float coefficients taken as exact, each principal j x j minor of poly(r) expanded as Leibniz's
+    sum over the permutations of its rows, and complex values held as (real, imaginary) pairs of
+    Fractions.  e_j is the list of its jk+1 coefficients from r^0 up, as Fractions; a minor of an
+    exactly Hermitian matrix is real, and that is checked.  The reference for the rounding bounds of
+    ``qcore._characteristic_coefficients``, with which it shares no code."""
+    size = poly.shape[1]
+    entries = [[[(Fraction(float(c.real)), Fraction(float(c.imag))) for c in poly[:, a, b]]
+                for b in range(size)] for a in range(size)]
+    result = []
+    for j in range(1, size + 1):
+        total = [(Fraction(0), Fraction(0))] * (j * (len(poly) - 1) + 1)
+        for rows in itertools.combinations(range(size), j):
+            for cols in itertools.permutations(rows):
+                term = [(Fraction(1), Fraction(0))]
+                for a, b in zip(rows, cols):
+                    term = _exact_product(term, entries[a][b])
+                inversions = sum(x > y for x, y in itertools.combinations(cols, 2))
+                sign = -1 if inversions % 2 else 1
+                total = [(re + sign * tre, im + sign * tim) for (re, im), (tre, tim) in zip(total, term)]
+        assert all(im == 0 for _, im in total)
+        result.append([re for re, _ in total])
+    return result
+
+
+def exact_polynomial_value(coefficients, r):
+    """The exact value at the float r of a polynomial whose coefficients, from r^0 up, are Fractions."""
+    x, value = Fraction(r), Fraction(0)
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
 
 
 def ideal_check_deviations(seed, samples, inject):

@@ -36,8 +36,9 @@ _SWEEP_GDTAUS = "0,0.05,0.1,0.37,1,2,1e300"
 
 #: Every report family: the three qpt routes and all of them together, Monte
 #: Carlo below and above the full-dephasing cut, JSON and CSV sweeps, the
-#: threshold and both ideal-check outcomes, one of them over several sample blocks,
-#: and a qpt and a threshold on a design file.
+#: threshold (once bisected down to adjacent doubles, where the last bits of its
+#: characteristic coefficients decide the steps) and both ideal-check outcomes,
+#: one of them over several sample blocks, and a qpt and a threshold on a design file.
 ARGVS = (
     ("qpt",),
     ("qpt", "--method", "pipeline"),
@@ -60,6 +61,7 @@ ARGVS = (
     ("entanglement-threshold",),
     ("entanglement-threshold", "--gdtau", "0.1"),
     ("entanglement-threshold", "--gdtau", "1.7e308", "--tol", "1e-3"),
+    ("entanglement-threshold", "--tol", "1e-300"),
     ("ideal-check",),
     ("ideal-check", "--inject-angle-error", "--seed", "5"),
     ("ideal-check", "--samples", "5000", "--seed", "3"),

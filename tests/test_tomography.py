@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinqpt import blockade, dynamics, tomography
+from spinqpt import blockade, dynamics, qcore, tomography
 from spinqpt.blockade import (
     Evolve,
     MeasureSequence,
@@ -55,6 +56,8 @@ from spinqpt.tomography import (
 )
 
 from forward_reference import (
+    exact_characteristic_coefficients,
+    exact_polynomial_value,
     exchange_coherence,
     forward_chi,
     forward_output_negativity,
@@ -892,10 +895,18 @@ class TestEntanglementThreshold:
 
     def test_threshold_is_inverse_sqrt_three_to_the_root(self, design):
         # Beside acceptance criterion 9: the bisection's steps read the exact characteristic
-        # coefficients, so at the finest tol r_star is the root itself, not the root plus the
-        # 1.2e-10 that negativity > 1e-10 would leave.
+        # coefficients, so at the finest tol r_star is the root within one rounding band, not the
+        # root plus the 1.2e-10 that negativity > 1e-10 would leave.  The search stops on adjacent
+        # doubles lo < hi = r_star where the determinant e_4 (the one that changes sign here) tested
+        # below minus its bound at hi and not at lo: so e_4 < 0 at hi and e_4 >= -2 bound_4 at lo.
+        # e_4 is linear across the band, so r_star - 1/sqrt3 lies in [0, 2 bound_4 / |e_4'(1/sqrt3)|],
+        # give or take one spacing of doubles for the rounding of 1/sqrt3 and of the last step.
+        root = 1.0 / math.sqrt(3.0)
+        signed, bounds = _characteristic_coefficients(tomography._transpose_polynomial(0.0, design))
+        slope = np.polynomial.polynomial.polyval(root, np.polynomial.polynomial.polyder(signed[3]))
+        band, spacing = 2.0 * bounds[3] / abs(slope), math.ulp(root)
         result = entanglement_threshold(design, gdtau=0.0, tol=1e-300)
-        assert abs(result.r_star - 1.0 / math.sqrt(3.0)) <= 1e-12
+        assert -spacing <= result.r_star - root <= band + spacing
 
     @pytest.mark.parametrize("name", ["shipped", "long"])
     @pytest.mark.parametrize("tol", [1e-4, 1e-300])
@@ -971,6 +982,55 @@ def random_unitary(rng):
     return q * (np.diag(upper) / np.abs(np.diag(upper)))
 
 
+SYNTHETIC_ROOT = 1.0 / math.pi
+SYNTHETIC_DIAGONALS = ("two crossing together", "one identically zero")
+
+
+def synthetic_polynomials(diagonal):
+    """Eight P(r) = U diag(lambda(r)) U^dagger, quadratic in r, with lambda(r) = (r0 - r)(1 + r) in
+    two entries (the determinant keeps its sign through r0) or in one, beside an eigenvalue that is 0
+    for every r (the determinant is rounding noise, of either sign: several U show both)."""
+    r0 = SYNTHETIC_ROOT
+    crossing = np.array([r0, r0 - 1.0, -1.0])               # (r0 - r)(1 + r) from r^0 up
+    diagonals = np.zeros((3, 4))
+    diagonals[0, 2:] = (1.0, 2.0)
+    if diagonal == "two crossing together":
+        diagonals[:, 0] = diagonals[:, 1] = crossing
+    else:
+        diagonals[:, 1] = crossing
+    rng = np.random.default_rng(11)
+    return [hermitize(np.einsum("ab,jb,cb->jac", u, diagonals, u.conj()))
+            for u in (random_unitary(rng) for _ in range(8))]
+
+
+def exact_sign_decisions(poly, points):
+    """Checks the rounding bounds of poly's characteristic coefficients against exact arithmetic at
+    each point: Horner on the float coefficients stays within bound_j of the exact e_j(r), and the
+    qcore test reports no negative eigenvalue where every exact e_j >= 0 and one where some exact
+    e_j < -2 bound_j.  Returns, per point, True or False where one of those two cases held (the
+    answer the test had to give), None where neither did."""
+    signed, bounds = _characteristic_coefficients(poly)
+    exact = exact_characteristic_coefficients(poly)
+    negative_at = qcore._negative_eigenvalue_test(poly)
+    decisions = []
+    for r in points:
+        values = [exact_polynomial_value(e, r) for e in exact]
+        for coefficients, value, bound in zip(signed, values, bounds):
+            horner = 0.0
+            for c in reversed(coefficients):
+                horner = horner * r + c
+            assert abs(Fraction(horner) - value) <= Fraction(bound), (r, value, horner, bound)
+        decision = None
+        if all(value >= 0 for value in values):
+            decision = False
+        elif any(value < -2 * Fraction(bound) for value, bound in zip(values, bounds)):
+            decision = True
+        if decision is not None:
+            assert negative_at(r) is decision, (r, values, bounds)
+        decisions.append(decision)
+    return decisions
+
+
 class TestCharacteristicSearch:
     """The bisection's steps test the characteristic coefficients e_1 ... e_4 of the transpose
     polynomial, built once per search from its coefficients, against their rounding bounds."""
@@ -1006,26 +1066,33 @@ class TestCharacteristicSearch:
         assert np.linalg.eigvalsh(transpose_at(design, gdtau, hi)).min() < 0.0
         assert np.linalg.eigvalsh(transpose_at(design, gdtau, lo)).min() >= -1e-12
 
-    @pytest.mark.parametrize("diagonal", ["two crossing together", "one identically zero"])
+    @pytest.mark.parametrize("diagonal", SYNTHETIC_DIAGONALS)
     def test_synthetic_crossings(self, diagonal):
-        # P(r) = U diag(lambda(r)) U^dagger, quadratic in r, with lambda(r) = (r0 - r)(1 + r) in two
-        # entries (the determinant keeps its sign through r0) or in one, beside an eigenvalue that is
-        # 0 for every r (the determinant is rounding noise, of either sign: several U show both).
-        r0, tol = 1.0 / math.pi, 1e-9
-        crossing = np.array([r0, r0 - 1.0, -1.0])               # (r0 - r)(1 + r) from r^0 up
-        diagonals = np.zeros((3, 4))
-        diagonals[0, 2:] = (1.0, 2.0)
-        if diagonal == "two crossing together":
-            diagonals[:, 0] = diagonals[:, 1] = crossing
-        else:
-            diagonals[:, 1] = crossing
-        rng = np.random.default_rng(11)
-        for _ in range(8):
-            u = random_unitary(rng)
-            poly = hermitize(np.einsum("ab,jb,cb->jac", u, diagonals, u.conj()))
+        r0, tol = SYNTHETIC_ROOT, 1e-9
+        for poly in synthetic_polynomials(diagonal):
             lo, hi = tomography._bisect(poly, 0.0, 1.0, tol)[-1]
             assert hi - lo <= tol and lo <= r0 <= hi
             assert abs(hi - eigenvalue_bisection(poly, 0.0, 1.0, tol)[1]) <= tol
+
+    #: Offsets from a root, or from r_star one rounding band above it, at which the exact oracle
+    #: is read: far enough out (1e-12) for the exact sign to be clear of the bounds, and inside.
+    NEAR_ROOT = (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)
+
+    @pytest.mark.parametrize("gdtau", [0.0, 0.1, 0.3, 1.7e308])
+    @pytest.mark.parametrize("name", ["shipped", "cubic", "long"])
+    def test_rounding_bounds_hold_in_exact_arithmetic(self, designs, name, gdtau):
+        r_star = entanglement_threshold(designs[name], gdtau=gdtau, tol=1e-300).r_star
+        near = [r_star + offset for offset in self.NEAR_ROOT]
+        decisions = exact_sign_decisions(tomography._transpose_polynomial(gdtau, designs[name]),
+                                         np.linspace(0.0, 1.0, 9).tolist() + near)
+        # Positive semidefinite 1e-12 below the root, entangled 1e-12 above it, both by exact signs.
+        assert decisions[-len(near)] is False and decisions[-1] is True
+
+    @pytest.mark.parametrize("diagonal", SYNTHETIC_DIAGONALS)
+    def test_rounding_bounds_hold_in_exact_arithmetic_on_synthetic_crossings(self, diagonal):
+        points = np.linspace(0.0, 1.0, 9).tolist() + [SYNTHETIC_ROOT + offset for offset in self.NEAR_ROOT]
+        for poly in synthetic_polynomials(diagonal):
+            assert exact_sign_decisions(poly, points)[-1] is True
 
 
 def cubic_sequences(sequences):
