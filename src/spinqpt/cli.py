@@ -18,7 +18,12 @@ or ``--design-file`` contents: one ``error:`` line, no report).
 ``fidelity-sweep`` hands its rows to the writer as their grid
 (``SweepGrid``: the r values, the gdtau values and the F table), not as a
 materialized table: each r and each gdtau is formatted once, and one writer
-gives the JSON and the CSV rows.
+gives the JSON and the CSV rows.  A grid of fewer than ``_ARRAY_GRID_MIN`` F
+cells is written by "%" through row templates; a larger one through the
+array kernel of ``spinqpt._decimal`` (exact "%.17g" and "%.12g" digits from
+Dekker's two-product; zeros and values out of its range go through "%"),
+which only such a sweep imports: the commands that write none do not compile
+it.  Both give the same bytes.
 
 The argument parser is built once per process; ``main`` dispatches on the
 subcommand to the ``cmd_*`` function of this module.  ``ideal-check`` runs
@@ -118,14 +123,25 @@ def _float_table(table: np.ndarray, inner: str) -> str:
     return ("[" + ("],\n" + inner + "[").join(map(", ".join, rows)) + "]") % tuple(values.tolist())
 
 
+#: Fewest F cells for which a sweep's rows are written through the array kernel.  Its fixed cost,
+#: about 0.4 ms, makes it lose to "%" below about 1000 cells in JSON and 2000 in CSV.
+_ARRAY_GRID_MIN = 2048
+
+
 def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
     """The sweep's rows in report format fmt, joined by sep: the bytes of formatting its
     materialized ``(len(gdtau) * len(r), 3)`` table value by value.
 
-    Each r and each gdtau is formatted once and baked into one row template
-    per gdtau block, which one "%" over the block's F values fills, so F is
-    the only column formatted row by row.
+    Each r and each gdtau is formatted once.  A grid of fewer than
+    _ARRAY_GRID_MIN F cells (the crossover of the two paths' costs) bakes them
+    into one row template per gdtau block, which one "%" over the block's F
+    values fills.  A larger one goes through ``_decimal.grid_rows``, whose
+    array kernel gives correctly rounded digits, so the bytes of "%", and
+    leaves zeros and values outside its range to "%" itself.
     """
+    if grid.f.size >= _ARRAY_GRID_MIN:
+        from . import _decimal           # loaded by the first large sweep, not by every command
+        return _decimal.grid_rows(grid, fmt, sep)
     start, comma, end = _ROW_LAYOUTS[fmt]
     n, k = grid.r.size, grid.gdtau.size
     values = np.concatenate([grid.r, grid.gdtau, grid.f.ravel()])    # one check for the whole grid

@@ -35,7 +35,8 @@ LONG_DESIGN = "data/long_design.txt"
 _SWEEP_GDTAUS = "0,0.05,0.1,0.37,1,2,1e300"
 
 #: Every report family: the three qpt routes and all of them together, Monte
-#: Carlo below and above the full-dephasing cut, JSON and CSV sweeps, the
+#: Carlo below and above the full-dephasing cut, JSON and CSV sweeps (the default
+#: one on the "%" path, the others on the array path, one of them the benchmark's CSV argv), the
 #: threshold (once bisected down to adjacent doubles, where the last bits of its
 #: characteristic coefficients decide the steps) and both ideal-check outcomes,
 #: one of them over several sample blocks, and a qpt and a threshold on a design file.
@@ -58,6 +59,7 @@ ARGVS = (
     ("fidelity-sweep", "--format", "json", "--r-steps", "1001", "--gdtau-values", _SWEEP_GDTAUS),
     ("fidelity-sweep", "--format", "json", "--r-steps", "10001", "--gdtau-values", "0,0.1",
      "--r-min", "0.2", "--r-max", "0.9"),
+    ("fidelity-sweep", "--r-steps", "10001", "--gdtau-values", "0,0.123456"),
     ("entanglement-threshold",),
     ("entanglement-threshold", "--gdtau", "0.1"),
     ("entanglement-threshold", "--gdtau", "1.7e308", "--tol", "1e-3"),
