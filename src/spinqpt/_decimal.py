@@ -24,8 +24,10 @@ which says where the point, the zeros and the exponent go.  The tables are
 built on first use.
 
 ``grid_rows`` is the sweep writer's path for large grids: ``cli._grid_rows``
-hands it every grid of at least ``cli._ARRAY_GRID_MIN`` F cells.  It lives
-here, not in ``cli``, so that only such a sweep compiles it.
+hands it every grid of at least ``cli._ARRAY_GRID_MIN`` F cells.  It returns
+the rows as ASCII bytes pieces of ``_CHUNK`` rows or fewer, which the report
+writer puts in the file as they are.  It lives here, not in ``cli``, so that
+only such a sweep compiles it.
 """
 
 from __future__ import annotations
@@ -219,10 +221,10 @@ def byte_cells(values: np.ndarray, fmt: str) -> np.ndarray:
     return cells[:, :np.count_nonzero(cells.any(axis=0))]
 
 
-def grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
+def grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
     """cli._grid_rows through the kernel: every cell from byte_cells, each piece of _CHUNK rows laid
     out as one uint8 table of NUL-padded columns, start | r | comma | gdtau | comma | F | end + sep,
-    which bytes.translate closes up."""
+    whose bytes, NULs dropped, are the piece.  The last piece drops its sep."""
     start, comma, end = _ROW_LAYOUTS[fmt]
     r_cells = byte_cells(grid.r, fmt)
     head, comma_bytes, tail = (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -236,6 +238,6 @@ def grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
             table = np.concatenate([np.broadcast_to(head, (rows, head.size)), r_cells[lo:lo + rows],
                                     np.broadcast_to(middle, (rows, middle.size)), f_cells,
                                     np.broadcast_to(tail, (rows, tail.size))], axis=1)
-            pieces.append(table.tobytes().translate(None, b"\0").decode("ascii"))
+            pieces.append(table.tobytes().translate(None, b"\0"))
     pieces[-1] = pieces[-1][:-len(sep)]
-    return "".join(pieces)
+    return pieces

@@ -25,6 +25,14 @@ Dekker's two-product; zeros and values out of its range go through "%"),
 which only such a sweep imports: the commands that write none do not compile
 it.  Both give the same bytes.
 
+A report is written as pieces, never as one whole-report string.  The JSON
+emitter folds every value into the str next to it, so a report without a
+sweep grid is one piece, and a sweep report is a prefix, the grid's row pieces
+(ASCII bytes from the kernel, at most ``_decimal._CHUNK`` rows each) and a
+suffix.  ``write_report`` builds every piece, and so formats and checks every
+value, before it opens the file; it writes the pieces in order in binary and
+removes a regular file whose write fails.
+
 The argument parser is built once per process; ``main`` dispatches on the
 subcommand to the ``cmd_*`` function of this module.  ``ideal-check`` runs
 its random times in blocks of ``IDEAL_CHECK_BLOCK``: one draw, one
@@ -39,6 +47,8 @@ import functools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 import time
 
@@ -128,16 +138,17 @@ def _float_table(table: np.ndarray, inner: str) -> str:
 _ARRAY_GRID_MIN = 2048
 
 
-def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
-    """The sweep's rows in report format fmt, joined by sep: the bytes of formatting its
-    materialized ``(len(gdtau) * len(r), 3)`` table value by value.
+def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
+    """The sweep's rows in report format fmt, parted by sep, as pieces whose concatenation is the
+    bytes of formatting its materialized ``(len(gdtau) * len(r), 3)`` table value by value.
 
     Each r and each gdtau is formatted once.  A grid of fewer than
     _ARRAY_GRID_MIN F cells (the crossover of the two paths' costs) bakes them
     into one row template per gdtau block, which one "%" over the block's F
-    values fills.  A larger one goes through ``_decimal.grid_rows``, whose
-    array kernel gives correctly rounded digits, so the bytes of "%", and
-    leaves zeros and values outside its range to "%" itself.
+    values fills: one str piece per block.  A larger one goes through
+    ``_decimal.grid_rows``, whose array kernel gives correctly rounded digits,
+    so the bytes of "%", leaves zeros and values outside its range to "%"
+    itself, and gives ASCII bytes pieces.
     """
     if grid.f.size >= _ARRAY_GRID_MIN:
         from . import _decimal           # loaded by the first large sweep, not by every command
@@ -147,7 +158,8 @@ def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
     values = np.concatenate([grid.r, grid.gdtau, grid.f.ravel()])    # one check for the whole grid
     formats = _cell_formats(values, fmt)
     cells = ("\n".join(formats[:n + k]) % tuple(values[:n + k].tolist())).split("\n")
-    # A block's template text: start, then (r cell, tail) per row, rows parted by sep + start.
+    # A block's template text: start, then (r cell, tail) per row, rows parted by sep + start;
+    # every block but the first opens with sep too.
     parts = [sep + start] * (3 * n)
     parts[0] = start
     parts[1::3] = cells[:n]
@@ -157,19 +169,12 @@ def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> str:
         tails = {spec: comma + g_cell + comma + spec + end for spec in set(block_formats)}
         parts[2::3] = map(tails.__getitem__, block_formats)
         blocks.append("".join(parts) % tuple(values[lo:lo + n].tolist()))
-    del values, formats, cells, parts       # hold only the blocks while they are joined
-    return sep.join(blocks)
+        parts[0] = sep + start
+    return blocks
 
 
-def canonical_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys.
-
-    The table types, a 2-D float64 array and a ``SweepGrid``, are written by
-    one format each; other arrays are refused and everything else, lists of
-    rows included, recurses value by value.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _json_scalar(value) -> str:
+    """The JSON text of None, a bool, an int, a float or a str."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -180,49 +185,106 @@ def canonical_json(value, indent: int = 0) -> str:
         return _fmt_float(float(value))
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _emit_json(value, indent: int, text: list, pieces: list) -> None:
+    """Append the JSON text of value to text, the small texts of the piece being built.  A
+    ``SweepGrid`` closes that piece: text is joined onto pieces, then the grid's row pieces follow."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
+            text.append("{}")
+            return
+        opening = "{\n"
         for key in sorted(value):
-            items.append(f"{inner}{json.dumps(str(key), ensure_ascii=False)}: {canonical_json(value[key], indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, SweepGrid):
-        return "[\n" + inner + _grid_rows(value, "json", ",\n" + inner) + f"\n{pad}]"
-    if isinstance(value, np.ndarray):
+            text.append(f"{opening}{inner}{json.dumps(str(key), ensure_ascii=False)}: ")
+            _emit_json(value[key], indent + 1, text, pieces)
+            opening = ",\n"
+        text.append(f"\n{pad}}}")
+    elif isinstance(value, SweepGrid):
+        text.append("[\n" + inner)
+        pieces.append("".join(text))
+        text.clear()
+        pieces += _grid_rows(value, "json", ",\n" + inner)
+        text.append(f"\n{pad}]")
+    elif isinstance(value, np.ndarray):
         if value.ndim != 2 or value.dtype != np.float64:
             raise TypeError(f"cannot serialize a {value.ndim}-D {value.dtype} array")
         if not value.size:
-            return canonical_json(value.tolist(), indent)
-        return "[\n" + inner + _float_table(value, inner) + f"\n{pad}]"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        scalars = all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value)
-        if scalars:
-            return "[" + ", ".join(canonical_json(v) for v in value) + "]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+            _emit_json(value.tolist(), indent, text, pieces)
+        else:
+            text += ["[\n" + inner, _float_table(value, inner), f"\n{pad}]"]
+    elif isinstance(value, (list, tuple)):
+        if all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value):
+            text.append("[" + ", ".join(map(_json_scalar, value)) + "]")
+            return
+        opening = "[\n"
+        for v in value:
+            text.append(opening + inner)
+            _emit_json(v, indent + 1, text, pieces)
+            opening = ",\n"
+        text.append(f"\n{pad}]")
+    else:
+        text.append(_json_scalar(value))
+
+
+def _json_pieces(value, indent: int = 0, tail: str = "") -> list:
+    """The JSON text of value, then tail, as pieces in order: everything but a ``SweepGrid``'s rows
+    is folded into the str next to it, so a value without a grid is one str, and one with a grid is
+    a prefix, the grid writer's row pieces and a suffix."""
+    text, pieces = [], []
+    _emit_json(value, indent, text, pieces)
+    text.append(tail)
+    pieces.append("".join(text))
+    return pieces
+
+
+def canonical_json(value, indent: int = 0) -> str:
+    """Deterministic JSON with 17-significant-digit floats and sorted keys.
+
+    The table types, a 2-D float64 array and a ``SweepGrid``, are written by
+    one format each; other arrays are refused and everything else, lists of
+    rows included, recurses value by value.  This is the join of the pieces
+    that ``write_report`` writes one by one.
+    """
+    return "".join(p if isinstance(p, str) else p.decode("ascii") for p in _json_pieces(value, indent))
 
 
 def write_report(report: dict, path: str | None, fmt: str) -> None:
     """Write the report as JSON, or as CSV: the header of its ``columns`` over
-    the rows of its ``SweepGrid``, which only a sweep has."""
+    the rows of its ``SweepGrid``, which only a sweep has.
+
+    Every piece is built, so every value formatted and checked, before anything
+    is written: a refused report leaves no file and writes nothing to stdout.
+    A file is written in binary, str pieces as UTF-8, with no newline
+    translation; a regular file whose write fails is removed.  Stdout gets the
+    pieces as text.
+    """
     if fmt == "json":
-        payload = canonical_json(report) + "\n"
+        pieces = _json_pieces(report, tail="\n")
     elif fmt == "csv":
         grid = report.get("rows")
         if not isinstance(grid, SweepGrid):
             raise ValueError("this subcommand has no CSV form")
-        payload = ",".join(report["columns"]) + "\n" + _grid_rows(grid, "csv", "\n") + "\n"
+        pieces = [",".join(report["columns"]) + "\n", *_grid_rows(grid, "csv", "\n"), "\n"]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        for piece in pieces:
+            sys.stdout.write(piece if isinstance(piece, str) else piece.decode("ascii"))
+        return
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for piece in pieces:
+                fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
+    except OSError:
+        # A partial report is no report; a device or a link, such as /dev/stdout, stays.
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def _chi_payload(chi: np.ndarray) -> dict:

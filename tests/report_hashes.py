@@ -1,7 +1,8 @@
 """SHA-256 of the CLI reports for a fixed list of argv, the golden file's source.
 
 Each argv runs in-process through ``spinqpt.cli.main`` with ``--out`` set, and
-the report's bytes are hashed.  ``test_report_hashes.py`` recomputes every
+the report's bytes are hashed; ``report_sha256`` can hash what the call writes to
+stdout instead.  ``test_report_hashes.py`` recomputes every
 hash and compares it with ``data/report_sha256.json``, one test per argv, so
 
     PYTHONPATH=src python -m pytest tests/test_report_hashes.py
@@ -77,14 +78,18 @@ def key(argv) -> str:
     return " ".join(argv)
 
 
-def report_sha256(argv, directory) -> str:
-    """Hash of the report one CLI call writes; its console lines are discarded."""
+def report_sha256(argv, directory, sink: str = "file") -> str:
+    """Hash of the report one CLI call writes to sink: "file", through ``--out``, or "stdout", whose
+    text is hashed as UTF-8.  Its console lines are discarded."""
     from spinqpt.cli import main
 
+    argv = [str(TESTS / arg) if arg == LONG_DESIGN else arg for arg in argv]
     out = pathlib.Path(directory) / "report"
-    with contextlib.redirect_stderr(io.StringIO()):
-        main([str(TESTS / arg) if arg == LONG_DESIGN else arg for arg in argv] + ["--out", str(out)])
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    stdout = io.StringIO()
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(stdout):
+        main(argv + (["--out", str(out)] if sink == "file" else []))
+    data = out.read_bytes() if sink == "file" else stdout.getvalue().encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def compute() -> dict:

@@ -1,9 +1,11 @@
 """Tests for the command-line interface and report serialization."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -155,13 +157,23 @@ class TestSweepGrid:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [(0, 0), (1, 2), (1, 4)])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_rejects_non_finite_f(self, bad, position, fmt):
+    def test_rejects_non_finite_f(self, tmp_path, bad, position, fmt):
+        # Every piece is built before the file is opened: a refused report creates no file, leaves
+        # an existing one as it was and writes nothing to stdout.
         f = np.full((2, 5), 0.5)
         f[position] = bad
         grid = cli.SweepGrid(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1]), f)
+        new, existing = tmp_path / "new", tmp_path / "existing"
+        existing.write_bytes(b"an earlier report\n")
         for array_min in _GRID_PATHS:
-            with mock.patch.object(cli, "_ARRAY_GRID_MIN", array_min), pytest.raises(ValueError, match="non-finite"):
-                cli.write_report({"columns": ["r", "gdtau", "F"], "rows": grid}, None, fmt)
+            for path in (None, new, existing):
+                stdout = io.StringIO()
+                with mock.patch.object(cli, "_ARRAY_GRID_MIN", array_min), contextlib.redirect_stdout(stdout), \
+                        pytest.raises(ValueError, match="non-finite"):
+                    cli.write_report({"columns": ["r", "gdtau", "F"], "rows": grid},
+                                     None if path is None else str(path), fmt)
+                assert stdout.getvalue() == ""
+            assert not new.exists() and existing.read_bytes() == b"an earlier report\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("cells", [cli._ARRAY_GRID_MIN - 2, cli._ARRAY_GRID_MIN])
@@ -380,9 +392,10 @@ class TestFidelitySweep:
         assert len(rows) == 404
         assert all(f == fidelity_closed_form(r, gdtau) for r, gdtau, f in rows)
 
-    # The bounds are the traced peaks of this call before its rows were written through the array
-    # kernel (3,688,085 and 2,781,297 bytes on CPython 3.11), rounded up.
-    @pytest.mark.parametrize("fmt,parent_peak", [("json", 3_700_000), ("csv", 2_790_000)])
+    # The bounds are traced peaks of this call on CPython 3.11, rounded up: JSON, 3,431,526 bytes
+    # when the report was joined into one string before it was written; CSV, 2,781,297 before the
+    # rows were written through the array kernel.
+    @pytest.mark.parametrize("fmt,parent_peak", [("json", 3_440_000), ("csv", 2_790_000)])
     def test_benchmark_sized_sweep_peak(self, tmp_path, fmt, parent_peak):
         argv = ["fidelity-sweep", "--r-steps", "10001", "--gdtau-values", "0,0.123456", "--format", fmt]
         assert run_cli(*argv, "--out", str(tmp_path / "warm")) == 0
@@ -393,6 +406,75 @@ class TestFidelitySweep:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak
+
+    def test_benchmark_sized_json_sweep_is_written_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        from spinqpt import _decimal
+
+        spies = _spy_on_report_files(monkeypatch)
+        out = tmp_path / "sweep.json"
+        assert run_cli("fidelity-sweep", "--r-steps", "10001", "--gdtau-values", "0,0.123456",
+                       "--format", "json", "--out", str(out)) == 0
+        (spy,) = spies
+        assert b"".join(spy.writes) == out.read_bytes()
+        # No piece holds more than one kernel chunk of rows, so no whole-report string was built.
+        assert len(spy.writes) > 20002 / _decimal._CHUNK
+        assert max(piece.count(b"\n") for piece in spy.writes) <= _decimal._CHUNK
+
+
+class _SpyFile:
+    """A binary file that keeps a copy of each write; write number fail_at raises ENOSPC instead."""
+
+    def __init__(self, path, mode, fail_at=None):
+        assert mode == "wb"
+        self.file = open(path, mode)
+        self.writes = []
+        self.fail_at = fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        if len(self.writes) == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(data)
+
+
+def _spy_on_report_files(monkeypatch, fail_at=None) -> list:
+    """Make write_report open its files as _SpyFile; the spies, one per file opened, fill the list."""
+    spies = []
+
+    def spy_open(path, mode):
+        spies.append(_SpyFile(path, mode, fail_at))
+        return spies[-1]
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    return spies
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_partial_report_is_removed(self, tmp_path, monkeypatch, capsys, fmt):
+        _spy_on_report_files(monkeypatch, fail_at=2)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fidelity-sweep", "--format", fmt, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error:" in err[0] and os.strerror(errno.ENOSPC) in err[0]
+        assert not out.exists()
+
+    def test_a_link_stays(self, tmp_path, monkeypatch):
+        # Only a regular file is removed: a link, such as /dev/stdout, or a device is not.
+        _spy_on_report_files(monkeypatch, fail_at=2)
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "target")
+        with pytest.raises(SystemExit):
+            run_cli("fidelity-sweep", "--out", str(out))
+        assert out.is_symlink()
 
 
 class TestEntanglementThreshold:

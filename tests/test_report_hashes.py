@@ -1,6 +1,7 @@
 """Every report of report_hashes.ARGVS is byte-identical to the golden file, and writes its
 tables, 2-D float64 arrays and the sweep's grid, through the serializer's table paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,21 @@ def test_golden_file_covers_the_argv_list():
 @pytest.mark.parametrize("argv", report_hashes.ARGVS, ids=report_hashes.key)
 def test_report_bytes_unchanged(tmp_path, argv):
     assert report_hashes.report_sha256(argv, tmp_path) == GOLDEN[report_hashes.key(argv)]
+
+
+@pytest.mark.parametrize("argv", report_hashes.ARGVS, ids=report_hashes.key)
+def test_stdout_gets_the_file_bytes(tmp_path, monkeypatch, argv):
+    # The writer puts a report's pieces in a binary file one by one and on stdout as text; a JSON
+    # report's pieces are canonical_json's text.
+    reports = []
+    write_report = cli.write_report
+    monkeypatch.setattr(cli, "write_report",
+                        lambda report, path, fmt: reports.append((report, fmt)) or write_report(report, path, fmt))
+    digest = report_hashes.report_sha256(argv, tmp_path)
+    assert report_hashes.report_sha256(argv, tmp_path, "stdout") == digest
+    (report, fmt), _ = reports
+    if fmt == "json":
+        assert hashlib.sha256((cli.canonical_json(report) + "\n").encode("utf-8")).hexdigest() == digest
 
 
 #: Most floats a report may format one at a time through cli._fmt_float: its scalars.  A table of
