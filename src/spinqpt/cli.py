@@ -25,6 +25,14 @@ Dekker's two-product; zeros and values out of its range go through "%"),
 which only such a sweep imports: the commands that write none do not compile
 it.  Both give the same bytes.
 
+A 2-D float64 table (``chi_real``, ``chi_imag``, the threshold's ``curve`` and
+``bracket_history``) costs only its nonzero digits.  Its text is a template
+built once per process for its (shape, indent, cell kinds) and kept in a
+small LRU cache: the layout and every zero are literal text (``0.0``, and
+``-0.0`` for a negative zero), a nonzero cell is "%.17g" and a bare integer
+"%.1f", so one "%" formats only the cells that carry digits.  Keys and other
+strings are JSON-encoded once per process too.
+
 A report is written as pieces, never as one whole-report string.  The JSON
 emitter folds every value into the str next to it, so a report without a
 sweep grid is one piece, and a sweep report is a prefix, the grid's row pieces
@@ -102,35 +110,58 @@ class SweepGrid:
     f: np.ndarray
 
 
-#: _fmt_float's "%" format of a value, indexed by whether it is a bare integer.
-_JSON_FORMATS = np.array(["%.17g", "%.1f"], dtype=object)
+#: A JSON cell's text by its kind: the "%" format of a value that carries digits, "%.17g" or, for
+#: a bare integer, "%.1f" (_fmt_float's ".0" marker); then the literal of +0.0 and of -0.0.
+_CELL_TEXT = np.array(["%.17g", "%.1f", "0.0", "-0.0"], dtype=object)
 #: A sweep row's opening, cell separator and closing, by report format.
 _ROW_LAYOUTS = {"json": ("[", ", ", "]"), "csv": ("", ",", "")}
 
 
+def _bare_integers(values: np.ndarray) -> np.ndarray:
+    """Which values .17g prints as bare integers: the finite integral ones below 1e17 in size,
+    which "%.1f" writes with the same digits and _fmt_float's ".0" marker."""
+    return (values == np.trunc(values)) & (np.abs(values) < 1e17)
+
+
 def _cell_formats(values: np.ndarray, fmt: str) -> list:
     """The "%" format of each value of a 1-D float64 array in report format fmt: _fmt_float's
-    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both.
-
-    .17g prints the finite integral values below 1e17 in size as bare integers, which "%.1f" writes
-    with the same digits and _fmt_float's ".0" marker.
-    """
+    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both."""
     _check_finite(values)
     if fmt == "csv":
         return ["%.12g"] * values.size
-    bare = (values == np.trunc(values)) & (np.abs(values) < 1e17)
-    return _JSON_FORMATS[bare.view(np.uint8)].tolist()
+    return _CELL_TEXT[_bare_integers(values).view(np.uint8)].tolist()
 
 
-def _float_table(table: np.ndarray, inner: str) -> str:
-    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
+def _cell_kinds(values: np.ndarray) -> np.ndarray:
+    """The JSON kind of each value of a 1-D float64 array, as uint8 indices into _CELL_TEXT; a
+    non-finite value is refused."""
+    _check_finite(values)
+    zero = values == 0.0
+    negative_zero = zero & np.signbit(values)
+    return _bare_integers(values).view(np.uint8) + zero.view(np.uint8) + negative_zero.view(np.uint8)
 
-    Each row's template is built from its cells' formats, and one "%" fills
-    them all with _fmt_float's bytes.
+
+@functools.lru_cache(maxsize=32)
+def _table_template(shape: tuple, indent: int, kinds: bytes) -> str:
+    """The JSON text of a table of this shape at this indent, its zeros written out and a "%"
+    format for every other cell, row by row."""
+    pad = "  " * indent
+    inner = pad + "  "
+    cells = _CELL_TEXT[np.frombuffer(kinds, dtype=np.uint8)].tolist()
+    rows = zip(*[iter(cells)] * shape[1])
+    return f"[\n{inner}[" + f"],\n{inner}[".join(map(", ".join, rows)) + f"]\n{pad}]"
+
+
+def _float_table(table: np.ndarray, indent: int) -> str:
+    """The JSON text of a non-empty 2-D float64 array, a list of rows, at this indent.
+
+    The text that does not depend on the digits, the layout and every zero, is
+    a template built once per (shape, indent, cell kinds); one "%" fills in
+    the cells that carry digits with _fmt_float's bytes.
     """
     values = table.ravel()
-    rows = zip(*[iter(_cell_formats(values, "json"))] * table.shape[1])     # the cells, row by row
-    return ("[" + ("],\n" + inner + "[").join(map(", ".join, rows)) + "]") % tuple(values.tolist())
+    kinds = _cell_kinds(values)
+    return _table_template(table.shape, indent, kinds.tobytes()) % tuple(values[kinds < 2].tolist())
 
 
 #: Fewest F cells for which a sweep's rows are written through the array kernel.  Its fixed cost,
@@ -173,6 +204,10 @@ def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
     return blocks
 
 
+#: The JSON text of a str: keys and labels repeat from report to report, so each is encoded once.
+_json_string = functools.lru_cache(maxsize=256)(functools.partial(json.dumps, ensure_ascii=False))
+
+
 def _json_scalar(value) -> str:
     """The JSON text of None, a bool, an int, a float or a str."""
     if value is None:
@@ -184,7 +219,7 @@ def _json_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return _json_string(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -199,7 +234,7 @@ def _emit_json(value, indent: int, text: list, pieces: list) -> None:
             return
         opening = "{\n"
         for key in sorted(value):
-            text.append(f"{opening}{inner}{json.dumps(str(key), ensure_ascii=False)}: ")
+            text.append(f"{opening}{inner}{_json_string(str(key))}: ")
             _emit_json(value[key], indent + 1, text, pieces)
             opening = ",\n"
         text.append(f"\n{pad}}}")
@@ -215,7 +250,7 @@ def _emit_json(value, indent: int, text: list, pieces: list) -> None:
         if not value.size:
             _emit_json(value.tolist(), indent, text, pieces)
         else:
-            text += ["[\n" + inner, _float_table(value, inner), f"\n{pad}]"]
+            text.append(_float_table(value, indent))
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value):
             text.append("[" + ", ".join(map(_json_scalar, value)) + "]")

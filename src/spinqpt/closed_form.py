@@ -159,6 +159,11 @@ def _blocks(c: SimpleNamespace) -> dict:
     return {1: m1, 2: m2, 3: m3, 4: m4, 5: m5, 6: m6, 7: m7, 8: m8, 9: m9, 10: m10, 11: m11}
 
 
+#: Where each block of :func:`_blocks` sits in chi: its (row, column) of 4x4 sectors.
+_SECTORS = {1: (0, 0), 7: (0, 1), 8: (1, 0), 2: (1, 1), 9: (2, 0), 10: (2, 1), 5: (2, 2), 3: (2, 3),
+            11: (3, 0), 4: (3, 2), 6: (3, 3)}
+
+
 def chi_closed_form(r: float, gdtau: float) -> ProcessMatrix:
     """Closed-form process matrix of the noisy CNOT at (r, gdtau).
 
@@ -169,17 +174,15 @@ def chi_closed_form(r: float, gdtau: float) -> ProcessMatrix:
          [M9,  M10, M5, M3],
          [M11, 0,   M4, M6]]
 
-    At r = 1, gdtau = 0 every noise block vanishes and the array reduces to
-    the ideal CNOT process matrix exactly.
+    Each block is written into one preallocated array, which is then divided
+    by 4 in place.  At r = 1, gdtau = 0 every noise block vanishes and the
+    array reduces to the ideal CNOT process matrix exactly.
     """
     m = _blocks(coefficients(r, gdtau))
-    zero = np.zeros((4, 4), dtype=complex)
-    chi = np.block([
-        [m[1], m[7], zero, zero],
-        [m[8], m[2], zero, zero],
-        [m[9], m[10], m[5], m[3]],
-        [m[11], zero, m[4], m[6]],
-    ]) / 4.0
+    chi = np.zeros((16, 16), dtype=complex)
+    for k, (i, j) in _SECTORS.items():
+        chi[4 * i:4 * i + 4, 4 * j:4 * j + 4] = m[k]
+    chi /= 4.0
     return ProcessMatrix(chi=chi)
 
 

@@ -237,8 +237,16 @@ def design_from_sequences(sequences) -> TomographyDesign:
 def _chi_map(table, reconstruction: np.ndarray) -> np.ndarray:
     """The raveled chi of the probabilities of a (..., 16 inputs, 15 sequences) table, read-only, shape
     (..., 256): each input's 15 probabilities reconstructed, without the trace row's share (chi0), and
-    the 16 outputs assembled.  Linear, so a table of coefficients gives chi's coefficients."""
-    chi = assemble_channel_action(np.tensordot(table, reconstruction[:15], axes=1))
+    the 16 outputs assembled.  Linear, so a table of coefficients gives chi's coefficients.
+
+    The table is real, so it is reconstructed by two real products, one per part of the
+    reconstruction, each a stack of small ones: one complex product of the whole table would run
+    on OpenBLAS's thread pool and leave its workers spinning after it."""
+    parts = reconstruction[:15].reshape(15, DIM * DIM)
+    outputs = np.empty((*table.shape[:-1], DIM * DIM), dtype=complex)
+    outputs.real = table @ parts.real
+    outputs.imag = table @ parts.imag
+    chi = assemble_channel_action(outputs.reshape(*table.shape[:-1], DIM, DIM))
     chi = chi.reshape(*chi.shape[:-2], DIM**4)
     chi.setflags(write=False)
     return chi

@@ -6,7 +6,10 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +19,7 @@ from hypothesis import given, strategies as st
 
 import canonical_json_reference as reference
 from forward_reference import ideal_check_deviations
+import spinqpt
 from spinqpt import cli
 from spinqpt.blockade import format_sequences
 from spinqpt.cli import canonical_json, main
@@ -93,6 +97,34 @@ class TestCanonicalJson:
     def test_empty_float64_table_same_text_as_its_list(self, shape):
         table = np.zeros(shape)
         assert canonical_json({"t": table}) == reference.canonical_json({"t": table.tolist()})
+
+    def test_tables_that_share_a_template_alternate(self):
+        # Each pair shares its shape and its pattern of zeros, signed zeros and bare integers, so
+        # the second of a pair is written through the first one's template, with its own digits.
+        pairs = [(np.array([[0.0, -0.0, 3.0, 0.5], [1e17, -2.0, 0.0, 1e-300]]),
+                  np.array([[0.0, -0.0, -7.0, 0.625], [2.5e17, 4.0, 0.0, -3e-300]])),
+                 (chi_closed_form(0.3, 0.1).chi.real, chi_closed_form(0.7, 0.2).chi.real),
+                 (chi_closed_form(0.3, 0.1).chi.imag, chi_closed_form(0.7, 0.2).chi.imag),
+                 (chi_closed_form(0.3, 0.0).chi.real, chi_closed_form(0.9, 0.0).chi.real)]
+        for table, other in pairs:
+            assert np.array_equal(cli._cell_kinds(table.ravel()), cli._cell_kinds(other.ravel()))
+            assert not np.array_equal(table, other)
+        hits = cli._table_template.cache_info().hits
+        for _ in range(2):
+            for table in (t for pair in pairs for t in pair):
+                listed = table.tolist()
+                for value, plain in ((table, listed), ({"t": table}, {"t": listed}),      # three indents
+                                     ([{"t": table}], [{"t": listed}])):
+                    assert canonical_json(value) == reference.canonical_json(plain)
+        assert cli._table_template.cache_info().hits > hits
+
+    def test_signed_zeros_give_their_own_bytes(self):
+        plus, minus = np.array([[0.0, 0.25], [1.0, -0.0]]), np.array([[-0.0, 0.25], [1.0, -0.0]])
+        texts = [canonical_json({"t": table}) for table in (plus, minus, plus, minus)]
+        assert texts[0] != texts[1] and texts[:2] == texts[2:]
+        assert texts[0] == reference.canonical_json({"t": plus.tolist()})
+        assert texts[1] == reference.canonical_json({"t": minus.tolist()})
+        assert "[-0.0, 0.25]" in texts[1] and "[0.0, 0.25]" in texts[0]
 
     @pytest.mark.parametrize("array", [
         np.ones((2, 2), dtype=int), np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=complex),
@@ -206,6 +238,15 @@ class TestIdealCheck:
         assert run_cli("ideal-check", "--inject-angle-error", "--out", str(out)) == 1
         report = json.loads(out.read_text())
         assert report["passed"] is False
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        in_process, child = tmp_path / "in_process.json", tmp_path / "child.json"
+        assert run_cli("ideal-check", "--out", str(in_process)) == 0
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(spinqpt.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-m", "spinqpt", "ideal-check", "--out", str(child)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0 and out.stdout == "" and out.stderr.startswith("ideal-check: ")
+        assert child.read_bytes() == in_process.read_bytes()
 
     @pytest.mark.parametrize("samples", [1, 20])
     def test_only_the_reference_side_solves_eigenproblems(self, tmp_path, monkeypatch, samples):

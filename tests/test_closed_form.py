@@ -5,9 +5,10 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinqpt.closed_form import (
+    _blocks,
     averaged_cnot_output_11,
     chi_closed_form,
     chi_element_1111,
@@ -141,6 +142,24 @@ class TestChiClosedForm:
         kronecker = np.array([1.0 if k == l else 0.0 for k, l in CHI_ORDER])
         np.testing.assert_allclose(chi.chi[:4].sum(axis=0), kronecker, rtol=0, atol=1e-12)
         assert hermiticity_defect(chi) <= 1e-12
+
+    @settings(max_examples=100)
+    @given(r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+           gdtau=st.one_of(st.floats(0.0, 2.0), st.just(0.0)))
+    @example(r=0.0, gdtau=0.0)
+    @example(r=1.0, gdtau=0.0)
+    @example(r=0.0, gdtau=0.3)
+    @example(r=1.0, gdtau=1e300)
+    def test_each_sector_is_its_block_over_four_bit_for_bit(self, r, gdtau):
+        # The layout of the docstring, sector by sector; the blank sectors are +0.
+        layout = [[1, 7, None, None], [8, 2, None, None], [9, 10, 5, 3], [11, None, 4, 6]]
+        blocks = _blocks(coefficients(r, gdtau))
+        chi = chi_closed_form(r, gdtau).chi
+        for i, row in enumerate(layout):
+            for j, k in enumerate(row):
+                want = np.zeros((4, 4), dtype=complex) if k is None else blocks[k] / 4.0
+                sector = chi[4 * i:4 * i + 4, 4 * j:4 * j + 4]
+                assert sector.tobytes() == want.tobytes(), (i, j)
 
     def test_golden_baselines(self):
         # Regression against the checked-in matrices for r in {1, 0.8, 0.6}.

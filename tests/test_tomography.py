@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -1302,6 +1306,52 @@ class TestMonteCarloMap:
         assert np.isfinite(result.chi).all()
         assert [c for c in calls if c != "einsum"] == []
         assert calls.count("einsum") == (0 if name == "shipped" else 16)
+
+
+#: A fresh interpreter that imports numpy and idles, then builds a design and its Monte Carlo map,
+#: waits for any spinning BLAS worker to run, and prints the CPU ticks every thread but the main
+#: one gained over the build.
+_WORKER_TICKS = """
+import os, sys, time
+import numpy
+from spinqpt import tomography
+from spinqpt.blockade import parse_sequences
+
+def worker_ticks():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])          # utime, stime
+    return total
+
+time.sleep(0.5)
+before = worker_ticks()
+if len(sys.argv) > 1:
+    with open(sys.argv[1]) as fh:
+        design = tomography.design_from_sequences(parse_sequences(fh.read()))
+else:
+    design = tomography.design_sequences()
+design.monte_carlo_map
+time.sleep(0.3)
+print(worker_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's per-thread CPU times")
+@pytest.mark.parametrize("design_file", [None, "long_design.txt"], ids=["shipped", "long"])
+def test_building_a_design_leaves_no_blas_worker_spinning(design_file):
+    # The maps' reconstruction is two stacks of small real products.  One complex product of the
+    # whole table is large enough for OpenBLAS's thread pool, whose workers then spin for about
+    # 0.13 s of CPU on a 2-core host (13 ticks at 100 Hz) and slow the main thread's work after
+    # it.  The long design's map has 1776 rows to the shipped design's 1008.
+    argv = [sys.executable, "-c", _WORKER_TICKS]
+    if design_file is not None:
+        argv.append(str(pathlib.Path(__file__).parent / "data" / design_file))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tomography.__file__).resolve().parents[1]))
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=60)
+    assert int(out.stdout) < 3
 
 
 class TestExactMonteCarloCovariance:
