@@ -27,11 +27,10 @@ it.  Both give the same bytes.
 
 A 2-D float64 table (``chi_real``, ``chi_imag``, the threshold's ``curve`` and
 ``bracket_history``) costs only its nonzero digits.  Its text is a template
-built once per process for its (shape, indent, cell kinds) and kept in a
-small LRU cache: the layout and every zero are literal text (``0.0``, and
-``-0.0`` for a negative zero), a nonzero cell is "%.17g" and a bare integer
-"%.1f", so one "%" formats only the cells that carry digits.  Keys and other
-strings are JSON-encoded once per process too.
+built from its cells' kinds: the layout and every zero are literal text
+(``0.0``, and ``-0.0`` for a negative zero), a nonzero cell is "%.17g" and a
+bare integer "%.1f", so one "%" formats only the cells that carry digits.
+Keys and other strings go straight to json's string encoder.
 
 A report is written as pieces, never as one whole-report string.  The JSON
 emitter folds every value into the str next to it, so a report without a
@@ -52,13 +51,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import operator
 import os
 import stat
 import sys
 import time
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -141,27 +140,18 @@ def _cell_kinds(values: np.ndarray) -> np.ndarray:
     return _bare_integers(values).view(np.uint8) + zero.view(np.uint8) + negative_zero.view(np.uint8)
 
 
-@functools.lru_cache(maxsize=32)
-def _table_template(shape: tuple, indent: int, kinds: bytes) -> str:
-    """The JSON text of a table of this shape at this indent, its zeros written out and a "%"
-    format for every other cell, row by row."""
-    pad = "  " * indent
-    inner = pad + "  "
-    cells = _CELL_TEXT[np.frombuffer(kinds, dtype=np.uint8)].tolist()
-    rows = zip(*[iter(cells)] * shape[1])
-    return f"[\n{inner}[" + f"],\n{inner}[".join(map(", ".join, rows)) + f"]\n{pad}]"
+def _float_table(table: np.ndarray, inner: str) -> str:
+    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
 
-
-def _float_table(table: np.ndarray, indent: int) -> str:
-    """The JSON text of a non-empty 2-D float64 array, a list of rows, at this indent.
-
-    The text that does not depend on the digits, the layout and every zero, is
-    a template built once per (shape, indent, cell kinds); one "%" fills in
-    the cells that carry digits with _fmt_float's bytes.
+    The rows' template holds every zero as literal text and a "%" format for
+    each other cell, so one "%" fills in only the cells that carry digits,
+    with _fmt_float's bytes.
     """
     values = table.ravel()
     kinds = _cell_kinds(values)
-    return _table_template(table.shape, indent, kinds.tobytes()) % tuple(values[kinds < 2].tolist())
+    rows = zip(*[iter(_CELL_TEXT[kinds].tolist())] * table.shape[1])     # the cells, row by row
+    template = "[" + ("],\n" + inner + "[").join(map(", ".join, rows)) + "]"
+    return template % tuple(values[kinds < 2].tolist())
 
 
 #: Fewest F cells for which a sweep's rows are written through the array kernel.  Its fixed cost,
@@ -204,10 +194,6 @@ def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
     return blocks
 
 
-#: The JSON text of a str: keys and labels repeat from report to report, so each is encoded once.
-_json_string = functools.lru_cache(maxsize=256)(functools.partial(json.dumps, ensure_ascii=False))
-
-
 def _json_scalar(value) -> str:
     """The JSON text of None, a bool, an int, a float or a str."""
     if value is None:
@@ -219,7 +205,7 @@ def _json_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return _json_string(value)
+        return encode_basestring(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -234,7 +220,7 @@ def _emit_json(value, indent: int, text: list, pieces: list) -> None:
             return
         opening = "{\n"
         for key in sorted(value):
-            text.append(f"{opening}{inner}{_json_string(str(key))}: ")
+            text.append(f"{opening}{inner}{encode_basestring(str(key))}: ")
             _emit_json(value[key], indent + 1, text, pieces)
             opening = ",\n"
         text.append(f"\n{pad}}}")
@@ -250,7 +236,7 @@ def _emit_json(value, indent: int, text: list, pieces: list) -> None:
         if not value.size:
             _emit_json(value.tolist(), indent, text, pieces)
         else:
-            text.append(_float_table(value, indent))
+            text += ["[\n" + inner, _float_table(value, inner), f"\n{pad}]"]
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value):
             text.append("[" + ", ".join(map(_json_scalar, value)) + "]")

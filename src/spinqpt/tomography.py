@@ -240,12 +240,16 @@ def _chi_map(table, reconstruction: np.ndarray) -> np.ndarray:
     the 16 outputs assembled.  Linear, so a table of coefficients gives chi's coefficients.
 
     The table is real, so it is reconstructed by two real products, one per part of the
-    reconstruction, each a stack of small ones: one complex product of the whole table would run
-    on OpenBLAS's thread pool and leave its workers spinning after it."""
+    reconstruction, each written straight into its part of the outputs.  np.matmul multiplies a
+    stack matrix by matrix: one (16, 15) by (15, 256) product per leading index, below the size at
+    which OpenBLAS starts its thread pool, if these strided operands reach BLAS at all (contiguous
+    copies of the parts give the same bits).  One complex tensordot would be a single product of
+    the whole table, (rows, 15) by (15, 256), large enough to wake the pool, whose workers then
+    keep spinning after it."""
     parts = reconstruction[:15].reshape(15, DIM * DIM)
     outputs = np.empty((*table.shape[:-1], DIM * DIM), dtype=complex)
-    outputs.real = table @ parts.real
-    outputs.imag = table @ parts.imag
+    np.matmul(table, parts.real, out=outputs.real)
+    np.matmul(table, parts.imag, out=outputs.imag)
     chi = assemble_channel_action(outputs.reshape(*table.shape[:-1], DIM, DIM))
     chi = chi.reshape(*chi.shape[:-2], DIM**4)
     chi.setflags(write=False)

@@ -100,7 +100,7 @@ class TestCanonicalJson:
 
     def test_tables_that_share_a_template_alternate(self):
         # Each pair shares its shape and its pattern of zeros, signed zeros and bare integers, so
-        # the second of a pair is written through the first one's template, with its own digits.
+        # its two tables have the same template text; each must still be written with its own digits.
         pairs = [(np.array([[0.0, -0.0, 3.0, 0.5], [1e17, -2.0, 0.0, 1e-300]]),
                   np.array([[0.0, -0.0, -7.0, 0.625], [2.5e17, 4.0, 0.0, -3e-300]])),
                  (chi_closed_form(0.3, 0.1).chi.real, chi_closed_form(0.7, 0.2).chi.real),
@@ -109,14 +109,12 @@ class TestCanonicalJson:
         for table, other in pairs:
             assert np.array_equal(cli._cell_kinds(table.ravel()), cli._cell_kinds(other.ravel()))
             assert not np.array_equal(table, other)
-        hits = cli._table_template.cache_info().hits
         for _ in range(2):
             for table in (t for pair in pairs for t in pair):
                 listed = table.tolist()
                 for value, plain in ((table, listed), ({"t": table}, {"t": listed}),      # three indents
                                      ([{"t": table}], [{"t": listed}])):
                     assert canonical_json(value) == reference.canonical_json(plain)
-        assert cli._table_template.cache_info().hits > hits
 
     def test_signed_zeros_give_their_own_bytes(self):
         plus, minus = np.array([[0.0, 0.25], [1.0, -0.0]]), np.array([[-0.0, 0.25], [1.0, -0.0]])

@@ -1339,13 +1339,16 @@ print(worker_ticks() - before)
 """
 
 
+@pytest.mark.perf
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's per-thread CPU times")
 @pytest.mark.parametrize("design_file", [None, "long_design.txt"], ids=["shipped", "long"])
 def test_building_a_design_leaves_no_blas_worker_spinning(design_file):
     # The maps' reconstruction is two stacks of small real products.  One complex product of the
     # whole table is large enough for OpenBLAS's thread pool, whose workers then spin for about
     # 0.13 s of CPU on a 2-core host (13 ticks at 100 Hz) and slow the main thread's work after
-    # it.  The long design's map has 1776 rows to the shipped design's 1008.
+    # it.  The long design's map has 1776 rows to the shipped design's 1008.  The count depends
+    # on the installed BLAS's threading thresholds and the core count, not on spinqpt's output,
+    # so the check is marked perf and runs only under `pytest -m perf`.
     argv = [sys.executable, "-c", _WORKER_TICKS]
     if design_file is not None:
         argv.append(str(pathlib.Path(__file__).parent / "data" / design_file))
