@@ -20,8 +20,10 @@ rounds up to ``10**precision`` is ``10**(precision - 1)`` at ``e + 1``.
 
 The text is one flat ``take`` from each value's digits and a few constant
 characters, through a layout table keyed by (sign, exponent, kept digits),
-which says where the point, the zeros and the exponent go.  The tables are
-built on first use.
+which says where the point, the zeros and the exponent go.  The digit and
+power tables are built with the module, which only a large sweep imports.  A
+layout table costs 1.3-2 ms, and a process usually writes one format, so each
+is built on first use.
 
 ``grid_rows`` is the sweep writer's path for large grids: ``cli._grid_rows``
 hands it every grid of at least ``cli._ARRAY_GRID_MIN`` F cells.  It returns
@@ -36,7 +38,7 @@ import functools
 
 import numpy as np
 
-from .cli import _ROW_LAYOUTS, SweepGrid, _cell_formats
+from .cli import _ROW_LAYOUTS, _cells
 
 #: Dekker's splitter for float64, 2**27 + 1.
 _SPLIT = 134217729.0
@@ -57,26 +59,15 @@ def _split(a: np.ndarray) -> tuple:
     return hi, a - hi
 
 
-@functools.cache
-def _powers() -> tuple:
-    """10**q for q in [0, 22], with Dekker's split of each."""
-    p = 10.0 ** np.arange(_MAX_Q + 1)
-    return (p, *_split(p))
-
-
-@functools.cache
-def _digit_table() -> np.ndarray:
-    """The four ASCII digits of each of 0 ... 9999, one uint32 per number."""
-    number = np.arange(10_000, dtype=np.uint16)
-    digits = np.stack([number // 1000, number // 100 % 10, number // 10 % 10, number % 10], axis=1)
-    return (digits.astype(np.uint8) + ord("0")).view(np.uint32).ravel()
-
-
-@functools.cache
-def _alphabet_words() -> np.ndarray:
-    """_ALPHABET, NUL-padded to whole uint32 words."""
-    words = -(-len(_ALPHABET) // 4)
-    return np.frombuffer(_ALPHABET.ljust(4 * words, "\0").encode("ascii"), dtype=np.uint32)
+#: 10**q for q in [0, 22], and Dekker's split of each.
+_POWERS = 10.0 ** np.arange(_MAX_Q + 1)
+_POWERS_HI, _POWERS_LO = _split(_POWERS)
+#: The four ASCII digits of each of 0 ... 9999, one uint32 per number.
+_DIGITS = (np.stack([np.arange(10_000) // 10 ** p % 10 for p in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+           + ord("0")).view(np.uint32).ravel()
+#: _ALPHABET, NUL-padded to whole uint32 words.
+_ALPHABET_WORDS = np.frombuffer(_ALPHABET.ljust(-(-len(_ALPHABET) // 4) * 4, "\0").encode("ascii"),
+                                dtype=np.uint32)
 
 
 def _groups(precision: int) -> int:
@@ -119,7 +110,7 @@ def _layouts(precision: int, marker: bool) -> np.ndarray:
 
 def _scaled(x: np.ndarray, q: np.ndarray) -> tuple:
     """x * 10**q as hi + lo exactly, hi its rounded product: Dekker's two-product."""
-    p, p_hi, p_lo = (t[q] for t in _powers())
+    p, p_hi, p_lo = _POWERS[q], _POWERS_HI[q], _POWERS_LO[q]
     hi = x * p
     x_hi, x_lo = _split(x)
     return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
@@ -179,15 +170,13 @@ def g_cells(values: np.ndarray, precision: int, marker: bool) -> tuple:
 
     # Each row's source: its digits, four to a uint32 word, then the alphabet.
     groups = _groups(precision)
-    alphabet = _alphabet_words()
-    words = np.empty((x.size, groups + alphabet.size), dtype=np.uint32)
-    words[:, groups:] = alphabet
-    table = _digit_table()
+    words = np.empty((x.size, groups + _ALPHABET_WORDS.size), dtype=np.uint32)
+    words[:, groups:] = _ALPHABET_WORDS
     for j in range(groups - 1, 0, -1):
         rest = k // 10_000
-        words[:, j] = table[k - rest * 10_000]
+        words[:, j] = _DIGITS[k - rest * 10_000]
         k = rest
-    words[:, 0] = table[k]
+    words[:, 0] = _DIGITS[k]
     source = words.view(np.uint8)
     kept = precision - np.argmax(source[:, 4 * groups - 1::-1] != ord("0"), axis=1)
 
@@ -208,23 +197,23 @@ _FORMATS = {"json": (17, True), "csv": (12, False)}
 
 def byte_cells(values: np.ndarray, fmt: str) -> np.ndarray:
     """The cells of a 1-D float64 array in report format fmt as NUL-padded uint8 rows, as wide as
-    the longest: the kernel's bytes, and one "%" of cli._cell_formats for the values it leaves,
-    which refuses a non-finite one.  The kernel takes _CHUNK values at a time."""
+    the longest: the kernel's bytes, and one "%" of cli._cells for the values it leaves, which
+    refuses a non-finite one.  The kernel takes _CHUNK values at a time."""
     cells = np.empty((values.size, row_width(_FORMATS[fmt][0])), dtype=np.uint8)
     fallback = np.empty(values.size, dtype=bool)
     for lo in range(0, values.size, _CHUNK):
         cells[lo:lo + _CHUNK], fallback[lo:lo + _CHUNK] = g_cells(values[lo:lo + _CHUNK], *_FORMATS[fmt])
     if fallback.any():
-        rest = values[fallback]
-        texts = ("\n".join(_cell_formats(rest, fmt)) % tuple(rest.tolist())).split("\n")
-        cells[fallback] = np.array(texts, dtype=f"S{cells.shape[1]}").view(np.uint8).reshape(rest.size, -1)
+        formats, rest = _cells(values[fallback], fmt)
+        texts = ("\n".join(formats) % tuple(rest)).split("\n")
+        cells[fallback] = np.array(texts, dtype=f"S{cells.shape[1]}").view(np.uint8).reshape(len(texts), -1)
     return cells[:, :np.count_nonzero(cells.any(axis=0))]
 
 
-def grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
-    """cli._grid_rows through the kernel: every cell from byte_cells, each piece of _CHUNK rows laid
-    out as one uint8 table of NUL-padded columns, start | r | comma | gdtau | comma | F | end + sep,
-    whose bytes, NULs dropped, are the piece.  The last piece drops its sep."""
+def grid_rows(grid, fmt: str, sep: str) -> list:
+    """cli._grid_rows through the kernel, for a cli.SweepGrid: every cell from byte_cells, each piece
+    of _CHUNK rows laid out as one uint8 table of NUL-padded columns, start | r | comma | gdtau |
+    comma | F | end + sep, whose bytes, NULs dropped, are the piece.  The last piece drops its sep."""
     start, comma, end = _ROW_LAYOUTS[fmt]
     r_cells = byte_cells(grid.r, fmt)
     head, comma_bytes, tail = (np.frombuffer(text.encode("ascii"), dtype=np.uint8)

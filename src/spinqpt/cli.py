@@ -15,30 +15,22 @@ a tolerance violated, 2 on a usage error (bad option value, sweep grid, path
 or ``--design-file`` contents: one ``error:`` line, no report).
 ``fidelity-sweep --jobs`` is echoed, not used.
 
-``fidelity-sweep`` hands its rows to the writer as their grid
-(``SweepGrid``: the r values, the gdtau values and the F table), not as a
-materialized table: each r and each gdtau is formatted once, and one writer
-gives the JSON and the CSV rows.  A grid of fewer than ``_ARRAY_GRID_MIN`` F
-cells is written by "%" through row templates; a larger one through the
-array kernel of ``spinqpt._decimal`` (exact "%.17g" and "%.12g" digits from
-Dekker's two-product; zeros and values out of its range go through "%"),
-which only such a sweep imports: the commands that write none do not compile
-it.  Both give the same bytes.
+Every table of floats is written by one cell rule, ``_cells``: a CSV cell is
+"%.12g"; a JSON cell is "%.17g", "%.1f" for a bare integer (the same digits and
+the ``.0`` marker), or literal text for a zero (``0.0``, ``-0.0``).  A table's
+rows of cell texts become one template, which one "%" fills with the cells
+that carry digits (``_table_text``).  The tables are a 2-D float64 array
+(``chi_real``, ``chi_imag``, the threshold's ``curve`` and
+``bracket_history``) and a sweep's ``SweepGrid`` (the r values, the gdtau
+values and the F table), whose r and gdtau cells are formatted once each.  A
+grid of at least ``_ARRAY_GRID_MIN`` F cells goes through the array kernel of
+``spinqpt._decimal`` instead, with the same bytes; only such a sweep imports it.
 
-A 2-D float64 table (``chi_real``, ``chi_imag``, the threshold's ``curve`` and
-``bracket_history``) costs only its nonzero digits.  Its text is a template
-built from its cells' kinds: the layout and every zero are literal text
-(``0.0``, and ``-0.0`` for a negative zero), a nonzero cell is "%.17g" and a
-bare integer "%.1f", so one "%" formats only the cells that carry digits.
-Keys and other strings go straight to json's string encoder.
-
-A report is written as pieces, never as one whole-report string.  The JSON
-emitter folds every value into the str next to it, so a report without a
-sweep grid is one piece, and a sweep report is a prefix, the grid's row pieces
-(ASCII bytes from the kernel, at most ``_decimal._CHUNK`` rows each) and a
-suffix.  ``write_report`` builds every piece, and so formats and checks every
-value, before it opens the file; it writes the pieces in order in binary and
-removes a regular file whose write fails.
+A report is written as pieces, never as one whole-report string: a report
+without a sweep grid is one piece, a sweep report a prefix, the grid's row
+pieces and a suffix.  ``write_report`` builds every piece, and so formats and
+checks every value, before it opens the file, and removes a regular file
+whose write fails.
 
 The argument parser is built once per process; ``main`` dispatches on the
 subcommand to the ``cmd_*`` function of this module.  ``ideal-check`` runs
@@ -52,7 +44,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import operator
 import os
 import stat
 import sys
@@ -91,11 +82,6 @@ def _fmt_float(x: float) -> str:
     return out
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("reports must not contain non-finite numbers")
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SweepGrid:
     """The rows (r, gdtau, F) of a fidelity sweep, kept as their grid.
@@ -112,46 +98,29 @@ class SweepGrid:
 #: A JSON cell's text by its kind: the "%" format of a value that carries digits, "%.17g" or, for
 #: a bare integer, "%.1f" (_fmt_float's ".0" marker); then the literal of +0.0 and of -0.0.
 _CELL_TEXT = np.array(["%.17g", "%.1f", "0.0", "-0.0"], dtype=object)
-#: A sweep row's opening, cell separator and closing, by report format.
+#: A row's opening, cell separator and closing, by report format.
 _ROW_LAYOUTS = {"json": ("[", ", ", "]"), "csv": ("", ",", "")}
 
 
-def _bare_integers(values: np.ndarray) -> np.ndarray:
-    """Which values .17g prints as bare integers: the finite integral ones below 1e17 in size,
-    which "%.1f" writes with the same digits and _fmt_float's ".0" marker."""
-    return (values == np.trunc(values)) & (np.abs(values) < 1e17)
-
-
-def _cell_formats(values: np.ndarray, fmt: str) -> list:
-    """The "%" format of each value of a 1-D float64 array in report format fmt: _fmt_float's
-    bytes for JSON, "%.12g" for CSV.  A non-finite value is refused in both."""
-    _check_finite(values)
+def _cells(values: np.ndarray, fmt: str) -> tuple:
+    """Each cell's text of a 1-D float64 array in report format fmt, and the values its "%" formats
+    take.  CSV: "%.12g" for every cell.  JSON: _fmt_float's bytes, with a zero as literal text, so
+    only the cells that carry digits take a value.  A non-finite value is refused."""
+    if not np.isfinite(values).all():
+        raise ValueError("reports must not contain non-finite numbers")
     if fmt == "csv":
-        return ["%.12g"] * values.size
-    return _CELL_TEXT[_bare_integers(values).view(np.uint8)].tolist()
-
-
-def _cell_kinds(values: np.ndarray) -> np.ndarray:
-    """The JSON kind of each value of a 1-D float64 array, as uint8 indices into _CELL_TEXT; a
-    non-finite value is refused."""
-    _check_finite(values)
+        return ["%.12g"] * values.size, values.tolist()
     zero = values == 0.0
-    negative_zero = zero & np.signbit(values)
-    return _bare_integers(values).view(np.uint8) + zero.view(np.uint8) + negative_zero.view(np.uint8)
+    # .17g prints a bare integer, an integral value below 1e17 in size, without a point.
+    kinds = ((values == np.trunc(values)) & (np.abs(values) < 1e17)).view(np.uint8) \
+        + zero.view(np.uint8) + (zero & np.signbit(values)).view(np.uint8)
+    return _CELL_TEXT[kinds].tolist(), values[~zero].tolist()
 
 
-def _float_table(table: np.ndarray, inner: str) -> str:
-    """The rows of a non-empty 2-D float64 array as JSON lists, joined by ",\n" + inner.
-
-    The rows' template holds every zero as literal text and a "%" format for
-    each other cell, so one "%" fills in only the cells that carry digits,
-    with _fmt_float's bytes.
-    """
-    values = table.ravel()
-    kinds = _cell_kinds(values)
-    rows = zip(*[iter(_CELL_TEXT[kinds].tolist())] * table.shape[1])     # the cells, row by row
-    template = "[" + ("],\n" + inner + "[").join(map(", ".join, rows)) + "]"
-    return template % tuple(values[kinds < 2].tolist())
+def _table_text(rows, values: list, fmt: str, sep: str) -> str:
+    """Rows of cell texts laid out by _ROW_LAYOUTS[fmt] and parted by sep, filled in by one "%"."""
+    start, comma, end = _ROW_LAYOUTS[fmt]
+    return (start + (end + sep + start).join(map(comma.join, rows)) + end) % tuple(values)
 
 
 #: Fewest F cells for which a sweep's rows are written through the array kernel.  Its fixed cost,
@@ -164,34 +133,20 @@ def _grid_rows(grid: SweepGrid, fmt: str, sep: str) -> list:
     bytes of formatting its materialized ``(len(gdtau) * len(r), 3)`` table value by value.
 
     Each r and each gdtau is formatted once.  A grid of fewer than
-    _ARRAY_GRID_MIN F cells (the crossover of the two paths' costs) bakes them
-    into one row template per gdtau block, which one "%" over the block's F
-    values fills: one str piece per block.  A larger one goes through
-    ``_decimal.grid_rows``, whose array kernel gives correctly rounded digits,
-    so the bytes of "%", leaves zeros and values outside its range to "%"
-    itself, and gives ASCII bytes pieces.
+    _ARRAY_GRID_MIN F cells (the crossover of the two paths' costs) is one
+    table text whose rows hold them as text, and one "%" over the F values.
+    A larger one goes through ``_decimal.grid_rows``, whose array kernel gives
+    correctly rounded digits, so the bytes of "%", and gives ASCII bytes pieces.
     """
     if grid.f.size >= _ARRAY_GRID_MIN:
         from . import _decimal           # loaded by the first large sweep, not by every command
         return _decimal.grid_rows(grid, fmt, sep)
-    start, comma, end = _ROW_LAYOUTS[fmt]
-    n, k = grid.r.size, grid.gdtau.size
-    values = np.concatenate([grid.r, grid.gdtau, grid.f.ravel()])    # one check for the whole grid
-    formats = _cell_formats(values, fmt)
-    cells = ("\n".join(formats[:n + k]) % tuple(values[:n + k].tolist())).split("\n")
-    # A block's template text: start, then (r cell, tail) per row, rows parted by sep + start;
-    # every block but the first opens with sep too.
-    parts = [sep + start] * (3 * n)
-    parts[0] = start
-    parts[1::3] = cells[:n]
-    blocks = []
-    for lo, g_cell in zip(range(n + k, values.size, n), cells[n:]):
-        block_formats = formats[lo:lo + n]
-        tails = {spec: comma + g_cell + comma + spec + end for spec in set(block_formats)}
-        parts[2::3] = map(tails.__getitem__, block_formats)
-        blocks.append("".join(parts) % tuple(values[lo:lo + n].tolist()))
-        parts[0] = sep + start
-    return blocks
+    n = grid.r.size
+    formats, values = _cells(np.concatenate([grid.r, grid.gdtau]), fmt)
+    axes = ("\n".join(formats) % tuple(values)).split("\n")
+    f_cells, f_values = _cells(grid.f.ravel(), fmt)
+    rows = zip(axes[:n] * grid.gdtau.size, [g for g in axes[n:] for _ in range(n)], f_cells)
+    return [_table_text(rows, f_values, fmt, sep)]
 
 
 def _json_scalar(value) -> str:
@@ -236,7 +191,9 @@ def _emit_json(value, indent: int, text: list, pieces: list) -> None:
         if not value.size:
             _emit_json(value.tolist(), indent, text, pieces)
         else:
-            text += ["[\n" + inner, _float_table(value, inner), f"\n{pad}]"]
+            cells, values = _cells(value.ravel(), "json")
+            rows = zip(*[iter(cells)] * value.shape[1])
+            text += ["[\n" + inner, _table_text(rows, values, "json", ",\n" + inner), f"\n{pad}]"]
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in value):
             text.append("[" + ", ".join(map(_json_scalar, value)) + "]")
@@ -437,10 +394,18 @@ def cmd_qpt(args) -> int:
 # fidelity-sweep
 # ----------------------------------------------------------------------------
 
+#: Most rows of a sweep, --r-steps times the number of --gdtau-values: 10**7 rows make a report of
+#: several hundred MB, about 35 bytes a CSV row and 70 a JSON row.
+_MAX_SWEEP_ROWS = 10_000_000
+
+
 def cmd_fidelity_sweep(args) -> int:
     if not 0.0 <= args.r_min < args.r_max <= 1.0:
         _usage_error("invalid sweep grid: need 0 <= --r-min < --r-max <= 1")
     gdtaus = args.gdtau_values
+    if args.r_steps * len(gdtaus) > _MAX_SWEEP_ROWS:
+        _usage_error(f"invalid sweep grid: --r-steps times the number of --gdtau-values "
+                     f"is above {_MAX_SWEEP_ROWS} rows")
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
     grid = SweepGrid(rs, np.array(gdtaus, dtype=float),
                      np.array([closed_form.fidelity_closed_form(rs, gdtau) for gdtau in gdtaus]))
@@ -518,9 +483,7 @@ _job_count = _number(int, lambda n: n >= 1, "a job count >= 1")
 _coupling_mev = _number(
     float, lambda x: 0.0 < x < math.inf and all(map(math.isfinite, times_in_picoseconds(x).values())),
     "a coupling > 0 in meV with finite pulse times")
-#: Largest --r-steps: 10**7 points per gdtau already make a report of several hundred MB.
-_MAX_R_STEPS = 10_000_000
-_r_steps = _number(int, lambda n: 2 <= n <= _MAX_R_STEPS, f"a step count in [2, {_MAX_R_STEPS}]")
+_r_steps = _number(int, lambda n: n >= 2, "a step count >= 2")
 _seed = _number(int, lambda n: n >= 0, "a seed >= 0")
 
 

@@ -107,7 +107,7 @@ class TestCanonicalJson:
                  (chi_closed_form(0.3, 0.1).chi.imag, chi_closed_form(0.7, 0.2).chi.imag),
                  (chi_closed_form(0.3, 0.0).chi.real, chi_closed_form(0.9, 0.0).chi.real)]
         for table, other in pairs:
-            assert np.array_equal(cli._cell_kinds(table.ravel()), cli._cell_kinds(other.ravel()))
+            assert cli._cells(table.ravel(), "json")[0] == cli._cells(other.ravel(), "json")[0]
             assert not np.array_equal(table, other)
         for _ in range(2):
             for table in (t for pair in pairs for t in pair):
@@ -624,6 +624,27 @@ class TestUsageErrors:
         assert "Traceback" not in err and "error:" in err.splitlines()[-1]
         assert re.search(r"(^|\W)_\w", err.splitlines()[-1]) is None         # no private name
         assert not out.exists()
+
+    def test_sweep_rows_are_bounded_as_a_whole(self, tmp_path, capsys, monkeypatch):
+        # The bound is on --r-steps times the number of --gdtau-values, checked before any grid is
+        # built; patched small, so no test allocates a sweep near the real one.
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 12)
+        out = tmp_path / "report"
+        assert run_cli("fidelity-sweep", "--r-steps", "4", "--gdtau-values", "0,0.1,0.2",
+                       "--out", str(out)) == 0
+        assert out.read_text().count("\n") == 13
+        out.unlink()
+        monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("the grid was built"))
+        for argv in (("--r-steps", "13", "--gdtau-values", "0"),
+                     ("--r-steps", "5", "--gdtau-values", "0,0.1,0.2"),
+                     ("--r-steps", "7")):                           # the default two gdtau values
+            with pytest.raises(SystemExit) as exc:
+                run_cli("fidelity-sweep", *argv, "--out", str(out))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].endswith("error: invalid sweep grid: --r-steps times the number of "
+                                                 "--gdtau-values is above 12 rows")
+            assert not out.exists()
 
     @pytest.mark.parametrize("values,item", [("", "''"), ("0,,0.1", "''"), ("0,x", "'x'")])
     def test_bad_gdtau_item_is_named(self, tmp_path, capsys, values, item):

@@ -154,10 +154,9 @@ def test_benchmark_sized_grid_falls_back_only_on_its_zeros():
 
 def test_importing_the_cli_leaves_the_kernel_unloaded():
     # A fresh interpreter on this checkout: the commands that never write a large sweep do not
-    # compile the kernel, and importing it builds none of its tables.
+    # compile the kernel, and importing it builds none of its layout tables.
     code = ("import sys, spinqpt.cli; print('spinqpt._decimal' in sys.modules); "
-            "from spinqpt import _decimal as d; "
-            "print([f.cache_info().currsize for f in (d._powers, d._digit_table, d._alphabet_words, d._layouts)])")
+            "from spinqpt import _decimal as d; print(d._layouts.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(spinqpt.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0]"]
+    assert out.stdout.split("\n")[:2] == ["False", "0"]
