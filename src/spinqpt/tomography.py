@@ -98,7 +98,8 @@ from .dynamics import (
     dephasing_factor,
 )
 from .process_matrix import CHI_ORDER, CHI_PERM, ProcessMatrix, chi_index
-from .qcore import DIM, _negative_eigenvalue_test, hermitize, pure_state, transpose_negativity, unvec, vec
+from .qcore import (DIM, _UNIT_ROUNDOFF, _negative_eigenvalue_test, hermitize, pure_state, transpose_negativity,
+                    unvec, vec)
 
 _AXES = ("z", "x", "y")
 
@@ -120,8 +121,12 @@ class TomographyDesign:
     plus :func:`_chi_map` of its 16 x 15 probabilities: pipeline_map[c, j, b] is the coefficient of
     D^c r^j d^b of that share for the analytic probabilities, shape (m+1, k+1, 3, 256) for m the
     largest Evolve count and k the largest projection count of a sequence, monte_carlo_map the
-    share of the trajectory features and transpose_map the threshold's partial transpose.  Two
-    designs compare equal when their sequences do."""
+    share of the trajectory features and transpose_map the threshold's partial transpose.
+    reconstruction_bound, shape (2, 16, 16), bounds the rounding that each unit of probability s
+    brings into vec(output) (:func:`_reconstruction_bound`).  chi0 and both maps to chi hold an
+    exact 0.0 wherever their rounding bound covers the entry's real or imaginary part, so an
+    exact zero is never written as rounding residue (:func:`_chi_map`).  Two designs compare
+    equal when their sequences do."""
 
     sequences: tuple
     effects: tuple
@@ -130,6 +135,7 @@ class TomographyDesign:
     chi0: np.ndarray
     pipeline_map: np.ndarray
     weight_forms: WeightForms
+    reconstruction_bound: np.ndarray
 
     def __eq__(self, other):
         return self.sequences == other.sequences if isinstance(other, TomographyDesign) else NotImplemented
@@ -150,7 +156,7 @@ class TomographyDesign:
         :func:`spinqpt.blockade.feature_coefficients`, exact in r, and so is L.
         """
         coeffs = feature_coefficients(self.weight_forms, _GATE_BASES)        # (k+1, input, seq, f)
-        return _chi_map(np.moveaxis(coeffs, -1, 1), self.reconstruction)
+        return _chi_map(np.moveaxis(coeffs, -1, 1), self.reconstruction, self.reconstruction_bound)
 
     @functools.cached_property
     def transpose_map(self) -> tuple:
@@ -220,40 +226,115 @@ def design_from_sequences(sequences) -> TomographyDesign:
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-8))
     if rank != 16:
         raise DesignRankError(rank)
-    reconstruction = np.tensordot(np.linalg.inv(matrix), PAULI_BASIS, axes=(0, 0))
-    # chi0 assembles each input's output at zero probabilities; the table reads each effect on the gate.
-    chi0 = assemble_channel_action(np.broadcast_to(reconstruction[15], _INPUT_STATES.shape)).ravel()
+    inverse = np.linalg.inv(matrix)
+    reconstruction = np.tensordot(inverse, PAULI_BASIS, axes=(0, 0))
+    bound = _reconstruction_bound(matrix, inverse, reconstruction, sequences)
+    chi0 = _chi_map(_TRACE_TABLE, reconstruction, bound)
+    for array in (*effects, matrix, reconstruction, bound):
+        array.setflags(write=False)
+    return TomographyDesign(sequences, effects, matrix, reconstruction, chi0,
+                            _chi_map(_probability_table(polys), reconstruction, bound),
+                            compile_weight_forms(sequences), bound)
+
+
+def _probability_table(polys) -> np.ndarray:
+    """The analytic probabilities of the sequences with the effect polynomials polys, shape
+    (m+1, k+1, 3, 16 inputs, 15): entry [c, j, b, i, s] is the coefficient of D^c r^j d^b of
+    Tr[E_s G(rho_i)], G the averaged gate.  Each effect is read on the gate polynomial's outputs."""
     reads = np.zeros((*np.max([poly.shape[:2] for poly in polys], axis=0), 15, DIM * DIM), dtype=complex)
     for s, poly in enumerate(polys):
         reads[: len(poly), : poly.shape[1], s] = poly.reshape(*poly.shape[:2], -1)
     gate_vecs = vec(_INPUT_STATES) @ CNOT_GATE_POLYNOMIAL.swapaxes(-1, -2)          # (3, input, 16)
-    table = (gate_vecs @ reads[:, :, None].swapaxes(-1, -2)).real      # Tr[E rho] = E.ravel() @ vec(rho)
-    for array in (*effects, matrix, reconstruction, chi0):
-        array.setflags(write=False)
-    return TomographyDesign(sequences, effects, matrix, reconstruction, chi0,
-                            _chi_map(table, reconstruction), compile_weight_forms(sequences))
+    return (gate_vecs @ reads[:, :, None].swapaxes(-1, -2)).real       # Tr[E rho] = E.ravel() @ vec(rho)
 
 
-def _chi_map(table, reconstruction: np.ndarray) -> np.ndarray:
-    """The raveled chi of the probabilities of a (..., 16 inputs, 15 sequences) table, read-only, shape
-    (..., 256): each input's 15 probabilities reconstructed, without the trace row's share (chi0), and
-    the 16 outputs assembled.  Linear, so a table of coefficients gives chi's coefficients.
+#: chi0's table for :func:`_chi_map`: the trace row alone, one unit for each of the 16 inputs.
+_TRACE_TABLE = np.broadcast_to(np.eye(DIM * DIM)[15], (16, DIM * DIM))
+
+
+def _reconstruction_bound(matrix, inverse, reconstruction, sequences) -> np.ndarray:
+    """(Q, G), shape (2, 16, 16), read-only: the errors that one unit of probability s brings into entry
+    q of vec(output) when the output is reconstructed, as |Re| + |Im|.  Q[s, q] bounds it for an
+    exact probability, G[s, q] per unit of a table's own rounding, which is at most gamma_n max|t|
+    in every entry t of the table.  To first order in the unit roundoff u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3), with P = vec(reconstruction):
+
+    * G = gamma_n |P|, and gamma_n |P| in Q, for the products.  n counts the most roundings on one
+      path from a constant of the build to an entry of a map to chi: at most 32 per product stage,
+      since a complex inner product of 16 terms is a real one of 32 (Higham, sec. 3.1 and 3.6), four
+      stages per step of the longest sequence (its map's three, the back-propagation's one) and 12
+      more (the averaged gate's six, the gate outputs', the effects' features, the table's, this
+      reconstruction's, and two for the assembly of chi).  Every table and the design matrix are
+      built from unit-scale features by these stages, so gamma_n times their largest entry bounds
+      their own rounding.  The bound's own evaluation moves it by a relative O(n u), a second-order
+      change.
+    * sum_b B[b, s] |P_b| in Q, for the error B of inverse = inv(matrix) as an entry of the exact
+      inverse of the exact design matrix.  inverse @ matrix = I + R gives |inverse - matrix^-1|[b, s]
+      <= rho max_b' |inverse[b', s]|, rho = ||R||_inf / (1 - ||R||_inf), with ||R||_inf at most that
+      of |fl(R)| + gamma_17 |inverse| |matrix|; the rank check keeps it near cond(matrix) u, far
+      below 1.  Row s' of the matrix, rounded by at most gamma_n m_s' in each entry, m_s' its
+      largest, adds gamma_n (|inverse| m)_b (sum_b' |inverse[b', s]|), and the product with the
+      Pauli basis gamma_n |inverse[b, s]|.
+    """
+    steps = max(len(seq.steps) for seq in sequences)
+    n = 32 * (4 * steps + 12)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    magnitude, scale = np.abs(inverse), np.abs(matrix)
+    residual = np.abs(inverse @ matrix - np.eye(DIM * DIM)) + (17 * _UNIT_ROUNDOFF) * (magnitude @ scale)
+    norm = residual.sum(axis=1).max()
+    error = (norm / (1.0 - norm)) * magnitude.max(axis=0) + gamma * (
+        magnitude + np.outer(magnitude @ scale.max(axis=1), magnitude.sum(axis=0)))
+    parts = vec(reconstruction)
+    products = gamma * (np.abs(parts.real) + np.abs(parts.imag))
+    return np.stack([products + error.T @ vec(np.abs(PAULI_BASIS.real) + np.abs(PAULI_BASIS.imag)), products])
+
+
+def _chi_map(table, reconstruction: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The raveled chi of the probabilities of a (..., 16 inputs, S sequences) table, read-only, shape
+    (..., 256): each input's S probabilities reconstructed, by the first S rows of the reconstruction
+    (S = 15 leaves out the trace row's share, chi0), and the 16 outputs assembled.  Linear, so a table
+    of coefficients gives chi's coefficients.
 
     The table is real, so it is reconstructed by two real products, one per part of the
     reconstruction, each written straight into its part of the outputs.  np.matmul multiplies a
-    stack matrix by matrix: one (16, 15) by (15, 256) product per leading index, below the size at
+    stack matrix by matrix: one (16, S) by (S, 16) product per leading index, below the size at
     which OpenBLAS starts its thread pool, if these strided operands reach BLAS at all (contiguous
     copies of the parts give the same bits).  One complex tensordot would be a single product of
-    the whole table, (rows, 15) by (15, 256), large enough to wake the pool, whose workers then
-    keep spinning after it."""
-    parts = reconstruction[:15].reshape(15, DIM * DIM)
+    the whole table, (rows, S) by (S, 16), large enough to wake the pool, whose workers then
+    keep spinning after it.
+
+    A real or imaginary part within its rounding bound (:func:`_rounding_limit`) of zero is set to an
+    exact 0.0, so a coefficient that is zero in exact arithmetic is stored as 0.0, not as rounding
+    residue.  On the shipped, cubic and long designs the largest residue is below 5e-16, every bound
+    below 1e-10 and the smallest true coefficient 0.031, so the rule keeps every coefficient and
+    zeroes every residue.  A true coefficient under its bound, as on some ill-conditioned custom
+    design, lies below the map's own rounding error, so zeroing it moves chi by less than that
+    error."""
+    rows = table.shape[-1]
+    parts = reconstruction[:rows].reshape(rows, DIM * DIM)
     outputs = np.empty((*table.shape[:-1], DIM * DIM), dtype=complex)
     np.matmul(table, parts.real, out=outputs.real)
     np.matmul(table, parts.imag, out=outputs.imag)
     chi = assemble_channel_action(outputs.reshape(*table.shape[:-1], DIM, DIM))
     chi = chi.reshape(*chi.shape[:-2], DIM**4)
+    limit = _rounding_limit(table, bound)
+    for part in (chi.real, chi.imag):
+        part[np.abs(part) <= limit] = 0.0
     chi.setflags(write=False)
     return chi
+
+
+def _rounding_limit(table, bound: np.ndarray) -> np.ndarray:
+    """A bound on the rounding error of each entry of :func:`_chi_map`, of its real and of its
+    imaginary part alike, shape (..., 256): the same products on magnitudes, |W| (|t| @ Q + max|t| J G),
+    W the assembly weights, t the table, J all ones and (Q, G) the design's reconstruction_bound.  To
+    first order it bounds every rounding of the build, from the constants through the inverse to
+    the assembly."""
+    rows = table.shape[-1]
+    magnitude = np.abs(table)
+    magnitude = magnitude @ bound[0, :rows] + magnitude.max() * bound[1, :rows].sum(axis=0)   # on vec(output)
+    limit = np.swapaxes((_WEIGHT_MAGNITUDES @ magnitude)[..., CHI_PERM], -1, -2)
+    return limit.reshape(*limit.shape[:-2], DIM**4)
 
 
 def design_sequences(g: float = 1.0) -> TomographyDesign:
@@ -337,6 +418,8 @@ def _assembly_weights() -> np.ndarray:
 
 
 _WEIGHTS = _assembly_weights()
+#: |Re| + |Im| of each weight, which the rounding bounds of :func:`_chi_map` assemble.
+_WEIGHT_MAGNITUDES = np.abs(_WEIGHTS.real) + np.abs(_WEIGHTS.imag)
 
 
 def assemble_channel_action(outputs) -> np.ndarray:

@@ -9,8 +9,11 @@ but not a coefficient.  Regenerate ``data/design_tables_x16.json`` with
 
     PYTHONPATH=src python tests/exact_tables.py
 
-which first asserts that every rounding residual is below 1e-12 and that the
-integer pipeline table, with the integer chi0, reproduces
+which first asserts that every rounding residual is below 1e-12, that
+``pipeline_map`` and ``chi0`` hold an exact 0.0 in the real or imaginary part
+of exactly the entries where the integer table has a zero (the engine zeroes
+rounding residue when it builds them), and that the integer pipeline table,
+with the integer chi0, reproduces
 ``forward_reference.forward_pipeline_chi`` within 1e-12 at random noise
 points.  That reference shares no code with the design build, so the tables
 are not just a copy of the engine's own floats.  The file holds each table's
@@ -58,14 +61,23 @@ def pipeline_chi(tables: dict, r: float, gdtau: float) -> np.ndarray:
     return ((tables["chi0"] + share) / SCALE).reshape(16, 16)
 
 
+#: The engine arrays built with exact zeros in place of rounding residue.
+ZEROED = ("pipeline_map", "chi0")
+
+
 def integer_tables() -> dict:
-    """16 x each engine array rounded to integers; a rounding residual of 1e-12 or more is an error."""
+    """16 x each engine array rounded to integers; a rounding residual of 1e-12 or more is an error, and
+    so is a ZEROED array whose zeros are not the integer table's, part by part."""
     tables = {}
     for name, array in engine_arrays().items():
         scaled = SCALE * np.asarray(array)
         rounded = np.round(scaled.real) + 1j * np.round(scaled.imag)
         residual = np.max(np.abs(scaled - rounded))
         assert residual < 1e-12, f"{name}: 16 x it is {residual} away from integers"
+        if name in ZEROED:
+            for part in ("real", "imag"):
+                assert np.array_equal(getattr(scaled, part) == 0, getattr(rounded, part) == 0), \
+                    f"{name}: its {part} zeros are not the integer table's"
         tables[name] = rounded
     return tables
 

@@ -304,7 +304,7 @@ class TestQptCommand:
                        "--samples", "2000", "--out", str(out)) == 0
         report = json.loads(out.read_text())
         dev = report["deviations"]
-        assert dev["expected_discrepancy_caveat"] is False   # readout noise alone opens no gap
+        assert dev["pipeline_vs_closed_form_entries"] == 0   # readout noise alone opens no gap
         assert dev["pipeline_vs_closed_form"] < 1e-10  # exact agreement at gdtau = 0
         # Nothing is sampled at gdtau = 0: Monte Carlo is the pipeline up to rounding.
         assert dev["montecarlo_vs_pipeline"] < 1e-12
@@ -312,7 +312,8 @@ class TestQptCommand:
         assert report["params"]["mc_samples"] == 2000
         assert run_cli("qpt", "--r", "0.6", "--gdtau", "0.1", "--method", "all",
                        "--samples", "200", "--out", str(out)) == 0
-        assert json.loads(out.read_text())["deviations"]["expected_discrepancy_caveat"] is True
+        # Timing noise opens a gap in 144 of the 256 entries on the shipped design.
+        assert json.loads(out.read_text())["deviations"]["pipeline_vs_closed_form_entries"] == 144
 
     @pytest.mark.parametrize("method", ["pipeline", "closed-form"])
     def test_sample_count_only_in_monte_carlo_reports(self, tmp_path, method):

@@ -84,11 +84,11 @@ def tail_sites(path):
 
 
 def test_chi_is_assembled_only_where_a_design_map_is_built():
-    # The design build inverts the design matrix, assembles chi0 and builds the pipeline map; the
-    # Monte Carlo map's first build runs the same tail.  No QPT run, threshold or CLI path does.
+    # The design build inverts the design matrix and builds chi0 and the pipeline map through the one
+    # tail; the Monte Carlo map's first build runs it too.  No QPT run, threshold or CLI path does.
     sites = sorted(site for path in SRC.glob("*.py") for site in tail_sites(path))
     assert sites == [("tomography.TomographyDesign.monte_carlo_map", "_chi_map"),
                      ("tomography._chi_map", "assemble_channel_action"),
                      ("tomography.design_from_sequences", "_chi_map"),
-                     ("tomography.design_from_sequences", "assemble_channel_action"),
+                     ("tomography.design_from_sequences", "_chi_map"),
                      ("tomography.design_from_sequences", "inv")]

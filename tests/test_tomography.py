@@ -1195,6 +1195,89 @@ class TestExactTables:
         np.testing.assert_allclose(array, table / exact_tables.SCALE, rtol=0, atol=1e-15)
 
 
+def exact_inverse(matrix):
+    """The inverse of an integer-valued matrix as (integer numerators, their common denominator), by
+    Gauss-Jordan elimination over Fractions."""
+    n = len(matrix)
+    rows = [[Fraction(int(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(np.asarray(matrix))]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    denominator = math.lcm(*(v.denominator for row in rows for v in row[n:]))
+    return np.array([[int(v * denominator) for v in row[n:]] for row in rows], dtype=np.int64), denominator
+
+
+def on_grid(array, grid: float) -> np.ndarray:
+    """The integers n with array = n / grid up to its rounding residue; a residue of 1e-9 / grid or more
+    means the array is off that grid, an error."""
+    scaled = np.asarray(array) * grid
+    integers = np.round(scaled).astype(np.int64)
+    assert np.max(np.abs(scaled - integers)) < 1e-9, f"off the grid of 1/{grid:g}"
+    return integers
+
+
+def exact_chi_map(table, matrix):
+    """The map of tomography._chi_map in exact arithmetic, as (real numerators, imaginary numerators,
+    common denominator): the table read as multiples of 2^-10 and the design matrix as integers (their
+    exact values, less the rounding residue), the matrix inverted exactly, and the table reconstructed
+    and assembled in int64."""
+    grid = 2**10
+    numerators = on_grid(table, grid)
+    inverse, denominator = exact_inverse(on_grid(matrix, 1))
+    rows = table.shape[-1]
+    parts = [np.tensordot(inverse, part.astype(np.int64), axes=(0, 0))[:rows].reshape(rows, 16)
+             for part in (PAULI_BASIS.real, PAULI_BASIS.imag)]
+    # Products of at most 16 terms each, twice: far from int64's range for these sizes.
+    assert np.abs(numerators).sum(axis=-1).max() * max(np.abs(p).max() for p in parts) < 2**50
+    outputs = [qcore.vec((numerators @ part).reshape(*table.shape[:-1], 4, 4)) for part in parts]
+    weights = [(2 * part).astype(np.int64) for part in (tomography._WEIGHTS.real, tomography._WEIGHTS.imag)]
+    chi = (weights[0] @ outputs[0] - weights[1] @ outputs[1], weights[0] @ outputs[1] + weights[1] @ outputs[0])
+    chi = [np.swapaxes(c[..., tomography.CHI_PERM], -1, -2).reshape(*table.shape[:-2], 256) for c in chi]
+    return chi[0], chi[1], grid * denominator * 2
+
+
+#: The least factor by which every true coefficient of a design's maps to chi exceeds its rounding
+#: bound, stated before any run (about 2.5e9 was measured on the three designs).
+_SEPARATION = 1e6
+
+
+class TestExactZeros:
+    """chi0 and the maps to chi hold an exact 0.0 where, and only where, exact arithmetic gives zero:
+    their rounding bound (tomography._rounding_limit) covers every residue and lies far below every
+    true coefficient.  A bound shrunk 10^6-fold leaves residues, which these tests catch."""
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("name", ["pipeline_map", "chi0"])
+    def test_shipped_zeros_are_the_integer_tables_zeros(self, design, name, part):
+        table = exact_tables.load()[name]
+        assert np.array_equal(getattr(getattr(design, name), part) == 0.0, getattr(table, part) == 0)
+
+    @pytest.mark.parametrize("which", ["pipeline_map", "chi0", "monte_carlo_map"])
+    @pytest.mark.parametrize("name", ["shipped", "cubic", "long"])
+    def test_bound_separates_residues_from_coefficients(self, designs, name, which):
+        design = designs[name]
+        if which == "pipeline_map":
+            table = tomography._probability_table([effect_polynomial(seq) for seq in design.sequences])
+        elif which == "chi0":
+            table = tomography._TRACE_TABLE
+        else:
+            table = np.moveaxis(blockade.feature_coefficients(design.weight_forms, tomography._GATE_BASES), -1, 1)
+        *numerators, denominator = exact_chi_map(table, design.design_matrix)
+        limit = tomography._rounding_limit(table, design.reconstruction_bound)
+        engine = getattr(design, which)
+        for value, numerator in zip((engine.real, engine.imag), numerators):
+            zero = numerator == 0
+            assert np.array_equal(value == 0.0, zero)
+            coefficient = numerator[~zero] / denominator
+            assert np.all(np.abs(value[~zero] - coefficient) <= limit[~zero])
+            assert np.all(_SEPARATION * limit[~zero] <= np.abs(coefficient))
+
+
 def paper_fidelity(r, gdtau):
     """The pipeline's process fidelity as a polynomial with dyadic coefficients in r, d and D = d^4."""
     d = math.exp(-2.0 * gdtau**2)
